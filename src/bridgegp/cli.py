@@ -327,10 +327,7 @@ def _cmd_beta(cfg: dict, seed: int):
     values = _observed_coefficients(_get(cfg, "observed", "config"), prior, spec, mesh_size)
     obs = regression.CoefficientObservations(values, sigma2)
     res = regression.beta_map(spec, prior, obs, hyper)
-    lam, c0 = regression._coeff_prefix(spec, prior, mesh_size)
-    dev2 = float(np.sum((values - c0) ** 2 / lam))
-    numer = mesh_size if hyper.kind == "flat" else mesh_size - 2
-    formula = numer / dev2 if dev2 > 0 else np.inf
+    dev2, formula = regression.closed_form_beta(spec, prior, values, hyper)
     row = [res.beta, res.log_beta, res.objective, res.boundary or "",
            int(res.dirac_limit), dev2, formula,
            res.beta / formula if np.isfinite(formula) else None]

@@ -11,9 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.integrate
-import scipy.spatial
-import scipy.stats
 
 from . import kernels, pde, regression, spectral
 
@@ -43,6 +40,8 @@ def design_metrics(x) -> DesignMetrics:
     grid (~1e4 nodes); the separation radius is half the smallest
     pairwise distance.  Designs need at least two distinct points.
     """
+    import scipy.spatial  # deferred import: keeps `import bridgegp` light
+
     arr = np.asarray(x, dtype=float)
     dim = 1 if arr.ndim <= 1 else arr.shape[1]
     pts = spectral.validate_points(arr, dim)
@@ -70,7 +69,7 @@ class StudyReport:
 
 
 def _l2_on_grid(values: np.ndarray, grid: np.ndarray) -> float:
-    return float(np.sqrt(scipy.integrate.trapezoid(values**2, grid)))
+    return float(np.sqrt(np.trapezoid(values**2, grid)))
 
 
 def fit_loglog_slope(fills, errors):
@@ -79,6 +78,8 @@ def fit_loglog_slope(fills, errors):
     Errors decaying like fill^a come out as slope -a, so refinement
     studies report negative slopes.  Needs at least three rows.
     """
+    import scipy.stats  # deferred import: keeps `import bridgegp` light
+
     fills = np.asarray(fills, dtype=float)
     errors = np.asarray(errors, dtype=float)
     if fills.size < 3:
@@ -124,7 +125,7 @@ def convergence_study(truth, assumed_source, spec: kernels.KernelSpec, ns,
             y = y + rng.normal(scale=np.sqrt(noise_sigma2), size=n)
         post = regression.condition(spec, prior, regression.Dataset(x, y, sigma2))
         err = _l2_on_grid(post.mean(grid_x) - truth_on_grid, grid_x)
-        var_int = float(scipy.integrate.trapezoid(post.var(grid_x), grid_x))
+        var_int = float(np.trapezoid(post.var(grid_x), grid_x))
         metrics = design_metrics(x)
         rows.append({
             "n": n,
@@ -167,16 +168,13 @@ def model_error_study(spec: kernels.KernelSpec, mesh_size: int, eps_values,
         raise ValueError(f"mesh_size must be in [1, {spec.n_coeffs}]")
     prior_field = regression._prior_field(prior, spec)
     c0 = prior_field.coeffs[:mesh_size]
-    lam = kernels.eigenvalues(spec)[:mesh_size]
-    numerator = mesh_size if hyper.kind == "flat" else mesh_size - 2
     rows = []
     for eps in [float(e) for e in eps_values]:
         observed = np.array(c0)
         observed[0] += eps
         obs = regression.CoefficientObservations(observed, sigma2)
         res = regression.beta_map(spec, prior_field, obs, hyper)
-        dev2 = float(np.sum((observed - c0) ** 2 / lam))
-        formula = numerator / dev2 if dev2 > 0 else np.inf
+        dev2, formula = regression.closed_form_beta(spec, prior_field, observed, hyper)
         ratio = res.beta / formula if np.isfinite(formula) else None
         rows.append({
             "eps": eps,

@@ -25,7 +25,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 from . import kernels, pde, spectral
 from .errors import NumericalError, OrderMismatchError
@@ -355,6 +354,25 @@ def _coeff_prefix(spec: kernels.KernelSpec, prior, m: int):
     return lam, c0
 
 
+def closed_form_beta(spec: kernels.KernelSpec, prior, observed,
+                     hyper: HyperPrior) -> tuple[float, float]:
+    """Closed-form trust weight for exactly observed leading coefficients.
+
+    Returns the squared native-norm deviation
+    dev2 = sum (observed_alpha - c0_alpha)^2 / lambda_alpha of the M
+    observed coefficients from the prior mean, and the beta that
+    maximizes the evidence in the noise-free limit: M / dev2 under a
+    flat prior, (M - 2) / dev2 under Jeffreys, infinite when dev2 = 0.
+    """
+    if hyper.kind == "fixed":
+        raise ValueError("the closed form needs a flat or Jeffreys hyper prior")
+    observed = np.asarray(observed, dtype=float).reshape(-1)
+    lam, c0 = _coeff_prefix(spec, prior, observed.size)
+    dev2 = float(np.sum((observed - c0) ** 2 / lam))
+    numerator = observed.size if hyper.kind == "flat" else observed.size - 2
+    return dev2, (numerator / dev2 if dev2 > 0 else np.inf)
+
+
 def log_marginal(spec: kernels.KernelSpec, prior, obs, beta: float | None = None) -> float:
     """Log marginal likelihood of the observations with u integrated out.
 
@@ -444,6 +462,8 @@ def _maximize_over_log_beta(objective, xtol: float = 1e-10):
         return grid[0], vals[0], "lower"
     if best == len(grid) - 1:
         return grid[-1], vals[-1], "upper"
+    import scipy.optimize  # deferred import: keeps `import bridgegp` light
+
     try:
         res = scipy.optimize.minimize_scalar(
             lambda t: -safe(t),
@@ -625,6 +645,8 @@ def invert_source(obs, family, hyper: HyperPrior, spec: kernels.KernelSpec,
             return -val if np.isfinite(val) else np.inf
 
         z0 = theta0 if hyper.kind == "fixed" else np.append(theta0, 0.0)
+        import scipy.optimize  # deferred import: keeps `import bridgegp` light
+
         res = scipy.optimize.minimize(
             neg_log_post, z0, method="BFGS", options={"gtol": 1e-8, "maxiter": 500}
         )
@@ -711,6 +733,8 @@ def map_nonlinear(obs, source: pde.SourceModel, spec: kernels.KernelSpec,
     z0 = np.zeros(spec.n_coeffs) if init is None else (
         (np.asarray(init, dtype=float).reshape(-1) - c0) / scale
     )
+    import scipy.optimize  # deferred import: keeps `import bridgegp` light
+
     res = scipy.optimize.minimize(
         objective, z0, jac=True, method="L-BFGS-B",
         options={"maxiter": maxiter, "ftol": 1e-18, "gtol": 1e-12},

@@ -98,20 +98,19 @@ def _as_points(x, dim: int) -> tuple[np.ndarray, bool]:
     raise ValueError(f"cannot interpret points of shape {arr.shape} in dimension {dim}")
 
 
-def validate_points(x, dim: int) -> np.ndarray:
-    """Return `x` as an (N, dim) array, rejecting points outside [0, 1]^d."""
-    pts, _ = _as_points(x, dim)
+def as_point_batch(x, dim: int):
+    """Validated (N, dim) batch plus a flag for scalar/single-point input."""
+    pts, single = _as_points(x, dim)
     if not np.all(np.isfinite(pts)):
         raise DomainError("points must be finite")
     if np.any(pts < 0.0) or np.any(pts > 1.0):
         raise DomainError("points must lie in the closed unit cube")
-    return pts
+    return pts, single
 
 
-def as_point_batch(x, dim: int):
-    """Validated (N, dim) batch plus a flag for scalar/single-point input."""
-    _, single = _as_points(x, dim)
-    return validate_points(x, dim), single
+def validate_points(x, dim: int) -> np.ndarray:
+    """Return `x` as an (N, dim) array, rejecting points outside [0, 1]^d."""
+    return as_point_batch(x, dim)[0]
 
 
 def basis_eval(alpha, x):
@@ -133,8 +132,7 @@ def basis_eval(alpha, x):
     if alpha.size == 0 or np.any(alpha < 1):
         raise ValueError(f"multi-index entries must be >= 1, got {tuple(alpha)}")
     dim = alpha.size
-    pts, single = _as_points(x, dim)
-    validate_points(pts, dim)
+    pts, single = as_point_batch(x, dim)
     vals = 2.0 ** (dim / 2.0) * np.prod(np.sin(np.pi * pts * alpha), axis=1)
     vals[np.any((pts == 0.0) | (pts == 1.0), axis=1)] = 0.0
     return float(vals[0]) if single else vals

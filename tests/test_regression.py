@@ -42,6 +42,7 @@ from bridgegp import (
     solve,
     zero_field,
 )
+from bridgegp.regression import closed_form_beta
 
 
 def make_dataset(rng, n=12, sigma2=1e-4, dim=1):
@@ -376,6 +377,31 @@ class TestBetaMap:
         res = beta_map(spec, u0, PointObservations(Dataset(x, y, 1e-6)), FLAT)
         assert res.boundary is None
         assert 1e-6 < res.beta < 1e6
+
+
+class TestClosedFormBeta:
+    def test_matches_calibration(self, rng):
+        spec = KernelSpec("bridge", order=128)
+        prior = SpectralField(1, 128, 0.1 * rng.normal(size=128))
+        observed = prior.coeffs[:40] + 0.05 * rng.normal(size=40)
+        energy = deviation_energy(spec, observed - prior.coeffs[:40])
+        obs = CoefficientObservations(observed, sigma2=0.0)
+        for hyper, numerator in ((FLAT, 40), (JEFFREYS, 38)):
+            dev2, formula = closed_form_beta(spec, prior, observed, hyper)
+            assert dev2 == pytest.approx(energy, rel=1e-12)
+            assert formula == pytest.approx(numerator / energy, rel=1e-12)
+            assert beta_map(spec, prior, obs, hyper).beta == pytest.approx(formula, rel=1e-7)
+
+    def test_zero_deviation_is_infinite(self):
+        spec = KernelSpec("bridge", order=16)
+        assert closed_form_beta(spec, None, np.zeros(5), FLAT) == (0.0, np.inf)
+
+    def test_rejections(self):
+        spec = KernelSpec("bridge", order=8)
+        with pytest.raises(ValueError):
+            closed_form_beta(spec, None, np.ones(4), fixed(1.0))
+        with pytest.raises(OrderMismatchError):
+            closed_form_beta(spec, None, np.ones(9), FLAT)
 
 
 class TestCustomObservations:

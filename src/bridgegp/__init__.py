@@ -27,7 +27,6 @@ from .kernels import (
     default_order,
     eigenvalue,
     eigenvalues,
-    gram,
     kernel_diag,
     kernel_eval,
     kernel_matrix,

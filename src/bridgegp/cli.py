@@ -109,7 +109,7 @@ def _build_source(cfg, dim: int, where: str) -> pde.SourceModel:
             _number(val, f"{where}.parameters.{name}")
         src = pde.ClosedFormSource(str(cfg["expression"]), params)
         # Compile now so malformed expressions fail as config errors.
-        src._fn(dim)
+        src.compiled(dim)
         return src
     if "coefficients" in cfg:
         _check_keys(cfg, {"coefficients", "order"}, where)
@@ -126,6 +126,14 @@ def _build_source(cfg, dim: int, where: str) -> pde.SourceModel:
             )
         return pde.SpectralSource(spectral.SpectralField(dim, order, coeffs))
     raise ConfigError(f"{where} must contain either 'expression' or 'coefficients'")
+
+
+def _build_prior(cfg: dict, spec: kernels.KernelSpec) -> pde.PdeSolution | None:
+    """Forward solution for the config's optional `source`; None without one."""
+    source_cfg = _get(cfg, "source", "config", None)
+    if source_cfg is None:
+        return None
+    return pde.solve(_build_source(source_cfg, spec.dim, "source"), spec)
 
 
 def _build_hyper(cfg, where: str = "hyper") -> regression.HyperPrior:
@@ -231,10 +239,7 @@ def _cmd_sample(cfg: dict, seed: int):
     _check_keys(cfg, {"kernel", "source", "grid", "count", "moment_draws",
                       "mesh_size", "mode", "data", "sigma2", "seed"}, "config")
     spec = _build_kernel(_get(cfg, "kernel", "config"))
-    source_cfg = _get(cfg, "source", "config", None)
-    prior = None
-    if source_cfg is not None:
-        prior = pde.solve(_build_source(source_cfg, spec.dim, "source"), spec)
+    prior = _build_prior(cfg, spec)
     per_axis = _integer(_get(cfg, "grid", "config", 101), "grid")
     count = _integer(_get(cfg, "count", "config", 3), "count")
     draws = _integer(_get(cfg, "moment_draws", "config", 4096), "moment_draws")
@@ -276,10 +281,7 @@ def _cmd_fit(cfg: dict, seed: int):
     _check_keys(cfg, {"kernel", "source", "data", "sigma2", "grid", "seed"}, "config")
     started = time.perf_counter()
     spec = _build_kernel(_get(cfg, "kernel", "config"))
-    source_cfg = _get(cfg, "source", "config", None)
-    prior = None
-    if source_cfg is not None:
-        prior = pde.solve(_build_source(source_cfg, spec.dim, "source"), spec)
+    prior = _build_prior(cfg, spec)
     sigma2 = _number(_get(cfg, "sigma2", "config"), "sigma2")
     data = _load_dataset(_get(cfg, "data", "config"), spec.dim, sigma2)
     per_axis = _integer(_get(cfg, "grid", "config", 101), "grid")
@@ -305,7 +307,7 @@ def _observed_coefficients(cfg: dict, prior, spec, mesh_size: int, where="observ
     if "epsilon" in cfg:
         _check_keys(cfg, {"epsilon"}, where)
         eps = _number(cfg["epsilon"], f"{where}.epsilon")
-        values = np.array(regression._prior_field(prior, spec).coeffs[:mesh_size])
+        values = np.array(pde.prior_mean(prior, spec).coeffs[:mesh_size])
         values[0] += eps
         return values
     raise ConfigError(f"{where} must contain 'coefficients' or 'epsilon'")
@@ -315,10 +317,7 @@ def _cmd_beta(cfg: dict, seed: int):
     _check_keys(cfg, {"kernel", "source", "mesh_size", "observed", "sigma2",
                       "hyper", "seed"}, "config")
     spec = _build_kernel(_get(cfg, "kernel", "config"))
-    source_cfg = _get(cfg, "source", "config", None)
-    prior = None
-    if source_cfg is not None:
-        prior = pde.solve(_build_source(source_cfg, spec.dim, "source"), spec)
+    prior = _build_prior(cfg, spec)
     mesh_size = _integer(_get(cfg, "mesh_size", "config"), "mesh_size")
     sigma2 = _number(_get(cfg, "sigma2", "config", 0.0), "sigma2")
     hyper = _build_hyper(_get(cfg, "hyper", "config", {"kind": "flat"}))
@@ -421,10 +420,7 @@ def _cmd_study(cfg: dict, seed: int, kind: str):
         _check_keys(cfg, {"kernel", "source", "mesh_size", "eps_values", "hyper",
                           "sigma2", "seed"}, "config")
         spec = _build_kernel(_get(cfg, "kernel", "config"))
-        source_cfg = _get(cfg, "source", "config", None)
-        prior = None
-        if source_cfg is not None:
-            prior = pde.solve(_build_source(source_cfg, spec.dim, "source"), spec)
+        prior = _build_prior(cfg, spec)
         hyper = _build_hyper(_get(cfg, "hyper", "config", {"kind": "flat"}))
         if hyper.kind == "fixed":
             raise ConfigError("the model-error study needs a flat or jeffreys prior")

@@ -166,7 +166,7 @@ def model_error_study(spec: kernels.KernelSpec, mesh_size: int, eps_values,
     mesh_size = int(mesh_size)
     if not 1 <= mesh_size <= spec.n_coeffs:
         raise ValueError(f"mesh_size must be in [1, {spec.n_coeffs}]")
-    prior_field = regression._prior_field(prior, spec)
+    prior_field = pde.prior_mean(prior, spec)
     c0 = prior_field.coeffs[:mesh_size]
     rows = []
     for eps in [float(e) for e in eps_values]:

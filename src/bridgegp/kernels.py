@@ -197,11 +197,6 @@ def kernel_diag(spec: KernelSpec, x) -> np.ndarray:
     return base / spec.beta
 
 
-def gram(spec: KernelSpec, x) -> np.ndarray:
-    """Symmetric Gram matrix of the kernel on the points `x`."""
-    return kernel_matrix(spec, x)
-
-
 def mercer_partial_sum(spec: KernelSpec, x, y, order: int) -> float:
     """Truncated Mercer sum at an explicit order; for truncation studies."""
     spectral.check_size(spec.dim, order)

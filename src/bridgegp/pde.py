@@ -33,6 +33,7 @@ __all__ = [
     "LinearSourceFamily",
     "ExpressionSourceFamily",
     "PdeSolution",
+    "prior_mean",
     "solve",
     "energy",
     "energy_rkhs_shift",
@@ -92,7 +93,8 @@ class ClosedFormSource(SourceModel):
         self._compiled: dict[int, expressions.CompiledExpression] = {}
         self._coeff_cache: dict[tuple[int, int], np.ndarray] = {}
 
-    def _fn(self, dim: int) -> expressions.CompiledExpression:
+    def compiled(self, dim: int) -> expressions.CompiledExpression:
+        """The expression compiled for `dim`; a malformed one raises here."""
         if dim not in self._compiled:
             self._compiled[dim] = expressions.compile_expression(
                 self.expression, dim, tuple(self.parameters)
@@ -102,7 +104,7 @@ class ClosedFormSource(SourceModel):
     def evaluate(self, x) -> np.ndarray:
         arr = np.asarray(x, dtype=float)
         dim = 1 if arr.ndim <= 1 else arr.shape[1]
-        return self._fn(dim)(arr, self.parameters)
+        return self.compiled(dim)(arr, self.parameters)
 
     def coefficients(self, dim, order, rule=None) -> np.ndarray:
         if rule is not None:
@@ -130,6 +132,26 @@ class PdeSolution:
 
     def __call__(self, x):
         return spectral.evaluate(self.u0, x)
+
+
+def prior_mean(prior, spec: kernels.KernelSpec) -> spectral.SpectralField:
+    """Normalize a prior mean (solution, field, or None) to a field.
+
+    None means the zero field; a PdeSolution contributes its u0.  The
+    field must match the spec's dim and order.
+    """
+    if prior is None:
+        return spectral.zero_field(spec.dim, spec.order)
+    if isinstance(prior, PdeSolution):
+        prior = prior.u0
+    if not isinstance(prior, spectral.SpectralField):
+        raise TypeError(f"cannot use {type(prior).__name__} as a prior mean")
+    if prior.dim != spec.dim or prior.order != spec.order:
+        raise OrderMismatchError(
+            f"prior mean ({prior.dim}, {prior.order}) does not match "
+            f"spec ({spec.dim}, {spec.order})"
+        )
+    return prior
 
 
 def solve(source: SourceModel, spec: kernels.KernelSpec) -> PdeSolution:

@@ -130,22 +130,6 @@ def fixed(beta0: float) -> HyperPrior:
     return HyperPrior("fixed", beta0)
 
 
-def _prior_field(prior, spec: kernels.KernelSpec) -> spectral.SpectralField:
-    """Normalize a prior mean (solution, field, or None) to a field."""
-    if prior is None:
-        return spectral.zero_field(spec.dim, spec.order)
-    if isinstance(prior, pde.PdeSolution):
-        prior = prior.u0
-    if not isinstance(prior, spectral.SpectralField):
-        raise TypeError(f"cannot use {type(prior).__name__} as a prior mean")
-    if prior.dim != spec.dim or prior.order != spec.order:
-        raise OrderMismatchError(
-            f"prior mean ({prior.dim}, {prior.order}) does not match "
-            f"spec ({spec.dim}, {spec.order})"
-        )
-    return prior
-
-
 class PosteriorModel:
     """Conjugate GP posterior from point data.
 
@@ -160,11 +144,12 @@ class PosteriorModel:
                 f"data dimension {data.dim} does not match spec dimension {spec.dim}"
             )
         self.spec = spec
-        self.prior = _prior_field(prior, spec)
+        self.prior = pde.prior_mean(prior, spec)
         self.data = data
         self.eta = data.sigma2 * spec.beta / data.n
-        gram = kernels.gram(spec, data.X)
-        self._solver = kernels.SpdSolver(gram + data.sigma2 * np.eye(data.n))
+        # Keep only the factor: the beta = 1 Gram is not needed afterwards.
+        marginal = _MarginalCovariance(spec, PointObservations(data))
+        self._solver = marginal.factor(spec.beta)
         self._weights = self._solver.solve(data.y - spectral.evaluate(self.prior, data.X))
 
     def _cross(self, x) -> np.ndarray:
@@ -220,11 +205,11 @@ class KrrSolution:
         if eta <= 0 or not np.isfinite(eta):
             raise ValueError(f"eta must be finite and positive, got {eta}")
         self.spec = spec
-        self.prior = _prior_field(prior, spec)
+        self.prior = pde.prior_mean(prior, spec)
         self.data = data
         self.eta = eta
-        # beta = 1 Gram via exact rescaling (gram includes the 1/beta).
-        k1 = spec.beta * kernels.gram(spec, data.X)
+        # beta = 1 Gram via exact rescaling (kernel_matrix includes the 1/beta).
+        k1 = spec.beta * kernels.kernel_matrix(spec, data.X)
         solver = kernels.SpdSolver(k1 + data.n * eta * np.eye(data.n))
         self.alpha = solver.solve(data.y - spectral.evaluate(self.prior, data.X))
 
@@ -335,6 +320,58 @@ class CustomObservations:
         return self.y.size
 
 
+class _MarginalCovariance:
+    """Marginal covariance V(beta) = K / beta + sigma2 I of the observations.
+
+    The one place that knows V for each observation model.  Coefficient
+    data give the diagonal lambda / beta + sigma2.  For point data the
+    beta = 1 Gram is built once, and only the factor for the most recent
+    beta is kept, so a beta search holds a single n x n factor.
+    """
+
+    def __init__(self, spec: kernels.KernelSpec, obs):
+        self._k1 = None
+        if isinstance(obs, CoefficientObservations):
+            self._lam = _leading_eigenvalues(spec, obs.n)
+            self.sigma2 = obs.sigma2
+        elif isinstance(obs, PointObservations):
+            self._k1 = kernels.kernel_matrix(spec.with_beta(1.0), obs.data.X)
+            self.sigma2 = obs.data.sigma2
+            self._beta = self._solver = None
+        else:
+            raise TypeError(f"unsupported observation model {type(obs).__name__}")
+        self.n = obs.n
+
+    def factor(self, beta: float) -> kernels.SpdSolver:
+        """Cholesky factor of V(beta); point data only."""
+        if beta != self._beta:
+            self._solver = None  # release the old factor before building the new one
+            self._solver = kernels.SpdSolver(self._k1 / beta + self.sigma2 * np.eye(self.n))
+            self._beta = beta
+        return self._solver
+
+    def solve(self, beta: float, mat) -> np.ndarray:
+        """V(beta)^{-1} applied to a vector or to the columns of a matrix."""
+        if self._k1 is not None:
+            return self.factor(beta).solve(mat)
+        v = self._lam / beta + self.sigma2
+        mat = np.asarray(mat, dtype=float)
+        return mat / (v if mat.ndim == 1 else v[:, None])
+
+    def logdet(self, beta: float) -> float:
+        if self._k1 is not None:
+            return self.factor(beta).logdet()
+        return float(np.sum(np.log(self._lam / beta + self.sigma2)))
+
+    def log_density(self, beta: float, resid) -> float:
+        """Log-density of the residual under N(0, V(beta))."""
+        return float(
+            -0.5 * resid @ self.solve(beta, resid)
+            - 0.5 * self.logdet(beta)
+            - 0.5 * self.n * np.log(2.0 * np.pi)
+        )
+
+
 def _coeff_moments(lam, c0, obs: CoefficientObservations, beta: float):
     """Posterior mean and variance per coefficient under identity observation."""
     if obs.sigma2 == 0.0:
@@ -344,14 +381,16 @@ def _coeff_moments(lam, c0, obs: CoefficientObservations, beta: float):
     return tmean, tvar
 
 
-def _coeff_prefix(spec: kernels.KernelSpec, prior, m: int):
+def _leading_eigenvalues(spec: kernels.KernelSpec, m: int) -> np.ndarray:
     if m > spec.n_coeffs:
         raise OrderMismatchError(
             f"cannot observe {m} coefficients of a {spec.n_coeffs}-coefficient expansion"
         )
-    lam = kernels.eigenvalues(spec)[:m]
-    c0 = _prior_field(prior, spec).coeffs[:m]
-    return lam, c0
+    return kernels.eigenvalues(spec)[:m]
+
+
+def _coeff_prefix(spec: kernels.KernelSpec, prior, m: int):
+    return _leading_eigenvalues(spec, m), pde.prior_mean(prior, spec).coeffs[:m]
 
 
 def closed_form_beta(spec: kernels.KernelSpec, prior, observed,
@@ -379,29 +418,20 @@ def log_marginal(spec: kernels.KernelSpec, prior, obs, beta: float | None = None
     For point data this is the Gaussian density of y under mean u0(X)
     and covariance beta^{-1} K_XX + sigma2 I; for coefficient data the
     covariance is diagonal with entries lambda_alpha / beta + sigma2.
-    `beta` overrides the spec's trust weight, which is how the
-    calibration search sweeps beta without rebuilding kernels.
+    `beta` overrides the spec's trust weight.  Each call builds its own
+    covariance, so for point data every call computes the n x n Gram
+    and factors it at `beta`.
     """
     beta = spec.beta if beta is None else float(beta)
     if not np.isfinite(beta) or beta <= 0:
         raise ValueError(f"beta must be finite and positive, got {beta}")
+    marginal = _MarginalCovariance(spec, obs)
+    mean = pde.prior_mean(prior, spec)
     if isinstance(obs, CoefficientObservations):
-        lam, c0 = _coeff_prefix(spec, prior, obs.n)
-        v = lam / beta + obs.sigma2
-        resid = obs.values - c0
-        return float(-0.5 * np.sum(resid**2 / v + np.log(v) + np.log(2.0 * np.pi)))
-    if isinstance(obs, PointObservations):
-        data = obs.data
-        mean = spectral.evaluate(_prior_field(prior, spec), data.X)
-        k1 = spec.beta * kernels.gram(spec, data.X)
-        solver = kernels.SpdSolver(k1 / beta + data.sigma2 * np.eye(data.n))
-        resid = data.y - mean
-        return float(
-            -0.5 * resid @ solver.solve(resid)
-            - 0.5 * solver.logdet()
-            - 0.5 * data.n * np.log(2.0 * np.pi)
-        )
-    raise TypeError(f"unsupported observation model {type(obs).__name__}")
+        resid = obs.values - mean.coeffs[: obs.n]
+    else:
+        resid = obs.data.y - spectral.evaluate(mean, obs.data.X)
+    return marginal.log_density(beta, resid)
 
 
 def beta_gradient(spec: kernels.KernelSpec, prior, obs: CoefficientObservations,
@@ -514,55 +544,22 @@ class InversionResult:
 
 
 def _gls_design(obs, family: pde.LinearSourceFamily, spec: kernels.KernelSpec):
-    """Affine observation map theta -> A theta + b plus V(beta) solvers."""
+    """Affine observation map theta -> A theta + b: returns A, the data
+    minus b, and the marginal covariance V(beta) of the data."""
+    marginal = _MarginalCovariance(spec, obs)
     lam_full = kernels.eigenvalues(spec)
     q_cols, q_off = family.coefficient_design(spec.dim, spec.order)
     u_cols = lam_full[:, None] * q_cols
     u_off = lam_full * q_off
     if isinstance(obs, CoefficientObservations):
-        m = obs.n
-        if m > spec.n_coeffs:
-            raise OrderMismatchError("observed more coefficients than the expansion has")
-        a = u_cols[:m]
-        resid = obs.values - u_off[:m]
-        lam = lam_full[:m]
-
-        def solve_v(beta, mat):
-            v = lam / beta + obs.sigma2
-            mat = np.asarray(mat, dtype=float)
-            return mat / (v if mat.ndim == 1 else v[:, None])
-
-        def logdet_v(beta):
-            return float(np.sum(np.log(lam / beta + obs.sigma2)))
-
-        return a, resid, solve_v, logdet_v
-    if isinstance(obs, PointObservations):
-        data = obs.data
-        psi = spectral.basis_matrix(spec.dim, spec.order, data.X)
-        a = psi @ u_cols
-        resid = data.y - psi @ u_off
-        k1 = spec.beta * kernels.gram(spec, data.X)
-        eye = data.sigma2 * np.eye(data.n)
-        solvers: dict[float, kernels.SpdSolver] = {}
-
-        def factor(beta):
-            if beta not in solvers:
-                solvers[beta] = kernels.SpdSolver(k1 / beta + eye)
-            return solvers[beta]
-
-        def solve_v(beta, mat):
-            return factor(beta).solve(mat)
-
-        def logdet_v(beta):
-            return factor(beta).logdet()
-
-        return a, resid, solve_v, logdet_v
-    raise TypeError(f"unsupported observation model {type(obs).__name__}")
+        return u_cols[: obs.n], obs.values - u_off[: obs.n], marginal
+    psi = spectral.basis_matrix(spec.dim, spec.order, obs.data.X)
+    return psi @ u_cols, obs.data.y - psi @ u_off, marginal
 
 
-def _pseudo_posterior(a, resid, solve_v, beta):
+def _pseudo_posterior(a, resid, marginal: _MarginalCovariance, beta):
     """Eigen-based pseudo-solve of the normal equations at one beta."""
-    wa = solve_v(beta, a)
+    wa = marginal.solve(beta, a)
     prec = a.T @ wa
     prec = 0.5 * (prec + prec.T)
     rhs = wa.T @ resid
@@ -593,26 +590,16 @@ def invert_source(obs, family, hyper: HyperPrior, spec: kernels.KernelSpec,
     covariance is the Laplace approximation from the final BFGS
     inverse-Hessian block.  `init` is required in that case.
     """
-    if isinstance(obs, PointObservations):
-        n_obs = obs.data.n
-    else:
-        n_obs = obs.n
-    if family.n_params > n_obs:
+    if family.n_params > obs.n:
         raise ValueError(
-            f"{family.n_params} parameters but only {n_obs} observations"
+            f"{family.n_params} parameters but only {obs.n} observations"
         )
     if isinstance(family, pde.LinearSourceFamily):
-        a, resid, solve_v, logdet_v = _gls_design(obs, family, spec)
-        n = resid.size
+        a, resid, marginal = _gls_design(obs, family, spec)
 
         def profile(beta):
-            mean, _, _ = _pseudo_posterior(a, resid, solve_v, beta)
-            r = resid - a @ mean
-            return float(
-                -0.5 * r @ solve_v(beta, r)
-                - 0.5 * logdet_v(beta)
-                - 0.5 * n * np.log(2.0 * np.pi)
-            )
+            mean, _, _ = _pseudo_posterior(a, resid, marginal, beta)
+            return marginal.log_density(beta, resid - a @ mean)
 
         if hyper.kind == "fixed":
             beta_star, boundary = hyper.beta0, None
@@ -622,7 +609,7 @@ def invert_source(obs, family, hyper: HyperPrior, spec: kernels.KernelSpec,
                 lambda t: profile(float(np.exp(t))) + hyper.log_density(float(np.exp(t)))
             )
             beta_star = float(np.exp(t_star))
-        mean, cov, flat = _pseudo_posterior(a, resid, solve_v, beta_star)
+        mean, cov, flat = _pseudo_posterior(a, resid, marginal, beta_star)
         return InversionResult(mean, cov, flat, beta_star, objective, boundary, "linear")
     if isinstance(family, pde.ExpressionSourceFamily):
         if init is None:

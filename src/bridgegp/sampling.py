@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels, pde, spectral
-from .errors import OrderMismatchError
 
 __all__ = [
     "PriorSampler",
@@ -67,18 +66,7 @@ class PriorSampler:
     seed: int = 0
 
     def __post_init__(self):
-        mean = self.mean
-        if isinstance(mean, pde.PdeSolution):
-            mean = mean.u0
-        if mean is None:
-            mean = spectral.zero_field(self.spec.dim, self.spec.order)
-        if not isinstance(mean, spectral.SpectralField):
-            raise TypeError(f"cannot use {type(self.mean).__name__} as a sampler mean")
-        if mean.dim != self.spec.dim or mean.order != self.spec.order:
-            raise OrderMismatchError(
-                f"mean ({mean.dim}, {mean.order}) does not match "
-                f"spec ({self.spec.dim}, {self.spec.order})"
-            )
+        mean = pde.prior_mean(self.mean, self.spec)
         size = self.spec.n_coeffs if self.mesh_size is None else int(self.mesh_size)
         if not 1 <= size <= self.spec.n_coeffs:
             raise ValueError(

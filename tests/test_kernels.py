@@ -21,7 +21,6 @@ from bridgegp import (
     default_order,
     eigenvalue,
     eigenvalues,
-    gram,
     kernel_diag,
     kernel_eval,
     kernel_matrix,
@@ -178,7 +177,7 @@ class TestPositivity:
     )
     def test_gram_psd(self, spec, rng):
         x = rng.uniform(0.05, 0.95, size=(25, spec.dim))
-        eigs = np.linalg.eigvalsh(gram(spec, x))
+        eigs = np.linalg.eigvalsh(kernel_matrix(spec, x))
         assert eigs.min() >= -1e-10
 
 

@@ -7,6 +7,8 @@ gradient, and the closed-form stationary point M / ||dev||_H^2 for the
 calibrated trust weight under exact coefficient data.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -640,3 +642,42 @@ class TestInversion:
             CoefficientObservations(c * y, c**2 * 1e-4), fam, fixed(2.0 / c**2), spec
         )
         np.testing.assert_allclose(scaled.theta_mean, c * base.theta_mean, rtol=1e-9)
+
+    @pytest.mark.parametrize("kind", ["coefficients", "points"])
+    def test_profile_is_log_marginal_at_posterior_mean(self, rng, kind):
+        # at a fixed beta the profiled evidence is the log marginal of the
+        # prior centred on the source at the posterior mean theta
+        spec = KernelSpec("bridge", order=64)
+        fam = two_mode_family()
+        u = solve(fam.source_at([1.5, -0.5], 1, 64), spec)
+        if kind == "coefficients":
+            vals = u.u0.coeffs[:12] + 1e-3 * rng.normal(size=12)
+            obs = CoefficientObservations(vals, sigma2=1e-5)
+        else:
+            x = rng.uniform(0.05, 0.95, size=30)
+            obs = PointObservations(Dataset(x, u(x) + 1e-3 * rng.normal(size=30), 1e-5))
+        beta = 3.0
+        res = invert_source(obs, fam, fixed(beta), spec)
+        prior = solve(fam.source_at(res.theta_mean, 1, 64), spec)
+        assert res.objective == pytest.approx(
+            log_marginal(spec, prior, obs, beta), rel=1e-10
+        )
+
+    def test_point_beta_search_holds_one_factor(self, rng):
+        # the beta search keeps the factor of one beta at a time, not one
+        # n x n factor per beta it has tried
+        n = 300
+        spec = KernelSpec("bridge", order=64)
+        fam = two_mode_family()
+        x = rng.uniform(0.05, 0.95, size=n)
+        u = solve(fam.source_at([2.0, 0.5], 1, 64), spec)
+        obs = PointObservations(Dataset(x, u(x) + 0.01 * rng.normal(size=n), 1e-4))
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            invert_source(obs, fam, FLAT, spec)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * n * n * 8, f"peak {peak / (n * n * 8):.1f} n^2 doubles"

@@ -76,17 +76,26 @@ def fit_loglog_slope(fills, errors):
     """Slope of log(error) against log(1/fill) with a 95% half-width.
 
     Errors decaying like fill^a come out as slope -a, so refinement
-    studies report negative slopes.  Needs at least three rows.
+    studies report negative slopes.  Needs at least three rows.  Slope
+    and standard error follow `scipy.stats.linregress`; the half-width
+    takes Student's t quantile at n - 2 degrees of freedom from
+    `scipy.special`, so `scipy.stats` is never imported.
     """
-    import scipy.stats  # deferred import: keeps `import bridgegp` light
+    import scipy.special  # deferred import: keeps `import bridgegp` light
 
     fills = np.asarray(fills, dtype=float)
     errors = np.asarray(errors, dtype=float)
     if fills.size < 3:
         raise ValueError("a slope fit needs at least three refinement levels")
-    fit = scipy.stats.linregress(np.log(1.0 / fills), np.log(errors))
-    half = float(scipy.stats.t.ppf(0.975, fills.size - 2) * fit.stderr)
-    return float(fit.slope), half
+    ssxm, ssxym, _, ssym = np.cov(np.log(1.0 / fills), np.log(errors), bias=1).flat
+    if ssxm == 0.0:
+        raise ValueError("a slope fit needs at least two distinct fill distances")
+    df = fills.size - 2
+    if ssym == 0.0:
+        return 0.0, 0.0  # constant errors: an exact fit with slope zero
+    r = float(np.clip(ssxym / np.sqrt(ssxm * ssym), -1.0, 1.0))
+    stderr = np.sqrt((1 - r**2) * ssym / ssxm / df)
+    return float(ssxym / ssxm), float(scipy.special.stdtrit(df, 0.975) * stderr)
 
 
 def convergence_study(truth, assumed_source, spec: kernels.KernelSpec, ns,

@@ -345,7 +345,9 @@ class _MarginalCovariance:
     def factor(self, beta: float) -> kernels.SpdSolver:
         """Cholesky factor of V(beta); point data only."""
         if beta != self._beta:
-            self._solver = None  # release the old factor before building the new one
+            # Release the old factor before building the new one, and
+            # forget its beta in case the new factorization raises.
+            self._beta = self._solver = None
             self._solver = kernels.SpdSolver(self._k1 / beta + self.sigma2 * np.eye(self.n))
             self._beta = beta
         return self._solver
@@ -412,6 +414,20 @@ def closed_form_beta(spec: kernels.KernelSpec, prior, observed,
     return dev2, (numerator / dev2 if dev2 > 0 else np.inf)
 
 
+def _check_beta(beta) -> float:
+    beta = float(beta)
+    if not np.isfinite(beta) or beta <= 0:
+        raise ValueError(f"beta must be finite and positive, got {beta}")
+    return beta
+
+
+def _residual(mean: spectral.SpectralField, obs) -> np.ndarray:
+    """Observations minus what the prior mean predicts for them."""
+    if isinstance(obs, CoefficientObservations):
+        return obs.values - mean.coeffs[: obs.n]
+    return obs.data.y - spectral.evaluate(mean, obs.data.X)
+
+
 def log_marginal(spec: kernels.KernelSpec, prior, obs, beta: float | None = None) -> float:
     """Log marginal likelihood of the observations with u integrated out.
 
@@ -420,18 +436,13 @@ def log_marginal(spec: kernels.KernelSpec, prior, obs, beta: float | None = None
     covariance is diagonal with entries lambda_alpha / beta + sigma2.
     `beta` overrides the spec's trust weight.  Each call builds its own
     covariance, so for point data every call computes the n x n Gram
-    and factors it at `beta`.
+    and factors it at `beta`.  `beta_map` and `invert_source` evaluate
+    the same density from one covariance per dataset instead, so their
+    searches build the Gram once.
     """
-    beta = spec.beta if beta is None else float(beta)
-    if not np.isfinite(beta) or beta <= 0:
-        raise ValueError(f"beta must be finite and positive, got {beta}")
+    beta = _check_beta(spec.beta if beta is None else beta)
     marginal = _MarginalCovariance(spec, obs)
-    mean = pde.prior_mean(prior, spec)
-    if isinstance(obs, CoefficientObservations):
-        resid = obs.values - mean.coeffs[: obs.n]
-    else:
-        resid = obs.data.y - spectral.evaluate(mean, obs.data.X)
-    return marginal.log_density(beta, resid)
+    return marginal.log_density(beta, _residual(pde.prior_mean(prior, spec), obs))
 
 
 def beta_gradient(spec: kernels.KernelSpec, prior, obs: CoefficientObservations,
@@ -518,10 +529,12 @@ def beta_map(spec: kernels.KernelSpec, prior, obs, hyper: HyperPrior) -> BetaMap
     """
     if hyper.kind == "fixed":
         raise ValueError("beta_map needs a flat or Jeffreys hyper prior")
+    marginal = _MarginalCovariance(spec, obs)
+    resid = _residual(pde.prior_mean(prior, spec), obs)
 
     def objective(t):
         b = float(np.exp(t))
-        return log_marginal(spec, prior, obs, b) + hyper.log_density(b)
+        return marginal.log_density(b, resid) + hyper.log_density(b)
 
     t_star, value, boundary = _maximize_over_log_beta(objective)
     if boundary is not None:
@@ -618,13 +631,15 @@ def invert_source(obs, family, hyper: HyperPrior, spec: kernels.KernelSpec,
         if theta0.size != family.n_params:
             raise ValueError(f"init has {theta0.size} entries, expected {family.n_params}")
         m = family.n_params
+        marginal = _MarginalCovariance(spec, obs)
 
         def neg_log_post(z):
             theta = z[:m]
             beta = hyper.beta0 if hyper.kind == "fixed" else float(np.exp(z[m]))
             try:
+                beta = _check_beta(beta)
                 prior = pde.solve(family.source_at(theta), spec)
-                val = log_marginal(spec, prior, obs, beta)
+                val = marginal.log_density(beta, _residual(prior.u0, obs))
             except (ValueError, FloatingPointError):
                 return np.inf
             if hyper.kind != "fixed":

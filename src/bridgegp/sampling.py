@@ -96,11 +96,19 @@ def sample_coefficients(sampler: PriorSampler, count: int, start: int = 0) -> np
     if count < 0 or start < 0:
         raise ValueError("count and start must be nonnegative")
     out = np.empty((count, sampler.mesh_size))
-    scales = sampler.scales
-    mean = sampler.mean_prefix
+    # One generator re-keyed per row: each row starts from the state a
+    # fresh `_philox(seed, start + j)` has (counter zero, empty buffer),
+    # without paying for a new generator and seed sequence per draw.
+    bits = np.random.Philox(key=np.array([sampler.seed, start], dtype=np.uint64))
+    gen = np.random.Generator(bits)
+    state = bits.state
+    key = state["state"]["key"]
     for j in range(count):
-        xi = _philox(sampler.seed, start + j).standard_normal(sampler.mesh_size)
-        out[j] = mean + scales * xi
+        key[1] = start + j
+        bits.state = state
+        gen.standard_normal(out=out[j])
+    out *= sampler.scales
+    out += sampler.mean_prefix
     return out
 
 

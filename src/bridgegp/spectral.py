@@ -23,6 +23,8 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
+from numpy.polynomial import legendre
 
 from .errors import DomainError, OrderMismatchError, ResourceLimitError
 
@@ -138,18 +140,31 @@ def basis_eval(alpha, x):
     return float(vals[0]) if single else vals
 
 
+def _sine_table(coords: np.ndarray, order: int) -> np.ndarray:
+    """(N, S) table sin(n pi x_i) for n = 1..order."""
+    return np.sin(np.pi * np.outer(coords, np.arange(1, order + 1)))
+
+
 def basis_matrix(dim: int, order: int, x) -> np.ndarray:
-    """Matrix Psi with Psi[i, j] = psi_{alpha_j}(x_i), canonical columns."""
+    """Matrix Psi with Psi[i, j] = psi_{alpha_j}(x_i), canonical columns.
+
+    The basis is separable, so each axis contributes one (N, S) sine
+    table and the canonical columns are broadcast products of those
+    tables: d * N * S sines and about N * S^d multiplications.
+    """
     pts = validate_points(x, dim)
-    idx = index_array(dim, order)
-    vals = np.ones((pts.shape[0], idx.shape[0]))
-    for axis in range(dim):
-        vals *= np.sin(np.pi * np.outer(pts[:, axis], idx[:, axis]))
+    check_size(dim, order)
+    n = pts.shape[0]
+    vals = _sine_table(pts[:, 0], order)
+    for axis in range(1, dim):
+        table = _sine_table(pts[:, axis], order)
+        vals = (vals[:, :, None] * table[:, None, :]).reshape(n, order ** (axis + 1))
     # sin(n pi x) vanishes identically on the boundary; make that exact
     # instead of leaving ~1e-16 residue from rounded pi.
     on_boundary = np.any((pts == 0.0) | (pts == 1.0), axis=1)
     vals[on_boundary] = 0.0
-    return 2.0 ** (dim / 2.0) * vals
+    vals *= 2.0 ** (dim / 2.0)
+    return vals
 
 
 @dataclass(frozen=True)
@@ -277,9 +292,33 @@ def gauss_legendre_rule(dim: int, order: int) -> QuadratureRule:
     precision.
     """
     check_size(dim, order)
-    n_nodes = 2 * order + _EXTRA_NODES
-    nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
+    nodes, weights = _leggauss(2 * order + _EXTRA_NODES)
     return QuadratureRule(dim, 0.5 * (nodes + 1.0), 0.5 * weights)
+
+
+def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], as numpy's `leggauss`.
+
+    The same steps (companion eigenvalues, one Newton step, weights from
+    L_{n-1} and L_n', symmetrization), except that the symmetric
+    companion matrix is solved as the tridiagonal matrix it is, in
+    O(n^2) instead of a dense O(n^3) eigenproblem.
+    """
+    c = np.array([0] * n + [1])
+    scl = 1.0 / np.sqrt(2 * np.arange(n) + 1)
+    off = np.arange(1, n) * scl[: n - 1] * scl[1:n]
+    x = scipy.linalg.eigvalsh_tridiagonal(np.zeros(n), off)
+    dy = legendre.legval(x, c)
+    df = legendre.legval(x, legendre.legder(c))
+    x -= dy / df
+    fm = legendre.legval(x, c[1:])
+    fm /= np.abs(fm).max()
+    df /= np.abs(df).max()
+    w = 1 / (fm * df)
+    w = (w + w[::-1]) / 2
+    x = (x - x[::-1]) / 2
+    w *= 2.0 / w.sum()
+    return x, w
 
 
 _RULE_CACHE: dict[tuple[int, int], QuadratureRule] = {}
@@ -294,8 +333,9 @@ def default_rule(dim: int, order: int) -> QuadratureRule:
 
 def _axis_transform(order: int, axis_nodes: np.ndarray) -> np.ndarray:
     """T[n-1, j] = sqrt(2) sin(n pi x_j) for the 1D analysis/synthesis passes."""
-    n = np.arange(1, order + 1)
-    return np.sqrt(2.0) * np.sin(np.pi * np.outer(n, axis_nodes))
+    # C order, as the contractions hand it to BLAS, whose summation
+    # order may depend on the operand layout.
+    return np.ascontiguousarray(np.sqrt(2.0) * _sine_table(axis_nodes, order).T)
 
 
 def project(f, dim: int, order: int, rule: QuadratureRule | None = None) -> SpectralField:

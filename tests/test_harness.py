@@ -65,6 +65,17 @@ class TestSlopeFit:
         assert half > 0.0
         assert slope == pytest.approx(-2.0, abs=0.2)
 
+    @pytest.mark.parametrize("levels", [3, 5, 9])
+    def test_matches_scipy_linregress(self, rng, levels):
+        import scipy.stats
+
+        fills = 1.0 / 2.0 ** np.arange(3, 3 + levels)
+        errors = fills**1.5 * np.exp(0.3 * rng.normal(size=levels))
+        slope, half = fit_loglog_slope(fills, errors)
+        ref = scipy.stats.linregress(np.log(1.0 / fills), np.log(errors))
+        assert slope == ref.slope
+        assert half == scipy.stats.t.ppf(0.975, levels - 2) * ref.stderr
+
     def test_needs_three_levels(self):
         with pytest.raises(ValueError):
             fit_loglog_slope([0.1, 0.05], [1.0, 0.5])

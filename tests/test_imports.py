@@ -23,17 +23,34 @@ PROBE = (
 )
 
 
-def test_cli_import_leaves_heavy_scipy_modules_unloaded():
+# The convergence study's slope fit needs a t quantile, which
+# `scipy.special` provides without the cost of importing `scipy.stats`.
+STUDY_PROBE = (
+    "import json, sys; from bridgegp import KernelSpec, convergence_study; "
+    "convergence_study(lambda x: x * (1 - x), None, KernelSpec('bridge', order=32), "
+    "[4, 8, 16]); print(json.dumps(['scipy.stats'] if 'scipy.stats' in sys.modules else []))"
+)
+
+
+def _loaded_in_fresh_interpreter(probe: str) -> list:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC), env.get("PYTHONPATH")) if p
     )
     out = subprocess.run(
-        [sys.executable, "-c", PROBE], env=env, capture_output=True, text=True,
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
         check=True, timeout=120,
     )
-    offending = json.loads(out.stdout.strip().splitlines()[-1])
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def test_cli_import_leaves_heavy_scipy_modules_unloaded():
+    offending = _loaded_in_fresh_interpreter(PROBE)
     assert not offending, (
         "import bridgegp.cli loaded modules that should be imported lazily: "
         + ", ".join(offending)
     )
+
+
+def test_convergence_study_leaves_scipy_stats_unloaded():
+    assert _loaded_in_fresh_interpreter(STUDY_PROBE) == []

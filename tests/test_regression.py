@@ -44,6 +44,7 @@ from bridgegp import (
     solve,
     zero_field,
 )
+from bridgegp import kernels
 from bridgegp.regression import closed_form_beta
 
 
@@ -380,6 +381,25 @@ class TestBetaMap:
         assert res.boundary is None
         assert 1e-6 < res.beta < 1e6
 
+    def test_point_search_builds_gram_once(self, rng, monkeypatch):
+        # the Gram does not depend on beta; each tried beta only refactors
+        calls = []
+        original = kernels.kernel_matrix
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(kernels, "kernel_matrix", counting)
+        spec = KernelSpec("bridge", order=64)
+        x = rng.uniform(0.1, 0.9, size=15)
+        data = Dataset(x, np.sin(3 * np.pi * x), 1e-6)
+        res = beta_map(spec, None, PointObservations(data), FLAT)
+        assert len(calls) == 1
+        assert res.objective == pytest.approx(
+            log_marginal(spec, None, PointObservations(data), res.beta), rel=1e-12
+        )
+
 
 class TestClosedFormBeta:
     def test_matches_calibration(self, rng):
@@ -681,3 +701,23 @@ class TestInversion:
         finally:
             tracemalloc.stop()
         assert peak < 16 * n * n * 8, f"peak {peak / (n * n * 8):.1f} n^2 doubles"
+
+    def test_fixed_beta_point_expression_inversion_factors_once(self, rng, monkeypatch):
+        # V(beta) does not depend on theta, so BFGS at a fixed beta needs
+        # one Gram factorization for all of its objective evaluations
+        built = []
+
+        class CountingSolver(kernels.SpdSolver):
+            def __init__(self, matrix):
+                built.append(len(matrix))
+                super().__init__(matrix)
+
+        monkeypatch.setattr(kernels, "SpdSolver", CountingSolver)
+        spec = KernelSpec("bridge", order=64)
+        fam = ExpressionSourceFamily("a*exp(-(x-b)^2)", free=("a", "b"))
+        u = solve(fam.source_at([10.0, 0.25]), spec)
+        x = rng.uniform(0.05, 0.95, size=40)
+        obs = PointObservations(Dataset(x, u(x) + 1e-3 * rng.normal(size=40), 1e-5))
+        res = invert_source(obs, fam, fixed(2.0), spec, init=[8.0, 0.35])
+        assert res.method == "laplace"
+        assert built == [40]

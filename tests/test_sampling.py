@@ -24,6 +24,7 @@ from bridgegp import (
     sample_values,
     solve,
 )
+from bridgegp.sampling import _philox
 
 
 def make_sampler(order=32, beta=1.0, mesh=None, seed=0, mean=None):
@@ -45,6 +46,16 @@ class TestReproducibility:
         tail = sample_coefficients(s, 5, start=3)
         np.testing.assert_array_equal(whole, np.vstack([head, tail]))
         np.testing.assert_array_equal(whole[6:7], sample_coefficients(s, 1, start=6))
+
+    def test_batches_equal_per_draw_streams(self):
+        # row j is the stream of a fresh Philox generator keyed (seed, j)
+        s = make_sampler(seed=17, mesh=24)
+        for count, start in ((1, 40), (7, 0), (3, 5)):
+            xi = np.array([_philox(17, start + j).standard_normal(24)
+                           for j in range(count)])
+            np.testing.assert_array_equal(
+                sample_coefficients(s, count, start), s.mean_prefix + s.scales * xi
+            )
 
     def test_mesh_prefix_coincidence(self):
         # the same (seed, j) stream feeds every mesh size

@@ -6,6 +6,8 @@ Those literals are frozen below and everything spectral is checked
 against them.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -85,6 +87,29 @@ class TestBasis:
             np.testing.assert_allclose(
                 mat[:, j], basis_eval(alpha, pts), rtol=1e-12, atol=1e-15
             )
+
+    @pytest.mark.parametrize("dim, order", [(1, 9), (2, 6), (3, 4)])
+    def test_matrix_equals_per_column_product(self, rng, dim, order):
+        # 2^(d/2) prod_i sin(alpha_i pi x_i), multiplied axis 0 first and
+        # scaled last, must match bit for bit, also on faces and corners
+        inner = rng.uniform(size=(12, dim))
+        faces = []
+        for axis in range(dim):
+            for side in (0.0, 1.0):
+                face = inner[:3].copy()
+                face[:, axis] = side
+                faces.append(face)
+        corners = np.array(list(itertools.product((0.0, 1.0), repeat=dim)))
+        pts = np.vstack([inner, *faces, corners])
+        on_boundary = np.any((pts == 0.0) | (pts == 1.0), axis=1)
+        expected = np.empty((pts.shape[0], order**dim))
+        for j, alpha in enumerate(enumerate_indices(dim, order)):
+            col = np.sin(np.pi * (pts[:, 0] * alpha[0]))
+            for axis in range(1, dim):
+                col = col * np.sin(np.pi * (pts[:, axis] * alpha[axis]))
+            col[on_boundary] = 0.0
+            expected[:, j] = 2.0 ** (dim / 2.0) * col
+        assert np.array_equal(basis_matrix(dim, order, pts), expected)
 
     def test_boundary_values_exactly_zero(self):
         pts = np.array([[0.0, 0.3], [1.0, 0.7], [0.25, 0.0], [0.5, 1.0]])
@@ -169,6 +194,13 @@ class TestQuadrature:
         # integral of x^4 over [0, 1] is 1/5
         val = rule.integrate(rule.nodes[:, 0] ** 4)
         assert val == pytest.approx(0.2, abs=1e-15)
+
+    @pytest.mark.parametrize("order", [1, 64, 512])
+    def test_rule_is_numpy_leggauss_bitwise(self, order):
+        nodes, weights = np.polynomial.legendre.leggauss(2 * order + 33)
+        rule = gauss_legendre_rule(1, order)
+        assert np.array_equal(rule.axis_nodes, 0.5 * (nodes + 1.0))
+        assert np.array_equal(rule.axis_weights, 0.5 * weights)
 
     def test_default_rule_cached(self):
         assert default_rule(1, 6) is default_rule(1, 6)

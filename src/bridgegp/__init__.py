@@ -25,10 +25,8 @@ from .kernels import (
     KernelSpec,
     SpdSolver,
     default_order,
-    eigenvalue,
     eigenvalues,
     kernel_diag,
-    kernel_eval,
     kernel_matrix,
     rkhs_sq_norm,
 )
@@ -73,7 +71,7 @@ from .sampling import (
     nested_consistency,
     sample,
     sample_coefficients,
-    sample_power_version,
+    sample_posterior_values,
     sample_values,
 )
 from .spectral import (

@@ -13,7 +13,9 @@ standard deviation near a data point to about 1e-13 relative.  The
 serialization (headers, grid coordinates, 17 significant digits, LF,
 exact zeros on the boundary) stays byte-identical across builds.
 
-Exit codes: 0 success, 2 config error, 3 numerical failure, 4 resource
+Exit codes: 0 success, 2 config error (so is a plain ValueError: the
+library's arguments come from the config), 3 numerical failure (so is a
+non-finite number in a `solve`, `sample` or `fit` artifact), 4 resource
 limit.
 """
 
@@ -25,6 +27,7 @@ import os
 import sys
 import tempfile
 import time
+import warnings
 
 import numpy as np
 
@@ -92,12 +95,7 @@ def _build_kernel(cfg, where: str = "kernel") -> kernels.KernelSpec:
         kwargs["omega"] = _number(cfg["omega"], f"{where}.omega")
     if "p" in cfg:
         kwargs["p"] = _number(cfg["p"], f"{where}.p")
-    try:
-        return kernels.KernelSpec(family, **kwargs)
-    except (ResourceLimitError, BridgeGpError):
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid {where}: {exc}") from exc
+    return kernels.KernelSpec(family, **kwargs)
 
 
 def _build_source(cfg, dim: int, where: str) -> pde.SourceModel:
@@ -140,14 +138,11 @@ def _build_hyper(cfg, where: str = "hyper") -> regression.HyperPrior:
     cfg = _mapping(cfg, where)
     _check_keys(cfg, {"kind", "beta0"}, where)
     kind = _get(cfg, "kind", where)
-    try:
-        if kind == "fixed":
-            return regression.HyperPrior("fixed", _number(_get(cfg, "beta0", where), f"{where}.beta0"))
-        if "beta0" in cfg:
-            raise ConfigError(f"{where}.beta0 is only meaningful for kind='fixed'")
-        return regression.HyperPrior(kind)
-    except ValueError as exc:
-        raise ConfigError(f"invalid {where}: {exc}") from exc
+    if kind == "fixed":
+        return regression.HyperPrior("fixed", _number(_get(cfg, "beta0", where), f"{where}.beta0"))
+    if "beta0" in cfg:
+        raise ConfigError(f"{where}.beta0 is only meaningful for kind='fixed'")
+    return regression.HyperPrior(kind)
 
 
 def _load_dataset(cfg, dim: int, sigma2: float, where: str = "data") -> regression.Dataset:
@@ -165,10 +160,7 @@ def _load_dataset(cfg, dim: int, sigma2: float, where: str = "data") -> regressi
         else:
             x = np.array([_number_list(row, f"{where}.x[{i}]") for i, row in enumerate(xs)])
         y = np.array(_number_list(_get(cfg, "y", where), f"{where}.y"))
-    try:
-        return regression.Dataset(x, y, sigma2)
-    except ValueError as exc:
-        raise ConfigError(f"invalid {where}: {exc}") from exc
+    return regression.Dataset(x, y, sigma2)
 
 
 def _read_csv_points(path, dim: int):
@@ -203,6 +195,19 @@ def _is_number(token: str) -> bool:
     return True
 
 
+def _grid_size(cfg: dict, default: int) -> int:
+    per_axis = _integer(_get(cfg, "grid", "config", default), "grid")
+    if per_axis < 2:
+        raise ConfigError(f"grid must be at least 2 points per axis, got {per_axis}")
+    return per_axis
+
+
+def _require_finite(*arrays) -> None:
+    """Refuse to write a grid artifact that holds a non-finite number."""
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise NumericalError("the output would hold non-finite values")
+
+
 def _grid(dim: int, per_axis: int):
     axis = np.linspace(0.0, 1.0, per_axis)
     if dim == 1:
@@ -227,10 +232,11 @@ def _cmd_solve(cfg: dict, seed: int):
     _check_keys(cfg, {"kernel", "source", "grid", "seed"}, "config")
     spec = _build_kernel(_get(cfg, "kernel", "config"))
     source = _build_source(_get(cfg, "source", "config"), spec.dim, "source")
-    per_axis = _integer(_get(cfg, "grid", "config", 101), "grid")
+    per_axis = _grid_size(cfg, 101)
     solution = pde.solve(source, spec)
     pts, labels = _grid(spec.dim, per_axis)
     vals = spectral.evaluate(solution.u0, pts)
+    _require_finite(vals)
     rows = [list(p) + [v] for p, v in zip(pts, vals)]
     return labels + ("u0",), rows, {}
 
@@ -240,7 +246,7 @@ def _cmd_sample(cfg: dict, seed: int):
                       "mesh_size", "mode", "data", "sigma2", "seed"}, "config")
     spec = _build_kernel(_get(cfg, "kernel", "config"))
     prior = _build_prior(cfg, spec)
-    per_axis = _integer(_get(cfg, "grid", "config", 101), "grid")
+    per_axis = _grid_size(cfg, 101)
     count = _integer(_get(cfg, "count", "config", 3), "count")
     draws = _integer(_get(cfg, "moment_draws", "config", 4096), "moment_draws")
     mode = _get(cfg, "mode", "config", "prior")
@@ -259,16 +265,10 @@ def _cmd_sample(cfg: dict, seed: int):
         sigma2 = _number(_get(cfg, "sigma2", "config"), "sigma2")
         data = _load_dataset(_get(cfg, "data", "config"), spec.dim, sigma2)
         post = regression.condition(spec, prior, data)
-        cov = post.cov(pts)
-        eigvals, eigvecs = np.linalg.eigh(cov)
-        root = eigvecs * np.sqrt(np.maximum(eigvals, 0.0))
-        center = post.mean(pts)
-        values = np.empty((draws, pts.shape[0]))
-        for j in range(draws):
-            xi = sampling._philox(seed, j).standard_normal(pts.shape[0])
-            values[j] = center + root @ xi
+        values = sampling.sample_posterior_values(post, pts, draws, seed)
     mean = values.mean(axis=0)
     sd = values.std(axis=0)
+    _require_finite(mean, sd, values[:count])
     columns = labels + ("mean", "sd") + tuple(f"path_{j}" for j in range(count))
     rows = [
         list(p) + [mean[i], sd[i]] + [values[j, i] for j in range(count)]
@@ -284,11 +284,12 @@ def _cmd_fit(cfg: dict, seed: int):
     prior = _build_prior(cfg, spec)
     sigma2 = _number(_get(cfg, "sigma2", "config"), "sigma2")
     data = _load_dataset(_get(cfg, "data", "config"), spec.dim, sigma2)
-    per_axis = _integer(_get(cfg, "grid", "config", 101), "grid")
+    per_axis = _grid_size(cfg, 101)
     post = regression.condition(spec, prior, data)
     pts, labels = _grid(spec.dim, per_axis)
     mean = post.mean(pts)
     sd = np.sqrt(post.var(pts))
+    _require_finite(mean, sd)
     rows = [list(p) + [mean[i], sd[i]] for i, p in enumerate(pts)]
     print(f"fit: n={data.n} wall={time.perf_counter() - started:.3f}s", file=sys.stderr)
     return labels + ("mean", "sd"), rows, {}
@@ -321,8 +322,6 @@ def _cmd_beta(cfg: dict, seed: int):
     mesh_size = _integer(_get(cfg, "mesh_size", "config"), "mesh_size")
     sigma2 = _number(_get(cfg, "sigma2", "config", 0.0), "sigma2")
     hyper = _build_hyper(_get(cfg, "hyper", "config", {"kind": "flat"}))
-    if hyper.kind == "fixed":
-        raise ConfigError("beta calibration needs a flat or jeffreys hyper prior")
     values = _observed_coefficients(_get(cfg, "observed", "config"), prior, spec, mesh_size)
     obs = regression.CoefficientObservations(values, sigma2)
     res = regression.beta_map(spec, prior, obs, hyper)
@@ -414,7 +413,7 @@ def _cmd_study(cfg: dict, seed: int, kind: str):
             sigma2=_number(_get(cfg, "sigma2", "config", 1e-8), "sigma2"),
             seed=seed,
             noise_sigma2=_number(_get(cfg, "noise_sigma2", "config", 0.0), "noise_sigma2"),
-            grid=_integer(_get(cfg, "grid", "config", 2001), "grid"),
+            grid=_grid_size(cfg, 2001),
         )
     elif kind == "model-error":
         _check_keys(cfg, {"kernel", "source", "mesh_size", "eps_values", "hyper",
@@ -422,8 +421,6 @@ def _cmd_study(cfg: dict, seed: int, kind: str):
         spec = _build_kernel(_get(cfg, "kernel", "config"))
         prior = _build_prior(cfg, spec)
         hyper = _build_hyper(_get(cfg, "hyper", "config", {"kind": "flat"}))
-        if hyper.kind == "fixed":
-            raise ConfigError("the model-error study needs a flat or jeffreys prior")
         report = harness.model_error_study(
             spec,
             _integer(_get(cfg, "mesh_size", "config"), "mesh_size"),
@@ -446,16 +443,9 @@ def _fmt(value) -> str:
         return ""
     if isinstance(value, str):
         return value
-    if isinstance(value, (bool, np.bool_)):
+    if isinstance(value, (bool, np.bool_, int, np.integer)):
         return str(int(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    v = float(value)
-    if np.isnan(v):
-        return "nan"
-    if np.isinf(v):
-        return "inf" if v > 0 else "-inf"
-    return format(v, ".17g")
+    return format(float(value), ".17g")
 
 
 def _json_safe(value):
@@ -544,6 +534,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # A failed run reports one line, its cause.  Warnings raised on the
+    # way are printed one line each, and only when the run succeeds.
+    with warnings.catch_warnings(record=True) as caught:
+        code = _run(args)
+    for caught_warning in caught if code == 0 else ():
+        print(f"warning: {caught_warning.message}", file=sys.stderr)
+    return code
+
+
+def _run(args) -> int:
     try:
         try:
             with open(args.config, encoding="utf-8") as fh:
@@ -577,6 +577,9 @@ def main(argv=None) -> int:
     except (BridgeGpError, NumericalError, FloatingPointError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except ValueError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

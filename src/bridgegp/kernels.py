@@ -130,6 +130,8 @@ def eigenvalues(spec: KernelSpec, indices: np.ndarray | None = None) -> np.ndarr
     idx = np.asarray(indices, dtype=float)
     if idx.ndim != 2 or idx.shape[1] != spec.dim:
         raise ValueError(f"indices must be (M, {spec.dim}), got shape {idx.shape}")
+    if np.any(idx < 1):
+        raise ValueError("multi-index entries must be >= 1")
     sq = np.sum(idx**2, axis=1)
     if spec.family == "bridge":
         return 1.0 / (np.pi**2 * sq)
@@ -141,14 +143,6 @@ def eigenvalues(spec: KernelSpec, indices: np.ndarray | None = None) -> np.ndarr
             )
         return 1.0 / gaps
     return (np.pi**2 * sq) ** (-spec.p)
-
-
-def eigenvalue(spec: KernelSpec, alpha) -> float:
-    """Single eigenvalue for the multi-index `alpha`."""
-    idx = np.asarray(alpha, dtype=int).reshape(1, -1)
-    if np.any(idx < 1):
-        raise ValueError(f"multi-index entries must be >= 1, got {alpha}")
-    return float(eigenvalues(spec, idx)[0])
 
 
 def _bridge_closed_form(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -176,13 +170,6 @@ def kernel_matrix(spec: KernelSpec, x, y=None) -> np.ndarray:
     if y is None:
         base = 0.5 * (base + base.T)
     return base / spec.beta
-
-
-def kernel_eval(spec: KernelSpec, x, y) -> float:
-    """Scalar kernel value k(x, y) for single points."""
-    xs = np.asarray(x, dtype=float).reshape(1, spec.dim)
-    ys = np.asarray(y, dtype=float).reshape(1, spec.dim)
-    return float(kernel_matrix(spec, xs, ys)[0, 0])
 
 
 def kernel_diag(spec: KernelSpec, x) -> np.ndarray:

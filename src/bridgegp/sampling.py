@@ -1,6 +1,6 @@
-"""Finite-dimensional draws from the physics prior.
+"""Finite-dimensional draws from the physics prior and the posterior.
 
-A draw truncated to the first M canonical coefficients is
+A prior draw truncated to the first M canonical coefficients is
 
     c_alpha = c0_alpha + sqrt(lambda_alpha / beta) * xi_alpha,
 
@@ -26,14 +26,34 @@ __all__ = [
     "sample",
     "sample_coefficients",
     "sample_values",
-    "sample_power_version",
+    "sample_posterior_values",
     "NestedReport",
     "nested_consistency",
 ]
 
 
+_BLOCK = 2048
+
+
 def _philox(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
+
+
+def _normals(seed: int, start: int, count: int, size: int) -> np.ndarray:
+    """(count, size) standard normals; row j starts the `_philox(seed, start + j)` stream."""
+    out = np.empty((count, size))
+    # One generator re-keyed per row: each row starts from the state a
+    # fresh `_philox(seed, start + j)` has (counter zero, empty buffer),
+    # without paying for a new generator and seed sequence per draw.
+    bits = np.random.Philox(key=np.array([seed, start], dtype=np.uint64))
+    gen = np.random.Generator(bits)
+    state = bits.state
+    key = state["state"]["key"]
+    for j in range(count):
+        key[1] = start + j
+        bits.state = state
+        gen.standard_normal(out=out[j])
+    return out
 
 
 def _check_seed(seed) -> int:
@@ -95,18 +115,7 @@ def sample_coefficients(sampler: PriorSampler, count: int, start: int = 0) -> np
     """
     if count < 0 or start < 0:
         raise ValueError("count and start must be nonnegative")
-    out = np.empty((count, sampler.mesh_size))
-    # One generator re-keyed per row: each row starts from the state a
-    # fresh `_philox(seed, start + j)` has (counter zero, empty buffer),
-    # without paying for a new generator and seed sequence per draw.
-    bits = np.random.Philox(key=np.array([sampler.seed, start], dtype=np.uint64))
-    gen = np.random.Generator(bits)
-    state = bits.state
-    key = state["state"]["key"]
-    for j in range(count):
-        key[1] = start + j
-        bits.state = state
-        gen.standard_normal(out=out[j])
+    out = _normals(sampler.seed, start, count, sampler.mesh_size)
     out *= sampler.scales
     out += sampler.mean_prefix
     return out
@@ -125,7 +134,7 @@ def sample(sampler: PriorSampler, count: int, start: int = 0) -> list[spectral.S
 
 
 def sample_values(sampler: PriorSampler, x, count: int, start: int = 0,
-                  chunk: int = 2048) -> np.ndarray:
+                  chunk: int = _BLOCK) -> np.ndarray:
     """Draws evaluated at points `x`, shape (count, len(x)).
 
     Streams in chunks so large Monte Carlo runs never hold all
@@ -135,26 +144,29 @@ def sample_values(sampler: PriorSampler, x, count: int, start: int = 0,
     psi = spectral.basis_matrix(sampler.spec.dim, sampler.spec.order, pts)
     psi = psi[:, : sampler.mesh_size]
     out = np.empty((count, pts.shape[0]))
-    done = 0
-    while done < count:
-        step = min(chunk, count - done)
-        coeffs = sample_coefficients(sampler, step, start + done)
-        out[done : done + step] = coeffs @ psi.T
-        done += step
+    for done in range(0, count, chunk):
+        coeffs = sample_coefficients(sampler, min(chunk, count - done), start + done)
+        out[done : done + coeffs.shape[0]] = coeffs @ psi.T
     return out
 
 
-def sample_power_version(p: float, order: int, seed: int, count: int,
-                         start: int = 0) -> list[spectral.SpectralField]:
-    """Zero-mean draws from the one-dimensional power kernel.
+def sample_posterior_values(post, x, count: int, seed: int = 0) -> np.ndarray:
+    """Posterior draws evaluated at points `x`, shape (count, len(x)).
 
-    Coefficients are (n^2 pi^2)^(-p/2) * xi_n; p = 1 recovers the
-    bridge, while smaller p (down to, but not including, 1/2) gives
-    rougher versions of it.
+    Row j is post.mean(x) + R xi_j: R = V sqrt(max(w, 0)) from the dense
+    eigendecomposition V diag(w) V^T of post.cov(x), and xi_j the first
+    len(x) normals of the (seed, j) stream.
     """
-    spec = kernels.KernelSpec("power", dim=1, order=order, p=p)
-    sampler = PriorSampler(spec, mean=None, seed=seed)
-    return sample(sampler, count, start)
+    seed = _check_seed(seed)
+    pts = spectral.validate_points(x, post.spec.dim)
+    eigvals, eigvecs = np.linalg.eigh(post.cov(pts))
+    root_t = (eigvecs * np.sqrt(np.maximum(eigvals, 0.0))).T
+    center = post.mean(pts)
+    out = np.empty((count, pts.shape[0]))
+    for done in range(0, count, _BLOCK):
+        xi = _normals(seed, done, min(_BLOCK, count - done), pts.shape[0])
+        out[done : done + len(xi)] = xi @ root_t + center
+    return out
 
 
 @dataclass(frozen=True)

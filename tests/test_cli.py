@@ -11,13 +11,15 @@ to rounding, within 8 eps of max|mean| and of max k(x,x) (the latter on
 sd^2), since their last digits depend on the numpy/scipy/BLAS build.
 """
 
+import ast
+import inspect
 import json
 import pathlib
 
 import numpy as np
 import pytest
 
-from bridgegp import cli
+from bridgegp import Dataset, KernelSpec, cli, condition, sample_posterior_values
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 FIXTURES = pathlib.Path(__file__).resolve().parent / "fixtures"
@@ -398,6 +400,108 @@ class TestExitCodes:
             "seed": -3,
         })
         assert run(["solve", "--config", cfg]) == 2
+
+
+class TestLibraryErrorsAreConfigErrors:
+    """Library argument validation on config values exits 2 with one line."""
+
+    @staticmethod
+    def one_line_failure(capsys, argv, code, prefix):
+        assert run(argv) == code
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(prefix), err
+
+    def test_sample_mesh_size_zero(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {
+            "kernel": kernel_cfg(order=16), "grid": 5, "mesh_size": 0,
+            "moment_draws": 4, "count": 1,
+        })
+        self.one_line_failure(capsys, ["sample", "--config", cfg], 2, "config error:")
+
+    def test_convergence_ns_not_increasing(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {
+            "kernel": kernel_cfg(),
+            "assumed_source": {"expression": "0"},
+            "truth": {"expression": "x*(1-x)"},
+            "ns": [8, 4, 16],
+            "grid": 101,
+        })
+        self.one_line_failure(capsys, ["study", "convergence", "--config", cfg], 2,
+                              "config error:")
+
+    def test_model_error_mesh_size_over_order(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {
+            "kernel": kernel_cfg(order=16), "mesh_size": 40, "eps_values": [0.1],
+        })
+        self.one_line_failure(capsys, ["study", "model-error", "--config", cfg], 2,
+                              "config error:")
+
+    @pytest.mark.parametrize("grid", [0, 1])
+    @pytest.mark.parametrize("command", ["solve", "sample", "fit", "convergence"])
+    def test_grid_below_two(self, tmp_path, capsys, command, grid):
+        cfg = {"kernel": kernel_cfg(order=16), "grid": grid}
+        if command == "solve":
+            cfg["source"] = {"expression": "1"}
+        elif command == "fit":
+            cfg.update(data={"x": [0.5], "y": [1.0]}, sigma2=1e-4)
+        elif command == "convergence":
+            cfg.update(assumed_source={"expression": "0"},
+                       truth={"expression": "x*(1-x)"}, ns=[4, 8, 16])
+        argv = ["study", command] if command == "convergence" else [command]
+        out = tmp_path / "o.csv"
+        self.one_line_failure(
+            capsys, argv + ["--config", write_config(tmp_path, cfg), "--out", str(out)],
+            2, "config error: grid")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_non_finite_fit_is_numerical_failure(self, tmp_path, capsys, fmt):
+        # the posterior mean overflows; neither format may write nan or null
+        cfg = write_config(tmp_path, {
+            "kernel": kernel_cfg(),
+            "data": {"x": [0.3, 0.6], "y": [1e308, -1e308]},
+            "sigma2": 1e-300,
+            "grid": 11,
+        })
+        out = tmp_path / f"o.{fmt}"
+        self.one_line_failure(
+            capsys, ["fit", "--config", cfg, "--out", str(out), "--format", fmt],
+            3, "numerical failure:")
+        assert not out.exists()
+
+
+class TestOneSampler:
+    def test_posterior_artifact_is_the_library_draws(self, tmp_path):
+        x, y = [0.15, 0.5, 0.85], [0.3, -0.2, 0.1]
+        cfg = write_config(tmp_path, {
+            "kernel": kernel_cfg(order=32, beta=3.0),
+            "mode": "posterior",
+            "data": {"x": x, "y": y},
+            "sigma2": 1e-3,
+            "grid": 9,
+            "count": 3,
+            "moment_draws": 2100,
+            "seed": 5,
+        })
+        out = tmp_path / "o.csv"
+        assert run(["sample", "--config", cfg, "--out", str(out)]) == 0
+        table = np.loadtxt(out, delimiter=",", skiprows=4)
+        post = condition(KernelSpec("bridge", order=32, beta=3.0), None,
+                         Dataset(np.array(x), np.array(y), 1e-3))
+        draws = sample_posterior_values(post, table[:, :1], 2100, seed=5)
+        np.testing.assert_array_equal(table[:, 1], draws.mean(axis=0))
+        np.testing.assert_array_equal(table[:, 2], draws.std(axis=0))
+        np.testing.assert_array_equal(table[:, 3:], draws[:3].T)
+
+    def test_cli_uses_no_private_sampling_name(self):
+        tree = ast.parse(inspect.getsource(cli))
+        private = [node.attr for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                   and isinstance(node.value, ast.Name) and node.value.id == "sampling"]
+        private += [alias.name for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) and "sampling" in (node.module or "")
+                    for alias in node.names if alias.name.startswith("_")]
+        assert private == []
 
 
 class TestDataFiles:

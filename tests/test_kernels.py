@@ -19,10 +19,8 @@ from bridgegp import (
     SpdSolver,
     basis_field,
     default_order,
-    eigenvalue,
     eigenvalues,
     kernel_diag,
-    kernel_eval,
     kernel_matrix,
     project,
     rkhs_sq_norm,
@@ -92,14 +90,14 @@ class TestSpecValidation:
 class TestBridgeClosedForm:
     def test_known_values(self):
         spec = KernelSpec("bridge")
-        assert kernel_eval(spec, 0.9, 0.9) == pytest.approx(0.09, abs=1e-15)
-        assert kernel_eval(spec, 0.25, 0.75) == pytest.approx(0.0625, abs=1e-15)
+        assert kernel_matrix(spec, [0.9], [0.9])[0, 0] == pytest.approx(0.09, abs=1e-15)
+        assert kernel_matrix(spec, [0.25], [0.75])[0, 0] == pytest.approx(0.0625, abs=1e-15)
         np.testing.assert_allclose(kernel_matrix(spec, [0.5]), [[0.25]], atol=1e-15)
 
     def test_boundary_vanishes(self):
         spec = KernelSpec("bridge")
-        assert kernel_eval(spec, 0.0, 0.5) == 0.0
-        assert kernel_eval(spec, 1.0, 1.0) == 0.0
+        assert kernel_matrix(spec, [0.0], [0.5])[0, 0] == 0.0
+        assert kernel_matrix(spec, [1.0], [1.0])[0, 0] == 0.0
 
     def test_symmetry(self, rng):
         spec = KernelSpec("bridge", beta=2.5)
@@ -141,8 +139,8 @@ class TestMercerTruncation:
     def test_partial_sums_approach_closed_form(self):
         spec = KernelSpec("bridge")
         x, y = 0.37, 0.61
-        exact_off = kernel_eval(spec, x, y)
-        exact_diag = kernel_eval(spec, x, x)
+        exact_off = kernel_matrix(spec, [x], [y])[0, 0]
+        exact_diag = kernel_matrix(spec, [x], [x])[0, 0]
         assert abs(mercer_partial_sum(spec, x, y, 2000) - exact_off) < 1e-3
         assert abs(mercer_partial_sum(spec, x, x, 2000) - exact_diag) < 5e-4
 
@@ -152,7 +150,7 @@ class TestMercerTruncation:
         x = 0.41
         sums = [mercer_partial_sum(spec, x, x, s) for s in (8, 32, 128, 512, 2000)]
         assert all(a <= b + 1e-15 for a, b in zip(sums, sums[1:]))
-        assert sums[-1] <= kernel_eval(spec, x, x)
+        assert sums[-1] <= kernel_matrix(spec, [x], [x])[0, 0]
 
     def test_matrix_route_matches_partial_sum(self, rng):
         # kernel_matrix sums the same series through a different code path.
@@ -219,9 +217,10 @@ class TestFamilies:
 
     def test_single_eigenvalue(self):
         spec = KernelSpec("bridge", dim=2, order=8)
-        assert eigenvalue(spec, (2, 3)) == pytest.approx(1.0 / (13.0 * np.pi**2), rel=1e-15)
+        lam = eigenvalues(spec, [[2, 3]])
+        assert lam[0] == pytest.approx(1.0 / (13.0 * np.pi**2), rel=1e-15)
         with pytest.raises(ValueError):
-            eigenvalue(spec, (0, 1))
+            eigenvalues(spec, [[0, 1]])
 
 
 class TestNativeNorm:

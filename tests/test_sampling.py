@@ -1,4 +1,5 @@
-"""Counter-based prior sampling: reproducibility, scaling, nesting.
+"""Counter-based prior and posterior sampling: reproducibility, scaling,
+nesting.
 
 The reproducibility properties are exact by construction (draw j is a
 pure function of (seed, j)), so those tests use array equality, not
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 from bridgegp import (
+    Dataset,
     KernelSpec,
     NestedReport,
     OrderMismatchError,
@@ -16,11 +18,12 @@ from bridgegp import (
     SpectralField,
     SpectralSource,
     basis_field,
+    condition,
     eigenvalues,
     nested_consistency,
     sample,
     sample_coefficients,
-    sample_power_version,
+    sample_posterior_values,
     sample_values,
     solve,
 )
@@ -164,25 +167,66 @@ class TestDraws:
         )
 
 
+def power_sampler(p, order, seed):
+    return PriorSampler(KernelSpec("power", order=order, p=p), seed=seed)
+
+
 class TestPowerVersions:
     def test_variance_profile(self):
-        fields = sample_power_version(0.6, 64, seed=7, count=5000)
+        fields = sample(power_sampler(0.6, 64, seed=7), 5000)
         coeffs = np.stack([f.coeffs for f in fields])
         lam = (np.arange(1, 65) ** 2 * np.pi**2) ** -0.6
         np.testing.assert_allclose(coeffs.var(axis=0), lam, rtol=0.15)
         assert abs(coeffs.mean()) < 0.01
 
     def test_p_one_matches_bridge_sampler(self):
-        power = sample_power_version(1.0, 16, seed=5, count=3)
+        power = sample(power_sampler(1.0, 16, seed=5), 3)
         bridge = sample(make_sampler(order=16, seed=5), 3)
         for a, b in zip(power, bridge):
             np.testing.assert_allclose(a.coeffs, b.coeffs, rtol=1e-12)
 
     def test_p_range_enforced(self):
         with pytest.raises(ValueError):
-            sample_power_version(0.5, 16, seed=0, count=1)
+            power_sampler(0.5, 16, seed=0)
         with pytest.raises(ValueError):
-            sample_power_version(1.1, 16, seed=0, count=1)
+            power_sampler(1.1, 16, seed=0)
+
+
+class TestPosteriorDraws:
+    @staticmethod
+    def posterior():
+        spec = KernelSpec("bridge", order=32, beta=2.0)
+        data = Dataset(np.array([0.2, 0.45, 0.8]), np.array([0.1, -0.05, 0.2]), 1e-3)
+        return condition(spec, basis_field(1, 32, [1]), data)
+
+    def test_rows_are_the_per_draw_streams(self):
+        # row j is mean + R xi_j with xi_j the (seed, j) stream, on both
+        # sides of the 2048-row block edge and for any count
+        post = self.posterior()
+        x = np.linspace(0.0, 1.0, 7)
+        draws = sample_posterior_values(post, x, 2050, seed=13)
+        w, v = np.linalg.eigh(post.cov(x))
+        root = v * np.sqrt(np.maximum(w, 0.0))
+        for j in (0, 1, 2047, 2048, 2049):
+            expect = post.mean(x) + root @ _philox(13, j).standard_normal(7)
+            np.testing.assert_allclose(draws[j], expect, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(
+            sample_posterior_values(post, x, 3, seed=13), draws[:3], rtol=0, atol=1e-15
+        )
+
+    def test_moments(self):
+        # Monte Carlo mean and variance at a pinned seed, 5 sigma bounds
+        post = self.posterior()
+        x = np.linspace(0.05, 0.95, 10)
+        n = 20000
+        draws = sample_posterior_values(post, x, n, seed=99)
+        var = post.var(x)
+        assert np.all(np.abs(draws.mean(axis=0) - post.mean(x)) <= 5 * np.sqrt(var / n))
+        assert np.all(np.abs(draws.var(axis=0) - var) <= 5 * np.sqrt(2.0 / n) * var)
+
+    def test_seed_validation(self):
+        with pytest.raises(ValueError):
+            sample_posterior_values(self.posterior(), [0.5], 1, seed=-1)
 
 
 class TestNestedConsistency:

@@ -35,6 +35,7 @@ from . import expressions, harness, kernels, pde, regression, sampling, spectral
 from .errors import (
     BridgeGpError,
     ConfigError,
+    DomainError,
     ExpressionError,
     NumericalError,
     ResourceLimitError,
@@ -262,6 +263,9 @@ def _cmd_sample(cfg: dict, seed: int):
         )
         values = sampling.sample_values(sampler, pts, draws)
     else:
+        if "mesh_size" in cfg:
+            raise ConfigError("mesh_size applies only to mode 'prior'; "
+                              "the posterior uses the full kernel")
         sigma2 = _number(_get(cfg, "sigma2", "config"), "sigma2")
         data = _load_dataset(_get(cfg, "data", "config"), spec.dim, sigma2)
         post = regression.condition(spec, prior, data)
@@ -568,7 +572,8 @@ def _run(args) -> int:
         render = render_csv if args.format == "csv" else render_json
         _write_output(render(args.command, cfg, seed, columns, rows, extras), args.out)
         return 0
-    except (ConfigError, ExpressionError) as exc:
+    except (ConfigError, ExpressionError, DomainError) as exc:
+        # every point comes from the config or the grid
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except ResourceLimitError as exc:

@@ -17,7 +17,9 @@ beta rescales the whole covariance and acts as a trust weight on the
 physics prior: large beta concentrates mass near the prior mean.
 
 Gram matrices are factored through `SpdSolver`, which owns the one-shot
-jitter policy for borderline-singular systems.
+jitter policy for borderline-singular systems; the eigendecomposed
+marginal covariance in `regression` applies the same rule to its
+eigenvalues.
 """
 
 from __future__ import annotations

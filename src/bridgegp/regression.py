@@ -25,9 +25,10 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from . import kernels, pde, spectral
-from .errors import NumericalError, OrderMismatchError
+from .errors import NumericalError, OrderMismatchError, SingularSystemError
 
 logger = logging.getLogger(__name__)
 
@@ -135,7 +136,9 @@ class PosteriorModel:
 
     Exposes the posterior mean, covariance, and pointwise variance; the
     variance is clamped at zero (tiny negative values are round-off and
-    are logged, never returned).
+    are logged, never returned).  It needs V = K / beta + sigma2 I at
+    the spec's beta only, so it Cholesky-factors V once with
+    `kernels.SpdSolver` and keeps the factor, not the Gram.
     """
 
     def __init__(self, spec: kernels.KernelSpec, prior, data: Dataset):
@@ -147,9 +150,10 @@ class PosteriorModel:
         self.prior = pde.prior_mean(prior, spec)
         self.data = data
         self.eta = data.sigma2 * spec.beta / data.n
-        # Keep only the factor: the beta = 1 Gram is not needed afterwards.
-        marginal = _MarginalCovariance(spec, PointObservations(data))
-        self._solver = marginal.factor(spec.beta)
+        # V = K / beta + sigma2 I, factored once; the Gram is not kept.
+        self._solver = kernels.SpdSolver(
+            kernels.kernel_matrix(spec, data.X) + data.sigma2 * np.eye(data.n)
+        )
         self._weights = self._solver.solve(data.y - spectral.evaluate(self.prior, data.X))
 
     def _cross(self, x) -> np.ndarray:
@@ -323,53 +327,63 @@ class CustomObservations:
 class _MarginalCovariance:
     """Marginal covariance V(beta) = K / beta + sigma2 I of the observations.
 
-    The one place that knows V for each observation model.  Coefficient
-    data give the diagonal lambda / beta + sigma2.  For point data the
-    beta = 1 Gram is built once, and only the factor for the most recent
-    beta is kept, so a beta search holds a single n x n factor.
+    The one place that knows V for each observation model.  The beta = 1
+    covariance K = U diag(w) U^T is decomposed once, so V(beta) =
+    U diag(w / beta + sigma2) U^T costs O(n) plus rotations per beta.
+    Point data take one eigendecomposition of the Gram, which is not
+    kept; coefficient data are diagonal (w the leading kernel eigenvalues,
+    U the identity, no rotation).  A variance w / beta + sigma2 <= 0 gets
+    `kernels.SpdSolver`'s jitter rule once (1e-12 times their mean,
+    logged); if one stays <= 0, SingularSystemError is raised.
     """
 
     def __init__(self, spec: kernels.KernelSpec, obs):
-        self._k1 = None
         if isinstance(obs, CoefficientObservations):
-            self._lam = _leading_eigenvalues(spec, obs.n)
+            self._w, self._u = _leading_eigenvalues(spec, obs.n), None
             self.sigma2 = obs.sigma2
         elif isinstance(obs, PointObservations):
-            self._k1 = kernels.kernel_matrix(spec.with_beta(1.0), obs.data.X)
+            k1 = kernels.kernel_matrix(spec.with_beta(1.0), obs.data.X)
+            self._w, self._u = scipy.linalg.eigh(
+                k1, overwrite_a=True, check_finite=False, driver="evd"
+            )
             self.sigma2 = obs.data.sigma2
-            self._beta = self._solver = None
         else:
             raise TypeError(f"unsupported observation model {type(obs).__name__}")
         self.n = obs.n
 
-    def factor(self, beta: float) -> kernels.SpdSolver:
-        """Cholesky factor of V(beta); point data only."""
-        if beta != self._beta:
-            # Release the old factor before building the new one, and
-            # forget its beta in case the new factorization raises.
-            self._beta = self._solver = None
-            self._solver = kernels.SpdSolver(self._k1 / beta + self.sigma2 * np.eye(self.n))
-            self._beta = beta
-        return self._solver
+    def _variances(self, beta: float) -> np.ndarray:
+        """The eigenvalues w / beta + sigma2 of V(beta), after the floor."""
+        v = self._w / beta + self.sigma2
+        if v.min() <= 0.0:
+            jitter = kernels._JITTER_SCALE * np.mean(v)
+            logger.info("marginal covariance at beta %.3e: adding jitter %.3e", beta, jitter)
+            v = v + jitter
+            if v.min() <= 0.0:
+                raise SingularSystemError(
+                    f"marginal covariance at beta {beta:.3e} is not positive definite "
+                    f"after jitter {jitter:.3e}"
+                )
+        return v
+
+    def _rotate(self, mat) -> np.ndarray:
+        """U^T mat: coordinates in the eigenbasis of V."""
+        mat = np.asarray(mat, dtype=float)
+        return mat if self._u is None else self._u.T @ mat
 
     def solve(self, beta: float, mat) -> np.ndarray:
         """V(beta)^{-1} applied to a vector or to the columns of a matrix."""
-        if self._k1 is not None:
-            return self.factor(beta).solve(mat)
-        v = self._lam / beta + self.sigma2
-        mat = np.asarray(mat, dtype=float)
-        return mat / (v if mat.ndim == 1 else v[:, None])
-
-    def logdet(self, beta: float) -> float:
-        if self._k1 is not None:
-            return self.factor(beta).logdet()
-        return float(np.sum(np.log(self._lam / beta + self.sigma2)))
+        v = self._variances(beta)
+        z = self._rotate(mat)
+        z = z / (v if z.ndim == 1 else v[:, None])
+        return z if self._u is None else self._u @ z
 
     def log_density(self, beta: float, resid) -> float:
         """Log-density of the residual under N(0, V(beta))."""
+        v = self._variances(beta)
+        r = self._rotate(resid)
         return float(
-            -0.5 * resid @ self.solve(beta, resid)
-            - 0.5 * self.logdet(beta)
+            -0.5 * r @ (r / v)
+            - 0.5 * float(np.sum(np.log(v)))
             - 0.5 * self.n * np.log(2.0 * np.pi)
         )
 
@@ -436,9 +450,10 @@ def log_marginal(spec: kernels.KernelSpec, prior, obs, beta: float | None = None
     covariance is diagonal with entries lambda_alpha / beta + sigma2.
     `beta` overrides the spec's trust weight.  Each call builds its own
     covariance, so for point data every call computes the n x n Gram
-    and factors it at `beta`.  `beta_map` and `invert_source` evaluate
-    the same density from one covariance per dataset instead, so their
-    searches build the Gram once.
+    and eigendecomposes it.  `beta_map` and `invert_source` evaluate the
+    same density from one covariance per dataset instead, so their
+    searches build and decompose the Gram once, and each beta they try
+    costs no factorization.
     """
     beta = _check_beta(spec.beta if beta is None else beta)
     marginal = _MarginalCovariance(spec, obs)
@@ -599,9 +614,12 @@ def invert_source(obs, family, hyper: HyperPrior, spec: kernels.KernelSpec,
     the pseudo-inverse and no exception is raised.
 
     Expression families with nonlinear parameters are optimized by
-    quasi-Newton descent on the joint negative log posterior, and the
-    covariance is the Laplace approximation from the final BFGS
-    inverse-Hessian block.  `init` is required in that case.
+    quasi-Newton descent on the joint negative log posterior; `init` is
+    required in that case.  Their covariance is the Laplace
+    approximation: the conditional moments at the optimal beta of the
+    forward map theta -> u0 linearized at the optimal theta (its Jacobian
+    by central differences), i.e. what the linear branch returns for that
+    linearization, flat directions included.
     """
     if family.n_params > obs.n:
         raise ValueError(
@@ -633,13 +651,15 @@ def invert_source(obs, family, hyper: HyperPrior, spec: kernels.KernelSpec,
         m = family.n_params
         marginal = _MarginalCovariance(spec, obs)
 
+        def resid_at(theta):
+            return _residual(pde.solve(family.source_at(theta), spec).u0, obs)
+
         def neg_log_post(z):
             theta = z[:m]
             beta = hyper.beta0 if hyper.kind == "fixed" else float(np.exp(z[m]))
             try:
                 beta = _check_beta(beta)
-                prior = pde.solve(family.source_at(theta), spec)
-                val = marginal.log_density(beta, _residual(prior.u0, obs))
+                val = marginal.log_density(beta, resid_at(theta))
             except (ValueError, FloatingPointError):
                 return np.inf
             if hyper.kind != "fixed":
@@ -660,15 +680,22 @@ def invert_source(obs, family, hyper: HyperPrior, spec: kernels.KernelSpec,
                 boundary = "lower"
             elif res.x[m] >= LOG_BETA_RANGE[1]:
                 boundary = "upper"
-        hess_inv = np.atleast_2d(res.hess_inv)[:m, :m]
+        # Laplace covariance: the conditional moments at beta* of the
+        # forward map linearized at theta*, J by central differences.
+        steps = 1e-5 * np.maximum(1.0, np.abs(theta))
+        jac = np.column_stack([
+            (resid_at(theta - h * e) - resid_at(theta + h * e)) / (2.0 * h)
+            for h, e in zip(steps, np.eye(m))
+        ])
+        _, cov, flat = _pseudo_posterior(jac, resid_at(theta), marginal, beta_star)
         # BFGS differentiates numerically, so its gradient cannot drop
         # below ~|f| * 1.5e-8 of forward-difference noise; a "precision
         # loss" exit with the gradient at that floor is a converged run.
         grad_norm = float(np.linalg.norm(np.atleast_1d(res.jac)))
         converged = bool(res.success) or grad_norm <= 1e-5 * (1.0 + abs(float(res.fun)))
         return InversionResult(
-            theta, hess_inv, np.empty((0, m)), beta_star, float(-res.fun),
-            boundary, "laplace", converged=converged,
+            theta, cov, flat, beta_star, float(-res.fun), boundary, "laplace",
+            converged=converged,
         )
     raise TypeError(f"unsupported source family {type(family).__name__}")
 

@@ -469,6 +469,28 @@ class TestLibraryErrorsAreConfigErrors:
             3, "numerical failure:")
         assert not out.exists()
 
+    def test_data_point_outside_unit_cube(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {
+            "kernel": kernel_cfg(), "data": {"x": [1.5, 0.5], "y": [1.0, 0.0]},
+            "sigma2": 1e-4, "grid": 5,
+        })
+        out = tmp_path / "o.csv"
+        self.one_line_failure(capsys, ["fit", "--config", cfg, "--out", str(out)], 2,
+                              "config error:")
+        assert not out.exists()
+
+    def test_posterior_sample_rejects_mesh_size(self, tmp_path, capsys):
+        # the posterior uses the full kernel; a truncation would be ignored
+        cfg = write_config(tmp_path, {
+            "kernel": kernel_cfg(order=16), "mode": "posterior", "mesh_size": 3,
+            "data": {"x": [0.5], "y": [1.0]}, "sigma2": 1e-4, "grid": 5,
+            "moment_draws": 4, "count": 1,
+        })
+        out = tmp_path / "o.csv"
+        self.one_line_failure(capsys, ["sample", "--config", cfg, "--out", str(out)], 2,
+                              "config error: mesh_size")
+        assert not out.exists()
+
 
 class TestOneSampler:
     def test_posterior_artifact_is_the_library_draws(self, tmp_path):

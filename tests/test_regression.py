@@ -7,10 +7,12 @@ gradient, and the closed-form stationary point M / ||dev||_H^2 for the
 calibrated trust weight under exact coefficient data.
 """
 
+import logging
 import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +20,7 @@ from hypothesis import strategies as st
 from bridgegp import (
     FLAT,
     JEFFREYS,
+    ClosedFormSource,
     CoefficientObservations,
     CustomObservations,
     Dataset,
@@ -27,6 +30,7 @@ from bridgegp import (
     LinearSourceFamily,
     OrderMismatchError,
     PointObservations,
+    SingularSystemError,
     SpectralField,
     SpectralSource,
     basis_field,
@@ -44,7 +48,7 @@ from bridgegp import (
     solve,
     zero_field,
 )
-from bridgegp import kernels
+from bridgegp import kernels, regression
 from bridgegp.regression import closed_form_beta
 
 
@@ -52,6 +56,28 @@ def make_dataset(rng, n=12, sigma2=1e-4, dim=1):
     x = rng.uniform(0.05, 0.95, size=(n, dim))
     y = rng.normal(size=n)
     return Dataset(x if dim > 1 else x[:, 0], y, sigma2)
+
+
+@pytest.fixture
+def decompositions(monkeypatch):
+    """Shapes of every eigendecomposition and sizes of every SpdSolver built."""
+    seen = {"eigh": [], "spd": []}
+
+    def counting(original):
+        def eigh(a, *args, **kwargs):
+            seen["eigh"].append(np.shape(a))
+            return original(a, *args, **kwargs)
+        return eigh
+
+    class CountingSolver(kernels.SpdSolver):
+        def __init__(self, matrix):
+            seen["spd"].append(len(matrix))
+            super().__init__(matrix)
+
+    monkeypatch.setattr(scipy.linalg, "eigh", counting(scipy.linalg.eigh))
+    monkeypatch.setattr(np.linalg, "eigh", counting(np.linalg.eigh))
+    monkeypatch.setattr(kernels, "SpdSolver", CountingSolver)
+    return seen
 
 
 class TestDataset:
@@ -274,6 +300,29 @@ class TestLogMarginal:
             with pytest.raises(ValueError):
                 log_marginal(spec, None, obs, b)
 
+    @staticmethod
+    def gram_returns(monkeypatch, k1):
+        # stand-in beta = 1 Gram with chosen eigenvalues (diagonal, so exact)
+        monkeypatch.setattr(kernels, "kernel_matrix", lambda spec, x, y=None: k1.copy())
+        x = np.linspace(0.2, 0.8, len(k1))
+        return PointObservations(Dataset(x, np.zeros(len(k1)), 1e-4))
+
+    def test_floor_adds_one_logged_jitter(self, monkeypatch, caplog):
+        # w / beta + sigma2 is exactly 0 for w = -1e-4 at beta = 1
+        obs = self.gram_returns(monkeypatch, np.diag([2.0, 1.0, -1e-4]))
+        with caplog.at_level(logging.INFO, logger="bridgegp.regression"):
+            got = log_marginal(KernelSpec("bridge"), None, obs, 1.0)
+        v = np.array([0.0, 1.0001, 2.0001])
+        v += 1e-12 * v.mean()
+        want = -0.5 * np.sum(np.log(v)) - 1.5 * np.log(2.0 * np.pi)
+        assert got == pytest.approx(want, rel=1e-12)
+        assert "jitter" in caplog.text
+
+    def test_floor_raises_when_jitter_is_not_enough(self, monkeypatch):
+        obs = self.gram_returns(monkeypatch, np.diag([1.0, -1.0]))
+        with pytest.raises(SingularSystemError):
+            log_marginal(KernelSpec("bridge"), None, obs, 1.0)
+
 
 class TestBetaGradient:
     def fd_gradient(self, spec, prior, obs, beta, hyper):
@@ -399,6 +448,26 @@ class TestBetaMap:
         assert res.objective == pytest.approx(
             log_marginal(spec, None, PointObservations(data), res.beta), rel=1e-12
         )
+
+    def test_point_search_matches_cholesky_route(self, rng):
+        # the same search over a density from one Cholesky factor per beta
+        n, sigma2 = 200, 1e-4
+        spec = KernelSpec("bridge", order=64)
+        x = rng.uniform(0.02, 0.98, size=n)
+        y = 0.05 * np.sin(3 * np.pi * x) + 0.01 * rng.normal(size=n)
+        k1 = kernel_matrix(spec.with_beta(1.0), x)
+
+        def reference(t):
+            factor = scipy.linalg.cho_factor(k1 / np.exp(t) + sigma2 * np.eye(n), lower=True)
+            logdet = 2.0 * np.sum(np.log(np.diag(factor[0])))
+            quad = y @ scipy.linalg.cho_solve(factor, y)
+            return -0.5 * quad - 0.5 * logdet - 0.5 * n * np.log(2.0 * np.pi)
+
+        t_ref, value_ref, boundary = regression._maximize_over_log_beta(reference)
+        res = beta_map(spec, None, PointObservations(Dataset(x, y, sigma2)), FLAT)
+        assert boundary is None and res.boundary is None
+        assert res.beta == pytest.approx(np.exp(t_ref), rel=1e-6)
+        assert res.objective == pytest.approx(value_ref, rel=1e-10)
 
 
 class TestClosedFormBeta:
@@ -702,17 +771,10 @@ class TestInversion:
             tracemalloc.stop()
         assert peak < 16 * n * n * 8, f"peak {peak / (n * n * 8):.1f} n^2 doubles"
 
-    def test_fixed_beta_point_expression_inversion_factors_once(self, rng, monkeypatch):
+    def test_fixed_beta_point_expression_inversion_factors_once(self, rng, decompositions):
         # V(beta) does not depend on theta, so BFGS at a fixed beta needs
-        # one Gram factorization for all of its objective evaluations
-        built = []
-
-        class CountingSolver(kernels.SpdSolver):
-            def __init__(self, matrix):
-                built.append(len(matrix))
-                super().__init__(matrix)
-
-        monkeypatch.setattr(kernels, "SpdSolver", CountingSolver)
+        # one eigendecomposition of the Gram for all of its objective
+        # evaluations, and no Cholesky factor at all
         spec = KernelSpec("bridge", order=64)
         fam = ExpressionSourceFamily("a*exp(-(x-b)^2)", free=("a", "b"))
         u = solve(fam.source_at([10.0, 0.25]), spec)
@@ -720,4 +782,39 @@ class TestInversion:
         obs = PointObservations(Dataset(x, u(x) + 1e-3 * rng.normal(size=40), 1e-5))
         res = invert_source(obs, fam, fixed(2.0), spec, init=[8.0, 0.35])
         assert res.method == "laplace"
-        assert built == [40]
+        assert [s for s in decompositions["eigh"] if s == (40, 40)] == [(40, 40)]
+        assert decompositions["spd"] == []
+
+    def test_point_linear_beta_search_factors_once(self, rng, decompositions):
+        # every beta the profile tries reuses the one eigendecomposition
+        n = 300
+        spec = KernelSpec("bridge", order=64)
+        fam = two_mode_family()
+        x = rng.uniform(0.05, 0.95, size=n)
+        u = solve(fam.source_at([2.0, 0.5], 1, 64), spec)
+        y = u(x) + 0.01 * np.sin(5 * np.pi * x) + 0.01 * rng.normal(size=n)
+        res = invert_source(PointObservations(Dataset(x, y, 1e-4)), fam, FLAT, spec)
+        assert res.boundary is None
+        assert [s for s in decompositions["eigh"] if s == (n, n)] == [(n, n)]
+        assert decompositions["spd"] == []
+
+    @pytest.mark.parametrize("kind", ["coefficients", "points"])
+    def test_laplace_covariance_of_a_linear_expression_is_exact(self, rng, kind):
+        # a linear family written as an expression: the Laplace covariance
+        # is the linear branch's exact conditional covariance
+        spec = KernelSpec("bridge", order=64)
+        linear = LinearSourceFamily(
+            components=(ClosedFormSource("sin(pi*x)"), ClosedFormSource("sin(2*pi*x)"))
+        )
+        expression = ExpressionSourceFamily("a*sin(pi*x) + b*sin(2*pi*x)", free=("a", "b"))
+        u = solve(expression.source_at([3.0, -2.0]), spec)
+        if kind == "coefficients":
+            obs = CoefficientObservations(u.u0.coeffs[:12] + 1e-3 * rng.normal(size=12), 1e-5)
+        else:
+            x = rng.uniform(0.05, 0.95, size=40)
+            obs = PointObservations(Dataset(x, u(x) + 1e-3 * rng.normal(size=40), 1e-5))
+        exact = invert_source(obs, linear, fixed(2.0), spec)
+        laplace = invert_source(obs, expression, fixed(2.0), spec, init=[2.5, -1.5])
+        assert laplace.flat_directions.shape == (0, 2)
+        err = np.linalg.norm(laplace.theta_cov - exact.theta_cov)
+        assert err <= 1e-6 * np.linalg.norm(exact.theta_cov)

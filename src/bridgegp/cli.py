@@ -6,8 +6,10 @@ calibration, source inversion, and the two studies.  Outputs are CSV
 (17 significant digits, LF, UTF-8) or canonical JSON, written via a
 temp file and rename so a crash never leaves a torn file.  Identical
 config and seed give byte-identical output on one machine with one
-numpy/scipy/BLAS build.  Across builds the reduction order inside LAPACK
-and BLAS may differ, so the numbers agree to rounding: a mean to a few
+numpy/scipy/BLAS build at one BLAS thread count (OpenBLAS splits its
+reductions by thread; its idle timeout changes no byte).  Across builds
+or thread counts the reduction order inside LAPACK and BLAS may differ,
+so the numbers agree to rounding: a mean to a few
 eps * max|mean|, a variance to a few eps * max k(x,x), and hence a
 standard deviation near a data point to about 1e-13 relative.  The
 serialization (headers, grid coordinates, 17 significant digits, LF,
@@ -16,7 +18,7 @@ exact zeros on the boundary) stays byte-identical across builds.
 Exit codes: 0 success, 2 config error (so is a plain ValueError: the
 library's arguments come from the config), 3 numerical failure (so is a
 non-finite number in a `solve`, `sample` or `fit` artifact), 4 resource
-limit.
+limit (so is a MemoryError).
 """
 
 from __future__ import annotations
@@ -576,8 +578,8 @@ def _run(args) -> int:
         # every point comes from the config or the grid
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except ResourceLimitError as exc:
-        print(f"resource limit: {exc}", file=sys.stderr)
+    except (ResourceLimitError, MemoryError) as exc:
+        print(f"resource limit: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 4
     except (BridgeGpError, NumericalError, FloatingPointError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -14,12 +14,15 @@ sd^2), since their last digits depend on the numpy/scipy/BLAS build.
 import ast
 import inspect
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from bridgegp import Dataset, KernelSpec, cli, condition, sample_posterior_values
+from bridgegp import Dataset, KernelSpec, cli, condition, pde, sample_posterior_values
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 FIXTURES = pathlib.Path(__file__).resolve().parent / "fixtures"
@@ -490,6 +493,62 @@ class TestLibraryErrorsAreConfigErrors:
         self.one_line_failure(capsys, ["sample", "--config", cfg, "--out", str(out)], 2,
                               "config error: mesh_size")
         assert not out.exists()
+
+
+class TestOutOfMemory:
+    @pytest.mark.parametrize("message", ["", "Unable to allocate 7.86 GiB"])
+    def test_memory_error_is_resource_limit(self, tmp_path, capsys, monkeypatch, message):
+        def exhausted(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(pde, "solve", exhausted)
+        cfg = write_config(tmp_path, {
+            "kernel": kernel_cfg(order=16), "source": {"expression": "1"}, "grid": 5,
+        })
+        out = tmp_path / "o.csv"
+        TestLibraryErrorsAreConfigErrors.one_line_failure(
+            capsys, ["solve", "--config", cfg, "--out", str(out)], 4,
+            f"resource limit: {message or 'out of memory'}")
+        assert not out.exists()
+
+
+class TestBlasThreads:
+    """The OpenBLAS idle timeout that `import bridgegp` sets changes no byte.
+
+    The reference run restores OpenBLAS's old idle timeout (2^28 cycles)
+    and names the default thread count explicitly, so a change that pinned
+    BLAS to fewer threads, which moves these numbers at rounding level,
+    would fail here on a machine with more than one core.
+    """
+
+    def run_fit(self, tmp_path, name, **env_updates):
+        rng = np.random.default_rng(3)
+        x = rng.random((60, 2))
+        y = np.sin(np.pi * x[:, 0]) * np.sin(np.pi * x[:, 1]) + 0.01 * rng.standard_normal(60)
+        cfg = write_config(tmp_path, {
+            "kernel": kernel_cfg(dim=2, order=16),
+            "source": {"expression": "2*pi^2*sin(pi*x1)*sin(pi*x2)"},
+            "data": {"x": x.tolist(), "y": y.tolist()}, "sigma2": 1e-4, "grid": 31,
+        })
+        blas_settings = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "GOTO_NUM_THREADS",
+                         "OPENBLAS_THREAD_TIMEOUT")
+        env = {k: v for k, v in os.environ.items() if k not in blas_settings}
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(REPO_ROOT / "src"), env.get("PYTHONPATH")) if p)
+        env.update(env_updates)
+        out = tmp_path / name
+        subprocess.run([sys.executable, "-m", "bridgegp.cli", "fit", "--config", cfg,
+                        "--out", str(out)], env=env, check=True, capture_output=True,
+                       timeout=120)
+        return out.read_bytes()
+
+    def test_idle_timeout_changes_no_byte(self, tmp_path):
+        # OpenBLAS's default thread count is the number of CPUs it may run on
+        cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                 else os.cpu_count() or 1)
+        reference = self.run_fit(tmp_path, "old.csv", OPENBLAS_THREAD_TIMEOUT="28",
+                                 OPENBLAS_NUM_THREADS=str(cores))
+        assert self.run_fit(tmp_path, "new.csv") == reference
 
 
 class TestOneSampler:

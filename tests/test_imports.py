@@ -13,6 +13,8 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 DEFERRED = ("scipy.stats", "scipy.integrate", "scipy.spatial", "scipy.optimize")
@@ -32,11 +34,16 @@ STUDY_PROBE = (
 )
 
 
-def _loaded_in_fresh_interpreter(probe: str) -> list:
+def _loaded_in_fresh_interpreter(probe: str, **env_updates):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC), env.get("PYTHONPATH")) if p
     )
+    for key, value in env_updates.items():  # None removes the variable
+        if value is None:
+            env.pop(key, None)
+        else:
+            env[key] = value
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
         check=True, timeout=120,
@@ -54,3 +61,37 @@ def test_cli_import_leaves_heavy_scipy_modules_unloaded():
 
 def test_convergence_study_leaves_scipy_stats_unloaded():
     assert _loaded_in_fresh_interpreter(STUDY_PROBE) == []
+
+
+# `import bridgegp` sets OPENBLAS_THREAD_TIMEOUT before numpy loads, so the
+# idle OpenBLAS workers of numpy and scipy sleep between calls instead of
+# spinning.  This test process has imported bridgegp, so each child starts
+# without the variable unless the test sets it.
+TIMEOUT_PROBE = (
+    "import bridgegp, json, os; "
+    "print(json.dumps(os.environ.get('OPENBLAS_THREAD_TIMEOUT')))"
+)
+
+# CPU time a 0.3 s sleep costs after one threaded GEMM (numpy's OpenBLAS)
+# and one Cholesky (scipy's); a spinning worker burns 0.1-0.2 s of it.
+IDLE_PROBE = (
+    "import bridgegp, json, time; import numpy as np, scipy.linalg; "
+    "a = np.random.default_rng(0).standard_normal((512, 512)); g = a @ a.T; "
+    "scipy.linalg.cho_factor(g + 512 * np.eye(512)); "
+    "t = time.process_time(); time.sleep(0.3); "
+    "print(json.dumps(time.process_time() - t))"
+)
+
+
+def test_import_sets_blas_idle_timeout():
+    assert _loaded_in_fresh_interpreter(TIMEOUT_PROBE, OPENBLAS_THREAD_TIMEOUT=None) == "4"
+
+
+def test_preset_blas_idle_timeout_is_kept():
+    assert _loaded_in_fresh_interpreter(TIMEOUT_PROBE, OPENBLAS_THREAD_TIMEOUT="20") == "20"
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="BLAS runs one thread")
+def test_idle_blas_workers_do_not_spin():
+    cpu_s = _loaded_in_fresh_interpreter(IDLE_PROBE, OPENBLAS_THREAD_TIMEOUT=None)
+    assert cpu_s < 0.03, f"a 0.3 s sleep after BLAS calls burned {cpu_s:.3f} s of CPU"

@@ -1,10 +1,10 @@
 """Command-line front end.
 
-One JSON config per invocation, strict about keys; subcommands cover
-the forward solve, prior/posterior sampling, point-data fitting, trust
-calibration, source inversion, and the two studies.  Outputs are CSV
-(17 significant digits, LF, UTF-8) or canonical JSON, written via a
-temp file and rename so a crash never leaves a torn file.  Identical
+One JSON config per invocation, strict about keys and their types;
+subcommands cover the forward solve, prior/posterior sampling, point-data
+fitting, trust calibration, source inversion, and the two studies.
+Outputs are CSV (17 significant digits, LF, UTF-8) or canonical JSON,
+written via a temp file and rename so a crash never leaves a torn file.  Identical
 config and seed give byte-identical output on one machine with one
 numpy/scipy/BLAS build at one BLAS thread count (OpenBLAS splits its
 reductions by thread; its idle timeout changes no byte).  Across builds
@@ -17,8 +17,8 @@ exact zeros on the boundary) stays byte-identical across builds.
 
 Exit codes: 0 success, 2 config error (so is a plain ValueError: the
 library's arguments come from the config), 3 numerical failure (so is a
-non-finite number in a `solve`, `sample` or `fit` artifact), 4 resource
-limit (so is a MemoryError).
+non-finite number in a `solve`, `sample` or `fit` artifact, and an
+arithmetic overflow), 4 resource limit (so is a MemoryError).
 """
 
 from __future__ import annotations
@@ -43,33 +43,20 @@ from .errors import (
     ResourceLimitError,
 )
 
-_SENTINEL = object()
-
-
-def _mapping(obj, where: str) -> dict:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{where} must be a JSON object")
-    return obj
-
-
-def _check_keys(obj: dict, allowed: set, where: str) -> None:
-    unknown = sorted(set(obj) - allowed)
-    if unknown:
-        raise ConfigError(f"unknown keys {unknown} in {where}; allowed: {sorted(allowed)}")
-
-
-def _get(obj: dict, key: str, where: str, default=_SENTINEL):
-    if key in obj:
-        return obj[key]
-    if default is _SENTINEL:
-        raise ConfigError(f"missing required key {key!r} in {where}")
-    return default
-
+# --- config tables ---------------------------------------------------------
+#
+# Each config object has one table: key -> (check, default).  A check takes
+# the JSON value and its path and returns the value to use, or raises
+# ConfigError; a default of ... marks a required key.  A list of tables is
+# a choice of shapes: the first table whose first key is present applies.
 
 def _number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where} must be a number")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{where} is out of range for a double") from None
 
 
 def _integer(value, where: str) -> int:
@@ -78,91 +65,140 @@ def _integer(value, where: str) -> int:
     return value
 
 
-def _number_list(value, where: str) -> list[float]:
-    if not isinstance(value, list) or not value:
-        raise ConfigError(f"{where} must be a nonempty array of numbers")
-    return [_number(v, f"{where}[{i}]") for i, v in enumerate(value)]
+def _string(value, where: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{where} must be a string")
+    return value
 
 
-def _build_kernel(cfg, where: str = "kernel") -> kernels.KernelSpec:
-    cfg = _mapping(cfg, where)
-    _check_keys(cfg, {"family", "dim", "order", "beta", "omega", "p"}, where)
-    family = _get(cfg, "family", where)
-    kwargs = {
-        "dim": _integer(_get(cfg, "dim", where, 1), f"{where}.dim"),
-        "beta": _number(_get(cfg, "beta", where, 1.0), f"{where}.beta"),
-    }
-    if "order" in cfg:
-        kwargs["order"] = _integer(cfg["order"], f"{where}.order")
-    if "omega" in cfg:
-        kwargs["omega"] = _number(cfg["omega"], f"{where}.omega")
-    if "p" in cfg:
-        kwargs["p"] = _number(cfg["p"], f"{where}.p")
-    return kernels.KernelSpec(family, **kwargs)
+def _seed(value, where: str) -> int:
+    seed = _integer(value, where)
+    if not 0 <= seed < 2**64:
+        raise ConfigError(f"{where} must be an unsigned 64-bit integer, got {seed}")
+    return seed
 
 
-def _build_source(cfg, dim: int, where: str) -> pde.SourceModel:
-    cfg = _mapping(cfg, where)
-    if "expression" in cfg:
-        _check_keys(cfg, {"expression", "parameters"}, where)
-        params = _mapping(_get(cfg, "parameters", where, {}), f"{where}.parameters")
-        for name, val in params.items():
-            _number(val, f"{where}.parameters.{name}")
-        src = pde.ClosedFormSource(str(cfg["expression"]), params)
+def _grid_points(value, where: str) -> int:
+    per_axis = _integer(value, where)
+    if per_axis < 2:
+        raise ConfigError(f"{where} must be at least 2 points per axis, got {per_axis}")
+    return per_axis
+
+
+def _number_map(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    for name, v in value.items():
+        _number(v, f"{where}.{name}")
+    return value
+
+
+def _array_of(item, what: str):
+    """Check of a nonempty JSON array whose entries all pass `item`."""
+    def check(value, where: str) -> list:
+        if not isinstance(value, list) or not value:
+            raise ConfigError(f"{where} must be a nonempty array of {what}")
+        return [item(v, f"{where}[{i}]") for i, v in enumerate(value)]
+    return check
+
+
+_number_list = _array_of(_number, "numbers")
+_integer_list = _array_of(_integer, "integers")
+_string_list = _array_of(_string, "strings")
+
+
+def _point(value, where: str):
+    """One point: a number in 1D, an array of coordinates otherwise."""
+    return _number_list(value, where) if isinstance(value, list) else _number(value, where)
+
+
+def _read(cfg, where: str, table) -> dict:
+    """The checked values of JSON object `cfg` under `table`, defaults filled in."""
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    if isinstance(table, list):
+        shapes = [t for t in table if next(iter(t)) in cfg]
+        if not shapes:
+            raise ConfigError(f"{where} must contain "
+                              + " or ".join(repr(next(iter(t))) for t in table))
+        table = shapes[0]
+    unknown = sorted(set(cfg) - set(table))
+    if unknown:
+        raise ConfigError(f"unknown keys {unknown} in {where}; allowed: {sorted(table)}")
+    values = {}
+    for key, (check, default) in table.items():
+        if key in cfg:
+            values[key] = check(cfg[key], key if where == "config" else f"{where}.{key}")
+        elif default is ...:
+            raise ConfigError(f"missing required key {key!r} in {where}")
+        else:
+            values[key] = default
+    return values
+
+
+class _Object:
+    """Check of a nested JSON object: read through `table`, then `build`."""
+
+    def __init__(self, table, build=dict):
+        self.table, self.build = table, build
+
+    def __call__(self, value, where: str):
+        return self.build(**_read(value, where, self.table))
+
+
+_KERNEL = {"family": (_string, ...), "dim": (_integer, 1), "order": (_integer, None),
+           "beta": (_number, 1.0), "omega": (_number, None), "p": (_number, None)}
+_HYPER = {"kind": (_string, ...), "beta0": (_number, None)}
+_SOURCE = [{"expression": (_string, ...), "parameters": (_number_map, {})},
+           {"coefficients": (_number_list, ...), "order": (_integer, None)}]
+_DATA = [{"path": (_string, ...)},
+         {"x": (_array_of(_point, "points"), ...), "y": (_number_list, ...)}]
+_OBSERVED_COEFFICIENTS = {"coefficients": (_number_list, ...)}
+_OBSERVED = [_OBSERVED_COEFFICIENTS, {"epsilon": (_number, ...)}]
+_TRUTH = {"expression": (_string, ...)}
+
+_kernel = _Object(_KERNEL, kernels.KernelSpec)
+_hyper = _Object(_HYPER, regression.HyperPrior)
+_source = _Object(_SOURCE)
+_data = _Object(_DATA)
+_FAMILY = [{"components": (_array_of(_source, "source objects"), ...),
+            "offset": (_source, None)},
+           {"expression": (_string, ...), "free": (_string_list, ...),
+            "parameters": (_number_map, {})}]
+
+
+def _build_source(src: dict, dim: int, where: str) -> pde.SourceModel:
+    if "expression" in src:
+        source = pde.ClosedFormSource(src["expression"], src["parameters"])
         # Compile now so malformed expressions fail as config errors.
-        src.compiled(dim)
-        return src
-    if "coefficients" in cfg:
-        _check_keys(cfg, {"coefficients", "order"}, where)
-        coeffs = _number_list(cfg["coefficients"], f"{where}.coefficients")
-        if "order" in cfg:
-            order = _integer(cfg["order"], f"{where}.order")
-        elif dim == 1:
-            order = len(coeffs)
-        else:
+        source.compiled(dim)
+        return source
+    coeffs, order = src["coefficients"], src["order"]
+    if order is None:
+        if dim > 1:
             raise ConfigError(f"{where} needs an explicit order when dim > 1")
-        if len(coeffs) != order**dim:
-            raise ConfigError(
-                f"{where} has {len(coeffs)} coefficients, expected {order ** dim}"
-            )
-        return pde.SpectralSource(spectral.SpectralField(dim, order, coeffs))
-    raise ConfigError(f"{where} must contain either 'expression' or 'coefficients'")
+        order = len(coeffs)
+    if len(coeffs) != order**dim:
+        raise ConfigError(f"{where} has {len(coeffs)} coefficients, expected {order ** dim}")
+    return pde.SpectralSource(spectral.SpectralField(dim, order, coeffs))
 
 
-def _build_prior(cfg: dict, spec: kernels.KernelSpec) -> pde.PdeSolution | None:
+def _build_prior(opts: dict) -> pde.PdeSolution | None:
     """Forward solution for the config's optional `source`; None without one."""
-    source_cfg = _get(cfg, "source", "config", None)
-    if source_cfg is None:
+    if opts["source"] is None:
         return None
-    return pde.solve(_build_source(source_cfg, spec.dim, "source"), spec)
+    spec = opts["kernel"]
+    return pde.solve(_build_source(opts["source"], spec.dim, "source"), spec)
 
 
-def _build_hyper(cfg, where: str = "hyper") -> regression.HyperPrior:
-    cfg = _mapping(cfg, where)
-    _check_keys(cfg, {"kind", "beta0"}, where)
-    kind = _get(cfg, "kind", where)
-    if kind == "fixed":
-        return regression.HyperPrior("fixed", _number(_get(cfg, "beta0", where), f"{where}.beta0"))
-    if "beta0" in cfg:
-        raise ConfigError(f"{where}.beta0 is only meaningful for kind='fixed'")
-    return regression.HyperPrior(kind)
-
-
-def _load_dataset(cfg, dim: int, sigma2: float, where: str = "data") -> regression.Dataset:
-    cfg = _mapping(cfg, where)
-    if "path" in cfg:
-        _check_keys(cfg, {"path"}, where)
-        x, y = _read_csv_points(cfg["path"], dim)
+def _load_dataset(data: dict, dim: int, sigma2: float) -> regression.Dataset:
+    if "path" in data:
+        x, y = _read_csv_points(data["path"], dim)
     else:
-        _check_keys(cfg, {"x", "y"}, where)
-        xs = _get(cfg, "x", where)
-        if not isinstance(xs, list) or not xs:
-            raise ConfigError(f"{where}.x must be a nonempty array")
-        if dim == 1:
-            x = np.array(_number_list(xs, f"{where}.x"))
-        else:
-            x = np.array([_number_list(row, f"{where}.x[{i}]") for i, row in enumerate(xs)])
-        y = np.array(_number_list(_get(cfg, "y", where), f"{where}.y"))
+        point = () if dim == 1 else (dim,)
+        if any(np.shape(p) != point for p in data["x"]):
+            raise ConfigError(f"data.x must hold points of dimension {dim}")
+        x, y = np.array(data["x"]), np.array(data["y"])
     return regression.Dataset(x, y, sigma2)
 
 
@@ -198,13 +234,6 @@ def _is_number(token: str) -> bool:
     return True
 
 
-def _grid_size(cfg: dict, default: int) -> int:
-    per_axis = _integer(_get(cfg, "grid", "config", default), "grid")
-    if per_axis < 2:
-        raise ConfigError(f"grid must be at least 2 points per axis, got {per_axis}")
-    return per_axis
-
-
 def _require_finite(*arrays) -> None:
     """Refuse to write a grid artifact that holds a non-finite number."""
     if not all(np.isfinite(a).all() for a in arrays):
@@ -219,59 +248,53 @@ def _grid(dim: int, per_axis: int):
     return pts, tuple(f"x{i + 1}" for i in range(dim))
 
 
-def _seed_of(cfg: dict, override) -> int:
-    seed = cfg.get("seed", 0)
-    if override is not None:
-        seed = override
-    seed = _integer(seed, "seed") if not isinstance(seed, (int, np.integer)) else int(seed)
-    if not 0 <= seed < 2**64:
-        raise ConfigError(f"seed must be an unsigned 64-bit integer, got {seed}")
-    return seed
-
-
 # --- subcommands -----------------------------------------------------------
+#
+# Each command's table lists its top-level keys; the runner gets their
+# checked values, with `seed` already replaced by any --seed override.
 
-def _cmd_solve(cfg: dict, seed: int):
-    _check_keys(cfg, {"kernel", "source", "grid", "seed"}, "config")
-    spec = _build_kernel(_get(cfg, "kernel", "config"))
-    source = _build_source(_get(cfg, "source", "config"), spec.dim, "source")
-    per_axis = _grid_size(cfg, 101)
-    solution = pde.solve(source, spec)
-    pts, labels = _grid(spec.dim, per_axis)
+_SOLVE = {"kernel": (_kernel, ...), "source": (_source, ...), "grid": (_grid_points, 101),
+          "seed": (_seed, 0)}
+
+
+def _cmd_solve(opts: dict):
+    spec = opts["kernel"]
+    solution = pde.solve(_build_source(opts["source"], spec.dim, "source"), spec)
+    pts, labels = _grid(spec.dim, opts["grid"])
     vals = spectral.evaluate(solution.u0, pts)
     _require_finite(vals)
     rows = [list(p) + [v] for p, v in zip(pts, vals)]
     return labels + ("u0",), rows, {}
 
 
-def _cmd_sample(cfg: dict, seed: int):
-    _check_keys(cfg, {"kernel", "source", "grid", "count", "moment_draws",
-                      "mesh_size", "mode", "data", "sigma2", "seed"}, "config")
-    spec = _build_kernel(_get(cfg, "kernel", "config"))
-    prior = _build_prior(cfg, spec)
-    per_axis = _grid_size(cfg, 101)
-    count = _integer(_get(cfg, "count", "config", 3), "count")
-    draws = _integer(_get(cfg, "moment_draws", "config", 4096), "moment_draws")
-    mode = _get(cfg, "mode", "config", "prior")
+_SAMPLE = {"kernel": (_kernel, ...), "source": (_source, None), "grid": (_grid_points, 101),
+           "count": (_integer, 3), "moment_draws": (_integer, 4096),
+           "mesh_size": (_integer, None), "mode": (_string, "prior"),
+           "data": (_data, None), "sigma2": (_number, None), "seed": (_seed, 0)}
+
+
+def _cmd_sample(opts: dict):
+    spec = opts["kernel"]
+    prior = _build_prior(opts)
+    count, draws, mode = opts["count"], opts["moment_draws"], opts["mode"]
     if mode not in ("prior", "posterior"):
         raise ConfigError(f"mode must be 'prior' or 'posterior', got {mode!r}")
     if not 1 <= count <= draws:
         raise ConfigError(f"count must be in [1, moment_draws], got {count}")
-    pts, labels = _grid(spec.dim, per_axis)
+    pts, labels = _grid(spec.dim, opts["grid"])
     if mode == "prior":
-        mesh = cfg.get("mesh_size")
-        sampler = sampling.PriorSampler(
-            spec, prior, None if mesh is None else _integer(mesh, "mesh_size"), seed
-        )
+        sampler = sampling.PriorSampler(spec, prior, opts["mesh_size"], opts["seed"])
         values = sampling.sample_values(sampler, pts, draws)
     else:
-        if "mesh_size" in cfg:
+        if opts["mesh_size"] is not None:
             raise ConfigError("mesh_size applies only to mode 'prior'; "
                               "the posterior uses the full kernel")
-        sigma2 = _number(_get(cfg, "sigma2", "config"), "sigma2")
-        data = _load_dataset(_get(cfg, "data", "config"), spec.dim, sigma2)
+        for key in ("sigma2", "data"):
+            if opts[key] is None:
+                raise ConfigError(f"mode 'posterior' needs the key {key!r}")
+        data = _load_dataset(opts["data"], spec.dim, opts["sigma2"])
         post = regression.condition(spec, prior, data)
-        values = sampling.sample_posterior_values(post, pts, draws, seed)
+        values = sampling.sample_posterior_values(post, pts, draws, opts["seed"])
     mean = values.mean(axis=0)
     sd = values.std(axis=0)
     _require_finite(mean, sd, values[:count])
@@ -283,16 +306,17 @@ def _cmd_sample(cfg: dict, seed: int):
     return columns, rows, {}
 
 
-def _cmd_fit(cfg: dict, seed: int):
-    _check_keys(cfg, {"kernel", "source", "data", "sigma2", "grid", "seed"}, "config")
+_FIT = {"kernel": (_kernel, ...), "source": (_source, None), "data": (_data, ...),
+        "sigma2": (_number, ...), "grid": (_grid_points, 101), "seed": (_seed, 0)}
+
+
+def _cmd_fit(opts: dict):
     started = time.perf_counter()
-    spec = _build_kernel(_get(cfg, "kernel", "config"))
-    prior = _build_prior(cfg, spec)
-    sigma2 = _number(_get(cfg, "sigma2", "config"), "sigma2")
-    data = _load_dataset(_get(cfg, "data", "config"), spec.dim, sigma2)
-    per_axis = _grid_size(cfg, 101)
+    spec = opts["kernel"]
+    prior = _build_prior(opts)
+    data = _load_dataset(opts["data"], spec.dim, opts["sigma2"])
     post = regression.condition(spec, prior, data)
-    pts, labels = _grid(spec.dim, per_axis)
+    pts, labels = _grid(spec.dim, opts["grid"])
     mean = post.mean(pts)
     sd = np.sqrt(post.var(pts))
     _require_finite(mean, sd)
@@ -301,37 +325,29 @@ def _cmd_fit(cfg: dict, seed: int):
     return labels + ("mean", "sd"), rows, {}
 
 
-def _observed_coefficients(cfg: dict, prior, spec, mesh_size: int, where="observed"):
-    cfg = _mapping(cfg, where)
-    if "coefficients" in cfg:
-        _check_keys(cfg, {"coefficients"}, where)
-        values = np.array(_number_list(cfg["coefficients"], f"{where}.coefficients"))
+_BETA = {"kernel": (_kernel, ...), "source": (_source, None), "mesh_size": (_integer, ...),
+         "observed": (_Object(_OBSERVED), ...), "sigma2": (_number, 0.0),
+         "hyper": (_hyper, regression.FLAT), "seed": (_seed, 0)}
+
+
+def _cmd_beta(opts: dict):
+    spec = opts["kernel"]
+    prior = _build_prior(opts)
+    mesh_size, observed = opts["mesh_size"], opts["observed"]
+    if not 1 <= mesh_size <= spec.n_coeffs:
+        raise ConfigError(f"mesh_size must be in [1, {spec.n_coeffs}], got {mesh_size}")
+    if "epsilon" in observed:
+        values = np.array(pde.prior_mean(prior, spec).coeffs[:mesh_size])
+        values[0] += observed["epsilon"]
+    else:
+        values = np.array(observed["coefficients"])
         if values.size != mesh_size:
             raise ConfigError(
-                f"{where}.coefficients has {values.size} entries, expected {mesh_size}"
+                f"observed.coefficients has {values.size} entries, expected {mesh_size}"
             )
-        return values
-    if "epsilon" in cfg:
-        _check_keys(cfg, {"epsilon"}, where)
-        eps = _number(cfg["epsilon"], f"{where}.epsilon")
-        values = np.array(pde.prior_mean(prior, spec).coeffs[:mesh_size])
-        values[0] += eps
-        return values
-    raise ConfigError(f"{where} must contain 'coefficients' or 'epsilon'")
-
-
-def _cmd_beta(cfg: dict, seed: int):
-    _check_keys(cfg, {"kernel", "source", "mesh_size", "observed", "sigma2",
-                      "hyper", "seed"}, "config")
-    spec = _build_kernel(_get(cfg, "kernel", "config"))
-    prior = _build_prior(cfg, spec)
-    mesh_size = _integer(_get(cfg, "mesh_size", "config"), "mesh_size")
-    sigma2 = _number(_get(cfg, "sigma2", "config", 0.0), "sigma2")
-    hyper = _build_hyper(_get(cfg, "hyper", "config", {"kind": "flat"}))
-    values = _observed_coefficients(_get(cfg, "observed", "config"), prior, spec, mesh_size)
-    obs = regression.CoefficientObservations(values, sigma2)
-    res = regression.beta_map(spec, prior, obs, hyper)
-    dev2, formula = regression.closed_form_beta(spec, prior, values, hyper)
+    obs = regression.CoefficientObservations(values, opts["sigma2"])
+    res = regression.beta_map(spec, prior, obs, opts["hyper"])
+    dev2, formula = regression.closed_form_beta(spec, prior, values, opts["hyper"])
     row = [res.beta, res.log_beta, res.objective, res.boundary or "",
            int(res.dirac_limit), dev2, formula,
            res.beta / formula if np.isfinite(formula) else None]
@@ -339,48 +355,34 @@ def _cmd_beta(cfg: dict, seed: int):
             "deviation_norm2", "formula_beta", "ratio"), [row], {}
 
 
-def _cmd_invert(cfg: dict, seed: int):
-    _check_keys(cfg, {"kernel", "family", "observed", "data", "sigma2", "hyper",
-                      "init", "seed"}, "config")
-    spec = _build_kernel(_get(cfg, "kernel", "config"))
-    fam_cfg = _mapping(_get(cfg, "family", "config"), "family")
-    sigma2 = _number(_get(cfg, "sigma2", "config", 0.0), "sigma2")
-    if "components" in fam_cfg:
-        _check_keys(fam_cfg, {"components", "offset"}, "family")
-        comps = fam_cfg["components"]
-        if not isinstance(comps, list) or not comps:
-            raise ConfigError("family.components must be a nonempty array")
+_INVERT = {"kernel": (_kernel, ...), "family": (_Object(_FAMILY), ...),
+           "observed": (_Object(_OBSERVED_COEFFICIENTS), None), "data": (_data, None),
+           "sigma2": (_number, 0.0), "hyper": (_hyper, regression.FLAT),
+           "init": (_number_list, None), "seed": (_seed, 0)}
+
+
+def _cmd_invert(opts: dict):
+    spec = opts["kernel"]
+    fam = opts["family"]
+    if "components" in fam:
         family = pde.LinearSourceFamily(
             tuple(_build_source(c, spec.dim, f"family.components[{i}]")
-                  for i, c in enumerate(comps)),
-            _build_source(fam_cfg["offset"], spec.dim, "family.offset")
-            if "offset" in fam_cfg else None,
+                  for i, c in enumerate(fam["components"])),
+            None if fam["offset"] is None
+            else _build_source(fam["offset"], spec.dim, "family.offset"),
         )
-    elif "expression" in fam_cfg:
-        _check_keys(fam_cfg, {"expression", "free", "parameters"}, "family")
-        free = fam_cfg.get("free")
-        if not isinstance(free, list) or not free:
-            raise ConfigError("family.free must be a nonempty array of names")
-        fixed = _mapping(fam_cfg.get("parameters", {}), "family.parameters")
-        family = pde.ExpressionSourceFamily(str(fam_cfg["expression"]),
-                                            tuple(str(f) for f in free), dict(fixed))
     else:
-        raise ConfigError("family must contain 'components' or 'expression'")
-    if "observed" in cfg:
-        obs_cfg = _mapping(cfg["observed"], "observed")
-        _check_keys(obs_cfg, {"coefficients"}, "observed")
-        values = np.array(_number_list(_get(obs_cfg, "coefficients", "observed"),
-                                       "observed.coefficients"))
-        obs = regression.CoefficientObservations(values, sigma2)
-    elif "data" in cfg:
-        obs = regression.PointObservations(_load_dataset(cfg["data"], spec.dim, sigma2))
+        family = pde.ExpressionSourceFamily(fam["expression"], tuple(fam["free"]),
+                                            dict(fam["parameters"]))
+    if opts["observed"] is not None:
+        obs = regression.CoefficientObservations(
+            np.array(opts["observed"]["coefficients"]), opts["sigma2"])
+    elif opts["data"] is not None:
+        obs = regression.PointObservations(
+            _load_dataset(opts["data"], spec.dim, opts["sigma2"]))
     else:
         raise ConfigError("config must contain 'observed' coefficients or point 'data'")
-    hyper = _build_hyper(_get(cfg, "hyper", "config", {"kind": "flat"}))
-    init = cfg.get("init")
-    if init is not None:
-        init = _number_list(init, "init")
-    res = regression.invert_source(obs, family, hyper, spec, init=init)
+    res = regression.invert_source(obs, family, opts["hyper"], spec, init=opts["init"])
     m = res.theta_mean.size
     columns = tuple(f"theta_{j}" for j in range(m)) + (
         "beta_star", "boundary", "objective", "converged", "n_flat_directions",
@@ -392,54 +394,56 @@ def _cmd_invert(cfg: dict, seed: int):
     return columns, [row], {}
 
 
-def _cmd_study(cfg: dict, seed: int, kind: str):
-    if kind == "convergence":
-        _check_keys(cfg, {"kernel", "assumed_source", "truth", "truth_source",
-                          "ns", "sigma2", "noise_sigma2", "grid", "seed"}, "config")
-        spec = _build_kernel(_get(cfg, "kernel", "config"))
-        assumed = _build_source(_get(cfg, "assumed_source", "config"), spec.dim,
-                                "assumed_source")
-        if ("truth" in cfg) == ("truth_source" in cfg):
-            raise ConfigError("provide exactly one of 'truth' or 'truth_source'")
-        if "truth" in cfg:
-            truth_cfg = _mapping(cfg["truth"], "truth")
-            _check_keys(truth_cfg, {"expression"}, "truth")
-            compiled = expressions.compile_expression(
-                str(_get(truth_cfg, "expression", "truth")), spec.dim
-            )
-            truth = compiled
-        else:
-            truth_solution = pde.solve(
-                _build_source(cfg["truth_source"], spec.dim, "truth_source"), spec
-            )
-            truth = truth_solution.u0
-        ns = [_integer(n, "ns[]") for n in _get(cfg, "ns", "config")]
-        report = harness.convergence_study(
-            truth, assumed, spec, ns,
-            sigma2=_number(_get(cfg, "sigma2", "config", 1e-8), "sigma2"),
-            seed=seed,
-            noise_sigma2=_number(_get(cfg, "noise_sigma2", "config", 0.0), "noise_sigma2"),
-            grid=_grid_size(cfg, 2001),
-        )
-    elif kind == "model-error":
-        _check_keys(cfg, {"kernel", "source", "mesh_size", "eps_values", "hyper",
-                          "sigma2", "seed"}, "config")
-        spec = _build_kernel(_get(cfg, "kernel", "config"))
-        prior = _build_prior(cfg, spec)
-        hyper = _build_hyper(_get(cfg, "hyper", "config", {"kind": "flat"}))
-        report = harness.model_error_study(
-            spec,
-            _integer(_get(cfg, "mesh_size", "config"), "mesh_size"),
-            _number_list(_get(cfg, "eps_values", "config"), "eps_values"),
-            hyper=hyper,
-            sigma2=_number(_get(cfg, "sigma2", "config", 0.0), "sigma2"),
-            prior=prior,
-            seed=seed,
-        )
-    else:  # pragma: no cover - argparse restricts choices
-        raise ConfigError(f"unknown study kind {kind!r}")
+def _study_table(report):
     rows = [[row[c] for c in report.columns] for row in report.rows]
     return report.columns, rows, dict(report.extras)
+
+
+_CONVERGENCE = {"kernel": (_kernel, ...), "assumed_source": (_source, ...),
+                "truth": (_Object(_TRUTH), None), "truth_source": (_source, None),
+                "ns": (_integer_list, ...), "sigma2": (_number, 1e-8),
+                "noise_sigma2": (_number, 0.0), "grid": (_grid_points, 2001),
+                "seed": (_seed, 0)}
+
+
+def _cmd_convergence(opts: dict):
+    spec = opts["kernel"]
+    assumed = _build_source(opts["assumed_source"], spec.dim, "assumed_source")
+    if (opts["truth"] is None) == (opts["truth_source"] is None):
+        raise ConfigError("provide exactly one of 'truth' or 'truth_source'")
+    if opts["truth"] is not None:
+        truth = expressions.compile_expression(opts["truth"]["expression"], spec.dim)
+    else:
+        truth = pde.solve(_build_source(opts["truth_source"], spec.dim, "truth_source"),
+                          spec).u0
+    return _study_table(harness.convergence_study(
+        truth, assumed, spec, opts["ns"], sigma2=opts["sigma2"], seed=opts["seed"],
+        noise_sigma2=opts["noise_sigma2"], grid=opts["grid"],
+    ))
+
+
+_MODEL_ERROR = {"kernel": (_kernel, ...), "source": (_source, None),
+                "mesh_size": (_integer, ...), "eps_values": (_number_list, ...),
+                "hyper": (_hyper, regression.FLAT), "sigma2": (_number, 0.0),
+                "seed": (_seed, 0)}
+
+
+def _cmd_model_error(opts: dict):
+    return _study_table(harness.model_error_study(
+        opts["kernel"], opts["mesh_size"], opts["eps_values"], hyper=opts["hyper"],
+        sigma2=opts["sigma2"], prior=_build_prior(opts), seed=opts["seed"],
+    ))
+
+
+_COMMANDS = {
+    "solve": (_SOLVE, _cmd_solve),
+    "sample": (_SAMPLE, _cmd_sample),
+    "fit": (_FIT, _cmd_fit),
+    "beta": (_BETA, _cmd_beta),
+    "invert": (_INVERT, _cmd_invert),
+    "convergence": (_CONVERGENCE, _cmd_convergence),
+    "model-error": (_MODEL_ERROR, _cmd_model_error),
+}
 
 
 # --- serialization ---------------------------------------------------------
@@ -558,21 +562,14 @@ def _run(args) -> int:
             raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config {args.config} is not valid JSON: {exc}") from exc
-        cfg = _mapping(cfg, "config")
-        seed = _seed_of(cfg, args.seed)
-        if args.command == "study":
-            columns, rows, extras = _cmd_study(cfg, seed, args.kind)
-        else:
-            runner = {
-                "solve": _cmd_solve,
-                "sample": _cmd_sample,
-                "fit": _cmd_fit,
-                "beta": _cmd_beta,
-                "invert": _cmd_invert,
-            }[args.command]
-            columns, rows, extras = runner(cfg, seed)
+        table, runner = _COMMANDS[args.kind if args.command == "study" else args.command]
+        opts = _read(cfg, "config", table)
+        if args.seed is not None:
+            opts["seed"] = _seed(args.seed, "seed")
+        columns, rows, extras = runner(opts)
         render = render_csv if args.format == "csv" else render_json
-        _write_output(render(args.command, cfg, seed, columns, rows, extras), args.out)
+        _write_output(render(args.command, cfg, opts["seed"], columns, rows, extras),
+                      args.out)
         return 0
     except (ConfigError, ExpressionError, DomainError) as exc:
         # every point comes from the config or the grid
@@ -581,7 +578,7 @@ def _run(args) -> int:
     except (ResourceLimitError, MemoryError) as exc:
         print(f"resource limit: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 4
-    except (BridgeGpError, NumericalError, FloatingPointError, np.linalg.LinAlgError) as exc:
+    except (BridgeGpError, NumericalError, ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

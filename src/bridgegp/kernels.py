@@ -220,8 +220,8 @@ class SpdSolver:
 
     On a failed factorization, adds 1e-12 * trace / n to the diagonal,
     logs the jitter magnitude, and tries once more; a second failure
-    raises SingularSystemError.  Exposes solves against the factor and
-    the log-determinant, so downstream code never refactors a Gram.
+    raises SingularSystemError.  Exposes solves against the factor, so
+    downstream code never refactors a Gram.
     """
 
     def __init__(self, matrix):
@@ -246,6 +246,3 @@ class SpdSolver:
 
     def solve(self, b) -> np.ndarray:
         return scipy.linalg.cho_solve(self._factor, np.asarray(b, dtype=float))
-
-    def logdet(self) -> float:
-        return float(2.0 * np.sum(np.log(np.diag(self._factor[0]))))

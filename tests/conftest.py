@@ -6,6 +6,9 @@ a failing criterion fails its test.  At the end of the run the collected
 lines are printed in one block, one line per criterion.
 """
 
+# Imported before numpy, so the OpenBLAS idle timeout that `import
+# bridgegp` sets applies to this process too: OpenBLAS reads it once, on load.
+import bridgegp  # noqa: F401
 import numpy as np
 import pytest
 

@@ -404,6 +404,42 @@ class TestExitCodes:
         })
         assert run(["solve", "--config", cfg]) == 2
 
+    @pytest.mark.parametrize("argv, cfg, prefix", [
+        (["study", "convergence"],
+         {"kernel": kernel_cfg(order=16), "assumed_source": {"expression": "0"},
+          "truth": {"expression": "x*(1-x)"}, "ns": 5, "grid": 11},
+         "config error: ns"),
+        (["fit"], {"kernel": kernel_cfg(order=16), "data": {"path": ["a"]}, "sigma2": 1e-4,
+                   "grid": 5}, "config error: data.path"),
+        # a bool path would be opened as file descriptor 1
+        (["fit"], {"kernel": kernel_cfg(order=16), "data": {"path": True}, "sigma2": 1e-4,
+                   "grid": 5}, "config error: data.path"),
+        (["solve"], {"kernel": kernel_cfg(order=16), "source": {"expression": "1"},
+                     "grid": 5, "seed": True}, "config error: seed"),
+        (["invert"],
+         {"kernel": kernel_cfg(order=16),
+          "family": {"expression": "a*sin(pi*x)+b", "free": ["a"], "parameters": {"b": "zz"}},
+          "observed": {"coefficients": [0.01, 0.0]}, "init": [1.0]},
+         "config error: family.parameters.b"),
+    ], ids=["ns-number", "path-array", "path-bool", "seed-bool", "parameter-string"])
+    def test_wrong_type_is_config_error(self, tmp_path, capsys, argv, cfg, prefix):
+        out = tmp_path / "o.csv"
+        TestLibraryErrorsAreConfigErrors.one_line_failure(
+            capsys, argv + ["--config", write_config(tmp_path, cfg), "--out", str(out)],
+            2, prefix)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kernel, code, prefix", [
+        ({"family": "helmholtz", "dim": 1, "order": 8, "omega": 1e308}, 3,
+         "numerical failure:"),
+        (kernel_cfg(order=8, beta=10**400), 2, "config error: kernel.beta"),
+    ], ids=["omega-squared-overflows", "integer-beyond-double"])
+    def test_overflow_is_one_line(self, tmp_path, capsys, kernel, code, prefix):
+        cfg = write_config(tmp_path, {"kernel": kernel, "source": {"expression": "1"},
+                                      "grid": 5})
+        TestLibraryErrorsAreConfigErrors.one_line_failure(
+            capsys, ["solve", "--config", cfg], code, prefix)
+
 
 class TestLibraryErrorsAreConfigErrors:
     """Library argument validation on config values exits 2 with one line."""
@@ -431,6 +467,14 @@ class TestLibraryErrorsAreConfigErrors:
         })
         self.one_line_failure(capsys, ["study", "convergence", "--config", cfg], 2,
                               "config error:")
+
+    @pytest.mark.parametrize("mesh_size", [0, 17])
+    def test_beta_mesh_size_out_of_range(self, tmp_path, capsys, mesh_size):
+        cfg = write_config(tmp_path, {
+            "kernel": kernel_cfg(order=16), "mesh_size": mesh_size,
+            "observed": {"epsilon": 0.5},
+        })
+        self.one_line_failure(capsys, ["beta", "--config", cfg], 2, "config error: mesh_size")
 
     def test_model_error_mesh_size_over_order(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {
@@ -481,6 +525,19 @@ class TestLibraryErrorsAreConfigErrors:
         self.one_line_failure(capsys, ["fit", "--config", cfg, "--out", str(out)], 2,
                               "config error:")
         assert not out.exists()
+
+    @pytest.mark.parametrize("dim, x", [
+        (1, [[0.1, 0.2], [0.3, 0.4]]),
+        (2, [0.1, 0.3]),
+        (2, [[0.1, 0.2, 0.3], [0.3, 0.4, 0.5]]),
+        (2, [[0.1, 0.2], [0.3]]),
+    ], ids=["2d-points-1d-kernel", "1d-points-2d-kernel", "3d-points-2d-kernel", "ragged"])
+    def test_data_points_of_wrong_dimension(self, tmp_path, capsys, dim, x):
+        cfg = write_config(tmp_path, {
+            "kernel": kernel_cfg(dim=dim, order=4), "data": {"x": x, "y": [1.0, 2.0]},
+            "sigma2": 1e-4, "grid": 3,
+        })
+        self.one_line_failure(capsys, ["fit", "--config", cfg], 2, "config error: data.x")
 
     def test_posterior_sample_rejects_mesh_size(self, tmp_path, capsys):
         # the posterior uses the full kernel; a truncation would be ignored

@@ -1,0 +1,171 @@
+"""Property test of the CLI exit-code contract, drawn from the config tables.
+
+Configs are built from the same key tables that `bridgegp.cli` reads them
+with (`cli._COMMANDS` and the tables of the nested `cli._Object` checks), so
+a key added to a table is drawn here with no edit to this file, and a key
+whose check this file has no strategy for fails the test.  For each key a
+config omits it, gives a working value, gives a valid-typed edge value (0,
+a negative, 1e308, inf, nan, an integer beyond a double, an unknown name)
+or gives a wrong-typed one (a bool, a string, an array, an object, null or
+a float), and some configs carry an unknown key.  Each config runs through
+`cli.main` in process.  The return must be 0, 2, 3 or 4, no exception may
+escape, and an exit-0 `solve`, `sample` or `fit` artifact must hold only
+finite numbers.
+
+The size keys (`grid`, `order`, `count`, `moment_draws`, `ns`, `mesh_size`)
+take small values only, and `grid` and `order` are never omitted.  The CLI
+has no cost preflight yet, so a huge size would really be allocated, and
+so would the defaults of those two in 3D (101 points per axis, order 32).
+"""
+
+import json
+import math
+import pathlib
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from bridgegp import cli
+
+FIXTURES = pathlib.Path(__file__).resolve().parent / "fixtures"
+ALWAYS_GIVEN = {"grid", "order"}
+OMIT = object()
+
+# Per check (or per key, for strings and anonymous checks): values that a
+# working config would hold, and valid-typed edge values that often fail.
+GOOD_NUMBERS, EDGE_NUMBERS = st.floats(0.01, 4.0), st.one_of(
+    st.sampled_from([0, -1, 1e-12, 1e308, -1e308, 10**400, math.inf, -math.inf, math.nan]),
+    st.floats(-4.0, 4.0))
+GOOD_UNIT = st.floats(0.0, 1.0)
+# Some keys are meaningful only next to others (omega with helmholtz, beta0
+# with a fixed hyper prior), so good values of these objects come whole.
+GOOD_OBJECTS = {
+    "kernel": st.one_of(
+        st.fixed_dictionaries({"family": st.just("bridge"), "order": st.integers(1, 6),
+                               "dim": st.sampled_from([1, 1, 2, 3])},
+                              optional={"beta": GOOD_NUMBERS}),
+        st.fixed_dictionaries({"family": st.just("helmholtz"), "order": st.integers(1, 6),
+                               "omega": st.floats(0.5, 3.0)}),
+        st.fixed_dictionaries({"family": st.just("power"), "order": st.integers(1, 6),
+                               "p": st.floats(0.55, 1.0)})),
+    "hyper": st.sampled_from([{"kind": "flat"}, {"kind": "jeffreys"},
+                              {"kind": "fixed", "beta0": 2.0}]),
+}
+GOOD = {
+    cli._number: GOOD_NUMBERS,
+    cli._integer: st.integers(1, 6),
+    cli._grid_points: st.integers(2, 6),
+    cli._seed: st.integers(0, 2**64 - 1),
+    cli._number_map: st.fixed_dictionaries({"a": GOOD_NUMBERS, "b": GOOD_NUMBERS}),
+    cli._number_list: st.lists(GOOD_NUMBERS, min_size=1, max_size=4),
+    cli._integer_list: st.lists(st.integers(2, 12), min_size=2, max_size=4,
+                                unique=True).map(sorted),
+    cli._string_list: st.just(["a"]),
+    "family": st.sampled_from(["bridge", "helmholtz", "power"]),
+    "kind": st.sampled_from(["flat", "jeffreys"]),
+    "moment_draws": st.integers(6, 64),
+    "mode": st.sampled_from(["prior", "posterior"]),
+    "expression": st.sampled_from(["1", "x*(1-x)", "sin(pi*x)", "a*sin(pi*x)+b"]),
+    "path": st.just(str(FIXTURES / "fit_data.csv")),
+    "x": st.lists(GOOD_UNIT, min_size=1, max_size=4),
+    "components": st.lists(st.deferred(lambda: object_of(cli._SOURCE, False)),
+                           min_size=1, max_size=2),
+}
+EDGE = {
+    cli._number: EDGE_NUMBERS,
+    cli._integer: st.integers(-1, 0),
+    cli._grid_points: st.integers(0, 1),
+    cli._seed: st.sampled_from([-1, 2**64]),
+    cli._number_map: st.dictionaries(st.sampled_from(["a", "x", "pi"]), EDGE_NUMBERS,
+                                     max_size=2),
+    cli._number_list: st.lists(EDGE_NUMBERS, min_size=1, max_size=4),
+    cli._integer_list: st.lists(st.integers(-1, 6), min_size=1, max_size=3),
+    cli._string_list: st.lists(st.sampled_from(["b", "x", "pi"]), min_size=1, max_size=2),
+    "family": st.just("matern"),
+    "kind": st.sampled_from(["fixed", "uniform"]),
+    "moment_draws": st.integers(-1, 5),
+    "mode": st.just("both"),
+    "expression": st.sampled_from(["0", "sin(pi*x1)*sin(pi*x2)", "x1*x2*x3", "exp(-a*x)",
+                                   "sin(pi*x", "", "1/x"]),
+    "path": st.sampled_from([str(FIXTURES / "missing.csv"), "", str(FIXTURES)]),
+    "x": st.one_of(st.lists(st.lists(GOOD_UNIT, min_size=2, max_size=3), min_size=1,
+                            max_size=4),
+                   st.lists(st.sampled_from([-0.5, 1.5, 0.5]), min_size=1, max_size=3)),
+    "components": st.lists(st.deferred(lambda: object_of(cli._SOURCE, True)),
+                           min_size=1, max_size=2),
+}
+WRONG = st.sampled_from([True, "text", [1.0], {"key": 1}, None, 2.5])
+
+
+def object_of(table, noisy):
+    """Strategy for JSON objects read through `table` (a list: one of its shapes).
+
+    Without noise every key present holds a good value and only optional
+    keys are left out; with noise a key may also hold an edge value, a
+    wrong-typed value or be left out when required, and an unknown key may
+    be added.
+    """
+    if isinstance(table, list):
+        return st.one_of([object_of(shape, noisy) for shape in table])
+    entries = [entry(key, check, default, noisy) for key, (check, default) in table.items()]
+    unknown = st.sampled_from([()] * 5 + ([(("bogus_key", 1),)] if noisy else []))
+    return st.tuples(st.tuples(*entries), unknown).map(
+        lambda drawn: {k: v for k, v in drawn[0] + drawn[1] if v is not OMIT})
+
+
+def entry(key, check, default, noisy):
+    if isinstance(check, cli._Object):
+        good = GOOD_OBJECTS[key] if key in GOOD_OBJECTS else object_of(check.table, False)
+        edge = object_of(check.table, True)
+    else:
+        # a check without a strategy here fails with KeyError
+        pick = key if check is cli._string or key in GOOD else check
+        good, edge = GOOD[pick], EDGE[pick]
+    choices = {"good": good, "edge": edge, "wrong": WRONG, "omit": st.just(OMIT)}
+    if noisy:
+        names = ["good"] * 4 + ["edge", "wrong"] + ([] if key in ALWAYS_GIVEN else ["omit"])
+    else:
+        names = ["good"] + (["omit"] if default is not ... and key not in ALWAYS_GIVEN else [])
+    # repeated branches weight the draw
+    return st.one_of([choices[name] for name in names]).map(lambda v: (key, v))
+
+
+CONFIGS = {name: st.one_of(object_of(table, False), object_of(table, True))
+           for name, (table, _) in cli._COMMANDS.items()}
+
+
+def finite_artifact(path, fmt):
+    if fmt == "json":
+        values = [v for row in json.loads(path.read_text())["rows"] for v in row]
+    else:
+        lines = [ln for ln in path.read_text().splitlines() if not ln.startswith("#")]
+        values = [float(tok) for ln in lines[1:] for tok in ln.split(",")]
+    return all(isinstance(v, (int, float)) and math.isfinite(v) for v in values)
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("cli_properties")
+
+
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+@settings(max_examples=100, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(data=st.data())
+def test_exit_code_contract(command, workdir, data):
+    cfg = data.draw(CONFIGS[command], label="config")
+    fmt = data.draw(st.sampled_from(["csv", "json"]), label="format")
+    seed = data.draw(st.sampled_from([None, None, None, 7, -1, 2**64]), label="--seed")
+    config, out = workdir / "config.json", workdir / f"out.{fmt}"
+    config.write_text(json.dumps(cfg), encoding="utf-8")
+    out.unlink(missing_ok=True)
+    argv = ["study", command] if command in ("convergence", "model-error") else [command]
+    argv += ["--config", str(config), "--out", str(out), "--format", fmt]
+    if seed is not None:
+        argv += ["--seed", str(seed)]
+    code = cli.main(argv)
+    assert code in (0, 2, 3, 4)
+    assert out.exists() == (code == 0)
+    if code == 0 and command in ("solve", "sample", "fit"):
+        assert finite_artifact(out, fmt)

@@ -252,13 +252,12 @@ class TestNativeNorm:
 
 
 class TestSpdSolver:
-    def test_solve_and_logdet(self, rng):
+    def test_solve(self, rng):
         a = rng.normal(size=(6, 6))
         spd = a @ a.T + 6 * np.eye(6)
         solver = SpdSolver(spd)
         b = rng.normal(size=6)
         np.testing.assert_allclose(solver.solve(b), np.linalg.solve(spd, b), rtol=1e-10)
-        assert solver.logdet() == pytest.approx(np.linalg.slogdet(spd)[1], rel=1e-12)
         assert solver.jitter == 0.0
 
     def test_jitter_retry_logged(self, caplog):

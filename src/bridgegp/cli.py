@@ -283,6 +283,10 @@ def _cmd_sample(opts: dict):
         raise ConfigError(f"count must be in [1, moment_draws], got {count}")
     pts, labels = _grid(spec.dim, opts["grid"])
     if mode == "prior":
+        for key in ("data", "sigma2"):
+            if opts[key] is not None:
+                raise ConfigError(f"{key} applies only to mode 'posterior'; "
+                                  "prior draws take no data")
         sampler = sampling.PriorSampler(spec, prior, opts["mesh_size"], opts["seed"])
         values = sampling.sample_values(sampler, pts, draws)
     else:
@@ -345,14 +349,9 @@ def _cmd_beta(opts: dict):
             raise ConfigError(
                 f"observed.coefficients has {values.size} entries, expected {mesh_size}"
             )
-    obs = regression.CoefficientObservations(values, opts["sigma2"])
-    res = regression.beta_map(spec, prior, obs, opts["hyper"])
-    dev2, formula = regression.closed_form_beta(spec, prior, values, opts["hyper"])
-    row = [res.beta, res.log_beta, res.objective, res.boundary or "",
-           int(res.dirac_limit), dev2, formula,
-           res.beta / formula if np.isfinite(formula) else None]
-    return ("beta_star", "log_beta", "objective", "boundary", "dirac_limit",
-            "deviation_norm2", "formula_beta", "ratio"), [row], {}
+    row = regression.calibration_row(
+        spec, prior, regression.CoefficientObservations(values, opts["sigma2"]), opts["hyper"])
+    return tuple(row), [list(row.values())], {}
 
 
 _INVERT = {"kernel": (_kernel, ...), "family": (_Object(_FAMILY), ...),
@@ -374,14 +373,15 @@ def _cmd_invert(opts: dict):
     else:
         family = pde.ExpressionSourceFamily(fam["expression"], tuple(fam["free"]),
                                             dict(fam["parameters"]))
+    if (opts["observed"] is None) == (opts["data"] is None):
+        raise ConfigError("config must contain exactly one of 'observed' coefficients "
+                          "or point 'data'")
     if opts["observed"] is not None:
         obs = regression.CoefficientObservations(
             np.array(opts["observed"]["coefficients"]), opts["sigma2"])
-    elif opts["data"] is not None:
+    else:
         obs = regression.PointObservations(
             _load_dataset(opts["data"], spec.dim, opts["sigma2"]))
-    else:
-        raise ConfigError("config must contain 'observed' coefficients or point 'data'")
     res = regression.invert_source(obs, family, opts["hyper"], spec, init=opts["init"])
     m = res.theta_mean.size
     columns = tuple(f"theta_{j}" for j in range(m)) + (

@@ -1,21 +1,31 @@
-"""Parser and evaluator for closed-form source expressions.
+"""Compiler and evaluator for closed-form source expressions.
 
-Grammar (binary operators left-associative except '^'):
+The grammar is Python arithmetic with '^' for the power, and with
+Python's precedence ('^' is right-associative and binds tighter than a
+unary sign on its left: -2^2 = -4, 2^-2 = 0.25, 2^3^2 = 512):
 
-    expr   := term (('+' | '-') term)*
-    term   := unary (('*' | '/') unary)*
-    unary  := ('+' | '-') unary | power
-    power  := atom ('^' unary)?
-    atom   := NUMBER | NAME | NAME '(' expr ')' | '(' expr ')'
+    expr := NUMBER | NAME | NAME '(' expr ')' | '(' expr ')'
+          | ('+' | '-') expr | expr ('+' | '-' | '*' | '/' | '^') expr
+
+NUMBER is a decimal literal of ASCII digits (2, .5, 1., 1e-3); '**' is rejected.
+Python's parser (`ast`) reads the text, so an integer literal has no
+leading zeros (007 is rejected; 0 and 007.5 are fine) and a parameter
+is not named after a Python keyword (in, if, ...).
 
 Names resolve to the functions sin, cos, exp, the constants pi and e,
 the coordinates (x for dim 1, x1..xd otherwise), or declared parameter
-names.  Anything else is rejected at compile time with a position.
-Evaluation is vectorized over numpy arrays of points.
+names.  Anything else is rejected at compile time with a position.  The
+checked tree is flattened to postfix steps, so neither checking nor
+evaluating it recurses.  Evaluation is vectorized over numpy arrays of points.
 """
 
 from __future__ import annotations
 
+import ast
+import bisect
+import itertools
+import keyword
+import operator
 import re
 from dataclasses import dataclass
 
@@ -25,172 +35,65 @@ from .errors import ExpressionError
 
 _FUNCTIONS = {"sin": np.sin, "cos": np.cos, "exp": np.exp}
 _CONSTANTS = {"pi": np.pi, "e": np.e}
+_BINARY = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+           ast.Div: operator.truediv, ast.Pow: np.power}
 
-_TOKEN_RE = re.compile(
-    r"(?P<num>\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
-    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*/^()])"
-)
-
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    pos: int
+# The first character outside the grammar's alphabet, or a literal '**'.
+_OUTSIDE = re.compile(r"\*\*|[^\sA-Za-z0-9_.+\-*/^()]")
+_BLANK = re.compile(r"\s")
+_NUMBER = re.compile(r"[0-9]+\.?[0-9]*(?:[eE][+-]?[0-9]+)?|\.[0-9]+(?:[eE][+-]?[0-9]+)?")
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        if text[pos].isspace():
-            pos += 1
+def _name_step(name: str, dim: int, parameters: tuple[str, ...]):
+    """The step that loads `name`, or None if it names nothing."""
+    if name in _CONSTANTS:
+        return ("num", _CONSTANTS[name])
+    if name in parameters:
+        return ("param", name)
+    if dim == 1 and name in ("x", "x1"):
+        return ("coord", 0)
+    if dim > 1 and re.fullmatch(r"x\d+", name) and 1 <= int(name[1:]) <= dim:
+        return ("coord", int(name[1:]) - 1)
+    return None
+
+
+def _flatten(tree: ast.expr, source: str, where, dim: int, parameters: tuple[str, ...]):
+    """Postfix steps of a parsed tree; any node outside the grammar raises.
+
+    `where` maps an index into `source` to one into the user's text.
+    """
+    steps, todo = [], [tree]
+    while todo:
+        node = todo.pop()
+        kind = type(node)
+        if kind is tuple:  # an operator step, queued behind its operands
+            steps.append(node)
             continue
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            raise ExpressionError(f"unexpected character {text[pos]!r}", position=pos)
-        tokens.append(_Token(match.lastgroup, match.group(), pos))
-        pos = match.end()
-    return tokens
-
-
-class _Parser:
-    """Recursive descent over the token list; builds a tuple AST."""
-
-    def __init__(self, tokens: list[_Token], length: int):
-        self.tokens = tokens
-        self.pos = 0
-        self.length = length
-
-    def peek(self) -> _Token | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def next(self) -> _Token:
-        tok = self.peek()
-        if tok is None:
-            raise ExpressionError("unexpected end of expression", position=self.length)
-        self.pos += 1
-        return tok
-
-    def expect_op(self, op: str) -> None:
-        tok = self.peek()
-        if tok is None or tok.kind != "op" or tok.text != op:
-            where = tok.pos if tok is not None else self.length
-            raise ExpressionError(f"expected {op!r}", position=where)
-        self.pos += 1
-
-    def at_op(self, *ops: str) -> bool:
-        tok = self.peek()
-        return tok is not None and tok.kind == "op" and tok.text in ops
-
-    def parse(self):
-        node = self.expr()
-        tok = self.peek()
-        if tok is not None:
-            raise ExpressionError(f"unexpected token {tok.text!r}", position=tok.pos)
-        return node
-
-    def expr(self):
-        node = self.term()
-        while self.at_op("+", "-"):
-            op = self.next().text
-            node = ("add" if op == "+" else "sub", node, self.term())
-        return node
-
-    def term(self):
-        node = self.unary()
-        while self.at_op("*", "/"):
-            op = self.next().text
-            node = ("mul" if op == "*" else "div", node, self.unary())
-        return node
-
-    def unary(self):
-        if self.at_op("+", "-"):
-            op = self.next().text
-            inner = self.unary()
-            return inner if op == "+" else ("neg", inner)
-        return self.power()
-
-    def power(self):
-        base = self.atom()
-        if self.at_op("^"):
-            self.next()
-            # Right operand is a unary so 2^-3 parses and 2^3^2 = 2^(3^2).
-            return ("pow", base, self.unary())
-        return base
-
-    def atom(self):
-        tok = self.next()
-        if tok.kind == "num":
-            return ("num", float(tok.text))
-        if tok.kind == "name":
-            if self.at_op("("):
-                self.next()
-                arg = self.expr()
-                self.expect_op(")")
-                if tok.text not in _FUNCTIONS:
-                    raise ExpressionError(f"unknown function {tok.text!r}", position=tok.pos)
-                return ("call", tok.text, arg)
-            return ("name", tok.text, tok.pos)
-        if tok.kind == "op" and tok.text == "(":
-            node = self.expr()
-            self.expect_op(")")
-            return node
-        raise ExpressionError(f"unexpected token {tok.text!r}", position=tok.pos)
-
-
-def _resolve_names(node, dim: int, parameters: tuple[str, ...], used: set):
-    """Rewrite name nodes into constants, coordinates, or parameters."""
-    kind = node[0]
-    if kind == "num":
-        return node
-    if kind == "name":
-        _, name, pos = node
-        if name in _CONSTANTS:
-            return ("num", _CONSTANTS[name])
-        if name in parameters:
-            used.add(name)
-            return ("param", name)
-        if dim == 1 and name in ("x", "x1"):
-            return ("coord", 0)
-        if dim > 1 and re.fullmatch(r"x\d+", name):
-            axis = int(name[1:])
-            if 1 <= axis <= dim:
-                return ("coord", axis - 1)
-        raise ExpressionError(f"unknown name {name!r} in dimension {dim}", position=pos)
-    if kind == "neg":
-        return ("neg", _resolve_names(node[1], dim, parameters, used))
-    if kind == "call":
-        return ("call", node[1], _resolve_names(node[2], dim, parameters, used))
-    return (kind,
-            _resolve_names(node[1], dim, parameters, used),
-            _resolve_names(node[2], dim, parameters, used))
-
-
-def _eval(node, coords: np.ndarray, params: dict):
-    kind = node[0]
-    if kind == "num":
-        return node[1]
-    if kind == "coord":
-        return coords[:, node[1]]
-    if kind == "param":
-        return params[node[1]]
-    if kind == "neg":
-        return -_eval(node[1], coords, params)
-    if kind == "call":
-        return _FUNCTIONS[node[1]](_eval(node[2], coords, params))
-    left = _eval(node[1], coords, params)
-    right = _eval(node[2], coords, params)
-    if kind == "add":
-        return left + right
-    if kind == "sub":
-        return left - right
-    if kind == "mul":
-        return left * right
-    if kind == "div":
-        return left / right
-    return np.power(left, right)
+        if kind is ast.BinOp and type(node.op) in _BINARY:
+            todo += [("binary", _BINARY[type(node.op)]), node.right, node.left]
+        elif kind is ast.UnaryOp and type(node.op) in (ast.UAdd, ast.USub):
+            if type(node.op) is ast.USub:
+                todo.append(("unary", operator.neg))
+            todo.append(node.operand)
+        # A call's name comes first: '(sin)(x)' is not a call.
+        elif (kind is ast.Call and type(node.func) is ast.Name
+              and node.func.col_offset == node.col_offset):
+            if node.func.id not in _FUNCTIONS or len(node.args) != 1:
+                raise ExpressionError(f"{node.func.id!r} is not sin, cos or exp of one "
+                                      "argument", position=where(node.col_offset))
+            todo += [("unary", _FUNCTIONS[node.func.id]), node.args[0]]
+        elif kind is ast.Name:
+            step = _name_step(node.id, dim, parameters)
+            if step is None:
+                raise ExpressionError(f"unknown name {node.id!r} in dimension {dim}",
+                                      position=where(node.col_offset))
+            steps.append(step)
+        else:
+            text = source[node.col_offset:node.end_col_offset]
+            if kind is not ast.Constant or not _NUMBER.fullmatch(text):
+                raise ExpressionError(f"unexpected {text!r}", position=where(node.col_offset))
+            steps.append(("num", float(text)))
+    return tuple(steps)
 
 
 @dataclass(frozen=True)
@@ -200,7 +103,7 @@ class CompiledExpression:
     expression: str
     dim: int
     parameters: tuple[str, ...]
-    root: tuple
+    steps: tuple
     used_parameters: tuple[str, ...]
 
     def __call__(self, x, params: dict | None = None) -> np.ndarray:
@@ -220,9 +123,21 @@ class CompiledExpression:
             raise ExpressionError(
                 f"points of shape {np.shape(x)} do not match dimension {self.dim}"
             )
+        stack = []
         with np.errstate(all="ignore"):
-            vals = _eval(self.root, coords, params)
-        return np.broadcast_to(np.asarray(vals, dtype=float), (coords.shape[0],)).copy()
+            for kind, arg in self.steps:
+                if kind == "num":
+                    stack.append(arg)
+                elif kind == "coord":
+                    stack.append(coords[:, arg])
+                elif kind == "param":
+                    stack.append(params[arg])
+                elif kind == "unary":
+                    stack[-1] = arg(stack[-1])
+                else:
+                    right = stack.pop()
+                    stack[-1] = arg(stack[-1], right)
+        return np.broadcast_to(np.asarray(stack[0], dtype=float), (coords.shape[0],)).copy()
 
 
 def compile_expression(text: str, dim: int, parameters=()) -> CompiledExpression:
@@ -238,9 +153,31 @@ def compile_expression(text: str, dim: int, parameters=()) -> CompiledExpression
     clash = [p for p in parameters if p in _FUNCTIONS or p in _CONSTANTS]
     if clash:
         raise ExpressionError(f"parameter names {clash} shadow built-ins")
-    tokens = _tokenize(text)
-    if not tokens:
+    reserved = [p for p in parameters if keyword.iskeyword(p)]
+    if reserved:
+        raise ExpressionError(f"parameter names {reserved} are Python keywords")
+    bad = _OUTSIDE.search(text)
+    if bad:
+        raise ExpressionError("'**' is not an operator; use '^'" if bad[0] == "**"
+                              else f"unexpected character {bad[0]!r}", position=bad.start())
+    # Every blank becomes a space, so newlines join lines; leading ones go.
+    body = _BLANK.sub(" ", text).lstrip(" ")
+    if not body:
         raise ExpressionError("empty expression", position=0)
-    used: set = set()
-    root = _resolve_names(_Parser(tokens, len(text)).parse(), dim, parameters, used)
-    return CompiledExpression(text, dim, parameters, root, tuple(sorted(used)))
+    shift = len(text) - len(body)
+    ends = list(itertools.accumulate(2 if c == "^" else 1 for c in body))
+    source = body.replace("^", "**")
+
+    def where(index: int) -> int:
+        return shift + bisect.bisect_right(ends, index)
+
+    try:
+        tree = ast.parse(source, mode="eval").body
+    except SyntaxError as exc:  # offset is 1-based; 0 or None means the end
+        at = min(exc.offset or len(source) + 1, len(source) + 1) - 1
+        raise ExpressionError(exc.msg.split(";")[0], position=where(at)) from None
+    except (RecursionError, MemoryError):  # the parser's own stack overflowed
+        raise ExpressionError("expression is nested too deeply to parse") from None
+    steps = _flatten(tree, source, where, dim, parameters)
+    used = sorted({arg for kind, arg in steps if kind == "param"})
+    return CompiledExpression(text, dim, parameters, steps, tuple(used))

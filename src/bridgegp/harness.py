@@ -182,18 +182,8 @@ def model_error_study(spec: kernels.KernelSpec, mesh_size: int, eps_values,
         observed = np.array(c0)
         observed[0] += eps
         obs = regression.CoefficientObservations(observed, sigma2)
-        res = regression.beta_map(spec, prior_field, obs, hyper)
-        dev2, formula = regression.closed_form_beta(spec, prior_field, observed, hyper)
-        ratio = res.beta / formula if np.isfinite(formula) else None
-        rows.append({
-            "eps": eps,
-            "beta_star": res.beta,
-            "boundary": res.boundary or "",
-            "dirac_limit": int(res.dirac_limit),
-            "deviation_norm2": dev2,
-            "formula_beta": formula,
-            "ratio": ratio,
-        })
+        rows.append({"eps": eps,
+                     **regression.calibration_row(spec, prior_field, obs, hyper)})
     params = {"mesh_size": mesh_size, "hyper": hyper.kind, "sigma2": sigma2,
               "seed": seed}
     return StudyReport("model-error", params,

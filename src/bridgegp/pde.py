@@ -48,8 +48,7 @@ class SourceModel:
     def evaluate(self, x) -> np.ndarray:
         raise NotImplementedError
 
-    def coefficients(self, dim: int, order: int,
-                     rule: spectral.QuadratureRule | None = None) -> np.ndarray:
+    def coefficients(self, dim: int, order: int) -> np.ndarray:
         raise NotImplementedError
 
 
@@ -62,7 +61,7 @@ class SpectralSource(SourceModel):
     def evaluate(self, x) -> np.ndarray:
         return spectral.evaluate(self.field, x)
 
-    def coefficients(self, dim, order, rule=None) -> np.ndarray:
+    def coefficients(self, dim, order) -> np.ndarray:
         if dim != self.field.dim:
             raise OrderMismatchError(
                 f"source has dimension {self.field.dim}, requested {dim}"
@@ -83,8 +82,8 @@ class ClosedFormSource(SourceModel):
     """A source given by an expression string, e.g. '10*exp(-(x-0.25)^2)'.
 
     Parameter values must be fully bound.  Projections onto a basis are
-    cached per (dim, order) when the default quadrature rule is used,
-    so repeated solves against the same truncation do not re-integrate.
+    cached per (dim, order), so repeated solves against the same
+    truncation do not re-integrate.
     """
 
     def __init__(self, expression: str, parameters: dict | None = None):
@@ -106,9 +105,7 @@ class ClosedFormSource(SourceModel):
         dim = 1 if arr.ndim <= 1 else arr.shape[1]
         return self.compiled(dim)(arr, self.parameters)
 
-    def coefficients(self, dim, order, rule=None) -> np.ndarray:
-        if rule is not None:
-            return spectral.project(self.evaluate, dim, order, rule).coeffs
+    def coefficients(self, dim, order) -> np.ndarray:
         key = (dim, order)
         if key not in self._coeff_cache:
             self._coeff_cache[key] = spectral.project(self.evaluate, dim, order).coeffs
@@ -176,16 +173,14 @@ def solve(source: SourceModel, spec: kernels.KernelSpec) -> PdeSolution:
     )
 
 
-def energy(u: spectral.SpectralField, source: SourceModel,
-           rule: spectral.QuadratureRule | None = None) -> float:
+def energy(u: spectral.SpectralField, source: SourceModel) -> float:
     """Dirichlet energy 1/2 int |grad u|^2 - int q u.
 
     The gradient term is a Parseval sum; the load term integrates the
     pointwise product q * u with tensor Gauss-Legendre quadrature, so
     `source` need not be band-limited.
     """
-    if rule is None:
-        rule = spectral.default_rule(u.dim, u.order)
+    rule = spectral.default_rule(u.dim, u.order)
     grad_sq = float(np.sum(spectral.dirichlet_eigenvalues(u.dim, u.order) * u.coeffs**2))
     nodes = rule.nodes
     q_vals = source.evaluate(nodes[:, 0] if u.dim == 1 else nodes)

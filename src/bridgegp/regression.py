@@ -184,9 +184,11 @@ class PosteriorModel:
             "ij,ji->i", ka, self._solver.solve(ka.T)
         )
         worst = v.min() if v.size else 0.0
+        if worst < -1e-10:
+            warnings.warn(f"clamping negative posterior variance {worst:.3e} to zero")
+        elif worst < 0.0:
+            logger.debug("clamping negative posterior variance %.3e to zero", worst)
         if worst < 0.0:
-            level = logging.WARNING if worst < -1e-10 else logging.DEBUG
-            logger.log(level, "clamping negative posterior variance %.3e to zero", worst)
             v = np.maximum(v, 0.0)
         return v
 
@@ -500,7 +502,7 @@ class BetaMapResult:
         return self.boundary == "upper"
 
 
-def _maximize_over_log_beta(objective, xtol: float = 1e-10):
+def _maximize_over_log_beta(objective):
     """Grid scan then golden-section refinement of a scalar objective
     over log beta in the fixed bracket."""
     lo, hi = LOG_BETA_RANGE
@@ -525,7 +527,7 @@ def _maximize_over_log_beta(objective, xtol: float = 1e-10):
             lambda t: -safe(t),
             bracket=(grid[best - 1], grid[best], grid[best + 1]),
             method="golden",
-            options={"xtol": xtol},
+            options={"xtol": 1e-10},
         )
         t_star = float(np.clip(res.x, lo, hi))
     except ValueError:
@@ -539,8 +541,8 @@ def beta_map(spec: kernels.KernelSpec, prior, obs, hyper: HyperPrior) -> BetaMap
 
     Scans a coarse grid, then golden-section refines to 1e-10 in log
     beta.  A maximizer at either end of the bracket is returned as-is
-    with a boundary flag; the upper end means the Dirac limit (the
-    data never contradict the prior mean).
+    with a boundary flag and a warning; the upper end means the Dirac
+    limit (the data never contradict the prior mean).
     """
     if hyper.kind == "fixed":
         raise ValueError("beta_map needs a flat or Jeffreys hyper prior")
@@ -553,8 +555,24 @@ def beta_map(spec: kernels.KernelSpec, prior, obs, hyper: HyperPrior) -> BetaMap
 
     t_star, value, boundary = _maximize_over_log_beta(objective)
     if boundary is not None:
-        logger.warning("beta search terminated at the %s bracket boundary", boundary)
+        warnings.warn(f"beta search terminated at the {boundary} bracket boundary")
     return BetaMapResult(float(np.exp(t_star)), t_star, value, boundary)
+
+
+def calibration_row(spec: kernels.KernelSpec, prior, obs: CoefficientObservations,
+                    hyper: HyperPrior) -> dict:
+    """`beta_map` beside `closed_form_beta` for the same observations.
+
+    Keys: beta_star, log_beta, objective, boundary ('' inside the
+    bracket), dirac_limit (0 or 1), deviation_norm2, formula_beta, and
+    ratio = beta_star / formula_beta (None when the formula is infinite).
+    """
+    res = beta_map(spec, prior, obs, hyper)
+    dev2, formula = closed_form_beta(spec, prior, obs.values, hyper)
+    return {"beta_star": res.beta, "log_beta": res.log_beta, "objective": res.objective,
+            "boundary": res.boundary or "", "dirac_limit": int(res.dirac_limit),
+            "deviation_norm2": dev2, "formula_beta": formula,
+            "ratio": res.beta / formula if np.isfinite(formula) else None}
 
 
 @dataclass(frozen=True)

@@ -121,20 +121,19 @@ def sample_coefficients(sampler: PriorSampler, count: int, start: int = 0) -> np
     return out
 
 
-def sample(sampler: PriorSampler, count: int, start: int = 0) -> list[spectral.SpectralField]:
+def sample(sampler: PriorSampler, count: int) -> list[spectral.SpectralField]:
     """Draws as full fields (unsampled trailing coefficients are zero).
 
     Materializes count * order**dim coefficients; for moment estimation
     over many draws prefer `sample_values` or `sample_coefficients`.
     """
-    coeffs = sample_coefficients(sampler, count, start)
+    coeffs = sample_coefficients(sampler, count)
     full = np.zeros((count, sampler.spec.n_coeffs))
     full[:, : sampler.mesh_size] = coeffs
     return [spectral.SpectralField(sampler.spec.dim, sampler.spec.order, row) for row in full]
 
 
-def sample_values(sampler: PriorSampler, x, count: int, start: int = 0,
-                  chunk: int = _BLOCK) -> np.ndarray:
+def sample_values(sampler: PriorSampler, x, count: int, chunk: int = _BLOCK) -> np.ndarray:
     """Draws evaluated at points `x`, shape (count, len(x)).
 
     Streams in chunks so large Monte Carlo runs never hold all
@@ -145,7 +144,7 @@ def sample_values(sampler: PriorSampler, x, count: int, start: int = 0,
     psi = psi[:, : sampler.mesh_size]
     out = np.empty((count, pts.shape[0]))
     for done in range(0, count, chunk):
-        coeffs = sample_coefficients(sampler, min(chunk, count - done), start + done)
+        coeffs = sample_coefficients(sampler, min(chunk, count - done), done)
         out[done : done + coeffs.shape[0]] = coeffs @ psi.T
     return out
 

@@ -338,7 +338,7 @@ def _axis_transform(order: int, axis_nodes: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.sqrt(2.0) * _sine_table(axis_nodes, order).T)
 
 
-def project(f, dim: int, order: int, rule: QuadratureRule | None = None) -> SpectralField:
+def project(f, dim: int, order: int) -> SpectralField:
     """L2 projection of a callable onto the truncated basis.
 
     Parameters
@@ -347,8 +347,6 @@ def project(f, dim: int, order: int, rule: QuadratureRule | None = None) -> Spec
         Maps an (N,) array (dim = 1) or (N, dim) array to (N,) values.
     dim, order : int
         Target expansion shape.
-    rule : QuadratureRule, optional
-        Defaults to `default_rule(dim, order)`.
 
     Returns
     -------
@@ -357,8 +355,7 @@ def project(f, dim: int, order: int, rule: QuadratureRule | None = None) -> Spec
         axis-separated contraction of the tensor quadrature grid.
     """
     check_size(dim, order)
-    if rule is None:
-        rule = default_rule(dim, order)
+    rule = default_rule(dim, order)
     pts = rule.nodes
     vals = np.asarray(f(pts[:, 0] if dim == 1 else pts), dtype=float).reshape(
         (rule.axis_nodes.size,) * dim

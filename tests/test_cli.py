@@ -551,6 +551,77 @@ class TestLibraryErrorsAreConfigErrors:
                               "config error: mesh_size")
         assert not out.exists()
 
+    @pytest.mark.parametrize("extra", [{"data": {"x": [0.5], "y": [1.0]}}, {"sigma2": 1e-4}],
+                             ids=["data", "sigma2"])
+    def test_prior_sample_rejects_data(self, tmp_path, capsys, extra):
+        # prior draws ignore observations; accepting them would hide a wrong mode
+        cfg = write_config(tmp_path, {
+            "kernel": kernel_cfg(order=16), "grid": 5, "moment_draws": 4, "count": 1,
+            **extra,
+        })
+        out = tmp_path / "o.csv"
+        self.one_line_failure(capsys, ["sample", "--config", cfg, "--out", str(out)], 2,
+                              f"config error: {next(iter(extra))}")
+        assert not out.exists()
+
+    def test_invert_rejects_observed_and_data(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {
+            "kernel": kernel_cfg(order=16),
+            "family": {"components": [{"expression": "sin(pi*x)"}]},
+            "observed": {"coefficients": [0.3]}, "data": {"x": [0.5], "y": [100.0]},
+        })
+        out = tmp_path / "o.csv"
+        assert run(["invert", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("config error:"), err
+        assert "'observed'" in err and "'data'" in err
+        assert not out.exists()
+
+
+class TestExpressionProbes:
+    """No source expression makes the CLI exit 1 or print a traceback."""
+
+    @pytest.mark.parametrize("expression", [
+        "(" * 2000 + "x" + ")" * 2000, "-" * 5000 + "x", "+".join(["x"] * 20000),
+    ], ids=["2000-parentheses", "5000-unary-minus", "20000-term-sum"])
+    def test_too_deep_is_one_config_error(self, tmp_path, capsys, expression):
+        cfg = write_config(tmp_path, {
+            "kernel": kernel_cfg(order=16), "source": {"expression": expression}, "grid": 5,
+        })
+        out = tmp_path / "o.csv"
+        TestLibraryErrorsAreConfigErrors.one_line_failure(
+            capsys, ["solve", "--config", cfg, "--out", str(out)], 2, "config error:")
+        assert not out.exists()
+
+    def test_900_term_sum_solves(self, tmp_path):
+        cfg = write_config(tmp_path, {
+            "kernel": kernel_cfg(order=16),
+            "source": {"expression": "+".join(["sin(pi*x)"] * 900)}, "grid": 5,
+        })
+        out = tmp_path / "o.csv"
+        assert run(["solve", "--config", cfg, "--out", str(out)]) == 0
+        assert out.exists()
+
+
+class TestWarnings:
+    """Library warnings reach stderr as `warning:` lines, and only on success."""
+
+    def test_dirac_limit_beta_prints_one_warning(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {
+            "kernel": kernel_cfg(order=16), "mesh_size": 4, "observed": {"epsilon": 0.0},
+        })
+        assert run(["beta", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 0
+        err = capsys.readouterr().err
+        assert err == "warning: beta search terminated at the upper bracket boundary\n", err
+
+    def test_failed_study_prints_only_its_failure(self, tmp_path, capsys):
+        # eps 0 stops at the bracket edge, then eps 1e308 leaves nothing finite
+        cfg = write_config(tmp_path, {
+            "kernel": kernel_cfg(order=16), "mesh_size": 4, "eps_values": [0.0, 1e308],
+        })
+        TestLibraryErrorsAreConfigErrors.one_line_failure(
+            capsys, ["study", "model-error", "--config", cfg], 3, "numerical failure:")
+
 
 class TestOutOfMemory:
     @pytest.mark.parametrize("message", ["", "Unable to allocate 7.86 GiB"])

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bridgegp import ExpressionError, compile_expression
 
@@ -138,3 +140,130 @@ class TestErrors:
     def test_bad_dimension(self):
         with pytest.raises(ExpressionError):
             compile_expression("x", 4)
+
+
+class TestPythonParser:
+    """Python's parser reads the text; only the grammar's nodes pass."""
+
+    @pytest.mark.parametrize("text, position", [
+        ("x^2^3 + y", 8),  # mapped back across each '^'
+        ("x^2 + (1", 6),  # Python's syntax-error offset
+        ("x**2", 1),  # '^' is the power
+        (" \n bogus", 3),  # leading blanks count
+        ("x + 007", 4),  # an integer with leading zeros
+        ("2*\u0663", 2),  # a non-ASCII digit
+    ])
+    def test_error_position(self, text, position):
+        with pytest.raises(ExpressionError) as err:
+            compile_expression(text, 1)
+        assert err.value.position == position
+
+    @pytest.mark.parametrize("text", ["(sin)(x)", "sin()", "x.real", "x//2", "1_0", "0x1",
+                                      "1j", "True", "...", "not x", "x if x else 1", "sin(*x)"])
+    def test_python_outside_the_grammar_rejected(self, text):
+        with pytest.raises(ExpressionError):
+            compile_expression(text, 1)
+
+    def test_blanks_anywhere(self):
+        assert ev(" \n\t x^2 +\n 1 ", 0.5)[0] == 1.25
+        assert ev("sin (x)", 0.5)[0] == np.sin(0.5)
+
+    def test_integer_with_leading_zeros_rejected(self):
+        with pytest.raises(ExpressionError, match="leading zeros"):
+            compile_expression("007", 1)
+        assert ev("007.5 + 00 + 0", 0.0)[0] == 7.5
+
+    @pytest.mark.parametrize("name", ["in", "if", "lambda", "None"])
+    def test_keyword_parameter_rejected(self, name):
+        with pytest.raises(ExpressionError, match="Python keywords"):
+            compile_expression("x", 1, (name,))
+
+    def test_soft_keyword_parameter_allowed(self):
+        assert ev("match*x", 0.5, params={"match": 2.0}, declared=("match",))[0] == 1.0
+
+
+class TestDepth:
+    @pytest.mark.parametrize("text", ["(" * 2000 + "x" + ")" * 2000, "-" * 5000 + "x",
+                                      "+".join(["x"] * 20000)],
+                             ids=["parentheses", "unary-minus", "sum"])
+    def test_too_deep_is_an_expression_error(self, text):
+        with pytest.raises(ExpressionError):
+            compile_expression(text, 1)
+
+    def test_long_chains_evaluate(self):
+        assert ev("+".join(["x"] * 2000), 0.5)[0] == 1000.0
+        assert ev("-" * 1000 + "x", 0.5)[0] == 0.5
+        assert ev("(" * 150 + "x" + ")" * 150, 0.5)[0] == 0.5
+
+
+# Differential test against Python's own evaluation of the same text.
+# Literals are floats, so Python's `**` never builds a huge integer.
+_NUMBERS = ["0.0", "2.0", "0.5", ".25", "3.", "1e-3", "2.5E+1", "007.5"]
+_PARAMS = ["a", "k_2", "theta"]
+_ALPHABET = "0123456789.+-*/^() \nxe_sincopak"
+_BLANKS = st.sampled_from(["", "", " ", "\n ", "\t"])
+
+
+def _expressions(dim):
+    coords = ["x", "x1"] if dim == 1 else [f"x{i}" for i in range(1, dim + 1)]
+    leaves = st.sampled_from(_NUMBERS + coords + ["pi", "e"] + _PARAMS)
+
+    def grow(inner):
+        return st.one_of(
+            st.tuples(inner, _BLANKS, st.sampled_from("+-*/^"), _BLANKS, inner).map("".join),
+            st.tuples(st.sampled_from("+-"), inner).map("".join),
+            st.tuples(st.sampled_from(["sin(", "cos(", "exp("]), inner).map(
+                lambda t: t[0] + t[1] + ")"),
+            inner.map(lambda t: f"({t})"),
+            st.tuples(st.sampled_from("+-*/^"), st.lists(inner, min_size=2, max_size=60)).map(
+                lambda t: t[0].join(t[1])),
+        )
+
+    return st.tuples(_BLANKS, st.recursive(leaves, grow, max_leaves=40)).map(
+        lambda t: (t[0] + t[1], dim))
+
+
+_GRAMMAR = st.one_of([_expressions(dim) for dim in (1, 2, 3)])
+
+
+def _points(dim, params):
+    rng = np.random.default_rng(7)
+    return rng.uniform(size=(5, dim)), {p: float(v) for p, v in zip(params, rng.normal(size=3))}
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(_GRAMMAR)
+def test_grammar_expressions_match_python_eval(case):
+    text, dim = case
+    pts, values = _points(dim, _PARAMS)
+    env = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "pi": np.pi, "e": np.e, **values}
+    env.update({f"x{i + 1}": pts[:, i] for i in range(dim)}, x=pts[:, 0])
+    expr = compile_expression(text, dim, _PARAMS)
+    try:
+        got = expr(pts, values)
+    except ZeroDivisionError:
+        got = None
+    try:
+        with np.errstate(all="ignore"):
+            want = eval(" ".join(text.replace("^", "**").split()), env)
+    except ArithmeticError:
+        return  # Python raises where np.power gives inf
+    assert got is not None, f"{text!r} raised where Python does not"
+    want = np.broadcast_to(want, got.shape)
+    if not np.iscomplexobj(want):  # a negative base to a fractional power
+        np.testing.assert_allclose(got, want, rtol=1e-9, equal_nan=True, err_msg=text)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.text(alphabet=_ALPHABET, max_size=30), st.integers(1, 3),
+       st.lists(st.sampled_from(_PARAMS), unique=True, max_size=2))
+def test_any_string_compiles_or_raises_expression_error(text, dim, params):
+    try:
+        expr = compile_expression(text, dim, params)
+    except ExpressionError:
+        return
+    pts, values = _points(dim, params)
+    try:
+        assert expr(pts, values).shape == (5,)
+    except ZeroDivisionError:
+        pass  # float division of two constants, as in Python

@@ -57,12 +57,10 @@ from .regression import (
     JEFFREYS,
     BetaMapResult,
     CoefficientObservations,
-    CustomObservations,
     Dataset,
     HyperPrior,
     InversionResult,
     KrrSolution,
-    MapEstimate,
     PointObservations,
     PosteriorModel,
     beta_gradient,
@@ -72,7 +70,6 @@ from .regression import (
     invert_source,
     krr_solve,
     log_marginal,
-    map_nonlinear,
 )
 from .sampling import (
     NestedReport,

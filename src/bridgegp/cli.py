@@ -17,8 +17,8 @@ exact zeros on the boundary) stays byte-identical across builds.
 
 Exit codes: 0 success, 2 config error (so is a plain ValueError: the
 library's arguments come from the config), 3 numerical failure (so is a
-non-finite number in a `solve`, `sample` or `fit` artifact, and an
-arithmetic overflow), 4 resource limit (so is a MemoryError).
+non-finite number in a `solve`, `sample`, `fit` or `invert` artifact, and
+an arithmetic overflow), 4 resource limit (so is a MemoryError).
 """
 
 from __future__ import annotations
@@ -235,7 +235,7 @@ def _is_number(token: str) -> bool:
 
 
 def _require_finite(*arrays) -> None:
-    """Refuse to write a grid artifact that holds a non-finite number."""
+    """Refuse to write an artifact that holds a non-finite number."""
     if not all(np.isfinite(a).all() for a in arrays):
         raise NumericalError("the output would hold non-finite values")
 
@@ -383,6 +383,7 @@ def _cmd_invert(opts: dict):
         obs = regression.PointObservations(
             _load_dataset(opts["data"], spec.dim, opts["sigma2"]))
     res = regression.invert_source(obs, family, opts["hyper"], spec, init=opts["init"])
+    _require_finite(res.theta_mean, res.objective, res.theta_cov)
     m = res.theta_mean.size
     columns = tuple(f"theta_{j}" for j in range(m)) + (
         "beta_star", "boundary", "objective", "converged", "n_flat_directions",

@@ -13,9 +13,14 @@ norm.  Both routes are implemented separately (`condition` works with
 the beta-scaled covariance, `krr_solve` with the beta = 1 Gram) so the
 equivalence is a checkable property rather than a definition.
 
-Observing coefficients instead of point values makes everything
-diagonal; that route powers the marginal-likelihood calibration of
-beta, its closed-form gradient, and linear/nonlinear source inversion.
+Calibration of beta and source inversion share one exact solver.  The
+beta = 1 marginal covariance is eigendecomposed once per dataset (it is
+diagonal for observed coefficients), so for a residual rotated once into
+its eigenbasis the log marginal and its first two derivatives in log
+beta cost O(n) per beta.  Beta is found by a scan over log beta refined
+by safeguarded Newton; theta by generalized least squares, which is exact
+for linear source families and is the damped Gauss-Newton step, alternated
+with the beta search, for nonlinear expression families.
 """
 
 from __future__ import annotations
@@ -271,67 +276,13 @@ class CoefficientObservations:
         return self.values.size
 
 
-@dataclass(frozen=True)
-class CustomObservations:
-    """A user-supplied observation map R acting on coefficient vectors.
-
-    `apply` maps an (M,) coefficient vector to n observables and
-    `jacobian` returns the (n, M) derivative; the jacobian is validated
-    against central differences along random directions at
-    construction (relative error below 1e-4).
-    """
-
-    y: np.ndarray
-    gamma: np.ndarray
-    apply: callable
-    jacobian: callable
-    n_coeffs: int
-
-    def __post_init__(self):
-        y = np.array(np.asarray(self.y, dtype=float).reshape(-1))
-        g = np.array(np.asarray(self.gamma, dtype=float).reshape(-1))
-        if g.size == 1:
-            g = np.full(y.size, float(g[0]))
-        if g.size != y.size or np.any(g <= 0) or not np.all(np.isfinite(g)):
-            raise ValueError("gamma must give a positive noise variance per observation")
-        y.flags.writeable = False
-        g.flags.writeable = False
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "gamma", g)
-        object.__setattr__(self, "n_coeffs", int(self.n_coeffs))
-        self._validate_jacobian()
-
-    def _validate_jacobian(self):
-        rng = np.random.default_rng(0)
-        c = rng.standard_normal(self.n_coeffs)
-        jac = np.asarray(self.jacobian(c), dtype=float)
-        if jac.shape != (self.y.size, self.n_coeffs):
-            raise ValueError(
-                f"jacobian shape {jac.shape} != {(self.y.size, self.n_coeffs)}"
-            )
-        h = 1e-6
-        for _ in range(3):
-            v = rng.standard_normal(self.n_coeffs)
-            v /= np.linalg.norm(v)
-            fd = (np.asarray(self.apply(c + h * v)) - np.asarray(self.apply(c - h * v))) / (2 * h)
-            jv = jac @ v
-            err = np.linalg.norm(fd - jv) / max(np.linalg.norm(jv), 1e-12)
-            if err > 1e-4:
-                raise ValueError(
-                    f"jacobian disagrees with finite differences (relative error {err:.2e})"
-                )
-
-    @property
-    def n(self) -> int:
-        return self.y.size
-
-
 class _MarginalCovariance:
     """Marginal covariance V(beta) = K / beta + sigma2 I of the observations.
 
     The one place that knows V for each observation model.  The beta = 1
     covariance K = U diag(w) U^T is decomposed once, so V(beta) =
-    U diag(w / beta + sigma2) U^T costs O(n) plus rotations per beta.
+    U diag(w / beta + sigma2) U^T costs O(n) per beta for data that
+    callers have rotated once by U^T (`rotate`).
     Point data take one eigendecomposition of the Gram, which is not
     kept; coefficient data are diagonal (w the leading kernel eigenvalues,
     U the identity, no rotation).  A variance w / beta + sigma2 <= 0 gets
@@ -353,8 +304,9 @@ class _MarginalCovariance:
             raise TypeError(f"unsupported observation model {type(obs).__name__}")
         self.n = obs.n
 
-    def _variances(self, beta: float) -> np.ndarray:
-        """The eigenvalues w / beta + sigma2 of V(beta), after the floor."""
+    def variances(self, beta: float):
+        """The eigenvalues v = w / beta + sigma2 of V(beta), after the floor,
+        and g = (w / beta) / v, so that dv/dt = -g v in t = log beta."""
         v = self._w / beta + self.sigma2
         if v.min() <= 0.0:
             jitter = kernels._JITTER_SCALE * np.mean(v)
@@ -365,38 +317,26 @@ class _MarginalCovariance:
                     f"marginal covariance at beta {beta:.3e} is not positive definite "
                     f"after jitter {jitter:.3e}"
                 )
-        return v
+        return v, self._w / beta / v
 
-    def _rotate(self, mat) -> np.ndarray:
+    def rotate(self, mat) -> np.ndarray:
         """U^T mat: coordinates in the eigenbasis of V."""
         mat = np.asarray(mat, dtype=float)
         return mat if self._u is None else self._u.T @ mat
 
-    def solve(self, beta: float, mat) -> np.ndarray:
-        """V(beta)^{-1} applied to a vector or to the columns of a matrix."""
-        v = self._variances(beta)
-        z = self._rotate(mat)
-        z = z / (v if z.ndim == 1 else v[:, None])
-        return z if self._u is None else self._u @ z
-
-    def log_density(self, beta: float, resid) -> float:
-        """Log-density of the residual under N(0, V(beta))."""
-        v = self._variances(beta)
-        r = self._rotate(resid)
-        return float(
+    def log_density(self, beta: float, r):
+        """Log density of a residual already rotated by U^T under N(0, V(beta)),
+        and its first and second derivatives in t = log beta; O(n)."""
+        v, g = self.variances(beta)
+        q = r * r / v
+        value = float(
             -0.5 * r @ (r / v)
             - 0.5 * float(np.sum(np.log(v)))
             - 0.5 * self.n * np.log(2.0 * np.pi)
         )
-
-
-def _coeff_moments(lam, c0, obs: CoefficientObservations, beta: float):
-    """Posterior mean and variance per coefficient under identity observation."""
-    if obs.sigma2 == 0.0:
-        return np.array(obs.values), np.zeros(obs.n)
-    tvar = 1.0 / (beta / lam + 1.0 / obs.sigma2)
-    tmean = tvar * (obs.values / obs.sigma2 + beta * c0 / lam)
-    return tmean, tvar
+        d1 = 0.5 * float(np.sum(g * (1.0 - q)))
+        d2 = -0.5 * float(np.sum(g * ((1.0 - g) * (1.0 - q) + g * q)))
+        return value, d1, d2
 
 
 def _leading_eigenvalues(spec: kernels.KernelSpec, m: int) -> np.ndarray:
@@ -405,10 +345,6 @@ def _leading_eigenvalues(spec: kernels.KernelSpec, m: int) -> np.ndarray:
             f"cannot observe {m} coefficients of a {spec.n_coeffs}-coefficient expansion"
         )
     return kernels.eigenvalues(spec)[:m]
-
-
-def _coeff_prefix(spec: kernels.KernelSpec, prior, m: int):
-    return _leading_eigenvalues(spec, m), pde.prior_mean(prior, spec).coeffs[:m]
 
 
 def closed_form_beta(spec: kernels.KernelSpec, prior, observed,
@@ -420,11 +356,17 @@ def closed_form_beta(spec: kernels.KernelSpec, prior, observed,
     observed coefficients from the prior mean, and the beta that
     maximizes the evidence in the noise-free limit: M / dev2 under a
     flat prior, (M - 2) / dev2 under Jeffreys, infinite when dev2 = 0.
+    The Jeffreys evidence (M/2 - 1) log beta - beta dev2 / 2 has no
+    interior maximum for M <= 2, so that case raises ValueError.
     """
     if hyper.kind == "fixed":
         raise ValueError("the closed form needs a flat or Jeffreys hyper prior")
     observed = np.asarray(observed, dtype=float).reshape(-1)
-    lam, c0 = _coeff_prefix(spec, prior, observed.size)
+    if hyper.kind == "jeffreys" and observed.size <= 2:
+        raise ValueError("a Jeffreys prior needs at least 3 observed coefficients, "
+                         f"got {observed.size}")
+    lam = _leading_eigenvalues(spec, observed.size)
+    c0 = pde.prior_mean(prior, spec).coeffs[: observed.size]
     dev2 = float(np.sum((observed - c0) ** 2 / lam))
     numerator = observed.size if hyper.kind == "flat" else observed.size - 2
     return dev2, (numerator / dev2 if dev2 > 0 else np.inf)
@@ -444,46 +386,43 @@ def _residual(mean: spectral.SpectralField, obs) -> np.ndarray:
     return obs.data.y - spectral.evaluate(mean, obs.data.X)
 
 
+def _rotated_residual(spec: kernels.KernelSpec, prior, obs):
+    """The marginal covariance of the observations, and their residual
+    from the prior mean in its eigenbasis."""
+    marginal = _MarginalCovariance(spec, obs)
+    return marginal, marginal.rotate(_residual(pde.prior_mean(prior, spec), obs))
+
+
 def log_marginal(spec: kernels.KernelSpec, prior, obs, beta: float | None = None) -> float:
     """Log marginal likelihood of the observations with u integrated out.
 
     For point data this is the Gaussian density of y under mean u0(X)
     and covariance beta^{-1} K_XX + sigma2 I; for coefficient data the
     covariance is diagonal with entries lambda_alpha / beta + sigma2.
-    `beta` overrides the spec's trust weight.  Each call builds its own
-    covariance, so for point data every call computes the n x n Gram
-    and eigendecomposes it.  `beta_map` and `invert_source` evaluate the
-    same density from one covariance per dataset instead, so their
-    searches build and decompose the Gram once, and each beta they try
-    costs no factorization.
+    `beta` overrides the spec's trust weight.  Each call builds (and for
+    point data eigendecomposes) its own Gram; `beta_map` and
+    `invert_source` decompose one per dataset for every beta they try.
     """
     beta = _check_beta(spec.beta if beta is None else beta)
-    marginal = _MarginalCovariance(spec, obs)
-    return marginal.log_density(beta, _residual(pde.prior_mean(prior, spec), obs))
+    marginal, resid = _rotated_residual(spec, prior, obs)
+    return marginal.log_density(beta, resid)[0]
 
 
-def beta_gradient(spec: kernels.KernelSpec, prior, obs: CoefficientObservations,
-                  beta: float, hyper: HyperPrior = FLAT) -> float:
-    """Closed-form d/d beta of the log posterior of beta.
+def beta_gradient(spec: kernels.KernelSpec, prior, obs, beta: float,
+                  hyper: HyperPrior = FLAT) -> float:
+    """Exact d/d beta of the log posterior of beta, log_marginal plus the
+    hyper prior's log density, for coefficient or point observations.
 
-    Valid for coefficient observations, where the posterior over the
-    observed coefficients is diagonal: with posterior moments
-    (m_alpha, s_alpha),
+    With v_i = w_i / beta + sigma2 the eigenvalues of the marginal
+    covariance and r the residual in its eigenbasis,
 
-        grad = M / (2 beta) + d log p(beta)
-               - 1/2 sum (m_alpha - c0_alpha)^2 / lambda_alpha
-               - 1/2 sum s_alpha / lambda_alpha.
+        grad = 1 / (2 beta) sum (w_i / beta) / v_i (1 - r_i^2 / v_i)
+               + d log p(beta).
     """
-    if not isinstance(obs, CoefficientObservations):
-        raise TypeError("the closed-form gradient requires coefficient observations")
-    lam, c0 = _coeff_prefix(spec, prior, obs.n)
-    tmean, tvar = _coeff_moments(lam, c0, obs, beta)
-    return float(
-        obs.n / (2.0 * beta)
-        + hyper.dlog_density(beta)
-        - 0.5 * np.sum((tmean - c0) ** 2 / lam)
-        - 0.5 * np.sum(tvar / lam)
-    )
+    beta = _check_beta(beta)
+    marginal, resid = _rotated_residual(spec, prior, obs)
+    _, d1, _ = marginal.log_density(beta, resid)
+    return float(d1 / beta + hyper.dlog_density(beta))
 
 
 @dataclass(frozen=True)
@@ -502,17 +441,33 @@ class BetaMapResult:
         return self.boundary == "upper"
 
 
-def _maximize_over_log_beta(objective):
-    """Grid scan then golden-section refinement of a scalar objective
-    over log beta in the fixed bracket."""
+# Newton on log beta stops once a step is this small, or after this many
+# iterations; a step this small has already landed within rounding of a
+# simple maximum.
+_LOG_BETA_STEP = 1e-12
+_NEWTON_ITERATIONS = 100
+
+
+def _maximize_over_log_beta(log_density, hyper: HyperPrior):
+    """Maximize log_density(beta) + log p(beta) over log beta in the bracket.
+
+    `log_density(beta)` returns a value and its first two derivatives in
+    t = log beta; log p is linear in t (0 flat, -t Jeffreys).  The best of
+    121 grid points, if interior, is refined by Newton on the exact
+    derivative between its two neighbours, bisecting when a step leaves the
+    shrinking bracket or the curvature is not negative, and the result is
+    kept only if it is no worse.  Returns (t, value, boundary).
+    """
+    def objective(t):
+        beta = float(np.exp(t))
+        value, d1, d2 = log_density(beta)
+        value += hyper.log_density(beta)
+        return (value if np.isfinite(value) else -np.inf,
+                d1 + beta * hyper.dlog_density(beta), d2)
+
     lo, hi = LOG_BETA_RANGE
     grid = np.linspace(lo, hi, 121)
-
-    def safe(t):
-        val = objective(float(t))
-        return -np.inf if not np.isfinite(val) else float(val)
-
-    vals = np.array([safe(t) for t in grid])
+    vals = np.array([objective(float(t))[0] for t in grid])
     best = int(np.argmax(vals))
     if vals[best] == -np.inf:
         raise NumericalError("the beta objective is not finite anywhere in the bracket")
@@ -520,40 +475,36 @@ def _maximize_over_log_beta(objective):
         return grid[0], vals[0], "lower"
     if best == len(grid) - 1:
         return grid[-1], vals[-1], "upper"
-    import scipy.optimize  # deferred import: keeps `import bridgegp` light
-
-    try:
-        res = scipy.optimize.minimize_scalar(
-            lambda t: -safe(t),
-            bracket=(grid[best - 1], grid[best], grid[best + 1]),
-            method="golden",
-            options={"xtol": 1e-10},
-        )
-        t_star = float(np.clip(res.x, lo, hi))
-    except ValueError:
-        # Flat neighborhood; the grid point is as good as any.
-        t_star = float(grid[best])
-    return t_star, safe(t_star), None
+    left, right, t = float(grid[best - 1]), float(grid[best + 1]), float(grid[best])
+    for _ in range(_NEWTON_ITERATIONS):
+        _, d1, d2 = objective(t)
+        if d1 > 0.0:
+            left = t
+        else:
+            right = t
+        new = t - d1 / d2 if d2 < 0.0 else np.nan
+        t, last = (new if left <= new <= right else 0.5 * (left + right)), t
+        if abs(t - last) <= _LOG_BETA_STEP:
+            break
+    value = objective(t)[0]
+    if value < vals[best]:
+        return grid[best], vals[best], None
+    return t, value, None
 
 
 def beta_map(spec: kernels.KernelSpec, prior, obs, hyper: HyperPrior) -> BetaMapResult:
     """Maximum a posteriori trust weight over log beta in [-12, 12].
 
-    Scans a coarse grid, then golden-section refines to 1e-10 in log
-    beta.  A maximizer at either end of the bracket is returned as-is
-    with a boundary flag and a warning; the upper end means the Dirac
-    limit (the data never contradict the prior mean).
+    Scans a 121-point grid, then refines by safeguarded Newton on the
+    exact log-beta derivative.  A maximizer at either end of the bracket
+    is returned as-is with a boundary flag and a warning; the upper end
+    means the Dirac limit (the data never contradict the prior mean).
     """
     if hyper.kind == "fixed":
         raise ValueError("beta_map needs a flat or Jeffreys hyper prior")
-    marginal = _MarginalCovariance(spec, obs)
-    resid = _residual(pde.prior_mean(prior, spec), obs)
-
-    def objective(t):
-        b = float(np.exp(t))
-        return marginal.log_density(b, resid) + hyper.log_density(b)
-
-    t_star, value, boundary = _maximize_over_log_beta(objective)
+    marginal, resid = _rotated_residual(spec, prior, obs)
+    t_star, value, boundary = _maximize_over_log_beta(
+        lambda beta: marginal.log_density(beta, resid), hyper)
     if boundary is not None:
         warnings.warn(f"beta search terminated at the {boundary} bracket boundary")
     return BetaMapResult(float(np.exp(t_star)), t_star, value, boundary)
@@ -567,8 +518,8 @@ def calibration_row(spec: kernels.KernelSpec, prior, obs: CoefficientObservation
     bracket), dirac_limit (0 or 1), deviation_norm2, formula_beta, and
     ratio = beta_star / formula_beta (None when the formula is infinite).
     """
-    res = beta_map(spec, prior, obs, hyper)
     dev2, formula = closed_form_beta(spec, prior, obs.values, hyper)
+    res = beta_map(spec, prior, obs, hyper)
     return {"beta_star": res.beta, "log_beta": res.log_beta, "objective": res.objective,
             "boundary": res.boundary or "", "dirac_limit": int(res.dirac_limit),
             "deviation_norm2": dev2, "formula_beta": formula,
@@ -590,8 +541,9 @@ class InversionResult:
 
 
 def _gls_design(obs, family: pde.LinearSourceFamily, spec: kernels.KernelSpec):
-    """Affine observation map theta -> A theta + b: returns A, the data
-    minus b, and the marginal covariance V(beta) of the data."""
+    """Affine observation map theta -> A theta + b: returns A and the data
+    minus b, both rotated into the eigenbasis of the marginal covariance,
+    and that covariance."""
     marginal = _MarginalCovariance(spec, obs)
     lam_full = kernels.eigenvalues(spec)
     q_cols, q_off = family.coefficient_design(spec.dim, spec.order)
@@ -600,15 +552,35 @@ def _gls_design(obs, family: pde.LinearSourceFamily, spec: kernels.KernelSpec):
     if isinstance(obs, CoefficientObservations):
         return u_cols[: obs.n], obs.values - u_off[: obs.n], marginal
     psi = spectral.basis_matrix(spec.dim, spec.order, obs.data.X)
-    return psi @ u_cols, obs.data.y - psi @ u_off, marginal
+    return (marginal.rotate(psi @ u_cols), marginal.rotate(obs.data.y - psi @ u_off),
+            marginal)
 
 
-def _pseudo_posterior(a, resid, marginal: _MarginalCovariance, beta):
-    """Eigen-based pseudo-solve of the normal equations at one beta."""
-    wa = marginal.solve(beta, a)
+@dataclass(frozen=True)
+class _GlsFit:
+    """Generalized least squares fit of r by a theta at one beta."""
+
+    mean: np.ndarray
+    cov: np.ndarray
+    flat: np.ndarray
+    mean_norm2: float  # mean^T P mean, P the precision
+    log_density: tuple  # profile value and its two log-beta derivatives
+
+
+def _gls(a, r, marginal: _MarginalCovariance, beta: float) -> _GlsFit:
+    """Eigen-based pseudo-solve of the normal equations at one beta, for a
+    design a and residual r already rotated by U^T.
+
+    The profile log density is the log density at theta* = P^+ a^T V^-1 r.
+    By the envelope theorem its log-beta derivative is the partial one at
+    theta*; its second derivative adds c^T P^+ c for the motion of theta*,
+    with c = a^T (d V^-1 / dt) (r - a theta*) and d(1/v)/dt = g / v.
+    """
+    v, g = marginal.variances(beta)
+    wa = a / v[:, None]
     prec = a.T @ wa
     prec = 0.5 * (prec + prec.T)
-    rhs = wa.T @ resid
+    rhs = wa.T @ r
     eigvals, eigvecs = np.linalg.eigh(prec)
     tol = max(eigvals.max(), 0.0) * 1e-10
     keep = eigvals > tol
@@ -617,7 +589,35 @@ def _pseudo_posterior(a, resid, marginal: _MarginalCovariance, beta):
     mean = eigvecs @ (inv * (eigvecs.T @ rhs))
     cov = (eigvecs * inv) @ eigvecs.T
     flat = eigvecs[:, ~keep].T
-    return mean, cov, flat
+    e = r - a @ mean
+    value, d1, d2 = marginal.log_density(beta, e)
+    c = wa.T @ (g * e)
+    return _GlsFit(mean, cov, flat, float(mean @ rhs), (value, d1, d2 + float(c @ cov @ c)))
+
+
+def _best_beta(log_density, hyper: HyperPrior):
+    """The beta that maximizes log_density(beta)[0] plus the hyper prior
+    (beta0 for a point mass): (beta, log posterior, boundary flag)."""
+    if hyper.kind == "fixed":
+        return hyper.beta0, log_density(hyper.beta0)[0], None
+    t, value, boundary = _maximize_over_log_beta(log_density, hyper)
+    return float(np.exp(t)), value, boundary
+
+
+def _gls_at_best_beta(a, r, marginal: _MarginalCovariance, hyper: HyperPrior):
+    """The GLS fit at the beta that maximizes its profile plus the hyper
+    prior: (fit, beta, log posterior, boundary flag)."""
+    beta, value, boundary = _best_beta(lambda b: _gls(a, r, marginal, b).log_density, hyper)
+    return _gls(a, r, marginal, beta), beta, value, boundary
+
+
+# Gauss-Newton on theta stops when a step is below 1e-6 posterior sd and
+# log beta has settled to this much, or after this many iterations; a
+# step is halved at most this many times before the run gives up.
+_THETA_STEP2 = 1e-12
+_LOG_BETA_SETTLED = 1e-8
+_GAUSS_NEWTON_ITERATIONS = 100
+_HALVINGS = 30
 
 
 def invert_source(obs, family, hyper: HyperPrior, spec: kernels.KernelSpec,
@@ -631,178 +631,68 @@ def invert_source(obs, family, hyper: HyperPrior, spec: kernels.KernelSpec,
     `flat_directions` (the unidentified combinations); the mean uses
     the pseudo-inverse and no exception is raised.
 
-    Expression families with nonlinear parameters are optimized by
-    quasi-Newton descent on the joint negative log posterior; `init` is
-    required in that case.  Their covariance is the Laplace
-    approximation: the conditional moments at the optimal beta of the
-    forward map theta -> u0 linearized at the optimal theta (its Jacobian
-    by central differences), i.e. what the linear branch returns for that
-    linearization, flat directions included.
+    Expression families run damped Gauss-Newton from `init` (required):
+    each iteration takes the linear branch's GLS step, beta included, on
+    the forward map theta -> u0 linearized at theta by central differences,
+    halved until the log posterior maximized over beta does not decrease.
+    `converged` means a step fell below 1e-6 posterior sd with log beta
+    settled.  The covariance is the Laplace approximation: the last
+    linearization's GLS covariance, flat directions included.
     """
     if family.n_params > obs.n:
         raise ValueError(
             f"{family.n_params} parameters but only {obs.n} observations"
         )
     if isinstance(family, pde.LinearSourceFamily):
-        a, resid, marginal = _gls_design(obs, family, spec)
-
-        def profile(beta):
-            mean, _, _ = _pseudo_posterior(a, resid, marginal, beta)
-            return marginal.log_density(beta, resid - a @ mean)
-
-        if hyper.kind == "fixed":
-            beta_star, boundary = hyper.beta0, None
-            objective = profile(beta_star)
-        else:
-            t_star, objective, boundary = _maximize_over_log_beta(
-                lambda t: profile(float(np.exp(t))) + hyper.log_density(float(np.exp(t)))
-            )
-            beta_star = float(np.exp(t_star))
-        mean, cov, flat = _pseudo_posterior(a, resid, marginal, beta_star)
-        return InversionResult(mean, cov, flat, beta_star, objective, boundary, "linear")
+        fit, beta, objective, boundary = _gls_at_best_beta(
+            *_gls_design(obs, family, spec), hyper)
+        return InversionResult(fit.mean, fit.cov, fit.flat, beta, objective, boundary,
+                               "linear")
     if isinstance(family, pde.ExpressionSourceFamily):
         if init is None:
             raise ValueError("nonlinear inversion needs an initial theta")
-        theta0 = np.asarray(init, dtype=float).reshape(-1)
-        if theta0.size != family.n_params:
-            raise ValueError(f"init has {theta0.size} entries, expected {family.n_params}")
-        m = family.n_params
+        theta = np.array(init, dtype=float).reshape(-1)
+        if theta.size != family.n_params:
+            raise ValueError(f"init has {theta.size} entries, expected {family.n_params}")
         marginal = _MarginalCovariance(spec, obs)
 
         def resid_at(theta):
-            return _residual(pde.solve(family.source_at(theta), spec).u0, obs)
+            u0 = pde.solve(family.source_at(theta), spec).u0
+            return marginal.rotate(_residual(u0, obs))
 
-        def neg_log_post(z):
-            theta = z[:m]
-            beta = hyper.beta0 if hyper.kind == "fixed" else float(np.exp(z[m]))
+        def log_posterior(r):
+            """(beta, log posterior, boundary) at the theta of residual r,
+            maximized over beta; -inf when it is nowhere finite."""
             try:
-                beta = _check_beta(beta)
-                val = marginal.log_density(beta, resid_at(theta))
-            except (ValueError, FloatingPointError):
-                return np.inf
-            if hyper.kind != "fixed":
-                val += hyper.log_density(beta)
-            return -val if np.isfinite(val) else np.inf
+                return _best_beta(lambda b: marginal.log_density(b, r), hyper)
+            except NumericalError:
+                return None, -np.inf, None
 
-        z0 = theta0 if hyper.kind == "fixed" else np.append(theta0, 0.0)
-        import scipy.optimize  # deferred import: keeps `import bridgegp` light
-
-        res = scipy.optimize.minimize(
-            neg_log_post, z0, method="BFGS", options={"gtol": 1e-8, "maxiter": 500}
-        )
-        theta = res.x[:m]
-        beta_star = hyper.beta0 if hyper.kind == "fixed" else float(np.exp(res.x[m]))
-        boundary = None
-        if hyper.kind != "fixed":
-            if res.x[m] <= LOG_BETA_RANGE[0]:
-                boundary = "lower"
-            elif res.x[m] >= LOG_BETA_RANGE[1]:
-                boundary = "upper"
-        # Laplace covariance: the conditional moments at beta* of the
-        # forward map linearized at theta*, J by central differences.
-        steps = 1e-5 * np.maximum(1.0, np.abs(theta))
-        jac = np.column_stack([
-            (resid_at(theta - h * e) - resid_at(theta + h * e)) / (2.0 * h)
-            for h, e in zip(steps, np.eye(m))
-        ])
-        _, cov, flat = _pseudo_posterior(jac, resid_at(theta), marginal, beta_star)
-        # BFGS differentiates numerically, so its gradient cannot drop
-        # below ~|f| * 1.5e-8 of forward-difference noise; a "precision
-        # loss" exit with the gradient at that floor is a converged run.
-        grad_norm = float(np.linalg.norm(np.atleast_1d(res.jac)))
-        converged = bool(res.success) or grad_norm <= 1e-5 * (1.0 + abs(float(res.fun)))
-        return InversionResult(
-            theta, cov, flat, beta_star, float(-res.fun), boundary, "laplace",
-            converged=converged,
-        )
+        r = resid_at(theta)
+        beta, value, boundary = log_posterior(r)
+        if not np.isfinite(value):
+            raise NumericalError("the log posterior is not finite at init")
+        converged = False
+        for _ in range(_GAUSS_NEWTON_ITERATIONS):
+            steps = 1e-5 * np.maximum(1.0, np.abs(theta))
+            jac = np.column_stack([
+                (resid_at(theta - h * e) - resid_at(theta + h * e)) / (2.0 * h)
+                for h, e in zip(steps, np.eye(theta.size))
+            ])
+            fit, beta_lin, _, _ = _gls_at_best_beta(jac, r, marginal, hyper)
+            if (fit.mean_norm2 <= _THETA_STEP2
+                    and abs(np.log(beta_lin / beta)) <= _LOG_BETA_SETTLED):
+                converged = True
+                break
+            for halving in range(_HALVINGS + 1):
+                trial = theta + 0.5**halving * fit.mean
+                r_trial = resid_at(trial)
+                found = log_posterior(r_trial)
+                if found[1] >= value:
+                    break
+            else:
+                break
+            theta, r, (beta, value, boundary) = trial, r_trial, found
+        return InversionResult(theta, fit.cov, fit.flat, beta, value, boundary, "laplace",
+                               converged=converged)
     raise TypeError(f"unsupported source family {type(family).__name__}")
-
-
-@dataclass(frozen=True)
-class MapEstimate:
-    """Penalized maximum a posteriori field estimate."""
-
-    field: spectral.SpectralField
-    converged: bool
-    iterations: int
-    grad_norm: float
-    objective: float
-
-
-def map_nonlinear(obs, source: pde.SourceModel, spec: kernels.KernelSpec,
-                  init=None, maxiter: int = 500) -> MapEstimate:
-    """Minimize data misfit plus the scaled native-norm penalty.
-
-    Solves min_c Phi(c) + (beta/2) ||c - c0||_H^2 over coefficient
-    vectors, where Phi is half the Gamma-weighted squared residual of
-    the observation map and c0 solves the PDE for `source`.  The
-    optimizer works in whitened variables z = (c - c0) / sqrt(lambda /
-    beta), which makes the penalty the identity and keeps quasi-Newton
-    steps well scaled; convergence means the whitened gradient norm
-    fell below 1e-8 within `maxiter` iterations.
-
-    One-dimensional only: the coefficient count equals the order.
-    """
-    if spec.dim != 1:
-        raise ValueError("the nonlinear estimator is one-dimensional")
-    prior = pde.solve(source, spec) if not isinstance(source, pde.PdeSolution) else source
-    c0 = prior.u0.coeffs
-    lam = kernels.eigenvalues(spec)
-    scale = np.sqrt(lam / spec.beta)
-
-    if isinstance(obs, PointObservations):
-        psi = spectral.basis_matrix(spec.dim, spec.order, obs.data.X)
-        y = obs.data.y
-        gamma = np.full(obs.data.n, obs.data.sigma2)
-
-        def apply(c):
-            return psi @ c
-
-        def jacobian(_c):
-            return psi
-    elif isinstance(obs, CustomObservations):
-        if obs.n_coeffs != spec.n_coeffs:
-            raise OrderMismatchError(
-                f"observation map acts on {obs.n_coeffs} coefficients, "
-                f"spec has {spec.n_coeffs}"
-            )
-        y, gamma, apply, jacobian = obs.y, obs.gamma, obs.apply, obs.jacobian
-    else:
-        raise TypeError(f"unsupported observation model {type(obs).__name__}")
-
-    def objective(z):
-        c = c0 + scale * z
-        resid = y - np.asarray(apply(c), dtype=float)
-        phi = 0.5 * np.sum(resid**2 / gamma)
-        grad = -scale * (np.asarray(jacobian(c), dtype=float).T @ (resid / gamma)) + z
-        return phi + 0.5 * z @ z, grad
-
-    z0 = np.zeros(spec.n_coeffs) if init is None else (
-        (np.asarray(init, dtype=float).reshape(-1) - c0) / scale
-    )
-    import scipy.optimize  # deferred import: keeps `import bridgegp` light
-
-    res = scipy.optimize.minimize(
-        objective, z0, jac=True, method="L-BFGS-B",
-        options={"maxiter": maxiter, "ftol": 1e-18, "gtol": 1e-12},
-    )
-    z, iterations = res.x, int(res.nit)
-    value, grad = objective(z)
-    # Quasi-Newton stalls a little above the target once rounding in the
-    # misfit dominates; a few Gauss-Newton steps (exact for linear
-    # observation maps) push the gradient to the contract.
-    for _ in range(3):
-        if np.linalg.norm(grad) < 1e-8 or iterations >= maxiter:
-            break
-        c = c0 + scale * z
-        jw = np.asarray(jacobian(c), dtype=float) / np.sqrt(gamma)[:, None] * scale
-        step = np.linalg.solve(jw.T @ jw + np.eye(z.size), -grad)
-        trial_value, trial_grad = objective(z + step)
-        if not np.isfinite(trial_value) or trial_value > value + 1e-12 * abs(value):
-            break
-        z, value, grad = z + step, trial_value, trial_grad
-        iterations += 1
-    grad_norm = float(np.linalg.norm(grad))
-    converged = grad_norm < 1e-8 and iterations < maxiter
-    field = spectral.SpectralField(spec.dim, spec.order, c0 + scale * z)
-    return MapEstimate(field, converged, iterations, grad_norm, float(value))

@@ -483,6 +483,39 @@ class TestLibraryErrorsAreConfigErrors:
         self.one_line_failure(capsys, ["study", "model-error", "--config", cfg], 2,
                               "config error:")
 
+    @pytest.mark.parametrize("mesh_size", [1, 2])
+    @pytest.mark.parametrize("command", ["beta", "model-error"])
+    def test_jeffreys_needs_three_coefficients(self, tmp_path, capsys, command, mesh_size):
+        # the Jeffreys evidence has no interior maximum for M <= 2
+        cfg = {"kernel": kernel_cfg(order=16), "mesh_size": mesh_size,
+               "hyper": {"kind": "jeffreys"}}
+        if command == "beta":
+            cfg["observed"] = {"epsilon": 0.5}
+        else:
+            cfg["eps_values"] = [0.5]
+        argv = [command] if command == "beta" else ["study", command]
+        out = tmp_path / "o.csv"
+        self.one_line_failure(
+            capsys, argv + ["--config", write_config(tmp_path, cfg), "--out", str(out)],
+            2, "config error: a Jeffreys prior needs at least 3 observed coefficients")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("family, extra", [
+        ({"expression": "a*sin(pi*x)", "free": ["a"]},
+         {"observed": {"coefficients": [0.05, 0.001]}, "init": [1e300]}),
+        ({"components": [{"coefficients": [1.0, 0.0]}]},
+         {"observed": {"coefficients": [1e200, 1e200]},
+          "hyper": {"kind": "fixed", "beta0": 1.0}}),
+    ], ids=["expression-init-overflows", "linear-objective-overflows"])
+    def test_non_finite_invert_is_numerical_failure(self, tmp_path, capsys, family, extra):
+        cfg = write_config(tmp_path, {"kernel": kernel_cfg(order=16), "family": family,
+                                      **extra})
+        out = tmp_path / "o.json"
+        self.one_line_failure(
+            capsys, ["invert", "--config", cfg, "--out", str(out), "--format", "json"],
+            3, "numerical failure:")
+        assert not out.exists()
+
     @pytest.mark.parametrize("grid", [0, 1])
     @pytest.mark.parametrize("command", ["solve", "sample", "fit", "convergence"])
     def test_grid_below_two(self, tmp_path, capsys, command, grid):

@@ -9,8 +9,8 @@ a negative, 1e308, inf, nan, an integer beyond a double, an unknown name)
 or gives a wrong-typed one (a bool, a string, an array, an object, null or
 a float), and some configs carry an unknown key.  Each config runs through
 `cli.main` in process.  The return must be 0, 2, 3 or 4, no exception may
-escape, and an exit-0 `solve`, `sample` or `fit` artifact must hold only
-finite numbers.
+escape, and an exit-0 `solve`, `sample`, `fit` or `invert` artifact must
+hold only finite numbers.
 
 The size keys (`grid`, `order`, `count`, `moment_draws`, `ns`, `mesh_size`)
 take small values only, and `grid` and `order` are never omitted.  The CLI
@@ -135,12 +135,18 @@ CONFIGS = {name: st.one_of(object_of(table, False), object_of(table, True))
            for name, (table, _) in cli._COMMANDS.items()}
 
 
+# The one string column of any checked artifact: the `invert` boundary flag.
+BOUNDARY_FLAGS = ("", "lower", "upper")
+
+
 def finite_artifact(path, fmt):
     if fmt == "json":
-        values = [v for row in json.loads(path.read_text())["rows"] for v in row]
+        values = [v for row in json.loads(path.read_text())["rows"] for v in row
+                  if v not in BOUNDARY_FLAGS]
     else:
         lines = [ln for ln in path.read_text().splitlines() if not ln.startswith("#")]
-        values = [float(tok) for ln in lines[1:] for tok in ln.split(",")]
+        values = [float(tok) for ln in lines[1:] for tok in ln.split(",")
+                  if tok not in BOUNDARY_FLAGS]
     return all(isinstance(v, (int, float)) and math.isfinite(v) for v in values)
 
 
@@ -167,5 +173,5 @@ def test_exit_code_contract(command, workdir, data):
     code = cli.main(argv)
     assert code in (0, 2, 3, 4)
     assert out.exists() == (code == 0)
-    if code == 0 and command in ("solve", "sample", "fit"):
+    if code == 0 and command in ("solve", "sample", "fit", "invert"):
         assert finite_artifact(out, fmt)

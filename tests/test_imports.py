@@ -1,10 +1,10 @@
 """Import weight: `import bridgegp` loads numpy and scipy.linalg only.
 
 Every CLI call pays for the package import before it does any work, so
-the scipy submodules that only the studies and the beta/inversion
-searches use are imported inside those functions.  This test runs a
-fresh interpreter, so modules already loaded by other tests cannot hide
-an eager import.
+the scipy submodules that only the studies use are imported inside
+those functions.  The `beta` and inversion searches are written in numpy
+and never import `scipy.optimize`.  These tests run a fresh interpreter,
+so modules already loaded by other tests cannot hide an eager import.
 """
 
 import json
@@ -34,7 +34,31 @@ STUDY_PROBE = (
 )
 
 
-def _loaded_in_fresh_interpreter(probe: str, **env_updates):
+# `beta`, a linear and an expression `invert`, and `study model-error`,
+# each through `cli.main`; the configs are written by the test.
+SEARCH_PROBE = (
+    "import json, sys; from bridgegp import cli; "
+    "codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]; "
+    "print(json.dumps([codes, 'scipy.optimize' in sys.modules]))"
+)
+
+SEARCH_RUNS = [
+    (["beta"], {"kernel": {"family": "bridge", "dim": 1, "order": 64}, "mesh_size": 20,
+                "observed": {"epsilon": 0.5}, "hyper": {"kind": "jeffreys"}}),
+    (["invert"], {
+        "kernel": {"family": "bridge", "dim": 1, "order": 16},
+        "family": {"components": [{"expression": "sin(pi*x)"}, {"expression": "sin(2*pi*x)"}]},
+        "data": {"x": [0.2, 0.4, 0.6, 0.8], "y": [0.1, 0.12, 0.09, 0.03]}, "sigma2": 1e-4}),
+    (["invert"], {
+        "kernel": {"family": "bridge", "dim": 1, "order": 16},
+        "family": {"expression": "a*exp(-(x-b)^2)", "free": ["a", "b"]},
+        "observed": {"coefficients": [0.5, 0.01, 0.05, 0.002]}, "init": [5.0, 0.4]}),
+    (["study", "model-error"], {"kernel": {"family": "bridge", "dim": 1, "order": 64},
+                                "mesh_size": 20, "eps_values": [0.5, 1.0]}),
+]
+
+
+def _loaded_in_fresh_interpreter(probe: str, *args, **env_updates):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC), env.get("PYTHONPATH")) if p
@@ -45,7 +69,7 @@ def _loaded_in_fresh_interpreter(probe: str, **env_updates):
         else:
             env[key] = value
     out = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+        [sys.executable, "-c", probe, *args], env=env, capture_output=True, text=True,
         check=True, timeout=120,
     )
     return json.loads(out.stdout.strip().splitlines()[-1])
@@ -57,6 +81,17 @@ def test_cli_import_leaves_heavy_scipy_modules_unloaded():
         "import bridgegp.cli loaded modules that should be imported lazily: "
         + ", ".join(offending)
     )
+
+
+def test_beta_and_inversion_searches_leave_scipy_optimize_unloaded(tmp_path):
+    runs = []
+    for i, (command, cfg) in enumerate(SEARCH_RUNS):
+        path = tmp_path / f"config{i}.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        runs.append(command + ["--config", str(path), "--out", str(tmp_path / f"out{i}.csv")])
+    codes, optimize_loaded = _loaded_in_fresh_interpreter(SEARCH_PROBE, json.dumps(runs))
+    assert codes == [0, 0, 0, 0]
+    assert not optimize_loaded
 
 
 def test_convergence_study_leaves_scipy_stats_unloaded():

@@ -13,6 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.optimize
 import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,7 +23,6 @@ from bridgegp import (
     JEFFREYS,
     ClosedFormSource,
     CoefficientObservations,
-    CustomObservations,
     Dataset,
     ExpressionSourceFamily,
     HyperPrior,
@@ -34,7 +34,6 @@ from bridgegp import (
     SpectralField,
     SpectralSource,
     basis_field,
-    basis_matrix,
     beta_gradient,
     beta_map,
     condition,
@@ -44,11 +43,10 @@ from bridgegp import (
     kernel_matrix,
     krr_solve,
     log_marginal,
-    map_nonlinear,
     solve,
     zero_field,
 )
-from bridgegp import kernels, regression
+from bridgegp import kernels, pde
 from bridgegp.regression import closed_form_beta
 
 
@@ -350,10 +348,16 @@ class TestBetaGradient:
         )
         assert diff == -1.0 / beta
 
-    def test_requires_coefficient_observations(self, rng):
-        spec = KernelSpec("bridge")
-        with pytest.raises(TypeError):
-            beta_gradient(spec, None, PointObservations(make_dataset(rng)), 1.0)
+    def test_point_observations_match_central_difference(self, rng):
+        spec = KernelSpec("bridge", order=64)
+        prior = solve(SpectralSource(basis_field(1, 64, [1])), spec)
+        for sigma2 in (1e-6, 1e-4, 1e-2):
+            obs = PointObservations(make_dataset(rng, n=15, sigma2=sigma2))
+            for beta in (0.3, 1.0, 4.0):
+                for hyper in (FLAT, JEFFREYS):
+                    got = beta_gradient(spec, prior, obs, beta, hyper)
+                    want = self.fd_gradient(spec, prior, obs, beta, hyper)
+                    assert got == pytest.approx(want, rel=1e-5, abs=1e-8)
 
 
 def deviation_energy(spec, dev):
@@ -463,7 +467,16 @@ class TestBetaMap:
             quad = y @ scipy.linalg.cho_solve(factor, y)
             return -0.5 * quad - 0.5 * logdet - 0.5 * n * np.log(2.0 * np.pi)
 
-        t_ref, value_ref, boundary = regression._maximize_over_log_beta(reference)
+        # reference search: the same 121-point scan, then scipy's golden
+        # section on function values to 1e-10 in log beta
+        grid = np.linspace(-12.0, 12.0, 121)
+        best = int(np.argmax([reference(t) for t in grid]))
+        boundary = "lower" if best == 0 else "upper" if best == 120 else None
+        t_ref = scipy.optimize.minimize_scalar(
+            lambda t: -reference(t), bracket=tuple(grid[best - 1:best + 2]),
+            method="golden", options={"xtol": 1e-10},
+        ).x
+        value_ref = reference(t_ref)
         res = beta_map(spec, None, PointObservations(Dataset(x, y, sigma2)), FLAT)
         assert boundary is None and res.boundary is None
         assert res.beta == pytest.approx(np.exp(t_ref), rel=1e-6)
@@ -493,108 +506,6 @@ class TestClosedFormBeta:
             closed_form_beta(spec, None, np.ones(4), fixed(1.0))
         with pytest.raises(OrderMismatchError):
             closed_form_beta(spec, None, np.ones(9), FLAT)
-
-
-class TestCustomObservations:
-    @staticmethod
-    def linear_map(n_coeffs, rng):
-        mat = rng.normal(size=(5, n_coeffs))
-        return mat, (lambda c: mat @ c), (lambda c: mat)
-
-    def test_accepts_consistent_jacobian(self, rng):
-        mat, apply, jac = self.linear_map(8, rng)
-        obs = CustomObservations(np.zeros(5), 1e-3, apply, jac, 8)
-        assert obs.n == 5
-        np.testing.assert_array_equal(obs.gamma, np.full(5, 1e-3))
-
-    def test_rejects_wrong_jacobian(self, rng):
-        mat, apply, _ = self.linear_map(8, rng)
-        with pytest.raises(ValueError, match="finite differences"):
-            CustomObservations(np.zeros(5), 1e-3, apply, lambda c: 2.0 * mat, 8)
-
-    def test_rejects_wrong_shape(self, rng):
-        mat, apply, _ = self.linear_map(8, rng)
-        with pytest.raises(ValueError, match="shape"):
-            CustomObservations(np.zeros(5), 1e-3, apply, lambda c: mat[:4], 8)
-
-    def test_gamma_validation(self, rng):
-        mat, apply, jac = self.linear_map(8, rng)
-        with pytest.raises(ValueError):
-            CustomObservations(np.zeros(5), 0.0, apply, jac, 8)
-        with pytest.raises(ValueError):
-            CustomObservations(np.zeros(5), [1e-3] * 4, apply, jac, 8)
-
-
-class TestMapNonlinear:
-    def test_matches_coefficient_closed_form(self, rng):
-        # linear observation map: the minimizer solves normal equations
-        spec = KernelSpec("bridge", order=32, beta=2.0)
-        data = make_dataset(rng, n=10, sigma2=1e-3)
-        est = map_nonlinear(PointObservations(data), SpectralSource(zero_field(1, 32)), spec)
-        assert est.converged
-        assert est.grad_norm < 1e-8
-
-        psi = basis_matrix(1, 32, data.X)
-        lam = eigenvalues(spec)
-        lhs = psi.T @ psi / data.sigma2 + np.diag(spec.beta / lam)
-        rhs = psi.T @ data.y / data.sigma2
-        np.testing.assert_allclose(est.field.coeffs, np.linalg.solve(lhs, rhs), atol=1e-6)
-
-    def test_matches_posterior_mean(self, rng):
-        # the penalized estimate is the GP mean up to kernel truncation,
-        # so the data must live at the prior's own scale for the gap to
-        # stay at the truncation level
-        spec = KernelSpec("bridge", order=512, beta=1.5)
-        lam = eigenvalues(spec)
-        f = SpectralField(1, 512, np.sqrt(lam / 1.5) * rng.normal(size=512))
-        x = rng.uniform(0.05, 0.95, size=12)
-        data = Dataset(x, f(x), 1e-2)
-        est = map_nonlinear(PointObservations(data), SpectralSource(zero_field(1, 512)), spec)
-        post = condition(spec, None, data)
-        xs = np.linspace(0.05, 0.95, 19)
-        np.testing.assert_allclose(est.field(xs), post.mean(xs), atol=1e-3)
-
-    def test_nonlinear_observation_map(self, rng):
-        spec = KernelSpec("bridge", order=16)
-        xs = np.linspace(0.1, 0.9, 9)
-        psi = basis_matrix(1, 16, xs)
-        truth = 0.3 * rng.normal(size=16) / np.arange(1, 17)
-
-        def apply(c):
-            u = psi @ c
-            return u + 0.1 * u**2
-
-        def jacobian(c):
-            u = psi @ c
-            return psi * (1.0 + 0.2 * u)[:, None]
-
-        obs = CustomObservations(apply(truth), 1e-6, apply, jacobian, 16)
-        est = map_nonlinear(obs, SpectralSource(zero_field(1, 16)), spec)
-        assert est.converged
-        # residual at the estimate is tiny even though the map is curved
-        np.testing.assert_allclose(apply(est.field.coeffs), obs.y, atol=1e-4)
-
-    def test_iteration_cutoff_reported(self, rng):
-        spec = KernelSpec("bridge", order=64)
-        data = make_dataset(rng, n=20, sigma2=1e-6)
-        est = map_nonlinear(
-            PointObservations(data), SpectralSource(zero_field(1, 64)), spec, maxiter=1
-        )
-        assert not est.converged
-        assert est.iterations >= 1
-
-    def test_rejects_higher_dimensions(self, rng):
-        spec = KernelSpec("bridge", dim=2, order=8)
-        data = Dataset(rng.uniform(size=(5, 2)), rng.normal(size=5), 1e-3)
-        with pytest.raises(ValueError):
-            map_nonlinear(PointObservations(data), SpectralSource(zero_field(2, 8)), spec)
-
-    def test_coefficient_count_mismatch(self, rng):
-        spec = KernelSpec("bridge", order=16)
-        mat = rng.normal(size=(4, 8))
-        obs = CustomObservations(np.zeros(4), 1e-3, lambda c: mat @ c, lambda c: mat, 8)
-        with pytest.raises(OrderMismatchError):
-            map_nonlinear(obs, SpectralSource(zero_field(1, 16)), spec)
 
 
 def two_mode_family(order=64):
@@ -772,9 +683,9 @@ class TestInversion:
         assert peak < 16 * n * n * 8, f"peak {peak / (n * n * 8):.1f} n^2 doubles"
 
     def test_fixed_beta_point_expression_inversion_factors_once(self, rng, decompositions):
-        # V(beta) does not depend on theta, so BFGS at a fixed beta needs
-        # one eigendecomposition of the Gram for all of its objective
-        # evaluations, and no Cholesky factor at all
+        # V(beta) does not depend on theta, so Gauss-Newton at a fixed beta
+        # needs one eigendecomposition of the Gram for all of its forward
+        # solves, and no Cholesky factor at all
         spec = KernelSpec("bridge", order=64)
         fam = ExpressionSourceFamily("a*exp(-(x-b)^2)", free=("a", "b"))
         u = solve(fam.source_at([10.0, 0.25]), spec)
@@ -797,6 +708,27 @@ class TestInversion:
         assert res.boundary is None
         assert [s for s in decompositions["eigh"] if s == (n, n)] == [(n, n)]
         assert decompositions["spd"] == []
+
+    def test_linear_expression_takes_one_gauss_newton_step(self, rng, monkeypatch):
+        # a family linear in theta: the init, two central-difference
+        # Jacobians (2m solves each) and one accepted step
+        spec = KernelSpec("bridge", order=64)
+        expression = ExpressionSourceFamily("a*sin(pi*x) + b*sin(2*pi*x)", free=("a", "b"))
+        u = solve(expression.source_at([3.0, -2.0]), spec)
+        x = rng.uniform(0.05, 0.95, size=40)
+        obs = PointObservations(Dataset(x, u(x) + 1e-3 * rng.normal(size=40), 1e-5))
+        calls = []
+        original = pde.solve
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(pde, "solve", counting)
+        res = invert_source(obs, expression, fixed(2.0), spec, init=[2.5, -1.5])
+        assert res.converged
+        m = expression.n_params
+        assert len(calls) <= 2 * (2 * m + 3), len(calls)
 
     @pytest.mark.parametrize("kind", ["coefficients", "points"])
     def test_laplace_covariance_of_a_linear_expression_is_exact(self, rng, kind):

@@ -6,19 +6,20 @@ fitting, trust calibration, source inversion, and the two studies.
 Outputs are CSV (17 significant digits, LF, UTF-8) or canonical JSON,
 written via a temp file and rename so a crash never leaves a torn file.  Identical
 config and seed give byte-identical output on one machine with one
-numpy/scipy/BLAS build at one BLAS thread count (OpenBLAS splits its
+numpy/BLAS build at one BLAS thread count (OpenBLAS splits its
 reductions by thread; its idle timeout changes no byte).  Across builds
 or thread counts the reduction order inside LAPACK and BLAS may differ,
 so the numbers agree to rounding: a mean to a few
 eps * max|mean|, a variance to a few eps * max k(x,x), and hence a
-standard deviation near a data point to about 1e-13 relative.  The
-serialization (headers, grid coordinates, 17 significant digits, LF,
+standard deviation near a data point to about 1e-13 relative.  Posterior
+`sample` draws are other draws of the same law (README, "Determinism").
+The serialization (headers, grid coordinates, 17 significant digits, LF,
 exact zeros on the boundary) stays byte-identical across builds.
 
 Exit codes: 0 success, 2 config error (so is a plain ValueError: the
-library's arguments come from the config), 3 numerical failure (so is a
-non-finite number in a `solve`, `sample`, `fit` or `invert` artifact, and
-an arithmetic overflow), 4 resource limit (so is a MemoryError).
+library's arguments come from the config), 3 numerical failure (so is an
+arithmetic overflow, and a non-finite number in any artifact but those of
+`beta` and `study model-error`), 4 resource limit (so is a MemoryError).
 """
 
 from __future__ import annotations
@@ -417,10 +418,12 @@ def _cmd_convergence(opts: dict):
     else:
         truth = pde.solve(_build_source(opts["truth_source"], spec.dim, "truth_source"),
                           spec).u0
-    return _study_table(harness.convergence_study(
+    columns, rows, extras = _study_table(harness.convergence_study(
         truth, assumed, spec, opts["ns"], sigma2=opts["sigma2"], seed=opts["seed"],
         noise_sigma2=opts["noise_sigma2"], grid=opts["grid"],
     ))
+    _require_finite(rows, [v for v in extras.values() if v is not None])
+    return columns, rows, extras
 
 
 _MODEL_ERROR = {"kernel": (_kernel, ...), "source": (_source, None),

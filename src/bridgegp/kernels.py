@@ -29,7 +29,6 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import spectral
 from .errors import OrderMismatchError, ResonanceError, SingularSystemError
@@ -216,33 +215,37 @@ def rkhs_sq_norm(spec: KernelSpec, u: spectral.SpectralField) -> float:
 
 
 class SpdSolver:
-    """Cholesky factorization with a single jitter retry.
+    """Cholesky factorization A = L L^T with a single jitter retry.
 
     On a failed factorization, adds 1e-12 * trace / n to the diagonal,
     logs the jitter magnitude, and tries once more; a second failure
-    raises SingularSystemError.  Exposes solves against the factor, so
-    downstream code never refactors a Gram.
+    raises SingularSystemError.  Exposes LU solves against L (numpy has no
+    triangular solver), so downstream code never refactors a Gram.
     """
 
     def __init__(self, matrix):
         a = np.array(matrix, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {a.shape}")
+        if not np.isfinite(a).all():  # np.linalg.cholesky would return NaNs
+            raise ValueError("matrix must not contain infs or NaNs")
         self.jitter = 0.0
         try:
-            self._factor = scipy.linalg.cho_factor(a, lower=True)
+            self._lower = np.linalg.cholesky(a)
         except np.linalg.LinAlgError:
             n = a.shape[0]
             self.jitter = _JITTER_SCALE * np.trace(a) / n
             logger.info("Gram factorization failed; retrying with jitter %.3e", self.jitter)
             try:
-                self._factor = scipy.linalg.cho_factor(
-                    a + self.jitter * np.eye(n), lower=True
-                )
+                self._lower = np.linalg.cholesky(a + self.jitter * np.eye(n))
             except np.linalg.LinAlgError as exc:
                 raise SingularSystemError(
                     f"Gram matrix is not positive definite after jitter {self.jitter:.3e}"
                 ) from exc
 
+    def whiten(self, b) -> np.ndarray:
+        """L^{-1} b, so that b^T A^{-1} c = whiten(b)^T whiten(c)."""
+        return np.linalg.solve(self._lower, np.asarray(b, dtype=float))
+
     def solve(self, b) -> np.ndarray:
-        return scipy.linalg.cho_solve(self._factor, np.asarray(b, dtype=float))
+        return np.linalg.solve(self._lower.T, self.whiten(b))

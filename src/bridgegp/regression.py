@@ -30,7 +30,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import kernels, pde, spectral
 from .errors import NumericalError, OrderMismatchError, SingularSystemError
@@ -143,7 +142,8 @@ class PosteriorModel:
     variance is clamped at zero (tiny negative values are round-off and
     are logged, never returned).  It needs V = K / beta + sigma2 I at
     the spec's beta only, so it Cholesky-factors V once with
-    `kernels.SpdSolver` and keeps the factor, not the Gram.
+    `kernels.SpdSolver` and keeps the factor L, not the Gram; (co)variances
+    subtract products of whitened L^{-1} k (Rasmussen & Williams, Alg. 2.1).
     """
 
     def __init__(self, spec: kernels.KernelSpec, prior, data: Dataset):
@@ -174,9 +174,9 @@ class PosteriorModel:
         """Posterior covariance matrix between two batches of points."""
         a = spectral.validate_points(x, self.spec.dim)
         b = a if x2 is None else spectral.validate_points(x2, self.spec.dim)
-        ka = self._cross(a)
-        kb = ka if x2 is None else self._cross(b)
-        out = kernels.kernel_matrix(self.spec, a, b) - ka @ self._solver.solve(kb.T)
+        za = self._solver.whiten(self._cross(a).T)
+        zb = za if x2 is None else self._solver.whiten(self._cross(b).T)
+        out = kernels.kernel_matrix(self.spec, a, b) - za.T @ zb
         if x2 is None:
             out = 0.5 * (out + out.T)
         return out
@@ -184,10 +184,8 @@ class PosteriorModel:
     def var(self, x) -> np.ndarray:
         """Pointwise posterior variance, clamped at zero."""
         pts = spectral.validate_points(x, self.spec.dim)
-        ka = self._cross(pts)
-        v = kernels.kernel_diag(self.spec, pts) - np.einsum(
-            "ij,ji->i", ka, self._solver.solve(ka.T)
-        )
+        z = self._solver.whiten(self._cross(pts).T)
+        v = kernels.kernel_diag(self.spec, pts) - np.einsum("ij,ij->j", z, z)
         worst = v.min() if v.size else 0.0
         if worst < -1e-10:
             warnings.warn(f"clamping negative posterior variance {worst:.3e} to zero")
@@ -296,9 +294,7 @@ class _MarginalCovariance:
             self.sigma2 = obs.sigma2
         elif isinstance(obs, PointObservations):
             k1 = kernels.kernel_matrix(spec.with_beta(1.0), obs.data.X)
-            self._w, self._u = scipy.linalg.eigh(
-                k1, overwrite_a=True, check_finite=False, driver="evd"
-            )
+            self._w, self._u = np.linalg.eigh(k1)  # LAPACK syevd
             self.sigma2 = obs.data.sigma2
         else:
             raise TypeError(f"unsupported observation model {type(obs).__name__}")

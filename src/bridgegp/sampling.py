@@ -133,18 +133,18 @@ def sample(sampler: PriorSampler, count: int) -> list[spectral.SpectralField]:
     return [spectral.SpectralField(sampler.spec.dim, sampler.spec.order, row) for row in full]
 
 
-def sample_values(sampler: PriorSampler, x, count: int, chunk: int = _BLOCK) -> np.ndarray:
+def sample_values(sampler: PriorSampler, x, count: int) -> np.ndarray:
     """Draws evaluated at points `x`, shape (count, len(x)).
 
-    Streams in chunks so large Monte Carlo runs never hold all
-    coefficient vectors at once.
+    Streams in blocks of `_BLOCK` draws so large Monte Carlo runs never
+    hold all coefficient vectors at once.
     """
     pts = spectral.validate_points(x, sampler.spec.dim)
     psi = spectral.basis_matrix(sampler.spec.dim, sampler.spec.order, pts)
     psi = psi[:, : sampler.mesh_size]
     out = np.empty((count, pts.shape[0]))
-    for done in range(0, count, chunk):
-        coeffs = sample_coefficients(sampler, min(chunk, count - done), done)
+    for done in range(0, count, _BLOCK):
+        coeffs = sample_coefficients(sampler, min(_BLOCK, count - done), done)
         out[done : done + coeffs.shape[0]] = coeffs @ psi.T
     return out
 

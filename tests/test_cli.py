@@ -8,7 +8,7 @@ column headers, the row count, every x field, the exact boundary rows
 0,0,0 and 1,0,0, LF endings with one trailing newline, and 17-significant-
 digit formatting of every number.  The mean and sd columns are compared
 to rounding, within 8 eps of max|mean| and of max k(x,x) (the latter on
-sd^2), since their last digits depend on the numpy/scipy/BLAS build.
+sd^2), since their last digits depend on the numpy/BLAS build.
 """
 
 import ast
@@ -440,6 +440,19 @@ class TestExitCodes:
         TestLibraryErrorsAreConfigErrors.one_line_failure(
             capsys, ["solve", "--config", cfg], code, prefix)
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_non_finite_convergence_study_is_numerical_failure(self, tmp_path, capsys, fmt):
+        # the L2 error overflows to inf and the slope fit to nan
+        cfg = write_config(tmp_path, {
+            "kernel": kernel_cfg(order=16), "assumed_source": {"expression": "0"},
+            "truth": {"expression": "1e300*x"}, "ns": [4, 8, 16],
+        })
+        out = tmp_path / f"o.{fmt}"
+        TestLibraryErrorsAreConfigErrors.one_line_failure(
+            capsys, ["study", "convergence", "--config", cfg, "--out", str(out),
+                     "--format", fmt], 3, "numerical failure:")
+        assert not out.exists()
+
 
 class TestLibraryErrorsAreConfigErrors:
     """Library argument validation on config values exits 2 with one line."""
@@ -790,14 +803,14 @@ class TestDataFiles:
 
 class TestGoldenFixture:
     # The interior mean/sd digits come out of reductions whose order is
-    # fixed by the numpy/scipy/BLAS build (LAPACK potrf/potrs, gemv, the
-    # einsum in PosteriorModel.var, the tensordot in spectral.project), so
-    # the golden file pins them only to rounding.  Two builds were measured
-    # 1.5 eps*max|mean| and 0.63 eps*max k(x,x) apart, each within 2 eps
-    # and 1.2 eps of an exact rational evaluation of the same formulas; a
-    # bound of 8 eps leaves room for two builds each twice that far off in
-    # opposite directions, while a modelling change moves these columns by
-    # orders of magnitude more.
+    # fixed by the numpy/BLAS build (LAPACK potrf, the LU solves on the
+    # factor, gemv, the einsum in PosteriorModel.var, the tensordot in
+    # spectral.project), so the golden file pins them only to rounding.
+    # Two builds were measured 1.5 eps*max|mean| and 0.63 eps*max k(x,x)
+    # apart, each within 2 eps and 1.2 eps of an exact rational evaluation
+    # of the same formulas; a bound of 8 eps leaves room for two builds each
+    # twice that far off in opposite directions, while a modelling change
+    # moves these columns by orders of magnitude more.
     ULPS = 8
 
     def test_fit_output_pinned(self, tmp_path, monkeypatch):

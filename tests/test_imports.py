@@ -1,10 +1,11 @@
-"""Import weight: `import bridgegp` loads numpy and scipy.linalg only.
+"""Import weight: `import bridgegp` loads numpy and no scipy module.
 
-Every CLI call pays for the package import before it does any work, so
-the scipy submodules that only the studies use are imported inside
-those functions.  The `beta` and inversion searches are written in numpy
-and never import `scipy.optimize`.  These tests run a fresh interpreter,
-so modules already loaded by other tests cannot hide an eager import.
+Every CLI call pays for the package import before it does any work.  The
+library's linear algebra and quadrature are numpy's, so every command but
+`study convergence` runs without scipy; that study imports the scipy
+modules behind its design metrics and slope interval inside those
+functions.  These tests run a fresh interpreter, so modules already loaded
+by other tests cannot hide an eager import.
 """
 
 import json
@@ -17,12 +18,9 @@ import pytest
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
-DEFERRED = ("scipy.stats", "scipy.integrate", "scipy.spatial", "scipy.optimize")
+SCIPY_MODULES = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
 
-PROBE = (
-    "import bridgegp.cli, json, sys; "
-    f"print(json.dumps([m for m in {DEFERRED!r} if m in sys.modules]))"
-)
+PROBE = f"import bridgegp.cli, json, sys; print(json.dumps({SCIPY_MODULES}))"
 
 
 # The convergence study's slope fit needs a t quantile, which
@@ -34,14 +32,15 @@ STUDY_PROBE = (
 )
 
 
-# `beta`, a linear and an expression `invert`, and `study model-error`,
-# each through `cli.main`; the configs are written by the test.
-SEARCH_PROBE = (
+# Runs each argv through `cli.main`; prints the exit codes and the scipy
+# modules loaded.  The configs are written by the test.
+COMMANDS_PROBE = (
     "import json, sys; from bridgegp import cli; "
     "codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]; "
-    "print(json.dumps([codes, 'scipy.optimize' in sys.modules]))"
+    f"print(json.dumps([codes, {SCIPY_MODULES}]))"
 )
 
+# `beta`, a linear and an expression `invert`, and `study model-error`.
 SEARCH_RUNS = [
     (["beta"], {"kernel": {"family": "bridge", "dim": 1, "order": 64}, "mesh_size": 20,
                 "observed": {"epsilon": 0.5}, "hyper": {"kind": "jeffreys"}}),
@@ -56,6 +55,27 @@ SEARCH_RUNS = [
     (["study", "model-error"], {"kernel": {"family": "bridge", "dim": 1, "order": 64},
                                 "mesh_size": 20, "eps_values": [0.5, 1.0]}),
 ]
+
+# With SEARCH_RUNS, every command but `study convergence`.
+KERNEL_1D = {"family": "bridge", "dim": 1, "order": 16}
+OTHER_RUNS = [
+    (["solve"], {"kernel": KERNEL_1D, "source": {"expression": "sin(pi*x)"}, "grid": 11}),
+    (["sample"], {"kernel": KERNEL_1D, "grid": 11, "count": 2, "moment_draws": 16}),
+    (["sample"], {"kernel": KERNEL_1D, "mode": "posterior", "grid": 11, "count": 2,
+                  "moment_draws": 16, "data": {"x": [0.3, 0.7], "y": [0.1, -0.1]},
+                  "sigma2": 1e-4}),
+    (["fit"], {"kernel": {"family": "bridge", "dim": 2, "order": 8}, "grid": 5,
+               "data": {"x": [[0.2, 0.3], [0.6, 0.7]], "y": [0.1, 0.2]}, "sigma2": 1e-4}),
+]
+
+
+def _run_commands(tmp_path, runs):
+    argvs = []
+    for i, (command, cfg) in enumerate(runs):
+        path = tmp_path / f"config{i}.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        argvs.append(command + ["--config", str(path), "--out", str(tmp_path / f"out{i}.csv")])
+    return _loaded_in_fresh_interpreter(COMMANDS_PROBE, json.dumps(argvs))
 
 
 def _loaded_in_fresh_interpreter(probe: str, *args, **env_updates):
@@ -78,20 +98,22 @@ def _loaded_in_fresh_interpreter(probe: str, *args, **env_updates):
 def test_cli_import_leaves_heavy_scipy_modules_unloaded():
     offending = _loaded_in_fresh_interpreter(PROBE)
     assert not offending, (
-        "import bridgegp.cli loaded modules that should be imported lazily: "
+        "import bridgegp.cli loaded scipy modules: "
         + ", ".join(offending)
     )
 
 
+def test_every_command_but_convergence_loads_no_scipy_module(tmp_path):
+    runs = SEARCH_RUNS + OTHER_RUNS
+    codes, loaded = _run_commands(tmp_path, runs)
+    assert codes == [0] * len(runs)
+    assert loaded == []
+
+
 def test_beta_and_inversion_searches_leave_scipy_optimize_unloaded(tmp_path):
-    runs = []
-    for i, (command, cfg) in enumerate(SEARCH_RUNS):
-        path = tmp_path / f"config{i}.json"
-        path.write_text(json.dumps(cfg), encoding="utf-8")
-        runs.append(command + ["--config", str(path), "--out", str(tmp_path / f"out{i}.csv")])
-    codes, optimize_loaded = _loaded_in_fresh_interpreter(SEARCH_PROBE, json.dumps(runs))
+    codes, loaded = _run_commands(tmp_path, SEARCH_RUNS)
     assert codes == [0, 0, 0, 0]
-    assert not optimize_loaded
+    assert "scipy.optimize" not in loaded
 
 
 def test_convergence_study_leaves_scipy_stats_unloaded():

@@ -275,3 +275,9 @@ class TestSpdSolver:
     def test_shape_check(self):
         with pytest.raises(ValueError):
             SpdSolver(np.ones((2, 3)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        # np.linalg.cholesky returns NaNs for such input instead of raising
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            SpdSolver([[bad, 0.0], [0.0, 1.0]])

@@ -72,7 +72,6 @@ def decompositions(monkeypatch):
             seen["spd"].append(len(matrix))
             super().__init__(matrix)
 
-    monkeypatch.setattr(scipy.linalg, "eigh", counting(scipy.linalg.eigh))
     monkeypatch.setattr(np.linalg, "eigh", counting(np.linalg.eigh))
     monkeypatch.setattr(kernels, "SpdSolver", CountingSolver)
     return seen

@@ -27,6 +27,7 @@ from bridgegp import (
     sample_values,
     solve,
 )
+from bridgegp import sampling
 from bridgegp.sampling import _philox
 
 
@@ -140,17 +141,15 @@ class TestDraws:
         for j in range(3):
             np.testing.assert_allclose(vals[j], fields[j](x), atol=1e-12)
 
-    def test_values_chunking_invariant(self):
+    def test_values_chunking_invariant(self, monkeypatch):
         # coefficients are bit-identical across batchings; the evaluation
-        # matmul may block differently per chunk size, so values agree
+        # matmul may block differently per block size, so values agree
         # only to rounding
         s = make_sampler(order=16, seed=8)
         x = np.array([0.25, 0.75])
-        np.testing.assert_allclose(
-            sample_values(s, x, 10, chunk=3),
-            sample_values(s, x, 10, chunk=1000),
-            atol=1e-14,
-        )
+        full = sample_values(s, x, 10)
+        monkeypatch.setattr(sampling, "_BLOCK", 3)
+        np.testing.assert_allclose(sample_values(s, x, 10), full, atol=1e-14)
 
     def test_moments(self):
         # mean and variance of the drawn coefficients at pinned seed

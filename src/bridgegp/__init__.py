@@ -3,11 +3,11 @@ Poisson equation on the unit cube."""
 
 import os
 
-# numpy's OpenBLAS (and scipy's, which only `study convergence` loads) lets
-# idle workers busy-wait 2^28 cycles (~0.1 s) after every threaded call; 2^4,
-# the minimum, lets them sleep.  OpenBLAS reads this once, on load, so it must
-# precede numpy; a set value wins.  Threads and artifacts are unchanged.  2
-# vCPUs: a 0.3 s sleep after a GEMM and a Cholesky burned 0.24 s, now 0.0001 s.
+# numpy's OpenBLAS lets idle workers busy-wait 2^28 cycles (~0.1 s) after
+# every threaded call; 2^4, the minimum, lets them sleep.  OpenBLAS reads this
+# once, on load, so it must precede numpy; a set value wins.  Threads and
+# artifacts are unchanged.  2 vCPUs: a 0.3 s sleep after a GEMM and a
+# Cholesky burned 0.24 s, now 0.0001 s.
 os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
 
 from .errors import (
@@ -95,6 +95,7 @@ from .spectral import (
     l2_inner,
     l2_norm,
     project,
+    synthesize,
     zero_field,
 )
 

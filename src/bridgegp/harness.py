@@ -8,6 +8,7 @@ pushed away from the prior mean along a fixed direction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,22 +40,47 @@ def design_metrics(x) -> DesignMetrics:
     The fill distance sup_x min_i |x - x_i| is approximated on a dense
     grid (~1e4 nodes); the separation radius is half the smallest
     pairwise distance.  Designs need at least two distinct points.
+    In 1D both come from the sorted design; in 2D and 3D from distances
+    computed in blocks of rows.
     """
-    import scipy.spatial  # deferred import: keeps `import bridgegp` light
-
     arr = np.asarray(x, dtype=float)
     dim = 1 if arr.ndim <= 1 else arr.shape[1]
     pts = spectral.validate_points(arr, dim)
     if pts.shape[0] < 2:
         raise ValueError("design metrics need at least two points")
-    separation = 0.5 * float(scipy.spatial.distance.pdist(pts).min())
-    if separation == 0.0:
-        raise ValueError("design contains duplicate points")
     per_axis = _FILL_GRID[dim]
     axes = [np.linspace(0.0, 1.0, per_axis)] * dim
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
-    dist, _ = scipy.spatial.cKDTree(pts).query(grid)
-    return DesignMetrics(pts.shape[0], float(dist.max()), separation)
+    if dim == 1:
+        xs = np.sort(pts[:, 0])
+        separation = 0.5 * float(np.diff(xs).min())
+        right = np.clip(np.searchsorted(xs, grid[:, 0]), 1, xs.size - 1)
+        fill = float(np.minimum(np.abs(grid[:, 0] - xs[right - 1]),
+                                np.abs(grid[:, 0] - xs[right])).max())
+    else:
+        separation = 0.5 * float(np.sqrt(_nearest_sq(pts, pts, exclude_self=True).min()))
+        fill = float(np.sqrt(_nearest_sq(grid, pts).max()))
+    if separation == 0.0:
+        raise ValueError("design contains duplicate points")
+    return DesignMetrics(pts.shape[0], fill, separation)
+
+
+# Pairwise distances are formed at most this many at a time.
+_DISTANCE_BLOCK = 1 << 20
+
+
+def _nearest_sq(queries: np.ndarray, pts: np.ndarray, exclude_self: bool = False):
+    """Squared distance from each query to its nearest point (other than
+    itself, with `exclude_self`, when the queries are the points)."""
+    rows = max(1, _DISTANCE_BLOCK // pts.shape[0])
+    out = np.empty(queries.shape[0])
+    for start in range(0, queries.shape[0], rows):
+        block = queries[start:start + rows]
+        d2 = np.sum((block[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
+        if exclude_self:
+            d2[np.arange(block.shape[0]), np.arange(start, start + block.shape[0])] = np.inf
+        out[start:start + rows] = d2.min(axis=1)
+    return out
 
 
 @dataclass(frozen=True)
@@ -72,17 +98,58 @@ def _l2_on_grid(values: np.ndarray, grid: np.ndarray) -> float:
     return float(np.sqrt(np.trapezoid(values**2, grid)))
 
 
+def _t_two_sided(t: float, df: int) -> float:
+    """P(|T| <= t) for Student's t with integer df >= 1, t >= 0
+    (Abramowitz & Stegun 26.7.3-4), the series summed by Horner's rule."""
+    cos2 = df / (df + t * t)
+    sin = t / math.sqrt(df + t * t)
+    series = 1.0
+    if df % 2 == 0:
+        for k in range(df // 2 - 1, 0, -1):
+            series = 1.0 + cos2 * (2 * k - 1) / (2 * k) * series
+        return sin * series
+    theta = math.atan(t / math.sqrt(df))
+    if df == 1:
+        return 2.0 * theta / math.pi
+    for k in range((df - 1) // 2 - 1, 0, -1):
+        series = 1.0 + cos2 * (2 * k) / (2 * k + 1) * series
+    return 2.0 / math.pi * (theta + sin * math.sqrt(cos2) * series)
+
+
+# A cap on the Newton steps of `_t_quantile`; from t = 0 they take at most
+# 25 for p <= 1 - 1e-6 at any df.
+_QUANTILE_STEPS = 100
+
+
+def _t_quantile(df: int, p: float) -> float:
+    """Quantile of Student's t with integer df >= 1 at 1/2 < p < 1.
+
+    Newton on P(|T| <= t) = 2p - 1 from t = 0.  That CDF is concave for
+    t >= 0, so the iterates increase monotonically to the root; they stop
+    once a step no longer moves t.
+    """
+    target = 2.0 * p - 1.0
+    log_density0 = (math.lgamma((df + 1) / 2) - math.lgamma(df / 2)
+                    - 0.5 * math.log(df * math.pi))
+    t = 0.0
+    for _ in range(_QUANTILE_STEPS):
+        density = math.exp(log_density0 - (df + 1) / 2 * math.log1p(t * t / df))
+        step = (target - _t_two_sided(t, df)) / (2.0 * density)
+        if not t + step > t:
+            break
+        t += step
+    return t
+
+
 def fit_loglog_slope(fills, errors):
     """Slope of log(error) against log(1/fill) with a 95% half-width.
 
     Errors decaying like fill^a come out as slope -a, so refinement
     studies report negative slopes.  Needs at least three rows.  Slope
     and standard error follow `scipy.stats.linregress`; the half-width
-    takes Student's t quantile at n - 2 degrees of freedom from
-    `scipy.special`, so `scipy.stats` is never imported.
+    takes Student's t quantile at n - 2 degrees of freedom from its
+    closed-form CDF (`_t_quantile`).
     """
-    import scipy.special  # deferred import: keeps `import bridgegp` light
-
     fills = np.asarray(fills, dtype=float)
     errors = np.asarray(errors, dtype=float)
     if fills.size < 3:
@@ -95,7 +162,7 @@ def fit_loglog_slope(fills, errors):
         return 0.0, 0.0  # constant errors: an exact fit with slope zero
     r = float(np.clip(ssxym / np.sqrt(ssxm * ssym), -1.0, 1.0))
     stderr = np.sqrt((1 - r**2) * ssym / ssxm / df)
-    return float(ssxym / ssxm), float(scipy.special.stdtrit(df, 0.975) * stderr)
+    return float(ssxym / ssxm), float(_t_quantile(df, 0.975) * stderr)
 
 
 def convergence_study(truth, assumed_source, spec: kernels.KernelSpec, ns,

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectral
-from .errors import OrderMismatchError, ResonanceError, SingularSystemError
+from .errors import NumericalError, OrderMismatchError, ResonanceError, SingularSystemError
 
 logger = logging.getLogger(__name__)
 
@@ -115,6 +115,13 @@ class KernelSpec:
     def n_coeffs(self) -> int:
         return self.order**self.dim
 
+    @property
+    def closed_form(self) -> bool:
+        """True for the 1D bridge, whose Mercer series is summed exactly as
+        min(x, y) - x y; every other kernel is its truncated series, of
+        rank at most `n_coeffs`."""
+        return self.family == "bridge" and self.dim == 1
+
     def with_beta(self, beta: float) -> "KernelSpec":
         return dataclasses.replace(self, beta=beta)
 
@@ -146,6 +153,16 @@ def eigenvalues(spec: KernelSpec, indices: np.ndarray | None = None) -> np.ndarr
     return (np.pi**2 * sq) ** (-spec.p)
 
 
+def _over_beta(values, beta: float) -> np.ndarray:
+    """values / beta for beta = 1 kernel values or eigenvalues; a quotient
+    that overflows raises NumericalError naming beta."""
+    with np.errstate(over="ignore"):
+        out = np.asarray(values) / beta
+    if not np.isfinite(out).all():
+        raise NumericalError(f"the kernel divided by beta = {beta:.6g} overflows")
+    return out
+
+
 def _bridge_closed_form(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """min(x, y) - x y on column vs row broadcasts; the beta = 1 bridge."""
     return np.minimum(x[:, None], y[None, :]) - np.outer(x, y)
@@ -161,7 +178,7 @@ def kernel_matrix(spec: KernelSpec, x, y=None) -> np.ndarray:
     """
     xs = spectral.validate_points(x, spec.dim)
     ys = xs if y is None else spectral.validate_points(y, spec.dim)
-    if spec.family == "bridge" and spec.dim == 1:
+    if spec.closed_form:
         base = _bridge_closed_form(xs[:, 0], ys[:, 0])
     else:
         lam = eigenvalues(spec)
@@ -170,19 +187,19 @@ def kernel_matrix(spec: KernelSpec, x, y=None) -> np.ndarray:
         base = (px * lam) @ py.T
     if y is None:
         base = 0.5 * (base + base.T)
-    return base / spec.beta
+    return _over_beta(base, spec.beta)
 
 
 def kernel_diag(spec: KernelSpec, x) -> np.ndarray:
     """Pointwise variances k(x_i, x_i)."""
     xs = spectral.validate_points(x, spec.dim)
-    if spec.family == "bridge" and spec.dim == 1:
+    if spec.closed_form:
         base = xs[:, 0] - xs[:, 0] ** 2
     else:
         lam = eigenvalues(spec)
         px = spectral.basis_matrix(spec.dim, spec.order, xs)
         base = np.einsum("ij,j,ij->i", px, lam, px)
-    return base / spec.beta
+    return _over_beta(base, spec.beta)
 
 
 def mercer_partial_sum(spec: KernelSpec, x, y, order: int) -> float:

@@ -184,7 +184,8 @@ def energy(u: spectral.SpectralField, source: SourceModel) -> float:
     grad_sq = float(np.sum(spectral.dirichlet_eigenvalues(u.dim, u.order) * u.coeffs**2))
     nodes = rule.nodes
     q_vals = source.evaluate(nodes[:, 0] if u.dim == 1 else nodes)
-    load = rule.integrate(np.asarray(q_vals) * spectral.values_on_rule(u, rule))
+    u_vals = spectral.synthesize(u.as_tensor(), [rule.axis_nodes] * u.dim)
+    load = rule.integrate(np.asarray(q_vals) * u_vals.reshape(-1))
     return 0.5 * grad_sq - load
 
 

@@ -135,15 +135,44 @@ def fixed(beta0: float) -> HyperPrior:
     return HyperPrior("fixed", beta0)
 
 
+# `PosteriorModel.on_grid` synthesizes the variance factor a block of
+# first-axis grid coordinates at a time, at most this many values a block.
+_GRID_BLOCK = 1 << 21
+
+
+def _clamp_variance(v: np.ndarray) -> np.ndarray:
+    """Clamp negative variances (round-off) at zero; warn below -1e-10."""
+    worst = v.min() if v.size else 0.0
+    if worst < -1e-10:
+        warnings.warn(f"clamping negative posterior variance {worst:.3e} to zero")
+    elif worst < 0.0:
+        logger.debug("clamping negative posterior variance %.3e to zero", worst)
+    if worst < 0.0:
+        v = np.maximum(v, 0.0)
+    return v
+
+
 class PosteriorModel:
     """Conjugate GP posterior from point data.
 
     Exposes the posterior mean, covariance, and pointwise variance; the
     variance is clamped at zero (tiny negative values are round-off and
     are logged, never returned).  It needs V = K / beta + sigma2 I at
-    the spec's beta only, so it Cholesky-factors V once with
-    `kernels.SpdSolver` and keeps the factor L, not the Gram; (co)variances
-    subtract products of whitened L^{-1} k (Rasmussen & Williams, Alg. 2.1).
+    the spec's beta only, so it Cholesky-factors V = L L^T once with
+    `kernels.SpdSolver` and does not keep the Gram.
+
+    The 1D bridge kernel is summed in closed form, so its posterior stays
+    in kernel space: the mean is u0 + k(x, X) V^-1 r and the variance
+    k(x, x) - |L^-1 k(X, x)|^2 (Rasmussen & Williams, Alg. 2.1), with L
+    kept.  Every
+    other kernel is a finite Mercer sum psi(x)^T Lambda psi(y) / beta, so
+    its posterior lives in coefficient space (GPML section 2.1).  With Psi
+    the basis at the data sites X, the mean is the field `mean_field`,
+    c0 + Lambda Psi^T V^-1 r / beta, and the variance is
+    k(x, x) - |G^T psi(x)|^2 with G = Lambda Psi^T L^-T / beta; neither
+    V nor L is kept.  The basis at X is built once; `on_grid` evaluates
+    both moments on a tensor grid by synthesis, without a basis matrix
+    of the grid.
     """
 
     def __init__(self, spec: kernels.KernelSpec, prior, data: Dataset):
@@ -155,11 +184,26 @@ class PosteriorModel:
         self.prior = pde.prior_mean(prior, spec)
         self.data = data
         self.eta = data.sigma2 * spec.beta / data.n
-        # V = K / beta + sigma2 I, factored once; the Gram is not kept.
-        self._solver = kernels.SpdSolver(
-            kernels.kernel_matrix(spec, data.X) + data.sigma2 * np.eye(data.n)
-        )
-        self._weights = self._solver.solve(data.y - spectral.evaluate(self.prior, data.X))
+        noise = data.sigma2 * np.eye(data.n)
+        if spec.closed_form:
+            self.mean_field = None
+            # V = K / beta + sigma2 I, factored once; the Gram is not kept.
+            self._solver = kernels.SpdSolver(kernels.kernel_matrix(spec, data.X) + noise)
+            self._weights = self._solver.solve(data.y - spectral.evaluate(self.prior, data.X))
+            return
+        psi = spectral.basis_matrix(spec.dim, spec.order, data.X)
+        lam = kernels.eigenvalues(spec)
+        gram = (psi * lam) @ psi.T
+        solver = kernels.SpdSolver(
+            kernels._over_beta(0.5 * (gram + gram.T), spec.beta) + noise)
+        self._lam = kernels._over_beta(lam, spec.beta)
+        weights = solver.solve(data.y - psi @ self.prior.coeffs)
+        self.mean_field = spectral.SpectralField(
+            spec.dim, spec.order, self.prior.coeffs + self._lam * (psi.T @ weights))
+        psi *= self._lam
+        # G = (Lambda Psi^T / beta) L^-T, (S^d, n) in C order for `on_grid`;
+        # a product with L^-1 holds one n x S^d array less than a solve
+        self._factor = psi.T @ solver.whiten(np.eye(data.n)).T
 
     def _cross(self, x) -> np.ndarray:
         return kernels.kernel_matrix(self.spec, x, self.data.X)
@@ -167,16 +211,30 @@ class PosteriorModel:
     def mean(self, x):
         """Posterior mean at a point or batch of points."""
         pts, single = spectral.as_point_batch(x, self.spec.dim)
-        vals = spectral.evaluate(self.prior, pts) + self._cross(pts) @ self._weights
+        if self.mean_field is None:
+            vals = spectral.evaluate(self.prior, pts) + self._cross(pts) @ self._weights
+        else:
+            vals = spectral.evaluate(self.mean_field, pts)
         return float(vals[0]) if single else vals
+
+    def _whitened(self, pts):
+        """The prior-covariance handle of a batch (the points, or their
+        basis) and L^-1 k(X, pts)."""
+        if self.mean_field is None:
+            return pts, self._solver.whiten(self._cross(pts).T)
+        psi = spectral.basis_matrix(self.spec.dim, self.spec.order, pts)
+        return psi, (psi @ self._factor).T
 
     def cov(self, x, x2=None) -> np.ndarray:
         """Posterior covariance matrix between two batches of points."""
-        a = spectral.validate_points(x, self.spec.dim)
-        b = a if x2 is None else spectral.validate_points(x2, self.spec.dim)
-        za = self._solver.whiten(self._cross(a).T)
-        zb = za if x2 is None else self._solver.whiten(self._cross(b).T)
-        out = kernels.kernel_matrix(self.spec, a, b) - za.T @ zb
+        a, za = self._whitened(spectral.validate_points(x, self.spec.dim))
+        b, zb = (a, za) if x2 is None else self._whitened(
+            spectral.validate_points(x2, self.spec.dim))
+        if self.mean_field is None:
+            prior_cov = kernels.kernel_matrix(self.spec, a, b)
+        else:
+            prior_cov = (a * self._lam) @ b.T
+        out = prior_cov - za.T @ zb
         if x2 is None:
             out = 0.5 * (out + out.T)
         return out
@@ -184,16 +242,37 @@ class PosteriorModel:
     def var(self, x) -> np.ndarray:
         """Pointwise posterior variance, clamped at zero."""
         pts = spectral.validate_points(x, self.spec.dim)
-        z = self._solver.whiten(self._cross(pts).T)
-        v = kernels.kernel_diag(self.spec, pts) - np.einsum("ij,ij->j", z, z)
-        worst = v.min() if v.size else 0.0
-        if worst < -1e-10:
-            warnings.warn(f"clamping negative posterior variance {worst:.3e} to zero")
-        elif worst < 0.0:
-            logger.debug("clamping negative posterior variance %.3e to zero", worst)
-        if worst < 0.0:
-            v = np.maximum(v, 0.0)
-        return v
+        handle, z = self._whitened(pts)
+        if self.mean_field is None:
+            prior_var = kernels.kernel_diag(self.spec, pts)
+        else:
+            prior_var = np.einsum("ij,j,ij->i", handle, self._lam, handle)
+        return _clamp_variance(prior_var - np.einsum("ij,ij->j", z, z))
+
+    def on_grid(self, axis):
+        """Posterior mean and variance on the tensor grid axis x ... x axis,
+        flattened in C order (the last coordinate varies fastest).
+
+        In coefficient space the mean is the synthesis of `mean_field`, the
+        prior variance that of lambda / beta with squared tables, and the
+        subtracted term that of the n columns of G, a block of first-axis
+        coordinates at a time.
+        """
+        axis = spectral.validate_points(axis, 1)[:, 0]
+        if self.mean_field is None:
+            return self.mean(axis), self.var(axis)
+        shape = (self.spec.order,) * self.spec.dim
+        axes = [axis] * self.spec.dim
+        mean = spectral.synthesize(self.mean_field.as_tensor(), axes)
+        prior_var = spectral.synthesize(self._lam.reshape(shape), axes, squared=True)
+        factor = self._factor.reshape(shape + (-1,))
+        rows = max(1, _GRID_BLOCK // (axis.size ** (len(axes) - 1) * factor.shape[-1]))
+        explained = np.concatenate([
+            np.einsum("...j,...j->...", z, z)
+            for z in (spectral.synthesize(factor, [axis[i:i + rows]] + axes[1:])
+                      for i in range(0, axis.size, rows))
+        ])
+        return mean.reshape(-1), _clamp_variance((prior_var - explained).reshape(-1))
 
 
 def condition(spec: kernels.KernelSpec, prior, data: Dataset) -> PosteriorModel:
@@ -303,7 +382,8 @@ class _MarginalCovariance:
     def variances(self, beta: float):
         """The eigenvalues v = w / beta + sigma2 of V(beta), after the floor,
         and g = (w / beta) / v, so that dv/dt = -g v in t = log beta."""
-        v = self._w / beta + self.sigma2
+        scaled = kernels._over_beta(self._w, beta)
+        v = scaled + self.sigma2
         if v.min() <= 0.0:
             jitter = kernels._JITTER_SCALE * np.mean(v)
             logger.info("marginal covariance at beta %.3e: adding jitter %.3e", beta, jitter)
@@ -313,7 +393,7 @@ class _MarginalCovariance:
                     f"marginal covariance at beta {beta:.3e} is not positive definite "
                     f"after jitter {jitter:.3e}"
                 )
-        return v, self._w / beta / v
+        return v, scaled / v
 
     def rotate(self, mat) -> np.ndarray:
         """U^T mat: coordinates in the eigenbasis of V."""

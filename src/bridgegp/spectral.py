@@ -141,9 +141,16 @@ def basis_eval(alpha, x):
     return float(vals[0]) if single else vals
 
 
-def _sine_table(coords: np.ndarray, order: int) -> np.ndarray:
-    """(N, S) table sin(n pi x_i) for n = 1..order."""
-    return np.sin(np.pi * np.outer(coords, np.arange(1, order + 1)))
+def _sine_table(coords, order: int) -> np.ndarray:
+    """(N, S) table sin(n pi x_i) for n = 1..order, the 1D basis over sqrt(2).
+
+    sin(n pi x) vanishes identically at x = 0 and 1; the table makes that
+    exact instead of leaving ~1e-16 residue from rounded pi.
+    """
+    coords = np.asarray(coords, dtype=float).reshape(-1)
+    table = np.sin(np.pi * np.outer(coords, np.arange(1, order + 1)))
+    table[(coords == 0.0) | (coords == 1.0)] = 0.0
+    return table
 
 
 def basis_matrix(dim: int, order: int, x) -> np.ndarray:
@@ -151,7 +158,8 @@ def basis_matrix(dim: int, order: int, x) -> np.ndarray:
 
     The basis is separable, so each axis contributes one (N, S) sine
     table and the canonical columns are broadcast products of those
-    tables: d * N * S sines and about N * S^d multiplications.
+    tables: d * N * S sines and about N * S^d multiplications.  Values
+    on a tensor grid need no such matrix; see `synthesize`.
     """
     pts = validate_points(x, dim)
     check_size(dim, order)
@@ -160,10 +168,8 @@ def basis_matrix(dim: int, order: int, x) -> np.ndarray:
     for axis in range(1, dim):
         table = _sine_table(pts[:, axis], order)
         vals = (vals[:, :, None] * table[:, None, :]).reshape(n, order ** (axis + 1))
-    # sin(n pi x) vanishes identically on the boundary; make that exact
-    # instead of leaving ~1e-16 residue from rounded pi.
-    on_boundary = np.any((pts == 0.0) | (pts == 1.0), axis=1)
-    vals[on_boundary] = 0.0
+    # a product with a zero factor may be -0.0; boundary rows are +0.0
+    vals[np.any((pts == 0.0) | (pts == 1.0), axis=1)] = 0.0
     vals *= 2.0 ** (dim / 2.0)
     return vals
 
@@ -328,13 +334,6 @@ def default_rule(dim: int, order: int) -> QuadratureRule:
     return _RULE_CACHE[key]
 
 
-def _axis_transform(order: int, axis_nodes: np.ndarray) -> np.ndarray:
-    """T[n-1, j] = sqrt(2) sin(n pi x_j) for the 1D analysis/synthesis passes."""
-    # C order, as the contractions hand it to BLAS, whose summation
-    # order may depend on the operand layout.
-    return np.ascontiguousarray(np.sqrt(2.0) * _sine_table(axis_nodes, order).T)
-
-
 def project(f, dim: int, order: int) -> SpectralField:
     """L2 projection of a callable onto the truncated basis.
 
@@ -357,7 +356,10 @@ def project(f, dim: int, order: int) -> SpectralField:
     vals = np.asarray(f(pts[:, 0] if dim == 1 else pts), dtype=float).reshape(
         (rule.axis_nodes.size,) * dim
     )
-    t = _axis_transform(order, rule.axis_nodes) * rule.axis_weights
+    # C order, as the contractions hand it to BLAS, whose summation
+    # order may depend on the operand layout.
+    t = np.ascontiguousarray(np.sqrt(2.0) * _sine_table(rule.axis_nodes, order).T)
+    t *= rule.axis_weights
     tensor = vals
     for _ in range(dim):
         # Contract the leading grid axis down to coefficient length; after
@@ -374,20 +376,39 @@ def evaluate(u: SpectralField, x):
     return float(vals[0]) if single else vals
 
 
-def values_on_rule(u: SpectralField, rule: QuadratureRule) -> np.ndarray:
-    """Field values on the rule's tensor grid, flattened in C order.
+def synthesize(tensor, axes, squared: bool = False) -> np.ndarray:
+    """Values of sine expansions on the tensor grid axes[0] x ... x axes[d-1].
 
-    Synthesis runs axis by axis, so the cost is O(d * m^d * S) instead
-    of the O(m^d * S^d) a dense basis matrix would need.
+    `tensor` holds coefficients of shape (S,) * d + batch, d = len(axes),
+    in the canonical enumeration on its leading d axes; each trailing
+    index is one expansion.  Synthesis runs one axis at a time against
+    the (m_i, S) table sqrt(2) sin(n pi x), so the cost is O(d * m^d * S *
+    batch) and no (m^d, S^d) basis matrix is formed (sum factorization).
+    With `squared`, the tables are squared: synthesizing eigenvalues
+    then gives sum_alpha lambda_alpha psi_alpha(x)^2, the kernel diagonal.
+
+    Returns an array of shape (m_0, ..., m_{d-1}) + batch; zero wherever
+    a coordinate is 0 or 1.
     """
-    if rule.dim != u.dim:
-        raise OrderMismatchError(f"rule dimension {rule.dim} != field dimension {u.dim}")
-    t = _axis_transform(u.order, rule.axis_nodes)
-    tensor = u.as_tensor()
-    for _ in range(u.dim):
-        tensor = np.tensordot(t.T, tensor, axes=(1, 0))
-        tensor = np.moveaxis(tensor, 0, u.dim - 1)
-    return tensor.reshape(-1)
+    tensor = np.asarray(tensor, dtype=float)
+    dim = len(axes)
+    if not 1 <= dim <= tensor.ndim:
+        raise ValueError(f"cannot synthesize {dim} axes of a tensor of shape {tensor.shape}")
+    order = tensor.shape[0]
+    if tensor.shape[:dim] != (order,) * dim:
+        raise OrderMismatchError(f"expected {dim} coefficient axes of length {order}, "
+                                 f"got shape {tensor.shape}")
+    for coords in axes:
+        table = np.sqrt(2.0) * _sine_table(validate_points(coords, 1), order)
+        if squared:
+            table *= table
+        rest = tensor.shape[1:]
+        # matrix @ vector for a single 1D expansion, the product `evaluate` takes
+        flat = tensor.reshape(order, -1) if rest else tensor
+        tensor = (table @ flat).reshape((table.shape[0],) + rest)
+        # the new grid axis goes behind the coefficient axes still to do
+        tensor = np.moveaxis(tensor, 0, dim - 1)
+    return tensor
 
 
 def l2_inner(u: SpectralField, v: SpectralField) -> float:

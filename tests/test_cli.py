@@ -440,6 +440,21 @@ class TestExitCodes:
         TestLibraryErrorsAreConfigErrors.one_line_failure(
             capsys, ["solve", "--config", cfg], code, prefix)
 
+    @pytest.mark.parametrize("kernel, x", [
+        (kernel_cfg(order=16, beta=1e-320), [0.3, 0.6]),
+        (kernel_cfg(dim=2, order=8, beta=1e-320), [[0.3, 0.4], [0.6, 0.2]]),
+    ], ids=["1d", "2d"])
+    def test_fit_kernel_over_beta_overflow_names_beta(self, tmp_path, capsys, kernel, x):
+        # K / beta overflows a double: a numerical failure, not a config error
+        cfg = write_config(tmp_path, {"kernel": kernel, "data": {"x": x, "y": [0.1, 0.2]},
+                                      "sigma2": 1e-4, "grid": 5})
+        out = tmp_path / "o.csv"
+        assert run(["fit", "--config", cfg, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("numerical failure:"), err
+        assert "beta" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_non_finite_convergence_study_is_numerical_failure(self, tmp_path, capsys, fmt):
         # the L2 error overflows to inf and the slope fit to nan

@@ -17,6 +17,7 @@ from bridgegp import (
     model_error_study,
     zero_source,
 )
+from bridgegp.harness import _t_quantile
 
 
 class TestDesignMetrics:
@@ -39,6 +40,19 @@ class TestDesignMetrics:
         m = design_metrics(pts)
         assert m.fill == pytest.approx(np.sqrt(2.0) / 2.0, abs=1e-6)
         assert m.separation == 0.5
+
+    @pytest.mark.parametrize("dim, n", [(1, 40), (2, 30), (3, 20)])
+    def test_matches_brute_force(self, rng, dim, n):
+        pts = rng.uniform(size=(n, dim))
+        m = design_metrics(pts[:, 0] if dim == 1 else pts)
+        gaps = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)
+        np.fill_diagonal(gaps, np.inf)
+        assert m.separation == pytest.approx(0.5 * gaps.min(), rel=1e-14)
+        per_axis = {1: 10001, 2: 101, 3: 22}[dim]
+        axis = np.linspace(0.0, 1.0, per_axis)
+        grid = np.stack(np.meshgrid(*([axis] * dim), indexing="ij"), -1).reshape(-1, dim)
+        nearest = np.min(np.linalg.norm(grid[:, None, :] - pts[None, :, :], axis=-1), axis=1)
+        assert m.fill == pytest.approx(nearest.max(), rel=1e-14)
 
     def test_duplicates_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
@@ -67,6 +81,9 @@ class TestSlopeFit:
 
     @pytest.mark.parametrize("levels", [3, 5, 9])
     def test_matches_scipy_linregress(self, rng, levels):
+        # the slope is scipy's bit for bit; the t quantile comes from the
+        # closed-form CDF, within 5e-14 relative of scipy's `stdtrit`
+        import scipy.special
         import scipy.stats
 
         fills = 1.0 / 2.0 ** np.arange(3, 3 + levels)
@@ -74,7 +91,18 @@ class TestSlopeFit:
         slope, half = fit_loglog_slope(fills, errors)
         ref = scipy.stats.linregress(np.log(1.0 / fills), np.log(errors))
         assert slope == ref.slope
-        assert half == scipy.stats.t.ppf(0.975, levels - 2) * ref.stderr
+        assert half == pytest.approx(
+            scipy.special.stdtrit(levels - 2, 0.975) * ref.stderr, rel=5e-14, abs=0)
+
+    @pytest.mark.parametrize("p", [0.6, 0.9, 0.975, 0.999])
+    def test_t_quantile_matches_scipy(self, p):
+        # measured for df <= 200: within 9.5e-15 relative of scipy at
+        # p = 0.975 and 5.6e-14 at p = 0.999, where the CDF is flatter
+        import scipy.special
+
+        dfs = np.arange(1, 201)
+        got = np.array([_t_quantile(int(df), p) for df in dfs])
+        np.testing.assert_allclose(got, scipy.special.stdtrit(dfs, p), rtol=1e-13, atol=0)
 
     def test_needs_three_levels(self):
         with pytest.raises(ValueError):

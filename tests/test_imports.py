@@ -1,11 +1,10 @@
 """Import weight: `import bridgegp` loads numpy and no scipy module.
 
 Every CLI call pays for the package import before it does any work.  The
-library's linear algebra and quadrature are numpy's, so every command but
-`study convergence` runs without scipy; that study imports the scipy
-modules behind its design metrics and slope interval inside those
-functions.  These tests run a fresh interpreter, so modules already loaded
-by other tests cannot hide an eager import.
+library's linear algebra, quadrature, design metrics and t quantile are
+numpy's or its own, so every command runs without scipy; scipy serves the
+tests as an oracle.  These tests run a fresh interpreter, so modules
+already loaded by other tests cannot hide an eager import.
 """
 
 import json
@@ -23,12 +22,11 @@ SCIPY_MODULES = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
 PROBE = f"import bridgegp.cli, json, sys; print(json.dumps({SCIPY_MODULES}))"
 
 
-# The convergence study's slope fit needs a t quantile, which
-# `scipy.special` provides without the cost of importing `scipy.stats`.
+# The convergence study's design metrics and slope interval, called directly.
 STUDY_PROBE = (
     "import json, sys; from bridgegp import KernelSpec, convergence_study; "
     "convergence_study(lambda x: x * (1 - x), None, KernelSpec('bridge', order=32), "
-    "[4, 8, 16]); print(json.dumps(['scipy.stats'] if 'scipy.stats' in sys.modules else []))"
+    f"[4, 8, 16]); print(json.dumps({SCIPY_MODULES}))"
 )
 
 
@@ -118,6 +116,14 @@ def test_beta_and_inversion_searches_leave_scipy_optimize_unloaded(tmp_path):
 
 def test_convergence_study_leaves_scipy_stats_unloaded():
     assert _loaded_in_fresh_interpreter(STUDY_PROBE) == []
+
+
+def test_study_convergence_command_loads_no_scipy_module(tmp_path):
+    runs = [(["study", "convergence"], {
+        "kernel": KERNEL_1D, "assumed_source": {"expression": "0"},
+        "truth": {"expression": "sin(pi*x) + 0.3*x*(1-x)"}, "ns": [4, 8, 16, 32],
+        "grid": 101})]
+    assert _run_commands(tmp_path, runs) == [[0], []]
 
 
 # `import bridgegp` sets OPENBLAS_THREAD_TIMEOUT before numpy loads, so the

@@ -201,6 +201,52 @@ class TestPosterior:
         assert isinstance(post.mean(0.5), float)
         assert post.mean(np.array([0.5])).shape == (1,)
 
+    @pytest.mark.parametrize("family, dim, order", [
+        ("bridge", 2, 10), ("bridge", 3, 5), ("helmholtz", 1, 40)])
+    def test_coefficient_space_dense_oracle(self, rng, family, dim, order):
+        # the finite-rank route against the textbook kernel-space update
+        spec = KernelSpec(family, dim=dim, order=order, beta=1.3,
+                          omega=2.0 if family == "helmholtz" else None)
+        data = make_dataset(rng, n=11, sigma2=1e-3, dim=dim)
+        post = condition(spec, None, data)
+        xs = rng.uniform(size=(7, dim))
+        kxx = kernel_matrix(spec, data.X) + data.sigma2 * np.eye(data.n)
+        ksx = kernel_matrix(spec, xs, data.X)
+        cov = kernel_matrix(spec, xs) - ksx @ np.linalg.solve(kxx, ksx.T)
+        np.testing.assert_allclose(post.mean(xs), ksx @ np.linalg.solve(kxx, data.y),
+                                   atol=1e-12)
+        np.testing.assert_allclose(post.cov(xs), cov, atol=1e-12)
+        np.testing.assert_allclose(post.cov(xs, xs[:3]), cov[:, :3], atol=1e-12)
+        np.testing.assert_allclose(post.var(xs), np.diag(cov), atol=1e-12)
+        axis = np.linspace(0.0, 1.0, 5)
+        pts = np.stack(np.meshgrid(*([axis] * dim), indexing="ij"), axis=-1).reshape(-1, dim)
+        mean, var = post.on_grid(axis)
+        np.testing.assert_allclose(mean, post.mean(pts), atol=1e-13)
+        np.testing.assert_allclose(var, post.var(pts), atol=1e-13)
+
+    def test_closed_form_grid_is_the_pointwise_route(self, rng):
+        post = condition(KernelSpec("bridge", beta=2.0), None, make_dataset(rng))
+        axis = np.linspace(0.0, 1.0, 21)
+        mean, var = post.on_grid(axis)
+        assert np.array_equal(mean, post.mean(axis))
+        assert np.array_equal(var, post.var(axis))
+
+    def test_3d_grid_prediction_memory(self, rng):
+        # S = 32, n = 60 on a 30^3 grid: a dense grid basis alone would be
+        # 27000 x 32768 doubles (6.6 GiB)
+        spec = KernelSpec("bridge", dim=3, order=32)
+        data = make_dataset(rng, n=60, sigma2=1e-4, dim=3)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            mean, var = condition(spec, None, data).on_grid(np.linspace(0.0, 1.0, 30))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert mean.shape == var.shape == (30**3,)
+        assert peak < 128 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
     def test_prior_rejections(self, rng):
         data = make_dataset(rng)
         with pytest.raises(TypeError):
@@ -238,6 +284,25 @@ class TestKrrEquivalence:
         ridge = krr_solve(spec, u0, data, post.eta)
         xs = rng.uniform(size=9)
         np.testing.assert_allclose(ridge(xs), post.mean(xs), atol=1e-9)
+
+    @pytest.mark.parametrize("dim, order", [(2, 12), (3, 6)])
+    @pytest.mark.parametrize("with_prior", [False, True], ids=["zero-mean", "prior-mean"])
+    def test_grid_mean_solves_ridge_in_higher_dimensions(self, rng, dim, order, with_prior):
+        # d >= 2: coefficient-space conditioning against kernel-space ridge
+        spec = KernelSpec("bridge", dim=dim, order=order, beta=1.7)
+        u0 = None
+        if with_prior:
+            u0 = solve(SpectralSource(SpectralField(dim, order, rng.normal(size=order**dim))),
+                       spec)
+        data = make_dataset(rng, n=15, sigma2=1e-3, dim=dim)
+        post = condition(spec, u0, data)
+        ridge = krr_solve(spec, u0, data, post.eta)
+        axis = np.linspace(0.0, 1.0, 6)
+        pts = np.stack(np.meshgrid(*([axis] * dim), indexing="ij"), axis=-1).reshape(-1, dim)
+        mean, var = post.on_grid(axis)
+        np.testing.assert_allclose(mean, ridge(pts), atol=1e-9)
+        np.testing.assert_allclose(post.mean(pts), ridge(pts), atol=1e-9)
+        np.testing.assert_allclose(var, post.var(pts), atol=1e-12)
 
     def test_eta_validation(self, rng):
         data = make_dataset(rng)

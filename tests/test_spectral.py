@@ -7,6 +7,7 @@ against them.
 """
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from bridgegp import (
     project,
     zero_field,
 )
-from bridgegp.spectral import validate_points, values_on_rule
+from bridgegp.spectral import synthesize, validate_points
 
 # 4*sqrt(2)/(n^3 pi^3), computed once with mpmath-free numpy and frozen.
 PARABOLA_COEFFS = {
@@ -250,17 +251,84 @@ class TestProjection:
         x = np.array([0.1, 0.37, 0.5, 0.93])
         np.testing.assert_allclose(evaluate(u, x), parabola(x), atol=1e-8)
 
-    def test_values_on_rule_matches_pointwise(self, rng):
+    def test_synthesis_on_rule_matches_pointwise(self, rng):
         u = SpectralField(2, 5, rng.normal(size=25))
         rule = default_rule(2, 5)
         np.testing.assert_allclose(
-            values_on_rule(u, rule), evaluate(u, rule.nodes), atol=1e-12
+            synthesize(u.as_tensor(), [rule.axis_nodes] * 2).reshape(-1),
+            evaluate(u, rule.nodes), atol=1e-12
         )
         with pytest.raises(OrderMismatchError):
-            values_on_rule(u, default_rule(1, 5))
+            synthesize(np.zeros((5, 4)), [rule.axis_nodes] * 2)
 
     def test_inner_product_via_parseval(self):
         u = SpectralField(1, 3, [1.0, 0.0, 2.0])
         v = SpectralField(1, 3, [0.5, 1.0, -1.0])
         assert l2_inner(u, v) == -1.5
         assert l2_inner(zero_field(1, 3), v) == 0.0
+
+
+class TestSynthesis:
+    @staticmethod
+    def grid(axis, dim):
+        return np.stack(np.meshgrid(*([axis] * dim), indexing="ij"), axis=-1).reshape(-1, dim)
+
+    @pytest.mark.parametrize("dim, order", [(1, 40), (2, 12), (3, 6)])
+    def test_matches_basis_matrix(self, rng, dim, order):
+        # grid axes include both faces and one irregular interior coordinate
+        axis = np.array([0.0, 0.013, 0.25, 0.5, 0.77, 1.0])
+        coeffs = rng.normal(size=(order,) * dim)
+        pts = self.grid(axis, dim)
+        got = synthesize(coeffs, [axis] * dim).reshape(-1)
+        want = basis_matrix(dim, order, pts) @ coeffs.reshape(-1)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
+        on_face = np.any((pts == 0.0) | (pts == 1.0), axis=1)
+        assert np.all(got[on_face] == 0.0) and not np.any(np.signbit(got[on_face]))
+        if dim == 1:
+            field = SpectralField(1, order, coeffs)
+            assert np.array_equal(got, evaluate(field, axis))
+
+    def test_batch_axes_are_independent_expansions(self, rng):
+        coeffs = rng.normal(size=(5, 5, 2, 3))
+        axes = [np.linspace(0.0, 1.0, 4), np.array([0.1, 0.6])]
+        got = synthesize(coeffs, axes)
+        assert got.shape == (4, 2, 2, 3)
+        for i in range(2):
+            for j in range(3):
+                np.testing.assert_allclose(got[..., i, j],
+                                           synthesize(coeffs[..., i, j], axes), atol=1e-14)
+
+    def test_squared_tables_give_the_kernel_diagonal(self):
+        order = 8
+        lam = 1.0 / dirichlet_eigenvalues(2, order)
+        axis = np.linspace(0.0, 1.0, 7)
+        psi = basis_matrix(2, order, self.grid(axis, 2))
+        got = synthesize(lam.reshape(order, order), [axis] * 2, squared=True).reshape(-1)
+        np.testing.assert_allclose(got, np.einsum("ij,j,ij->i", psi, lam, psi), atol=1e-15)
+
+    def test_rejections(self):
+        with pytest.raises(OrderMismatchError):
+            synthesize(np.zeros((4, 5)), [[0.5], [0.5]])
+        with pytest.raises(ValueError):
+            synthesize(np.zeros(4), [[0.5], [0.5]])
+        with pytest.raises(DomainError):
+            synthesize(np.zeros(4), [[1.5]])
+
+    def test_3d_default_grid_memory(self, rng):
+        # S = 32 on the 101^3 grid: a dense basis would be 1030301 x 32768
+        # doubles (252 GiB)
+        coeffs = rng.normal(size=(32, 32, 32))
+        axis = np.linspace(0.0, 1.0, 101)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            vals = synthesize(coeffs, [axis] * 3)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert vals.shape == (101, 101, 101)
+        assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+        some = rng.integers(0, 101, size=(20, 3))
+        want = basis_matrix(3, 32, axis[some]) @ coeffs.reshape(-1)
+        np.testing.assert_allclose(vals[tuple(some.T)], want, atol=1e-12)

@@ -4,7 +4,8 @@ One JSON config per invocation, strict about keys and their types;
 subcommands cover the forward solve, prior/posterior sampling, point-data
 fitting, trust calibration, source inversion, and the two studies.
 Outputs are CSV (17 significant digits, LF, UTF-8) or canonical JSON,
-written via a temp file and rename so a crash never leaves a torn file.  Identical
+streamed in blocks of rows; with --out they go to a temp file renamed into
+place when complete, so a crash never leaves a torn file.  Identical
 config and seed give byte-identical output on one machine with one
 numpy/BLAS build at one BLAS thread count (OpenBLAS splits its
 reductions by thread; its idle timeout changes no byte).  Across builds
@@ -18,19 +19,21 @@ exact zeros on the boundary) stays byte-identical across builds.
 
 `solve` and `fit` evaluate on the grid by one sine synthesis per axis,
 never through a basis matrix of the grid: a 3D `solve` at S = 32 and the
-default grid of 101 writes a 72 MB CSV in about 9 s (540 MB peak RSS, on
-a 2-vCPU machine), nearly all of it the formatting of its 1030301 rows.
+default grid of 101 writes a 72 MB CSV in about 3 s CPU at 82 MB peak RSS
+on a 2-vCPU machine, nearly all of it the formatting of its 1030301 rows.
 
-Exit codes: 0 success, 2 config error (so is a plain ValueError: the
-library's arguments come from the config), 3 numerical failure (so is an
-arithmetic overflow, and a non-finite number in any artifact but those of
-`beta` and `study model-error`), 4 resource limit (so is a MemoryError).
+Exit codes: 0 success, 2 config error (so is a plain ValueError, since the
+library's arguments come from the config, and so is an unwritable output),
+3 numerical failure (so is an arithmetic overflow, and a non-finite number
+in any artifact but those of `beta` and `study model-error`), 4 resource
+limit (so is a MemoryError).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -217,18 +220,18 @@ def _read_csv_points(path, dim: int):
         raise ConfigError(f"cannot read data file {path}: {exc}") from exc
     if lines and any(not _is_number(tok) for tok in lines[0].split(",")):
         lines = lines[1:]  # header row
-    rows = []
+    values = []
     for i, line in enumerate(lines):
         toks = line.split(",")
         if len(toks) != dim + 1:
             raise ConfigError(f"line {i + 1} of {path} has {len(toks)} columns, expected {dim + 1}")
         try:
-            rows.append([float(t) for t in toks])
+            values += map(float, toks)
         except ValueError as exc:
             raise ConfigError(f"line {i + 1} of {path} is not numeric") from exc
-    if not rows:
+    if not values:
         raise ConfigError(f"data file {path} contains no observations")
-    arr = np.array(rows)
+    arr = np.array(values).reshape(-1, dim + 1)
     return arr[:, :dim], arr[:, dim]
 
 
@@ -247,12 +250,10 @@ def _require_finite(*arrays) -> None:
 
 
 def _grid(dim: int, per_axis: int):
-    """The grid's points in C order, its column labels, and its axis."""
+    """The grid's coordinate columns in C order, their labels, and its axis."""
     axis = np.linspace(0.0, 1.0, per_axis)
-    if dim == 1:
-        return axis.reshape(-1, 1), ("x",), axis
-    pts = np.stack(np.meshgrid(*([axis] * dim), indexing="ij"), axis=-1).reshape(-1, dim)
-    return pts, tuple(f"x{i + 1}" for i in range(dim)), axis
+    labels = ("x",) if dim == 1 else tuple(f"x{i + 1}" for i in range(dim))
+    return [g.reshape(-1) for g in np.meshgrid(*[axis] * dim, indexing="ij")], labels, axis
 
 
 # --- subcommands -----------------------------------------------------------
@@ -267,11 +268,10 @@ _SOLVE = {"kernel": (_kernel, ...), "source": (_source, ...), "grid": (_grid_poi
 def _cmd_solve(opts: dict):
     spec = opts["kernel"]
     solution = pde.solve(_build_source(opts["source"], spec.dim, "source"), spec)
-    pts, labels, axis = _grid(spec.dim, opts["grid"])
+    coords, labels, axis = _grid(spec.dim, opts["grid"])
     vals = spectral.synthesize(solution.u0.as_tensor(), [axis] * spec.dim).reshape(-1)
     _require_finite(vals)
-    rows = [list(p) + [v] for p, v in zip(pts, vals)]
-    return labels + ("u0",), rows, {}
+    return labels + ("u0",), [*coords, vals], {}
 
 
 _SAMPLE = {"kernel": (_kernel, ...), "source": (_source, None), "grid": (_grid_points, 101),
@@ -288,7 +288,8 @@ def _cmd_sample(opts: dict):
         raise ConfigError(f"mode must be 'prior' or 'posterior', got {mode!r}")
     if not 1 <= count <= draws:
         raise ConfigError(f"count must be in [1, moment_draws], got {count}")
-    pts, labels, _ = _grid(spec.dim, opts["grid"])
+    coords, labels, _ = _grid(spec.dim, opts["grid"])
+    pts = np.stack(coords, axis=-1)
     if mode == "prior":
         for key in ("data", "sigma2"):
             if opts[key] is not None:
@@ -306,15 +307,10 @@ def _cmd_sample(opts: dict):
         data = _load_dataset(opts["data"], spec.dim, opts["sigma2"])
         post = regression.condition(spec, prior, data)
         values = sampling.sample_posterior_values(post, pts, draws, opts["seed"])
-    mean = values.mean(axis=0)
-    sd = values.std(axis=0)
+    mean, sd = values.mean(axis=0), values.std(axis=0)
     _require_finite(mean, sd, values[:count])
-    columns = labels + ("mean", "sd") + tuple(f"path_{j}" for j in range(count))
-    rows = [
-        list(p) + [mean[i], sd[i]] + [values[j, i] for j in range(count)]
-        for i, p in enumerate(pts)
-    ]
-    return columns, rows, {}
+    names = labels + ("mean", "sd") + tuple(f"path_{j}" for j in range(count))
+    return names, [*coords, mean, sd, *values[:count]], {}
 
 
 _FIT = {"kernel": (_kernel, ...), "source": (_source, None), "data": (_data, ...),
@@ -327,13 +323,12 @@ def _cmd_fit(opts: dict):
     prior = _build_prior(opts)
     data = _load_dataset(opts["data"], spec.dim, opts["sigma2"])
     post = regression.condition(spec, prior, data)
-    pts, labels, axis = _grid(spec.dim, opts["grid"])
+    coords, labels, axis = _grid(spec.dim, opts["grid"])
     mean, var = post.on_grid(axis)
     sd = np.sqrt(var)
     _require_finite(mean, sd)
-    rows = [list(p) + [mean[i], sd[i]] for i, p in enumerate(pts)]
     print(f"fit: n={data.n} wall={time.perf_counter() - started:.3f}s", file=sys.stderr)
-    return labels + ("mean", "sd"), rows, {}
+    return labels + ("mean", "sd"), [*coords, mean, sd], {}
 
 
 _BETA = {"kernel": (_kernel, ...), "source": (_source, None), "mesh_size": (_integer, ...),
@@ -358,7 +353,7 @@ def _cmd_beta(opts: dict):
             )
     row = regression.calibration_row(
         spec, prior, regression.CoefficientObservations(values, opts["sigma2"]), opts["hyper"])
-    return tuple(row), [list(row.values())], {}
+    return tuple(row), [[v] for v in row.values()], {}
 
 
 _INVERT = {"kernel": (_kernel, ...), "family": (_Object(_FAMILY), ...),
@@ -392,19 +387,17 @@ def _cmd_invert(opts: dict):
     res = regression.invert_source(obs, family, opts["hyper"], spec, init=opts["init"])
     _require_finite(res.theta_mean, res.objective, res.theta_cov)
     m = res.theta_mean.size
-    columns = tuple(f"theta_{j}" for j in range(m)) + (
-        "beta_star", "boundary", "objective", "converged", "n_flat_directions",
-    ) + tuple(f"cov_{i}_{j}" for i in range(m) for j in range(m))
-    row = (list(res.theta_mean)
-           + [res.beta, res.boundary or "", res.objective, int(res.converged),
-              res.flat_directions.shape[0]]
-           + list(res.theta_cov.reshape(-1)))
-    return columns, [row], {}
+    row = {f"theta_{j}": v for j, v in enumerate(res.theta_mean.tolist())}
+    row.update(beta_star=res.beta, boundary=res.boundary or "", objective=res.objective,
+               converged=int(res.converged), n_flat_directions=res.flat_directions.shape[0])
+    row.update(zip([f"cov_{i}_{j}" for i in range(m) for j in range(m)],
+                   res.theta_cov.reshape(-1).tolist()))
+    return tuple(row), [[v] for v in row.values()], {}
 
 
 def _study_table(report):
-    rows = [[row[c] for c in report.columns] for row in report.rows]
-    return report.columns, rows, dict(report.extras)
+    columns = [[row[c] for row in report.rows] for c in report.columns]
+    return report.columns, columns, dict(report.extras)
 
 
 _CONVERGENCE = {"kernel": (_kernel, ...), "assumed_source": (_source, ...),
@@ -424,12 +417,12 @@ def _cmd_convergence(opts: dict):
     else:
         truth = pde.solve(_build_source(opts["truth_source"], spec.dim, "truth_source"),
                           spec).u0
-    columns, rows, extras = _study_table(harness.convergence_study(
+    names, columns, extras = _study_table(harness.convergence_study(
         truth, assumed, spec, opts["ns"], sigma2=opts["sigma2"], seed=opts["seed"],
         noise_sigma2=opts["noise_sigma2"], grid=opts["grid"],
     ))
-    _require_finite(rows, [v for v in extras.values() if v is not None])
-    return columns, rows, extras
+    _require_finite(*columns, [v for v in extras.values() if v is not None])
+    return names, columns, extras
 
 
 _MODEL_ERROR = {"kernel": (_kernel, ...), "source": (_source, None),
@@ -457,74 +450,81 @@ _COMMANDS = {
 
 
 # --- serialization ---------------------------------------------------------
+#
+# A command returns its column names, one 1-D sequence per column (numpy
+# arrays for grids, short lists of plain values otherwise) and its header
+# extras.  The renderers yield the artifact in blocks of _ROWS rows.
+
+_ROWS = 4096
+
 
 def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (bool, np.bool_, int, np.integer)):
-        return str(int(value))
-    return format(float(value), ".17g")
+    if value is None or isinstance(value, str):
+        return value or ""
+    return str(int(value)) if isinstance(value, int) else "%.17g" % value
 
 
 def _json_safe(value):
-    if isinstance(value, (list, tuple)):
-        return [_json_safe(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _json_safe(v) for k, v in value.items()}
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
-        v = float(value)
-        return v if np.isfinite(v) else None
-    return value
+    """JSON has no inf or nan: a non-finite float becomes null."""
+    return None if isinstance(value, float) and not math.isfinite(value) else value
 
 
-def _config_echo(cfg: dict) -> str:
-    return json.dumps(cfg, sort_keys=True, separators=(",", ":"))
+def _canonical(value, allow_nan: bool = True) -> str:
+    return json.dumps(value, sort_keys=True, separators=(",", ":"), allow_nan=allow_nan)
 
 
-def render_csv(command: str, cfg: dict, seed: int, columns, rows, extras) -> str:
-    lines = [f"# command: {command}", f"# config: {_config_echo(cfg)}", f"# seed: {seed}"]
-    for key in sorted(extras):
-        lines.append(f"# {key}: {_fmt(extras[key])}")
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    return "\n".join(lines) + "\n"
+def _blocks(columns, fast, slow):
+    """Each block's rows as cell tuples: `fast` maps a finite float column, `slow` a value."""
+    direct = [isinstance(c, np.ndarray) and c.dtype.kind == "f" and np.isfinite(c).all()
+              for c in columns]
+    for start in range(0, len(columns[0]), _ROWS):
+        parts = [c[start:start + _ROWS] for c in columns]
+        parts = [p.tolist() if isinstance(p, np.ndarray) else p for p in parts]
+        yield zip(*[fast(p) if d else list(map(slow, p)) for p, d in zip(parts, direct)])
 
 
-def render_json(command: str, cfg: dict, seed: int, columns, rows, extras) -> str:
-    payload = {
-        "command": command,
-        "config": cfg,
-        "seed": seed,
-        "columns": list(columns),
-        "rows": _json_safe([list(r) for r in rows]),
-        "extras": _json_safe(extras),
-    }
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
+def render_csv(command: str, cfg: dict, seed: int, names, columns, extras):
+    head = [f"# command: {command}", f"# config: {_canonical(cfg)}", f"# seed: {seed}"]
+    head += [f"# {key}: {_fmt(extras[key])}" for key in sorted(extras)]
+    yield "\n".join(head + [",".join(names)]) + "\n"
+    for rows in _blocks(columns, lambda values: ["%.17g" % v for v in values], _fmt):
+        yield "".join([",".join(row) + "\n" for row in rows])
 
 
-def _write_output(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-        return
-    directory = os.path.dirname(os.path.abspath(out))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".bridgegp-")
+def render_json(command: str, cfg: dict, seed: int, names, columns, extras):
+    # "rows" and "seed" sort last, after the keys of one canonical head.
+    head = {"columns": list(names), "command": command, "config": cfg,
+            "extras": {key: _json_safe(v) for key, v in extras.items()}}
+    yield _canonical(head, allow_nan=False)[:-1] + ',"rows":['
+    for i, rows in enumerate(_blocks(columns, lambda values: values, _json_safe)):
+        yield ("," if i else "") + _canonical(list(rows))[1:-1]
+    yield f'],"seed":{seed}}}\n'
+
+
+def _write_output(chunks, out: str | None) -> None:
+    """Write the chunks to stdout, or to `out` through a temp file and a rename."""
+    tmp = None
     try:
+        if out is None:
+            sys.stdout.writelines(chunks)
+            sys.stdout.flush()
+            return
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(out)), prefix=".bridgegp-")
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, out)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
+        if not isinstance(exc, OSError):
+            raise
+        if isinstance(exc, BrokenPipeError):
+            # The reader is gone; the interpreter's final flush must not fail again.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise ConfigError(f"cannot write output {'stdout' if out is None else out}: "
+                          f"{exc.strerror or exc}") from exc
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -576,9 +576,9 @@ def _run(args) -> int:
         opts = _read(cfg, "config", table)
         if args.seed is not None:
             opts["seed"] = _seed(args.seed, "seed")
-        columns, rows, extras = runner(opts)
+        names, columns, extras = runner(opts)
         render = render_csv if args.format == "csv" else render_json
-        _write_output(render(args.command, cfg, opts["seed"], columns, rows, extras),
+        _write_output(render(args.command, cfg, opts["seed"], names, columns, extras),
                       args.out)
         return 0
     except (ConfigError, ExpressionError, DomainError) as exc:

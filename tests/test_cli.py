@@ -12,12 +12,14 @@ sd^2), since their last digits depend on the numpy/BLAS build.
 """
 
 import ast
+import errno
 import inspect
 import json
 import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -874,3 +876,105 @@ class TestGoldenFixture:
                         f"expected {w[k]}, gap {gap:.3g} {unit} > {self.ULPS}"
                     )
         assert not misses, "\n".join(misses)
+
+
+class TestStreamingWriter:
+    """The artifact is written in blocks of `cli._ROWS` rows: the block size
+    changes no byte, and memory does not grow with the row count."""
+
+    CONFIGS = {
+        "solve": (["solve"], {"kernel": kernel_cfg(dim=2, order=8),
+                              "source": {"expression": "x1*x2"}, "grid": 5}),
+        "sample": (["sample"], {"kernel": kernel_cfg(order=16), "grid": 9, "count": 2,
+                                "moment_draws": 32, "seed": 5}),
+        "fit": (["fit"], {"kernel": kernel_cfg(order=16), "sigma2": 1e-4, "grid": 7,
+                          "data": {"x": [0.2, 0.6], "y": [0.1, -0.3]}}),
+        # the Dirac limit: formula_beta is inf in CSV and null in JSON
+        "beta": (["beta"], {"kernel": kernel_cfg(order=16), "mesh_size": 4,
+                            "observed": {"epsilon": 0.0}}),
+        "invert": (["invert"], {"kernel": kernel_cfg(order=16), "family": {"components": [
+            {"coefficients": [1.0] + [0.0] * 15}, {"coefficients": [0.0, 1.0] + [0.0] * 14}]},
+            "observed": {"coefficients": [0.3, -0.2, 0.0, 0.0]}, "sigma2": 1e-8}),
+        "convergence": (["study", "convergence"], {
+            "kernel": kernel_cfg(order=32), "assumed_source": {"expression": "0"},
+            "truth": {"expression": "sin(pi*x)"}, "ns": [4, 8, 16], "grid": 101}),
+        "model-error": (["study", "model-error"], {"kernel": kernel_cfg(order=16),
+                                                   "mesh_size": 6, "eps_values": [0.0, 0.5]}),
+    }
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("command", sorted(CONFIGS))
+    def test_block_size_changes_no_byte(self, tmp_path, monkeypatch, command, fmt):
+        argv, payload = self.CONFIGS[command]
+        argv = argv + ["--config", write_config(tmp_path, payload), "--format", fmt]
+
+        def artifact(name):
+            out = tmp_path / name
+            assert run(argv + ["--out", str(out)]) == 0
+            return out.read_bytes()
+
+        default = artifact("default")
+        for rows in (1, 3):
+            monkeypatch.setattr(cli, "_ROWS", rows)
+            assert artifact(f"rows{rows}") == default, f"_ROWS = {rows}"
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_peak_memory_of_a_large_grid(self, tmp_path, fmt):
+        # 41^3 = 68921 rows, a 4.5 MB CSV; the grid's own four columns take 2.2 MB
+        cfg = write_config(tmp_path, {
+            "kernel": kernel_cfg(dim=3, order=8),
+            "source": {"coefficients": [1.0 / (k + 1) for k in range(64)], "order": 4},
+            "grid": 41,
+        })
+        out = tmp_path / f"o.{fmt}"
+        tracemalloc.start()
+        try:
+            assert run(["solve", "--config", cfg, "--out", str(out), "--format", fmt]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        if fmt == "csv":
+            assert len(out.read_text().splitlines()) == 4 + 41**3
+        else:
+            assert len(json.loads(out.read_text())["rows"]) == 41**3
+        assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+class TestUnwritableOutput:
+    """An output that cannot be written exits 2 with one line, not a traceback,
+    and leaves no temp file behind."""
+
+    def solve_config(self, tmp_path, grid=5):
+        return write_config(tmp_path, {
+            "kernel": kernel_cfg(order=16), "source": {"expression": "1"}, "grid": grid,
+        })
+
+    @pytest.mark.parametrize("target, errno_code", [
+        ("missing/o.csv", errno.ENOENT), ("adir", errno.EISDIR)])
+    def test_unwritable_path(self, tmp_path, capsys, target, errno_code):
+        (tmp_path / "adir").mkdir()
+        out = tmp_path / target
+        assert run(["solve", "--config", self.solve_config(tmp_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: cannot write output {out}: {os.strerror(errno_code)}\n"
+        assert not list(tmp_path.rglob(".bridgegp-*"))
+        assert (tmp_path / "adir").is_dir() and not any((tmp_path / "adir").iterdir())
+
+    @pytest.mark.parametrize("grid", [5, 20001])
+    def test_stdout_closed_by_its_reader(self, tmp_path, grid):
+        # A pipe whose read end is closed before the run, as in `bridgegp ... | true`.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(REPO_ROOT / "src"), env.get("PYTHONPATH")) if p)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "bridgegp.cli", "solve",
+                 "--config", self.solve_config(tmp_path, grid)],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 2
+        assert proc.stderr.decode() == (
+            f"config error: cannot write output stdout: {os.strerror(errno.EPIPE)}\n")

@@ -9,8 +9,10 @@ a negative, 1e308, inf, nan, an integer beyond a double, an unknown name)
 or gives a wrong-typed one (a bool, a string, an array, an object, null or
 a float), and some configs carry an unknown key.  Each config runs through
 `cli.main` in process.  The return must be 0, 2, 3 or 4, no exception may
-escape, and an exit-0 `solve`, `sample`, `fit` or `invert` artifact must
-hold only finite numbers.
+escape, every exit-0 artifact must be well formed (canonical JSON, or
+CSV lines as wide as the header; a row per line and a value per column),
+and an exit-0 `solve`, `sample`, `fit` or `invert` artifact must hold only
+finite numbers.
 
 The size keys (`grid`, `order`, `count`, `moment_draws`, `ns`, `mesh_size`)
 take small values only, and `grid` and `order` are never omitted.  The CLI
@@ -150,6 +152,19 @@ def finite_artifact(path, fmt):
     return all(isinstance(v, (int, float)) and math.isfinite(v) for v in values)
 
 
+def well_formed(path, fmt):
+    text = path.read_text()
+    if fmt == "json":
+        payload = json.loads(text)
+        assert json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n" == text
+        assert all(len(row) == len(payload["columns"]) for row in payload["rows"])
+    else:
+        lines = [ln for ln in text.splitlines() if not ln.startswith("#")]
+        width = len(lines[0].split(","))
+        assert len(lines) > 1 and all(len(ln.split(",")) == width for ln in lines[1:])
+    return True
+
+
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("cli_properties")
@@ -173,5 +188,7 @@ def test_exit_code_contract(command, workdir, data):
     code = cli.main(argv)
     assert code in (0, 2, 3, 4)
     assert out.exists() == (code == 0)
+    if code == 0:
+        assert well_formed(out, fmt)
     if code == 0 and command in ("solve", "sample", "fit", "invert"):
         assert finite_artifact(out, fmt)

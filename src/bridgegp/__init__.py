@@ -75,10 +75,11 @@ from .sampling import (
     NestedReport,
     PriorSampler,
     nested_consistency,
-    sample,
+    posterior_value_blocks,
     sample_coefficients,
     sample_posterior_values,
     sample_values,
+    value_blocks,
 )
 from .spectral import (
     QuadratureRule,

@@ -17,16 +17,18 @@ standard deviation near a data point to about 1e-13 relative.  Posterior
 The serialization (headers, grid coordinates, 17 significant digits, LF,
 exact zeros on the boundary) stays byte-identical across builds.
 
-`solve` and `fit` evaluate on the grid by one sine synthesis per axis,
-never through a basis matrix of the grid: a 3D `solve` at S = 32 and the
-default grid of 101 writes a 72 MB CSV in about 3 s CPU at 82 MB peak RSS
-on a 2-vCPU machine, nearly all of it the formatting of its 1030301 rows.
+`solve`, `fit` and a prior `sample` evaluate on the grid by one sine
+synthesis per axis, never through a basis matrix of the grid: a 3D `solve`
+at S = 32 and the default grid of 101 writes a 72 MB CSV in about 3 s CPU at
+82 MB peak RSS on a 2-vCPU machine, nearly all of it the formatting of its
+1030301 rows.  `sample` holds one block of draws at a time and merges the
+moments block by block.
 
 Exit codes: 0 success, 2 config error (so is a plain ValueError, since the
 library's arguments come from the config, and so is an unwritable output),
 3 numerical failure (so is an arithmetic overflow, and a non-finite number
 in any artifact but those of `beta` and `study model-error`), 4 resource
-limit (so is a MemoryError).
+limit (so is a MemoryError, and a `sample` over `_DRAW_BUDGET`).
 """
 
 from __future__ import annotations
@@ -280,6 +282,12 @@ _SAMPLE = {"kernel": (_kernel, ...), "source": (_source, None), "grid": (_grid_p
            "data": (_data, None), "sigma2": (_number, None), "seed": (_seed, 0)}
 
 
+# `sample` holds one block of draws, but draws every value it is asked for:
+# moment_draws x (drawn coefficients or normals + grid points) values at most.
+# About 1e9 values, 2**30, take some 40 s of normals on one core.
+_DRAW_BUDGET = 1 << 30
+
+
 def _cmd_sample(opts: dict):
     spec = opts["kernel"]
     prior = _build_prior(opts)
@@ -288,15 +296,16 @@ def _cmd_sample(opts: dict):
         raise ConfigError(f"mode must be 'prior' or 'posterior', got {mode!r}")
     if not 1 <= count <= draws:
         raise ConfigError(f"count must be in [1, moment_draws], got {count}")
-    coords, labels, _ = _grid(spec.dim, opts["grid"])
-    pts = np.stack(coords, axis=-1)
+    points = opts["grid"] ** spec.dim
     if mode == "prior":
         for key in ("data", "sigma2"):
             if opts[key] is not None:
                 raise ConfigError(f"{key} applies only to mode 'posterior'; "
                                   "prior draws take no data")
         sampler = sampling.PriorSampler(spec, prior, opts["mesh_size"], opts["seed"])
-        values = sampling.sample_values(sampler, pts, draws)
+        _check_draw_budget(draws, sampler.mesh_size + points)
+        coords, labels, axis = _grid(spec.dim, opts["grid"])
+        blocks = sampling.value_blocks(sampler, axis, draws)
     else:
         if opts["mesh_size"] is not None:
             raise ConfigError("mesh_size applies only to mode 'prior'; "
@@ -304,13 +313,43 @@ def _cmd_sample(opts: dict):
         for key in ("sigma2", "data"):
             if opts[key] is None:
                 raise ConfigError(f"mode 'posterior' needs the key {key!r}")
+        _check_draw_budget(draws, 2 * points)
         data = _load_dataset(opts["data"], spec.dim, opts["sigma2"])
         post = regression.condition(spec, prior, data)
-        values = sampling.sample_posterior_values(post, pts, draws, opts["seed"])
-    mean, sd = values.mean(axis=0), values.std(axis=0)
-    _require_finite(mean, sd, values[:count])
+        coords, labels, _ = _grid(spec.dim, opts["grid"])
+        blocks = sampling.posterior_value_blocks(post, np.stack(coords, axis=-1), draws,
+                                                 opts["seed"])
+    mean, sd, paths = _moments(blocks, count)
+    _require_finite(mean, sd, paths)
     names = labels + ("mean", "sd") + tuple(f"path_{j}" for j in range(count))
-    return names, [*coords, mean, sd, *values[:count]], {}
+    return names, [*coords, mean, sd, *paths], {}
+
+
+def _check_draw_budget(draws: int, per_draw: int) -> None:
+    if draws * per_draw > _DRAW_BUDGET:
+        raise ResourceLimitError(
+            f"sample would draw {draws} x {per_draw} values, over the budget of "
+            f"{_DRAW_BUDGET}; lower moment_draws, grid or mesh_size")
+
+
+def _moments(blocks, count: int):
+    """Mean, sd and first `count` rows of the draws in `blocks`.
+
+    Each block's (n, mean, M2) is merged into the running one by the
+    pairwise update of Chan, Golub & LeVeque (1979); M2 is a block's sum
+    of squared deviations from its own mean, never a sum of squares.
+    """
+    n, mean, m2, head = 0, 0.0, 0.0, []
+    for block in blocks:
+        if n < count:
+            head.append(block[:count - n].copy())
+        k = len(block)
+        block_mean = block.mean(axis=0)
+        delta = block_mean - mean
+        mean = mean + delta * (k / (n + k))
+        m2 = m2 + ((block - block_mean) ** 2).sum(axis=0) + delta**2 * (n * k / (n + k))
+        n += k
+    return mean, np.sqrt(m2 / n), np.concatenate(head)
 
 
 _FIT = {"kernel": (_kernel, ...), "source": (_source, None), "data": (_data, ...),

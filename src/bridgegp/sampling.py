@@ -11,21 +11,27 @@ an M2-coefficient draw (M1 <= M2) have exactly the M1-draw law.
 Randomness is counter-based: draw i uses a Philox generator keyed by
 (seed, i), so draws are reproducible independently of how many are
 requested at once or in what order batches are taken.
+
+Values of draws come as blocks of rows (`value_blocks` for the prior on a
+grid, `posterior_value_blocks` at points), so a caller that only needs
+moments and a few paths holds one block at a time.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels, pde, spectral
+from . import kernels, pde, regression, spectral
 
 __all__ = [
     "PriorSampler",
-    "sample",
     "sample_coefficients",
+    "value_blocks",
     "sample_values",
+    "posterior_value_blocks",
     "sample_posterior_values",
     "NestedReport",
     "nested_consistency",
@@ -121,51 +127,65 @@ def sample_coefficients(sampler: PriorSampler, count: int, start: int = 0) -> np
     return out
 
 
-def sample(sampler: PriorSampler, count: int) -> list[spectral.SpectralField]:
-    """Draws as full fields (unsampled trailing coefficients are zero).
+def _rows(values_per_draw: int) -> int:
+    """Draws per block: `_BLOCK`, fewer when a draw holds many values."""
+    return max(1, min(_BLOCK, regression._GRID_BLOCK // values_per_draw))
 
-    Materializes count * order**dim coefficients; for moment estimation
-    over many draws prefer `sample_values` or `sample_coefficients`.
+
+def value_blocks(sampler: PriorSampler, axis, count: int) -> Iterator[np.ndarray]:
+    """Draws 0..count-1 on the tensor grid axis x ... x axis, block by block.
+
+    Each block has shape (rows, len(axis)**dim), grid values flattened in C
+    order as by `PosteriorModel.on_grid`; in 1D `axis` may be any points.
+    A block's coefficients are synthesized one axis at a time
+    (`spectral.synthesize`), so no basis matrix of the grid is formed.
+    Blocks hold `_BLOCK` draws, fewer when a draw's grid values or
+    coefficients pass `regression._GRID_BLOCK` values a block.
     """
-    coeffs = sample_coefficients(sampler, count)
-    full = np.zeros((count, sampler.spec.n_coeffs))
-    full[:, : sampler.mesh_size] = coeffs
-    return [spectral.SpectralField(sampler.spec.dim, sampler.spec.order, row) for row in full]
+    if count < 1:
+        raise ValueError(f"count must be positive, got {count}")
+    dim = sampler.spec.dim
+    axis = spectral.validate_points(axis, 1)[:, 0]
+    # a 1D prefix is itself an expansion; in higher dimensions pad the tail
+    order = sampler.mesh_size if dim == 1 else sampler.spec.order
+    tail = order**dim - sampler.mesh_size
+    rows = _rows(max(axis.size, order) ** dim)
+    for done in range(0, count, rows):
+        coeffs = sample_coefficients(sampler, min(rows, count - done), done)
+        if tail:
+            coeffs = np.pad(coeffs, ((0, 0), (0, tail)))
+        tensor = coeffs.T.reshape((order,) * dim + (len(coeffs),))
+        yield spectral.synthesize(tensor, [axis] * dim).reshape(-1, len(coeffs)).T
 
 
-def sample_values(sampler: PriorSampler, x, count: int) -> np.ndarray:
-    """Draws evaluated at points `x`, shape (count, len(x)).
-
-    Streams in blocks of `_BLOCK` draws so large Monte Carlo runs never
-    hold all coefficient vectors at once.
-    """
-    pts = spectral.validate_points(x, sampler.spec.dim)
-    psi = spectral.basis_matrix(sampler.spec.dim, sampler.spec.order, pts)
-    psi = psi[:, : sampler.mesh_size]
-    out = np.empty((count, pts.shape[0]))
-    for done in range(0, count, _BLOCK):
-        coeffs = sample_coefficients(sampler, min(_BLOCK, count - done), done)
-        out[done : done + coeffs.shape[0]] = coeffs @ psi.T
-    return out
+def sample_values(sampler: PriorSampler, axis, count: int) -> np.ndarray:
+    """All of `value_blocks` in one (count, len(axis)**dim) array."""
+    return np.concatenate(list(value_blocks(sampler, axis, count)))
 
 
-def sample_posterior_values(post, x, count: int, seed: int = 0) -> np.ndarray:
-    """Posterior draws evaluated at points `x`, shape (count, len(x)).
+def posterior_value_blocks(post, x, count: int, seed: int = 0) -> Iterator[np.ndarray]:
+    """Posterior draws 0..count-1 at points `x`, block by block.
 
     Row j is post.mean(x) + R xi_j: R = V sqrt(max(w, 0)) from the dense
     eigendecomposition V diag(w) V^T of post.cov(x), and xi_j the first
-    len(x) normals of the (seed, j) stream.
+    len(x) normals of the (seed, j) stream.  Blocks hold `_BLOCK` draws,
+    fewer when len(x) passes `regression._GRID_BLOCK` values a block.
     """
+    if count < 1:
+        raise ValueError(f"count must be positive, got {count}")
     seed = _check_seed(seed)
     pts = spectral.validate_points(x, post.spec.dim)
     eigvals, eigvecs = np.linalg.eigh(post.cov(pts))
     root_t = (eigvecs * np.sqrt(np.maximum(eigvals, 0.0))).T
     center = post.mean(pts)
-    out = np.empty((count, pts.shape[0]))
-    for done in range(0, count, _BLOCK):
-        xi = _normals(seed, done, min(_BLOCK, count - done), pts.shape[0])
-        out[done : done + len(xi)] = xi @ root_t + center
-    return out
+    rows = _rows(pts.shape[0])
+    for done in range(0, count, rows):
+        yield _normals(seed, done, min(rows, count - done), pts.shape[0]) @ root_t + center
+
+
+def sample_posterior_values(post, x, count: int, seed: int = 0) -> np.ndarray:
+    """All of `posterior_value_blocks` in one (count, len(x)) array."""
+    return np.concatenate(list(posterior_value_blocks(post, x, count, seed)))
 
 
 @dataclass(frozen=True)

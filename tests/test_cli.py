@@ -19,12 +19,25 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from bridgegp import Dataset, KernelSpec, cli, condition, pde, sample_posterior_values
+from bridgegp import (
+    Dataset,
+    KernelSpec,
+    PriorSampler,
+    cli,
+    condition,
+    pde,
+    sample_coefficients,
+    sample_posterior_values,
+    sample_values,
+    sampling,
+    spectral,
+)
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 FIXTURES = pathlib.Path(__file__).resolve().parent / "fixtures"
@@ -703,6 +716,44 @@ class TestOutOfMemory:
         assert not out.exists()
 
 
+class TestDrawBudget:
+    """`sample` refuses a request over `cli._DRAW_BUDGET` values before drawing."""
+
+    @staticmethod
+    def refuse_draws(monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("drew past the budget check")
+
+        monkeypatch.setattr(sampling, "sample_coefficients", refuse)
+        monkeypatch.setattr(sampling, "_normals", refuse)
+
+    @pytest.mark.parametrize("mode,per_draw", [("prior", 16 + 11), ("posterior", 2 * 11)])
+    def test_over_budget_exits_4_before_drawing(self, tmp_path, capsys, monkeypatch,
+                                                mode, per_draw):
+        payload = {"kernel": kernel_cfg(order=16), "mode": mode, "grid": 11,
+                   "moment_draws": 100, "count": 1}
+        if mode == "posterior":
+            payload.update(data={"x": [0.5], "y": [0.1]}, sigma2=1e-3)
+        cfg = write_config(tmp_path, payload)
+        monkeypatch.setattr(cli, "_DRAW_BUDGET", 100 * per_draw)
+        assert run(["sample", "--config", cfg, "--out", str(tmp_path / "a.csv")]) == 0
+        monkeypatch.setattr(cli, "_DRAW_BUDGET", 100 * per_draw - 1)
+        self.refuse_draws(monkeypatch)
+        out = tmp_path / "b.csv"
+        TestLibraryErrorsAreConfigErrors.one_line_failure(
+            capsys, ["sample", "--config", cfg, "--out", str(out)], 4, "resource limit:")
+        assert not out.exists()
+
+    def test_hundred_million_draws_exit_4_at_once(self, tmp_path, capsys, monkeypatch):
+        self.refuse_draws(monkeypatch)
+        cfg = write_config(tmp_path, {"kernel": {"family": "bridge"},
+                                      "moment_draws": 10**8})
+        started = time.perf_counter()
+        TestLibraryErrorsAreConfigErrors.one_line_failure(
+            capsys, ["sample", "--config", cfg], 4, "resource limit:")
+        assert time.perf_counter() - started < 1.0
+
+
 class TestBlasThreads:
     """The OpenBLAS idle timeout that `import bridgegp` sets changes no byte.
 
@@ -761,9 +812,62 @@ class TestOneSampler:
         post = condition(KernelSpec("bridge", order=32, beta=3.0), None,
                          Dataset(np.array(x), np.array(y), 1e-3))
         draws = sample_posterior_values(post, table[:, :1], 2100, seed=5)
-        np.testing.assert_array_equal(table[:, 1], draws.mean(axis=0))
-        np.testing.assert_array_equal(table[:, 2], draws.std(axis=0))
+        # the paths are the draws; the moments are merged over two blocks
         np.testing.assert_array_equal(table[:, 3:], draws[:3].T)
+        np.testing.assert_allclose(table[:, 1], draws.mean(axis=0), rtol=1e-12, atol=0)
+        np.testing.assert_allclose(table[:, 2], draws.std(axis=0), rtol=1e-12, atol=0)
+
+    @staticmethod
+    def library_draws(mode, grid, draws, seed):
+        """The draws `sample` streams for kernel_cfg(order=16) on `grid` points."""
+        spec = KernelSpec("bridge", order=16)
+        axis = np.linspace(0.0, 1.0, grid)
+        if mode == "prior":
+            return sample_values(PriorSampler(spec, None, None, seed), axis, draws)
+        post = condition(spec, None, Dataset(np.array([0.3, 0.6]), np.array([0.2, -0.1]), 1e-3))
+        return sample_posterior_values(post, axis, draws, seed)
+
+    # blocks of 7 draws: fewer draws than a block, a ragged last block,
+    # and every draw a path
+    @pytest.mark.parametrize("mode", ["prior", "posterior"])
+    @pytest.mark.parametrize("draws,count", [(5, 2), (23, 3), (14, 14)])
+    def test_moments_merged_per_block_match_two_passes(self, tmp_path, monkeypatch,
+                                                       mode, draws, count):
+        monkeypatch.setattr(sampling, "_BLOCK", 7)
+        payload = {"kernel": kernel_cfg(order=16), "mode": mode, "grid": 9,
+                   "count": count, "moment_draws": draws, "seed": 3}
+        if mode == "posterior":
+            payload.update(data={"x": [0.3, 0.6], "y": [0.2, -0.1]}, sigma2=1e-3)
+        out = tmp_path / "o.csv"
+        assert run(["sample", "--config", write_config(tmp_path, payload),
+                    "--out", str(out)]) == 0
+        table = np.loadtxt(out, delimiter=",", skiprows=4)
+        values = self.library_draws(mode, 9, draws, 3)
+        np.testing.assert_array_equal(table[:, 3:].T, values[:count])
+        np.testing.assert_allclose(table[:, 1], values.mean(axis=0), rtol=1e-12, atol=0)
+        np.testing.assert_allclose(table[:, 2], values.std(axis=0), rtol=1e-12, atol=0)
+
+    def test_2d_prior_grid_sample_builds_no_basis(self, tmp_path, monkeypatch):
+        basis_matrix = spectral.basis_matrix
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a grid prior sample built a basis matrix")
+
+        monkeypatch.setattr(spectral, "basis_matrix", refuse)
+        monkeypatch.setattr(sampling, "_BLOCK", 16)
+        cfg = write_config(tmp_path, {"kernel": kernel_cfg(dim=2, order=8), "grid": 7,
+                                      "mesh_size": 50, "count": 3, "moment_draws": 40,
+                                      "seed": 9})
+        out = tmp_path / "o.csv"
+        assert run(["sample", "--config", cfg, "--out", str(out)]) == 0
+        table = np.loadtxt(out, delimiter=",", skiprows=4)
+        sampler = PriorSampler(KernelSpec("bridge", dim=2, order=8), None, 50, 9)
+        psi = basis_matrix(2, 8, table[:, :2])[:, :50]
+        values = sample_coefficients(sampler, 40) @ psi.T
+        for got, expect in ((table[:, 4:].T, values[:3]),
+                            (table[:, 2], values.mean(axis=0)),
+                            (table[:, 3], values.std(axis=0))):
+            np.testing.assert_allclose(got, expect, rtol=0, atol=1e-13 * np.abs(expect).max())
 
     def test_cli_uses_no_private_sampling_name(self):
         tree = ast.parse(inspect.getsource(cli))

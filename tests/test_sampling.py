@@ -21,14 +21,22 @@ from bridgegp import (
     condition,
     eigenvalues,
     nested_consistency,
-    sample,
+    posterior_value_blocks,
     sample_coefficients,
     sample_posterior_values,
     sample_values,
     solve,
+    value_blocks,
 )
-from bridgegp import sampling
+from bridgegp import regression, sampling
 from bridgegp.sampling import _philox
+
+
+def sample(sampler, count):
+    """Draws as full fields; the trailing coefficients past mesh_size are zero."""
+    full = np.zeros((count, sampler.spec.n_coeffs))
+    full[:, : sampler.mesh_size] = sample_coefficients(sampler, count)
+    return [SpectralField(sampler.spec.dim, sampler.spec.order, row) for row in full]
 
 
 def make_sampler(order=32, beta=1.0, mesh=None, seed=0, mean=None):
@@ -151,6 +159,21 @@ class TestDraws:
         monkeypatch.setattr(sampling, "_BLOCK", 3)
         np.testing.assert_allclose(sample_values(s, x, 10), full, atol=1e-14)
 
+    def test_blocks_follow_the_value_budget(self, monkeypatch):
+        # a draw holds max(11 grid points, 16 coefficients) values: 6 draws
+        # fit a budget of 100, so 20 draws come in blocks of 6, 6, 6, 2
+        s = make_sampler(order=16, seed=6)
+        x = np.linspace(0.0, 1.0, 11)
+        full = sample_values(s, x, 20)
+        monkeypatch.setattr(regression, "_GRID_BLOCK", 100)
+        blocks = list(value_blocks(s, x, 20))
+        assert [len(b) for b in blocks] == [6, 6, 6, 2]
+        np.testing.assert_allclose(np.concatenate(blocks), full, rtol=0, atol=1e-14)
+
+    def test_count_must_be_positive(self):
+        with pytest.raises(ValueError):
+            sample_values(make_sampler(), [0.5], 0)
+
     def test_moments(self):
         # mean and variance of the drawn coefficients at pinned seed
         spec = KernelSpec("bridge", order=4, beta=2.0)
@@ -212,6 +235,15 @@ class TestPosteriorDraws:
         np.testing.assert_allclose(
             sample_posterior_values(post, x, 3, seed=13), draws[:3], rtol=0, atol=1e-15
         )
+
+    def test_blocks_follow_the_value_budget(self, monkeypatch):
+        post = self.posterior()
+        x = np.linspace(0.0, 1.0, 7)
+        full = sample_posterior_values(post, x, 10, seed=2)
+        monkeypatch.setattr(regression, "_GRID_BLOCK", 30)
+        blocks = list(posterior_value_blocks(post, x, 10, seed=2))
+        assert [len(b) for b in blocks] == [4, 4, 2]
+        np.testing.assert_allclose(np.concatenate(blocks), full, rtol=0, atol=1e-15)
 
     def test_moments(self):
         # Monte Carlo mean and variance at a pinned seed, 5 sigma bounds

@@ -35,7 +35,6 @@ from .kernels import (
     SpdSolver,
     default_order,
     eigenvalues,
-    kernel_diag,
     kernel_matrix,
     rkhs_sq_norm,
 )
@@ -96,6 +95,7 @@ from .spectral import (
     l2_inner,
     l2_norm,
     project,
+    synthesis_tables,
     synthesize,
     zero_field,
 )

@@ -13,7 +13,8 @@ or thread counts the reduction order inside LAPACK and BLAS may differ,
 so the numbers agree to rounding: a mean to a few
 eps * max|mean|, a variance to a few eps * max k(x,x), and hence a
 standard deviation near a data point to about 1e-13 relative.  Posterior
-`sample` draws are other draws of the same law (README, "Determinism").
+`sample` draws outside the 1D bridge are other draws of the same law
+(README, "Determinism").
 The serialization (headers, grid coordinates, 17 significant digits, LF,
 exact zeros on the boundary) stays byte-identical across builds.
 
@@ -28,7 +29,8 @@ Exit codes: 0 success, 2 config error (so is a plain ValueError, since the
 library's arguments come from the config, and so is an unwritable output),
 3 numerical failure (so is an arithmetic overflow, and a non-finite number
 in any artifact but those of `beta` and `study model-error`), 4 resource
-limit (so is a MemoryError, and a `sample` over `_DRAW_BUDGET`).
+limit (so is a MemoryError, and a `sample` over `_DRAW_BUDGET` or over
+`sampling._BACKWARD_STEPS`).
 """
 
 from __future__ import annotations
@@ -271,7 +273,9 @@ def _cmd_solve(opts: dict):
     spec = opts["kernel"]
     solution = pde.solve(_build_source(opts["source"], spec.dim, "source"), spec)
     coords, labels, axis = _grid(spec.dim, opts["grid"])
-    vals = spectral.synthesize(solution.u0.as_tensor(), [axis] * spec.dim).reshape(-1)
+    vals = spectral.synthesize(solution.u0.as_tensor(),
+                               spectral.synthesis_tables([axis] * spec.dim, spec.order))
+    vals = vals.reshape(-1)
     _require_finite(vals)
     return labels + ("u0",), [*coords, vals], {}
 

@@ -27,11 +27,11 @@ import itertools
 import keyword
 import operator
 import re
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ExpressionError
+from .record import Record
 
 _FUNCTIONS = {"sin": np.sin, "cos": np.cos, "exp": np.exp}
 _CONSTANTS = {"pi": np.pi, "e": np.e}
@@ -96,8 +96,7 @@ def _flatten(tree: ast.expr, source: str, where, dim: int, parameters: tuple[str
     return tuple(steps)
 
 
-@dataclass(frozen=True)
-class CompiledExpression:
+class CompiledExpression(Record):
     """A parsed expression bound to a dimension and a parameter list."""
 
     expression: str

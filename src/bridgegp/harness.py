@@ -9,11 +9,11 @@ pushed away from the prior mean along a fixed direction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import kernels, pde, regression, spectral
+from .record import Factory, Record
 
 # Evaluation grids for the fill-distance supremum, per dimension; about
 # 1e4 nodes each.  The 1D grid is inclusive with spacing 1e-4 so that
@@ -21,8 +21,7 @@ from . import kernels, pde, regression, spectral
 _FILL_GRID = {1: 10001, 2: 101, 3: 22}
 
 
-@dataclass(frozen=True)
-class DesignMetrics:
+class DesignMetrics(Record):
     """Fill distance, separation radius, and their mesh ratio."""
 
     n: int
@@ -83,15 +82,14 @@ def _nearest_sq(queries: np.ndarray, pts: np.ndarray, exclude_self: bool = False
     return out
 
 
-@dataclass(frozen=True)
-class StudyReport:
+class StudyReport(Record):
     """Rows plus headline numbers from one study run."""
 
     kind: str
     params: dict
     columns: tuple
     rows: tuple
-    extras: dict = field(default_factory=dict)
+    extras: dict = Factory(dict)
 
 
 def _l2_on_grid(values: np.ndarray, grid: np.ndarray) -> float:
@@ -200,8 +198,9 @@ def convergence_study(truth, assumed_source, spec: kernels.KernelSpec, ns,
             rng = np.random.default_rng([seed, n])
             y = y + rng.normal(scale=np.sqrt(noise_sigma2), size=n)
         post = regression.condition(spec, prior, regression.Dataset(x, y, sigma2))
-        err = _l2_on_grid(post.mean(grid_x) - truth_on_grid, grid_x)
-        var_int = float(np.trapezoid(post.var(grid_x), grid_x))
+        mean, var = post.on_grid(grid_x)
+        err = _l2_on_grid(mean - truth_on_grid, grid_x)
+        var_int = float(np.trapezoid(var, grid_x))
         metrics = design_metrics(x)
         rows.append({
             "n": n,

@@ -24,14 +24,13 @@ eigenvalues.
 
 from __future__ import annotations
 
-import dataclasses
 import logging
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import spectral
 from .errors import NumericalError, OrderMismatchError, ResonanceError, SingularSystemError
+from .record import Record
 
 logger = logging.getLogger(__name__)
 
@@ -49,8 +48,7 @@ def default_order(dim: int) -> int:
     return _DEFAULT_ORDER[dim]
 
 
-@dataclass(frozen=True)
-class KernelSpec:
+class KernelSpec(Record):
     """Kernel family, truncation, and trust weight.
 
     Parameters
@@ -123,7 +121,7 @@ class KernelSpec:
         return self.family == "bridge" and self.dim == 1
 
     def with_beta(self, beta: float) -> "KernelSpec":
-        return dataclasses.replace(self, beta=beta)
+        return KernelSpec(self.family, self.dim, self.order, beta, self.omega, self.p)
 
 
 def eigenvalues(spec: KernelSpec, indices: np.ndarray | None = None) -> np.ndarray:
@@ -187,18 +185,6 @@ def kernel_matrix(spec: KernelSpec, x, y=None) -> np.ndarray:
         base = (px * lam) @ py.T
     if y is None:
         base = 0.5 * (base + base.T)
-    return _over_beta(base, spec.beta)
-
-
-def kernel_diag(spec: KernelSpec, x) -> np.ndarray:
-    """Pointwise variances k(x_i, x_i)."""
-    xs = spectral.validate_points(x, spec.dim)
-    if spec.closed_form:
-        base = xs[:, 0] - xs[:, 0] ** 2
-    else:
-        lam = eigenvalues(spec)
-        px = spectral.basis_matrix(spec.dim, spec.order, xs)
-        base = np.einsum("ij,j,ij->i", px, lam, px)
     return _over_beta(base, spec.beta)
 
 

@@ -19,12 +19,11 @@ coefficient algebra) so they can be cross-checked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from . import expressions, kernels, spectral
 from .errors import OrderMismatchError
+from .record import Factory, Record
 
 __all__ = [
     "SourceModel",
@@ -52,8 +51,7 @@ class SourceModel:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
-class SpectralSource(SourceModel):
+class SpectralSource(SourceModel, Record):
     """A source given directly by sine coefficients."""
 
     field: spectral.SpectralField
@@ -119,8 +117,7 @@ def zero_source(dim: int, order: int) -> SpectralSource:
     return SpectralSource(spectral.zero_field(dim, order))
 
 
-@dataclass(frozen=True)
-class PdeSolution:
+class PdeSolution(Record):
     """Forward solution u0 = C q for a kernel spec's operator."""
 
     u0: spectral.SpectralField
@@ -184,7 +181,8 @@ def energy(u: spectral.SpectralField, source: SourceModel) -> float:
     grad_sq = float(np.sum(spectral.dirichlet_eigenvalues(u.dim, u.order) * u.coeffs**2))
     nodes = rule.nodes
     q_vals = source.evaluate(nodes[:, 0] if u.dim == 1 else nodes)
-    u_vals = spectral.synthesize(u.as_tensor(), [rule.axis_nodes] * u.dim)
+    u_vals = spectral.synthesize(
+        u.as_tensor(), spectral.synthesis_tables([rule.axis_nodes] * u.dim, u.order))
     load = rule.integrate(np.asarray(q_vals) * u_vals.reshape(-1))
     return 0.5 * grad_sq - load
 
@@ -209,8 +207,7 @@ def source_energy_offset(source: SourceModel, spec: kernels.KernelSpec) -> float
     return 0.5 * float(np.sum(lam * q_hat**2))
 
 
-@dataclass(frozen=True)
-class LinearSourceFamily:
+class LinearSourceFamily(Record):
     """Sources affine in the parameter vector: q(theta) = q0 + sum theta_j g_j."""
 
     components: tuple
@@ -242,13 +239,12 @@ class LinearSourceFamily:
         return SpectralSource(spectral.SpectralField(dim, order, cols @ theta + off))
 
 
-@dataclass(frozen=True)
-class ExpressionSourceFamily:
+class ExpressionSourceFamily(Record):
     """Sources from one expression with free (possibly nonlinear) parameters."""
 
     expression: str
     free: tuple
-    fixed: dict = field(default_factory=dict)
+    fixed: dict = Factory(dict)
 
     def __post_init__(self):
         object.__setattr__(self, "free", tuple(str(p) for p in self.free))

@@ -9,9 +9,10 @@ ridge problem
     min_u  (1/n) sum_i (u(x_i) - y_i)^2 + eta ||u - u0||_H^2
 
 with eta = sigma^2 * beta / n, where ||.||_H is the beta = 1 native
-norm.  Both routes are implemented separately (`condition` works with
-the beta-scaled covariance, `krr_solve` with the beta = 1 Gram) so the
-equivalence is a checkable property rather than a definition.
+norm.  Both routes are implemented separately (`condition` runs a Kalman
+filter for the 1D bridge and works with the beta-scaled covariance
+otherwise, `krr_solve` solves with the beta = 1 Gram) so the equivalence
+is a checkable property rather than a definition.
 
 Calibration of beta and source inversion share one exact solver.  The
 beta = 1 marginal covariance is eigendecomposed once per dataset (it is
@@ -27,12 +28,12 @@ from __future__ import annotations
 
 import logging
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels, pde, spectral
 from .errors import NumericalError, OrderMismatchError, SingularSystemError
+from .record import Record
 
 logger = logging.getLogger(__name__)
 
@@ -41,8 +42,7 @@ NOISE_FLOOR = 1e-12
 LOG_BETA_RANGE = (-12.0, 12.0)
 
 
-@dataclass(frozen=True)
-class Dataset:
+class Dataset(Record):
     """Point observations y_i = u(x_i) + eps_i with iid noise.
 
     Parameters
@@ -97,8 +97,7 @@ class Dataset:
         return self.X.shape[1]
 
 
-@dataclass(frozen=True)
-class HyperPrior:
+class HyperPrior(Record):
     """Prior on the trust weight beta: flat, Jeffreys, or a point mass."""
 
     kind: str
@@ -156,23 +155,25 @@ class PosteriorModel:
     """Conjugate GP posterior from point data.
 
     Exposes the posterior mean, covariance, and pointwise variance; the
-    variance is clamped at zero (tiny negative values are round-off and
-    are logged, never returned).  It needs V = K / beta + sigma2 I at
-    the spec's beta only, so it Cholesky-factors V = L L^T once with
-    `kernels.SpdSolver` and does not keep the Gram.
+    variance is never negative (tiny negative values from round-off are
+    clamped at zero and logged, never returned).
 
-    The 1D bridge kernel is summed in closed form, so its posterior stays
-    in kernel space: the mean is u0 + k(x, X) V^-1 r and the variance
-    k(x, x) - |L^-1 k(X, x)|^2 (Rasmussen & Williams, Alg. 2.1), with L
-    kept.  Every
-    other kernel is a finite Mercer sum psi(x)^T Lambda psi(y) / beta, so
-    its posterior lives in coefficient space (GPML section 2.1).  With Psi
-    the basis at the data sites X, the mean is the field `mean_field`,
-    c0 + Lambda Psi^T V^-1 r / beta, and the variance is
-    k(x, x) - |G^T psi(x)|^2 with G = Lambda Psi^T L^-T / beta; neither
+    The 1D bridge is a Markov process, so its posterior is exact in
+    O(n + N) without a Gram matrix: `mean`, `var` and `on_grid` run one
+    Kalman filter and Rauch-Tung-Striebel smoother over the sorted union of
+    the data sites and the N query points (`_bridge_kernels`), on the
+    residual r = y - u0(X), which is all the model keeps of the data.
+    Its `cov` stays dense, k(x, x') - k(x, X) V^-1 k(X, x') with
+    V = K / beta + sigma2 I factored per call: the oracle of that route.
+    Every other kernel is
+    a finite Mercer sum psi(x)^T Lambda psi(y) / beta, so its posterior
+    lives in coefficient space (GPML section 2.1).  With Psi the basis at
+    the data sites X and V = L L^T (`kernels.SpdSolver`), the mean is the
+    field `mean_field`, c0 + Lambda Psi^T V^-1 r / beta, and the variance
+    is k(x, x) - |G^T psi(x)|^2 with G = Lambda Psi^T L^-T / beta; neither
     V nor L is kept.  The basis at X is built once; `on_grid` evaluates
-    both moments on a tensor grid by synthesis, without a basis matrix
-    of the grid.
+    both moments on a tensor grid by synthesis, without a basis matrix of
+    the grid.
     """
 
     def __init__(self, spec: kernels.KernelSpec, prior, data: Dataset):
@@ -184,18 +185,15 @@ class PosteriorModel:
         self.prior = pde.prior_mean(prior, spec)
         self.data = data
         self.eta = data.sigma2 * spec.beta / data.n
-        noise = data.sigma2 * np.eye(data.n)
         if spec.closed_form:
             self.mean_field = None
-            # V = K / beta + sigma2 I, factored once; the Gram is not kept.
-            self._solver = kernels.SpdSolver(kernels.kernel_matrix(spec, data.X) + noise)
-            self._weights = self._solver.solve(data.y - spectral.evaluate(self.prior, data.X))
+            self._resid = data.y - spectral.evaluate(self.prior, data.X)
             return
         psi = spectral.basis_matrix(spec.dim, spec.order, data.X)
         lam = kernels.eigenvalues(spec)
         gram = (psi * lam) @ psi.T
         solver = kernels.SpdSolver(
-            kernels._over_beta(0.5 * (gram + gram.T), spec.beta) + noise)
+            kernels._over_beta(0.5 * (gram + gram.T), spec.beta) + data.sigma2 * np.eye(data.n))
         self._lam = kernels._over_beta(lam, spec.beta)
         weights = solver.solve(data.y - psi @ self.prior.coeffs)
         self.mean_field = spectral.SpectralField(
@@ -205,35 +203,107 @@ class PosteriorModel:
         # a product with L^-1 holds one n x S^d array less than a solve
         self._factor = psi.T @ solver.whiten(np.eye(data.n)).T
 
-    def _cross(self, x) -> np.ndarray:
-        return kernels.kernel_matrix(self.spec, x, self.data.X)
+    def _bridge_kernels(self, x):
+        """The backward kernels of the residual process at 1D points `x`.
+
+        Returns `order`, the indices of x by descending position, and three
+        lists in that order: the residual f at x[order[k]], given the data
+        and f at x[order[k - 1]] (its right neighbour among the points), is
+        normal with mean coef[k] f(x[order[k - 1]]) + center[k] and variance
+        var[k]; coef[0] is 0, so the first is the smoothed marginal.
+
+        The bridge transition s -> t has mean factor (1 - t) / (1 - s) and
+        variance (t - s)(1 - t) / ((1 - s) beta).  A Kalman filter in
+        covariance form runs over the stable-sorted union of data sites and
+        points; an observation is one update, so several at one site are
+        sequential updates.  Its backward (RTS) kernels are composed through
+        the data-only sites (Carter & Kohn, 1994).  No step divides by a gap
+        between sites, and the variances are sums of nonnegative terms.
+        """
+        sites = self.data.X[:, 0]
+        n = sites.size
+        perm = np.argsort(np.concatenate([sites, x]), kind="stable")
+        t = np.concatenate([sites, x])[perm]
+        prev = np.concatenate([[0.0], t[:-1]])
+        # past a site at 1 the state is exactly 0 and every gap is 0
+        a = np.divide(1.0 - t, 1.0 - prev, out=np.zeros_like(t), where=prev < 1.0)
+        q = kernels._over_beta((t - prev) * a, self.spec.beta)
+        resid = np.zeros(t.size)
+        observed = perm < n
+        resid[observed] = self._resid[perm[observed]]
+        s2 = self.data.sigma2
+        m = p = 0.0
+        mf, pf, pp = [], [], []
+        for ai, qi, ri, obs in zip(a.tolist(), q.tolist(), resid.tolist(), observed.tolist()):
+            m *= ai
+            p = ai * ai * p + qi
+            pp.append(p)
+            if obs:
+                g = p + s2
+                m = (s2 * m + p * ri) / g
+                p = p * s2 / g
+            mf.append(m)
+            pf.append(p)
+        # f(t_i) | f(t_{i+1}), data to t_i: mean c f(t_{i+1}) + w m_f, variance
+        # w P_f, with c = a P_f / P_p, w = q / P_p = 1 - c a (P_p, a, q of the
+        # step to t_{i+1}); when P_p = 0, f(t_{i+1}) is known and c = 0, w = 1.
+        mf, pf, pp = np.array(mf), np.array(pf), np.array(pp)
+        c, w = np.zeros(t.size), np.ones(t.size)
+        known = pp[1:] == 0.0
+        np.divide(a[1:] * pf[:-1], pp[1:], out=c[:-1], where=~known)
+        np.divide(q[1:], pp[1:], out=w[:-1], where=~known)
+        coef, center, var = [], [], []
+        gain, mean, cond = 1.0, 0.0, 0.0  # f(t_i) in terms of the last point passed
+        for ci, di, vi, query in zip(c[::-1].tolist(), (w * mf)[::-1].tolist(),
+                                     (w * pf)[::-1].tolist(), (~observed[::-1]).tolist()):
+            gain, mean, cond = ci * gain, ci * mean + di, ci * ci * cond + vi
+            if query:
+                coef.append(gain)
+                center.append(mean)
+                var.append(cond)
+                gain, mean, cond = 1.0, 0.0, 0.0
+        return perm[~observed][::-1] - n, coef, center, var
+
+    def _bridge_moments(self, x):
+        """Smoothed mean and variance of the residual process at 1D points `x`."""
+        order, coef, center, var = self._bridge_kernels(x)
+        mean, out_var = np.empty(x.size), np.empty(x.size)
+        m = p = 0.0
+        for k, c, d, v in zip(order.tolist(), coef, center, var):
+            m = c * m + d
+            p = c * c * p + v
+            mean[k] = m
+            out_var[k] = p
+        return mean, out_var
 
     def mean(self, x):
         """Posterior mean at a point or batch of points."""
         pts, single = spectral.as_point_batch(x, self.spec.dim)
         if self.mean_field is None:
-            vals = spectral.evaluate(self.prior, pts) + self._cross(pts) @ self._weights
+            vals = spectral.evaluate(self.prior, pts) + self._bridge_moments(pts[:, 0])[0]
         else:
             vals = spectral.evaluate(self.mean_field, pts)
         return float(vals[0]) if single else vals
 
     def _whitened(self, pts):
-        """The prior-covariance handle of a batch (the points, or their
-        basis) and L^-1 k(X, pts)."""
-        if self.mean_field is None:
-            return pts, self._solver.whiten(self._cross(pts).T)
+        """The basis at a batch of points and G^T psi = L^-1 k(X, pts)."""
         psi = spectral.basis_matrix(self.spec.dim, self.spec.order, pts)
         return psi, (psi @ self._factor).T
 
     def cov(self, x, x2=None) -> np.ndarray:
         """Posterior covariance matrix between two batches of points."""
-        a, za = self._whitened(spectral.validate_points(x, self.spec.dim))
-        b, zb = (a, za) if x2 is None else self._whitened(
-            spectral.validate_points(x2, self.spec.dim))
+        a = spectral.validate_points(x, self.spec.dim)
+        b = a if x2 is None else spectral.validate_points(x2, self.spec.dim)
         if self.mean_field is None:
+            solver = kernels.SpdSolver(kernels.kernel_matrix(self.spec, self.data.X)
+                                       + self.data.sigma2 * np.eye(self.data.n))
+            za = solver.whiten(kernels.kernel_matrix(self.spec, self.data.X, a))
+            zb = za if x2 is None else solver.whiten(
+                kernels.kernel_matrix(self.spec, self.data.X, b))
             prior_cov = kernels.kernel_matrix(self.spec, a, b)
         else:
-            prior_cov = (a * self._lam) @ b.T
+            (pa, za), (pb, zb) = self._whitened(a), self._whitened(b)
+            prior_cov = (pa * self._lam) @ pb.T
         out = prior_cov - za.T @ zb
         if x2 is None:
             out = 0.5 * (out + out.T)
@@ -242,34 +312,36 @@ class PosteriorModel:
     def var(self, x) -> np.ndarray:
         """Pointwise posterior variance, clamped at zero."""
         pts = spectral.validate_points(x, self.spec.dim)
-        handle, z = self._whitened(pts)
         if self.mean_field is None:
-            prior_var = kernels.kernel_diag(self.spec, pts)
-        else:
-            prior_var = np.einsum("ij,j,ij->i", handle, self._lam, handle)
+            return self._bridge_moments(pts[:, 0])[1]
+        psi, z = self._whitened(pts)
+        prior_var = np.einsum("ij,j,ij->i", psi, self._lam, psi)
         return _clamp_variance(prior_var - np.einsum("ij,ij->j", z, z))
 
     def on_grid(self, axis):
         """Posterior mean and variance on the tensor grid axis x ... x axis,
         flattened in C order (the last coordinate varies fastest).
 
-        In coefficient space the mean is the synthesis of `mean_field`, the
-        prior variance that of lambda / beta with squared tables, and the
-        subtracted term that of the n columns of G, a block of first-axis
-        coordinates at a time.
+        For the 1D bridge `axis` may be any points: one smoother pass gives
+        both moments.  In coefficient space the mean is the synthesis of
+        `mean_field`, the prior variance that of lambda / beta with squared
+        tables, and the subtracted term that of the n columns of G, a block
+        of first-axis coordinates at a time; each axis's table is built once.
         """
         axis = spectral.validate_points(axis, 1)[:, 0]
         if self.mean_field is None:
-            return self.mean(axis), self.var(axis)
-        shape = (self.spec.order,) * self.spec.dim
-        axes = [axis] * self.spec.dim
-        mean = spectral.synthesize(self.mean_field.as_tensor(), axes)
-        prior_var = spectral.synthesize(self._lam.reshape(shape), axes, squared=True)
-        factor = self._factor.reshape(shape + (-1,))
-        rows = max(1, _GRID_BLOCK // (axis.size ** (len(axes) - 1) * factor.shape[-1]))
+            mean, var = self._bridge_moments(axis)
+            return spectral.evaluate(self.prior, axis) + mean, var
+        order, dim = self.spec.order, self.spec.dim
+        tables = spectral.synthesis_tables([axis] * dim, order)
+        mean = spectral.synthesize(self.mean_field.as_tensor(), tables)
+        prior_var = spectral.synthesize(
+            self._lam.reshape((order,) * dim), [t * t for t in tables])
+        factor = self._factor.reshape((order,) * dim + (-1,))
+        rows = max(1, _GRID_BLOCK // (axis.size ** (dim - 1) * factor.shape[-1]))
         explained = np.concatenate([
             np.einsum("...j,...j->...", z, z)
-            for z in (spectral.synthesize(factor, [axis[i:i + rows]] + axes[1:])
+            for z in (spectral.synthesize(factor, [tables[0][i:i + rows]] + tables[1:])
                       for i in range(0, axis.size, rows))
         ])
         return mean.reshape(-1), _clamp_variance((prior_var - explained).reshape(-1))
@@ -314,8 +386,7 @@ def krr_solve(spec: kernels.KernelSpec, prior, data: Dataset, eta: float) -> Krr
     return KrrSolution(spec, prior, data, eta)
 
 
-@dataclass(frozen=True)
-class PointObservations:
+class PointObservations(Record):
     """Point-evaluation measurement model wrapping a Dataset."""
 
     data: Dataset
@@ -325,8 +396,7 @@ class PointObservations:
         return self.data.n
 
 
-@dataclass(frozen=True)
-class CoefficientObservations:
+class CoefficientObservations(Record):
     """Direct observation of the first M canonical coefficients.
 
     The per-coefficient noise variance may be exactly zero: the algebra
@@ -501,8 +571,7 @@ def beta_gradient(spec: kernels.KernelSpec, prior, obs, beta: float,
     return float(d1 / beta + hyper.dlog_density(beta))
 
 
-@dataclass(frozen=True)
-class BetaMapResult:
+class BetaMapResult(Record):
     """Outcome of the trust-weight calibration."""
 
     beta: float
@@ -602,8 +671,7 @@ def calibration_row(spec: kernels.KernelSpec, prior, obs: CoefficientObservation
             "ratio": res.beta / formula if np.isfinite(formula) else None}
 
 
-@dataclass(frozen=True)
-class InversionResult:
+class InversionResult(Record):
     """Posterior summary for source parameters theta (and beta)."""
 
     theta_mean: np.ndarray
@@ -632,8 +700,7 @@ def _gls_design(obs, family: pde.LinearSourceFamily, spec: kernels.KernelSpec):
             marginal)
 
 
-@dataclass(frozen=True)
-class _GlsFit:
+class _GlsFit(Record):
     """Generalized least squares fit of r by a theta at one beta."""
 
     mean: np.ndarray

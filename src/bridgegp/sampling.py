@@ -20,11 +20,12 @@ moments and a few paths holds one block at a time.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels, pde, regression, spectral
+from .errors import ResourceLimitError
+from .record import Record
 
 __all__ = [
     "PriorSampler",
@@ -69,8 +70,7 @@ def _check_seed(seed) -> int:
     return seed
 
 
-@dataclass(frozen=True)
-class PriorSampler:
+class PriorSampler(Record):
     """Sampler for the truncated prior around a mean field.
 
     Parameters
@@ -150,12 +150,13 @@ def value_blocks(sampler: PriorSampler, axis, count: int) -> Iterator[np.ndarray
     order = sampler.mesh_size if dim == 1 else sampler.spec.order
     tail = order**dim - sampler.mesh_size
     rows = _rows(max(axis.size, order) ** dim)
+    tables = spectral.synthesis_tables([axis] * dim, order)
     for done in range(0, count, rows):
         coeffs = sample_coefficients(sampler, min(rows, count - done), done)
         if tail:
             coeffs = np.pad(coeffs, ((0, 0), (0, tail)))
         tensor = coeffs.T.reshape((order,) * dim + (len(coeffs),))
-        yield spectral.synthesize(tensor, [axis] * dim).reshape(-1, len(coeffs)).T
+        yield spectral.synthesize(tensor, tables).reshape(-1, len(coeffs)).T
 
 
 def sample_values(sampler: PriorSampler, axis, count: int) -> np.ndarray:
@@ -163,24 +164,60 @@ def sample_values(sampler: PriorSampler, axis, count: int) -> np.ndarray:
     return np.concatenate(list(value_blocks(sampler, axis, count)))
 
 
+# A 1D bridge posterior takes one vectorized step per point per block of
+# draws: about 2 us each for the 20-draw blocks of a 100001-point grid
+# (2-vCPU machine).  More steps than this, some 20 s, are refused before
+# any draw.
+_BACKWARD_STEPS = 1 << 23
+
+
 def posterior_value_blocks(post, x, count: int, seed: int = 0) -> Iterator[np.ndarray]:
     """Posterior draws 0..count-1 at points `x`, block by block.
 
-    Row j is post.mean(x) + R xi_j: R = V sqrt(max(w, 0)) from the dense
-    eigendecomposition V diag(w) V^T of post.cov(x), and xi_j the first
-    len(x) normals of the (seed, j) stream.  Blocks hold `_BLOCK` draws,
-    fewer when len(x) passes `regression._GRID_BLOCK` values a block.
+    Row j is built from xi_j, the first len(x) normals of the (seed, j)
+    stream.  For the 1D bridge it is drawn by backward sampling on the
+    Kalman filter of `post` (FFBS; Carter & Kohn, 1994): from the rightmost
+    point leftwards, f(x_k) = coef_k f(right neighbour) + center_k +
+    sqrt(var_k) xi_j[k], plus the prior mean, one vectorized step per point
+    over a block's draws; more than `_BACKWARD_STEPS` steps raise
+    ResourceLimitError before any draw.  Otherwise row j is
+    post.mean(x) + R xi_j, with R = V sqrt(max(w, 0)) from the dense
+    eigendecomposition V diag(w) V^T of post.cov(x).  Blocks hold `_BLOCK`
+    draws, fewer when len(x) passes `regression._GRID_BLOCK` values a block.
     """
     if count < 1:
         raise ValueError(f"count must be positive, got {count}")
     seed = _check_seed(seed)
     pts = spectral.validate_points(x, post.spec.dim)
-    eigvals, eigvecs = np.linalg.eigh(post.cov(pts))
-    root_t = (eigvecs * np.sqrt(np.maximum(eigvals, 0.0))).T
-    center = post.mean(pts)
-    rows = _rows(pts.shape[0])
+    size = pts.shape[0]
+    rows = _rows(size)
+    if not post.spec.closed_form:
+        eigvals, eigvecs = np.linalg.eigh(post.cov(pts))
+        root_t = (eigvecs * np.sqrt(np.maximum(eigvals, 0.0))).T
+        center = post.mean(pts)
+        for done in range(0, count, rows):
+            yield _normals(seed, done, min(rows, count - done), size) @ root_t + center
+        return
+    steps = size * -(-count // rows)
+    if steps > _BACKWARD_STEPS:
+        raise ResourceLimitError(
+            f"backward sampling {count} draws at {size} points takes {steps} steps, over "
+            f"the budget of {_BACKWARD_STEPS}; lower moment_draws or grid")
+    order, coef, center, var = post._bridge_kernels(pts[:, 0])
+    scale, shift = np.empty(size), np.empty(size)
+    scale[order] = np.sqrt(var)
+    shift[order] = center
+    links = [(k, prev, c) for prev, k, c in zip(order[:-1].tolist(), order[1:].tolist(),
+                                                  coef[1:]) if c]
+    prior = spectral.evaluate(post.prior, pts)
     for done in range(0, count, rows):
-        yield _normals(seed, done, min(rows, count - done), pts.shape[0]) @ root_t + center
+        draws = _normals(seed, done, min(rows, count - done), size)
+        draws *= scale
+        draws += shift
+        for k, prev, c in links:
+            draws[:, k] += c * draws[:, prev]
+        draws += prior
+        yield draws
 
 
 def sample_posterior_values(post, x, count: int, seed: int = 0) -> np.ndarray:
@@ -188,8 +225,7 @@ def sample_posterior_values(post, x, count: int, seed: int = 0) -> np.ndarray:
     return np.concatenate(list(posterior_value_blocks(post, x, count, seed)))
 
 
-@dataclass(frozen=True)
-class NestedReport:
+class NestedReport(Record):
     """Consistency of a coarse truncation against a finer one."""
 
     analytic_exact: bool

@@ -20,11 +20,11 @@ enforces hard caps on the axis order per dimension.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, OrderMismatchError, ResourceLimitError
+from .record import Record
 
 # Largest coefficient count we will hold in a dense vector (64**3).
 MAX_COEFFS = 262144
@@ -174,8 +174,7 @@ def basis_matrix(dim: int, order: int, x) -> np.ndarray:
     return vals
 
 
-@dataclass(frozen=True)
-class SpectralField:
+class SpectralField(Record):
     """A function on [0, 1]^d given by a truncated sine expansion.
 
     Parameters
@@ -249,8 +248,7 @@ def basis_field(dim: int, order: int, alpha) -> SpectralField:
     return SpectralField(dim, order, coeffs)
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
+class QuadratureRule(Record):
     """Tensor-product Gauss-Legendre rule on [0, 1]^d.
 
     `axis_nodes` / `axis_weights` hold the 1D rule reused on every axis;
@@ -376,32 +374,37 @@ def evaluate(u: SpectralField, x):
     return float(vals[0]) if single else vals
 
 
-def synthesize(tensor, axes, squared: bool = False) -> np.ndarray:
-    """Values of sine expansions on the tensor grid axes[0] x ... x axes[d-1].
+def synthesis_tables(axes, order: int) -> list[np.ndarray]:
+    """The (m_i, S) table sqrt(2) sin(n pi x) of each axis's m_i coordinates,
+    n = 1..order: the 1D basis at the axis, for `synthesize`."""
+    return [np.sqrt(2.0) * _sine_table(validate_points(coords, 1), order) for coords in axes]
 
-    `tensor` holds coefficients of shape (S,) * d + batch, d = len(axes),
+
+def synthesize(tensor, tables) -> np.ndarray:
+    """Values of sine expansions on a tensor grid, from its axes' tables.
+
+    `tensor` holds coefficients of shape (S,) * d + batch, d = len(tables),
     in the canonical enumeration on its leading d axes; each trailing
-    index is one expansion.  Synthesis runs one axis at a time against
-    the (m_i, S) table sqrt(2) sin(n pi x), so the cost is O(d * m^d * S *
-    batch) and no (m^d, S^d) basis matrix is formed (sum factorization).
-    With `squared`, the tables are squared: synthesizing eigenvalues
-    then gives sum_alpha lambda_alpha psi_alpha(x)^2, the kernel diagonal.
+    index is one expansion.  `tables` are the grid axes' (m_i, S) tables
+    from `synthesis_tables`, so a caller that synthesizes many tensors on
+    one grid builds them once.  Synthesis runs one axis at a time against
+    its table, so the cost is O(d * m^d * S * batch) and no (m^d, S^d)
+    basis matrix is formed (sum factorization).  Squared tables give
+    sum_alpha c_alpha psi_alpha(x)^2: from the eigenvalues, the kernel
+    diagonal.
 
     Returns an array of shape (m_0, ..., m_{d-1}) + batch; zero wherever
     a coordinate is 0 or 1.
     """
     tensor = np.asarray(tensor, dtype=float)
-    dim = len(axes)
+    dim = len(tables)
     if not 1 <= dim <= tensor.ndim:
         raise ValueError(f"cannot synthesize {dim} axes of a tensor of shape {tensor.shape}")
     order = tensor.shape[0]
-    if tensor.shape[:dim] != (order,) * dim:
-        raise OrderMismatchError(f"expected {dim} coefficient axes of length {order}, "
-                                 f"got shape {tensor.shape}")
-    for coords in axes:
-        table = np.sqrt(2.0) * _sine_table(validate_points(coords, 1), order)
-        if squared:
-            table *= table
+    if tensor.shape[:dim] != (order,) * dim or any(t.shape[1] != order for t in tables):
+        raise OrderMismatchError(f"expected {dim} coefficient axes of length "
+                                 f"{tables[0].shape[1]}, got shape {tensor.shape}")
+    for table in tables:
         rest = tensor.shape[1:]
         flat = tensor.reshape(order, -1) if rest else tensor
         if flat.flags.c_contiguous:

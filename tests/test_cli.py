@@ -579,11 +579,13 @@ class TestLibraryErrorsAreConfigErrors:
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_non_finite_fit_is_numerical_failure(self, tmp_path, capsys, fmt):
-        # the posterior mean overflows; neither format may write nan or null
+        # the residual y - u0(x) overflows (u0 is about -1e307 at the data), so
+        # the posterior mean does; neither format may write nan or null
         cfg = write_config(tmp_path, {
             "kernel": kernel_cfg(),
-            "data": {"x": [0.3, 0.6], "y": [1e308, -1e308]},
-            "sigma2": 1e-300,
+            "source": {"expression": "-1e308"},
+            "data": {"x": [0.3, 0.6], "y": [1.7e308, 1.7e308]},
+            "sigma2": 1e-4,
             "grid": 11,
         })
         out = tmp_path / f"o.{fmt}"
@@ -743,6 +745,33 @@ class TestDrawBudget:
         TestLibraryErrorsAreConfigErrors.one_line_failure(
             capsys, ["sample", "--config", cfg, "--out", str(out)], 4, "resource limit:")
         assert not out.exists()
+
+    def test_backward_steps_over_budget_exit_4_before_drawing(self, tmp_path, capsys,
+                                                              monkeypatch):
+        # a 1D posterior takes one step per grid point per block of draws
+        cfg = write_config(tmp_path, {"kernel": kernel_cfg(order=16), "mode": "posterior",
+                                      "grid": 11, "moment_draws": 100, "count": 1,
+                                      "data": {"x": [0.5], "y": [0.1]}, "sigma2": 1e-3})
+        monkeypatch.setattr(sampling, "_BACKWARD_STEPS", 11)
+        assert run(["sample", "--config", cfg, "--out", str(tmp_path / "a.csv")]) == 0
+        monkeypatch.setattr(sampling, "_BACKWARD_STEPS", 10)
+        self.refuse_draws(monkeypatch)
+        out = tmp_path / "b.csv"
+        TestLibraryErrorsAreConfigErrors.one_line_failure(
+            capsys, ["sample", "--config", cfg, "--out", str(out)], 4, "resource limit:")
+        assert not out.exists()
+
+    def test_posterior_on_a_hundred_thousand_points_exits_4_at_once(self, tmp_path, capsys,
+                                                                    monkeypatch):
+        # grid 100001: blocks of 20 draws, so 4096 draws take 205 x 100001 steps
+        self.refuse_draws(monkeypatch)
+        cfg = write_config(tmp_path, {"kernel": kernel_cfg(), "mode": "posterior",
+                                      "grid": 100001, "moment_draws": 4096,
+                                      "data": {"x": [0.5], "y": [0.1]}, "sigma2": 1e-3})
+        started = time.process_time()
+        TestLibraryErrorsAreConfigErrors.one_line_failure(
+            capsys, ["sample", "--config", cfg], 4, "resource limit:")
+        assert time.process_time() - started < 5.0
 
     def test_hundred_million_draws_exit_4_at_once(self, tmp_path, capsys, monkeypatch):
         self.refuse_draws(monkeypatch)

@@ -101,6 +101,13 @@ def test_cli_import_leaves_heavy_scipy_modules_unloaded():
     )
 
 
+def test_import_generates_no_dataclass():
+    # a frozen dataclass executes generated source for each class at import;
+    # the package's records share the methods of `record.Record` instead
+    probe = "import bridgegp, json, sys; print(json.dumps('dataclasses' in sys.modules))"
+    assert _loaded_in_fresh_interpreter(probe) is False
+
+
 def test_every_command_but_convergence_loads_no_scipy_module(tmp_path):
     runs = SEARCH_RUNS + OTHER_RUNS
     codes, loaded = _run_commands(tmp_path, runs)

@@ -20,12 +20,24 @@ from bridgegp import (
     basis_field,
     default_order,
     eigenvalues,
-    kernel_diag,
     kernel_matrix,
     project,
     rkhs_sq_norm,
 )
+from bridgegp import spectral
 from bridgegp.kernels import mercer_partial_sum
+
+
+def kernel_diag(spec, x):
+    """Pointwise variances k(x_i, x_i): the closed form x - x^2 for the 1D
+    bridge, the Mercer sum of lambda psi^2 otherwise; an oracle for the diagonal."""
+    xs = spectral.validate_points(x, spec.dim)
+    if spec.closed_form:
+        base = xs[:, 0] - xs[:, 0] ** 2
+    else:
+        psi = spectral.basis_matrix(spec.dim, spec.order, xs)
+        base = np.einsum("ij,j,ij->i", psi, eigenvalues(spec), psi)
+    return base / spec.beta
 
 # H1 seminorm of x(1-x) from a 200001-point finite-difference quadrature,
 # frozen; the exact value is 1/3.

@@ -3,12 +3,15 @@
 Oracles here are deliberately independent of the library internals:
 dense numpy solves for the conjugate posterior, scipy's multivariate
 normal for marginal likelihoods, central differences for the beta
-gradient, and the closed-form stationary point M / ||dev||_H^2 for the
-calibrated trust weight under exact coefficient data.
+gradient, the closed-form stationary point M / ||dev||_H^2 for the
+calibrated trust weight under exact coefficient data, and a 40-digit
+mpmath solve for the Kalman-filter route of the 1D bridge.
 """
 
+import json
 import logging
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -46,7 +49,7 @@ from bridgegp import (
     solve,
     zero_field,
 )
-from bridgegp import kernels, pde
+from bridgegp import cli, kernels, pde
 from bridgegp.regression import closed_form_beta
 
 
@@ -255,6 +258,99 @@ class TestPosterior:
             condition(KernelSpec("bridge", order=8), zero_field(1, 9), data)
         with pytest.raises(OrderMismatchError):
             condition(KernelSpec("bridge", dim=2, order=8), None, data)
+
+
+def markov_design(rng, n, sigma2):
+    """1D data with sites at 0 and 1, three observations at 0.5, repeated
+    sites, and a rough prior mean; the query points include the sites."""
+    x = rng.uniform(0.0, 1.0, n)
+    x[:6] = [0.0, 1.0, 0.5, 0.5, 0.5, 0.3]
+    x[6:9] = x[9:12]
+    y = np.sin(2 * np.pi * x) + 0.1 * rng.normal(size=n)
+    spec = KernelSpec("bridge", order=64, beta=3.0)
+    coeffs = rng.normal(size=64) / np.arange(1, 65) ** 2
+    prior = solve(SpectralSource(SpectralField(1, 64, coeffs)), spec)
+    query = np.concatenate([np.linspace(0.0, 1.0, 201), x[:20], [0.3]])
+    return spec, prior, Dataset(x, y, sigma2), query
+
+
+class TestMarkovRoute:
+    """The 1D bridge posterior by Kalman filter and RTS smoother."""
+
+    @pytest.mark.parametrize("n", [40, 3000])
+    def test_matches_the_dense_oracle(self, rng, n):
+        # The dense routes solve with a Gram whose condition number grows
+        # with n; their own rounding error reaches about 3e-12 of max|mean|
+        # at n = 3000, which the Markov route, accurate to a few 1e-15
+        # there, does not share (see the 40-digit test below).
+        spec, prior, data, query = markov_design(rng, n, 1e-4)
+        post = condition(spec, prior, data)
+        mean, var = post.mean(query), post.var(query)
+        dense = krr_solve(spec, prior, data, post.eta)(query)
+        assert np.abs(mean - dense).max() <= 1e-10 * np.abs(dense).max()
+        few = query[::5]
+        np.testing.assert_allclose(var[::5], np.diag(post.cov(few)), rtol=0,
+                                   atol=1e-14 * 0.25 / spec.beta)
+        assert var[0] == var[200] == 0.0 and mean[0] == mean[200] == 0.0
+        assert np.all(var >= 0.0)
+
+    @pytest.mark.parametrize("sigma2", [1e-4, 1e-12])
+    def test_matches_a_40_digit_reference(self, rng, sigma2):
+        # at the noise floor three observations at one site make the dense
+        # Gram nearly singular; the filter never forms it
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 40
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            spec, prior, data, query = markov_design(rng, 40, sigma2)
+        post = condition(spec, prior, data)
+        x = data.X[:, 0]
+        resid = data.y - prior(x)
+
+        def k(a, b):
+            return mpmath.matrix([[(min(s, t) - mpmath.mpf(s) * t) / spec.beta for t in b]
+                                  for s in a])
+
+        query = query[::4]
+        gram = k(x, x) + data.sigma2 * mpmath.eye(data.n)
+        weights = mpmath.lu_solve(gram, mpmath.matrix(resid.tolist()))
+        cross = k(query, x)
+        solved = mpmath.inverse(gram) * cross.T
+        ref_mean = np.array((cross * weights).tolist(), dtype=float)[:, 0] + prior(query)
+        ref_var = np.array([(mpmath.mpf(t) - mpmath.mpf(t) * t) / spec.beta
+                            - sum(cross[i, j] * solved[j, i] for j in range(data.n))
+                            for i, t in enumerate(query)], dtype=float)
+        # measured: 2e-16 of max|mean| and 2e-17 of max k(x,x) at either sigma2,
+        # where the dense route is 5e-14 and 6e-6 of max|mean| off
+        eps = np.finfo(float).eps
+        assert np.abs(post.mean(query) - ref_mean).max() <= 8 * eps * np.abs(ref_mean).max()
+        assert np.abs(post.var(query) - ref_var).max() <= 8 * eps * 0.25 / spec.beta
+
+    def test_fit_study_and_sample_build_no_gram(self, tmp_path, monkeypatch):
+        # 1D fit, study convergence and a 1D posterior sample run without a
+        # Gram, an SpdSolver or an eigendecomposition
+        def refuse(*args, **kwargs):
+            raise AssertionError("the Markov route built a dense factorization")
+
+        monkeypatch.setattr(kernels, "SpdSolver", refuse)
+        monkeypatch.setattr(kernels, "kernel_matrix", refuse)
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        data = {"x": [0.1, 0.4, 0.4, 0.9], "y": [0.2, 0.5, 0.4, -0.1]}
+        kernel = {"family": "bridge", "dim": 1, "order": 32, "beta": 2.0}
+        configs = {
+            "fit": {"kernel": kernel, "data": data, "sigma2": 1e-4, "grid": 11},
+            "sample": {"kernel": kernel, "data": data, "sigma2": 1e-4, "grid": 11,
+                       "mode": "posterior", "moment_draws": 50},
+            "convergence": {"kernel": kernel, "assumed_source": {"expression": "0"},
+                            "truth": {"expression": "sin(pi*x)"}, "ns": [4, 8, 16],
+                            "grid": 101},
+        }
+        for command, cfg in configs.items():
+            path = tmp_path / f"{command}.json"
+            path.write_text(json.dumps(cfg), encoding="utf-8")
+            argv = ["study", command] if command == "convergence" else [command]
+            assert cli.main(argv + ["--config", str(path),
+                                    "--out", str(tmp_path / f"{command}.csv")]) == 0
 
 
 class TestKrrEquivalence:

@@ -15,6 +15,7 @@ from bridgegp import (
     NestedReport,
     OrderMismatchError,
     PriorSampler,
+    ResourceLimitError,
     SpectralField,
     SpectralSource,
     basis_field,
@@ -222,19 +223,37 @@ class TestPosteriorDraws:
         return condition(spec, basis_field(1, 32, [1]), data)
 
     def test_rows_are_the_per_draw_streams(self):
-        # row j is mean + R xi_j with xi_j the (seed, j) stream, on both
-        # sides of the 2048-row block edge and for any count
+        # Row j is the backward construction on the (seed, j) stream, on both
+        # sides of the 2048-row block edge and for any count.  Drawing each
+        # point given those right of it, from the rightmost leftwards, applies
+        # the lower Cholesky factor of the covariance in descending order of
+        # position to the normals in that order.
         post = self.posterior()
-        x = np.linspace(0.0, 1.0, 7)
+        x = np.array([0.9, 0.05, 0.45, 0.3, 0.7, 0.2, 0.6])  # 0.2 and 0.45 are data sites
         draws = sample_posterior_values(post, x, 2050, seed=13)
+        desc = np.argsort(-x)
+        root = np.linalg.cholesky(post.cov(x)[np.ix_(desc, desc)])
+        for j in (0, 1, 2047, 2048, 2049):
+            expect = post.mean(x)
+            expect[desc] += root @ _philox(13, j).standard_normal(7)[desc]
+            np.testing.assert_allclose(draws[j], expect, rtol=0, atol=1e-14)
+        np.testing.assert_array_equal(sample_posterior_values(post, x, 3, seed=13), draws[:3])
+        # the bridge is pinned: draws at 0 and 1 are the prior mean there, 0
+        ends = sample_posterior_values(post, [1.0, 0.5, 0.0], 5, seed=13)
+        assert np.all(ends[:, [0, 2]] == 0.0) and np.all(ends[:, 1] != 0.0)
+
+    def test_rows_are_the_per_draw_streams_in_2d(self, rng):
+        # in 2D row j is mean + R xi_j, R from the eigendecomposition of the covariance
+        spec = KernelSpec("bridge", dim=2, order=6, beta=2.0)
+        data = Dataset(rng.uniform(0.1, 0.9, (4, 2)), rng.normal(size=4), 1e-3)
+        post = condition(spec, None, data)
+        x = rng.uniform(size=(5, 2))
+        draws = sample_posterior_values(post, x, 2049, seed=13)
         w, v = np.linalg.eigh(post.cov(x))
         root = v * np.sqrt(np.maximum(w, 0.0))
-        for j in (0, 1, 2047, 2048, 2049):
-            expect = post.mean(x) + root @ _philox(13, j).standard_normal(7)
+        for j in (0, 2047, 2048):
+            expect = post.mean(x) + root @ _philox(13, j).standard_normal(5)
             np.testing.assert_allclose(draws[j], expect, rtol=0, atol=1e-15)
-        np.testing.assert_allclose(
-            sample_posterior_values(post, x, 3, seed=13), draws[:3], rtol=0, atol=1e-15
-        )
 
     def test_blocks_follow_the_value_budget(self, monkeypatch):
         post = self.posterior()
@@ -254,6 +273,33 @@ class TestPosteriorDraws:
         var = post.var(x)
         assert np.all(np.abs(draws.mean(axis=0) - post.mean(x)) <= 5 * np.sqrt(var / n))
         assert np.all(np.abs(draws.var(axis=0) - var) <= 5 * np.sqrt(2.0 / n) * var)
+
+    def test_covariance(self):
+        # sample covariance of the backward draws against the dense `cov`
+        # at a pinned seed, each entry within 5 sigma
+        post = self.posterior()
+        x = np.array([0.1, 0.2, 0.35, 0.45, 0.6, 0.8, 0.95])
+        n = 20000
+        draws = sample_posterior_values(post, x, n, seed=7)
+        cov = post.cov(x)
+        got = np.cov(draws, rowvar=False)
+        sigma = np.sqrt((np.outer(np.diag(cov), np.diag(cov)) + cov**2) / n)
+        assert np.all(np.abs(got - cov) <= 5 * sigma)
+
+    def test_backward_steps_over_budget_raise_before_drawing(self, monkeypatch):
+        # 7 points and 10 draws: one block, one step per point
+        post = self.posterior()
+        x = np.linspace(0.0, 1.0, 7)
+        monkeypatch.setattr(sampling, "_BACKWARD_STEPS", 7)
+        assert sample_posterior_values(post, x, 10, seed=2).shape == (10, 7)
+        monkeypatch.setattr(sampling, "_BACKWARD_STEPS", 6)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("drew past the step budget")
+
+        monkeypatch.setattr(sampling, "_normals", refuse)
+        with pytest.raises(ResourceLimitError, match="steps"):
+            next(posterior_value_blocks(post, x, 10, seed=2))
 
     def test_seed_validation(self):
         with pytest.raises(ValueError):

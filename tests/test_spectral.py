@@ -31,7 +31,12 @@ from bridgegp import (
     project,
     zero_field,
 )
-from bridgegp.spectral import synthesize, validate_points
+from bridgegp.spectral import synthesis_tables, synthesize, validate_points
+
+
+def synth(coeffs, axes):
+    """Synthesis of `coeffs` on the grid of `axes`, tables built at the tensor's order."""
+    return synthesize(coeffs, synthesis_tables(axes, np.shape(coeffs)[0]))
 
 # 4*sqrt(2)/(n^3 pi^3), computed once with mpmath-free numpy and frozen.
 PARABOLA_COEFFS = {
@@ -255,11 +260,11 @@ class TestProjection:
         u = SpectralField(2, 5, rng.normal(size=25))
         rule = default_rule(2, 5)
         np.testing.assert_allclose(
-            synthesize(u.as_tensor(), [rule.axis_nodes] * 2).reshape(-1),
+            synth(u.as_tensor(), [rule.axis_nodes] * 2).reshape(-1),
             evaluate(u, rule.nodes), atol=1e-12
         )
         with pytest.raises(OrderMismatchError):
-            synthesize(np.zeros((5, 4)), [rule.axis_nodes] * 2)
+            synth(np.zeros((5, 4)), [rule.axis_nodes] * 2)
 
     def test_inner_product_via_parseval(self):
         u = SpectralField(1, 3, [1.0, 0.0, 2.0])
@@ -279,7 +284,7 @@ class TestSynthesis:
         axis = np.array([0.0, 0.013, 0.25, 0.5, 0.77, 1.0])
         coeffs = rng.normal(size=(order,) * dim)
         pts = self.grid(axis, dim)
-        got = synthesize(coeffs, [axis] * dim).reshape(-1)
+        got = synth(coeffs, [axis] * dim).reshape(-1)
         want = basis_matrix(dim, order, pts) @ coeffs.reshape(-1)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
         on_face = np.any((pts == 0.0) | (pts == 1.0), axis=1)
@@ -291,28 +296,31 @@ class TestSynthesis:
     def test_batch_axes_are_independent_expansions(self, rng):
         coeffs = rng.normal(size=(5, 5, 2, 3))
         axes = [np.linspace(0.0, 1.0, 4), np.array([0.1, 0.6])]
-        got = synthesize(coeffs, axes)
+        got = synth(coeffs, axes)
         assert got.shape == (4, 2, 2, 3)
         for i in range(2):
             for j in range(3):
                 np.testing.assert_allclose(got[..., i, j],
-                                           synthesize(coeffs[..., i, j], axes), atol=1e-14)
+                                           synth(coeffs[..., i, j], axes), atol=1e-14)
 
     def test_squared_tables_give_the_kernel_diagonal(self):
         order = 8
         lam = 1.0 / dirichlet_eigenvalues(2, order)
         axis = np.linspace(0.0, 1.0, 7)
         psi = basis_matrix(2, order, self.grid(axis, 2))
-        got = synthesize(lam.reshape(order, order), [axis] * 2, squared=True).reshape(-1)
+        squared = [t * t for t in synthesis_tables([axis] * 2, order)]
+        got = synthesize(lam.reshape(order, order), squared).reshape(-1)
         np.testing.assert_allclose(got, np.einsum("ij,j,ij->i", psi, lam, psi), atol=1e-15)
 
     def test_rejections(self):
         with pytest.raises(OrderMismatchError):
-            synthesize(np.zeros((4, 5)), [[0.5], [0.5]])
+            synth(np.zeros((4, 5)), [[0.5], [0.5]])
+        with pytest.raises(OrderMismatchError):
+            synthesize(np.zeros(4), synthesis_tables([[0.5]], 5))
         with pytest.raises(ValueError):
-            synthesize(np.zeros(4), [[0.5], [0.5]])
+            synth(np.zeros(4), [[0.5], [0.5]])
         with pytest.raises(DomainError):
-            synthesize(np.zeros(4), [[1.5]])
+            synthesis_tables([[1.5]], 4)
 
     def test_3d_default_grid_memory(self, rng):
         # S = 32 on the 101^3 grid: a dense basis would be 1030301 x 32768
@@ -323,7 +331,7 @@ class TestSynthesis:
         try:
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
-            vals = synthesize(coeffs, [axis] * 3)
+            vals = synth(coeffs, [axis] * 3)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()

@@ -32,7 +32,6 @@ from .harness import (
 )
 from .kernels import (
     KernelSpec,
-    SpdSolver,
     default_order,
     eigenvalues,
     kernel_matrix,

@@ -16,10 +16,10 @@ min(x, y) - x*y, which is used as an exact closed form.  The scalar
 beta rescales the whole covariance and acts as a trust weight on the
 physics prior: large beta concentrates mass near the prior mean.
 
-Gram matrices are factored through `SpdSolver`, which owns the one-shot
-jitter policy for borderline-singular systems; the eigendecomposed
-marginal covariance in `regression` applies the same rule to its
-eigenvalues.
+Production code factors no Gram here: `regression` conditions, calibrates
+and inverts through one eigendecomposed marginal covariance, with the one
+jitter rule.  `SpdSolver` (Cholesky) is the solver of the dense oracles,
+`regression.krr_solve` and the 1D bridge's `PosteriorModel.cov`.
 """
 
 from __future__ import annotations
@@ -161,23 +161,18 @@ def _over_beta(values, beta: float) -> np.ndarray:
     return out
 
 
-def _bridge_closed_form(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """min(x, y) - x y on column vs row broadcasts; the beta = 1 bridge."""
-    return np.minimum(x[:, None], y[None, :]) - np.outer(x, y)
-
-
 def kernel_matrix(spec: KernelSpec, x, y=None) -> np.ndarray:
     """Kernel values k(x_i, y_j) including the beta scaling.
 
     The one-dimensional bridge uses the closed form min - xy; all other
     families sum the truncated Mercer series at the spec's order.  The
-    beta = 1 value is computed first and divided by beta once, so
-    rescaling beta is exact in floating point.
+    beta = 1 value is divided by beta once, and multiplying back does not
+    recover it exactly: ask for the beta = 1 kernel by `spec.with_beta(1.0)`.
     """
     xs = spectral.validate_points(x, spec.dim)
     ys = xs if y is None else spectral.validate_points(y, spec.dim)
     if spec.closed_form:
-        base = _bridge_closed_form(xs[:, 0], ys[:, 0])
+        base = np.minimum(xs[:, :1], ys[:, 0]) - np.outer(xs[:, 0], ys[:, 0])
     else:
         lam = eigenvalues(spec)
         px = spectral.basis_matrix(spec.dim, spec.order, xs)
@@ -186,21 +181,6 @@ def kernel_matrix(spec: KernelSpec, x, y=None) -> np.ndarray:
     if y is None:
         base = 0.5 * (base + base.T)
     return _over_beta(base, spec.beta)
-
-
-def mercer_partial_sum(spec: KernelSpec, x, y, order: int) -> float:
-    """Truncated Mercer sum at an explicit order; for truncation studies."""
-    spectral.check_size(spec.dim, order)
-    idx = spectral.index_array(spec.dim, order)
-    lam = eigenvalues(spec, idx)
-    xs = spectral.validate_points(x, spec.dim)
-    ys = spectral.validate_points(y, spec.dim)
-    vx = np.ones(idx.shape[0])
-    vy = np.ones(idx.shape[0])
-    for axis in range(spec.dim):
-        vx *= np.sin(np.pi * xs[0, axis] * idx[:, axis])
-        vy *= np.sin(np.pi * ys[0, axis] * idx[:, axis])
-    return float(2.0**spec.dim * np.sum(lam * vx * vy) / spec.beta)
 
 
 def rkhs_sq_norm(spec: KernelSpec, u: spectral.SpectralField) -> float:
@@ -218,7 +198,7 @@ def rkhs_sq_norm(spec: KernelSpec, u: spectral.SpectralField) -> float:
 
 
 class SpdSolver:
-    """Cholesky factorization A = L L^T with a single jitter retry.
+    """Cholesky A = L L^T with one jitter retry; the dense oracles' solver.
 
     On a failed factorization, adds 1e-12 * trace / n to the diagonal,
     logs the jitter magnitude, and tries once more; a second failure

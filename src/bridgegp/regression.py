@@ -11,14 +11,15 @@ ridge problem
 with eta = sigma^2 * beta / n, where ||.||_H is the beta = 1 native
 norm.  Both routes are implemented separately (`condition` runs a Kalman
 filter for the 1D bridge and works with the beta-scaled covariance
-otherwise, `krr_solve` solves with the beta = 1 Gram) so the equivalence
-is a checkable property rather than a definition.
+otherwise, `krr_solve` solves with the beta = 1 Gram by Cholesky) so the
+equivalence is a checkable property rather than a definition.
 
-Calibration of beta and source inversion share one exact solver.  The
-beta = 1 marginal covariance is eigendecomposed once per dataset (it is
-diagonal for observed coefficients), so for a residual rotated once into
-its eigenbasis the log marginal and its first two derivatives in log
-beta cost O(n) per beta.  Beta is found by a scan over log beta refined
+Calibration of beta, source inversion and the conditioning of every
+truncated kernel share one exact solver.  The beta = 1 marginal
+covariance is eigendecomposed once per dataset (it is diagonal for
+observed coefficients), so for a residual rotated once into its
+eigenbasis the log marginal and its first two derivatives in log beta
+cost O(n) per beta.  Beta is found by a scan over log beta refined
 by safeguarded Newton; theta by generalized least squares, which is exact
 for linear source families and is the damped Gauss-Newton step, alternated
 with the beta search, for nonlinear expression families.
@@ -168,10 +169,12 @@ class PosteriorModel:
     Every other kernel is
     a finite Mercer sum psi(x)^T Lambda psi(y) / beta, so its posterior
     lives in coefficient space (GPML section 2.1).  With Psi the basis at
-    the data sites X and V = L L^T (`kernels.SpdSolver`), the mean is the
-    field `mean_field`, c0 + Lambda Psi^T V^-1 r / beta, and the variance
-    is k(x, x) - |G^T psi(x)|^2 with G = Lambda Psi^T L^-T / beta; neither
-    V nor L is kept.  The basis at X is built once; `on_grid` evaluates
+    the data sites X and V = U diag(v) U^T from `_MarginalCovariance`, the
+    one factorization the evidence uses too, let G = Lambda Psi^T U
+    diag(v^-1/2) / beta.  The mean is the field `mean_field`,
+    c0 + G (v^-1/2 * U^T r), and the variance is k(x, x) - |G^T psi(x)|^2;
+    of the factorization only G is kept.  The basis at X is built once
+    (`_MarginalCovariance.basis`); `on_grid` evaluates
     both moments on a tensor grid by synthesis, without a basis matrix of
     the grid.
     """
@@ -189,19 +192,16 @@ class PosteriorModel:
             self.mean_field = None
             self._resid = data.y - spectral.evaluate(self.prior, data.X)
             return
-        psi = spectral.basis_matrix(spec.dim, spec.order, data.X)
-        lam = kernels.eigenvalues(spec)
-        gram = (psi * lam) @ psi.T
-        solver = kernels.SpdSolver(
-            kernels._over_beta(0.5 * (gram + gram.T), spec.beta) + data.sigma2 * np.eye(data.n))
-        self._lam = kernels._over_beta(lam, spec.beta)
-        weights = solver.solve(data.y - psi @ self.prior.coeffs)
-        self.mean_field = spectral.SpectralField(
-            spec.dim, spec.order, self.prior.coeffs + self._lam * (psi.T @ weights))
+        marginal = _MarginalCovariance(spec, PointObservations(data))
+        psi, whiten = marginal.basis, marginal.whitening(spec.beta)
+        resid = whiten.T @ (data.y - psi @ self.prior.coeffs)
+        self._lam = kernels._over_beta(kernels.eigenvalues(spec), spec.beta)
         psi *= self._lam
-        # G = (Lambda Psi^T / beta) L^-T, (S^d, n) in C order for `on_grid`;
-        # a product with L^-1 holds one n x S^d array less than a solve
-        self._factor = psi.T @ solver.whiten(np.eye(data.n)).T
+        # G = (Lambda Psi^T / beta) W, (S^d, n) in C order for `on_grid`;
+        # Psi is scaled in place, so no second n x S^d array is held
+        self._factor = psi.T @ whiten
+        self.mean_field = spectral.SpectralField(
+            spec.dim, spec.order, self.prior.coeffs + self._factor @ resid)
 
     def _bridge_kernels(self, x):
         """The backward kernels of the residual process at 1D points `x`.
@@ -286,7 +286,7 @@ class PosteriorModel:
         return float(vals[0]) if single else vals
 
     def _whitened(self, pts):
-        """The basis at a batch of points and G^T psi = L^-1 k(X, pts)."""
+        """The basis at a batch of points and G^T psi = W^T k(X, pts)."""
         psi = spectral.basis_matrix(self.spec.dim, self.spec.order, pts)
         return psi, (psi @ self._factor).T
 
@@ -368,16 +368,15 @@ class KrrSolution:
         self.prior = pde.prior_mean(prior, spec)
         self.data = data
         self.eta = eta
-        # beta = 1 Gram via exact rescaling (kernel_matrix includes the 1/beta).
-        k1 = spec.beta * kernels.kernel_matrix(spec, data.X)
-        solver = kernels.SpdSolver(k1 + data.n * eta * np.eye(data.n))
+        self._unit = spec.with_beta(1.0)
+        solver = kernels.SpdSolver(kernels.kernel_matrix(self._unit, data.X)
+                                   + data.n * eta * np.eye(data.n))
         self.alpha = solver.solve(data.y - spectral.evaluate(self.prior, data.X))
 
     def __call__(self, x):
         pts = spectral.validate_points(x, self.spec.dim)
-        cross1 = self.spec.beta * kernels.kernel_matrix(self.spec, pts, self.data.X)
-        vals = spectral.evaluate(self.prior, pts) + cross1 @ self.alpha
-        return vals
+        cross = kernels.kernel_matrix(self._unit, pts, self.data.X)
+        return spectral.evaluate(self.prior, pts) + cross @ self.alpha
 
 
 def krr_solve(spec: kernels.KernelSpec, prior, data: Dataset, eta: float) -> KrrSolution:
@@ -426,25 +425,31 @@ class CoefficientObservations(Record):
 class _MarginalCovariance:
     """Marginal covariance V(beta) = K / beta + sigma2 I of the observations.
 
-    The one place that knows V for each observation model.  The beta = 1
-    covariance K = U diag(w) U^T is decomposed once, so V(beta) =
-    U diag(w / beta + sigma2) U^T costs O(n) per beta for data that
-    callers have rotated once by U^T (`rotate`).
-    Point data take one eigendecomposition of the Gram, which is not
-    kept; coefficient data are diagonal (w the leading kernel eigenvalues,
-    U the identity, no rotation).  A variance w / beta + sigma2 <= 0 gets
-    `kernels.SpdSolver`'s jitter rule once (1e-12 times their mean,
-    logged); if one stays <= 0, SingularSystemError is raised.
+    The one place that knows V for each observation model, and its one
+    factorization in production.  The beta = 1 covariance K = U diag(w) U^T
+    is decomposed once, so V(beta) = U diag(w / beta + sigma2) U^T costs
+    O(n) per beta for data rotated once by U^T (`rotate`, `residual`).
+    Point data keep the basis at the data sites (`basis`, which also builds
+    a truncated kernel's Gram); coefficient data are diagonal (w the leading
+    kernel eigenvalues, U the identity, no basis).  A variance
+    w / beta + sigma2 <= 0 gets one jitter of 1e-12 times their mean,
+    logged; if one stays <= 0, SingularSystemError is raised.
     """
 
     def __init__(self, spec: kernels.KernelSpec, obs):
         if isinstance(obs, CoefficientObservations):
-            self._w, self._u = _leading_eigenvalues(spec, obs.n), None
-            self.sigma2 = obs.sigma2
+            self._w, self._u, self.basis = _leading_eigenvalues(spec, obs.n), None, None
+            self.sigma2, self._y = obs.sigma2, obs.values
         elif isinstance(obs, PointObservations):
-            k1 = kernels.kernel_matrix(spec.with_beta(1.0), obs.data.X)
+            self.basis = spectral.basis_matrix(spec.dim, spec.order, obs.data.X)
+            if spec.closed_form:
+                k1 = kernels.kernel_matrix(spec.with_beta(1.0), obs.data.X)
+            else:
+                root = self.basis * np.sqrt(kernels.eigenvalues(spec))
+                k1 = root @ root.T  # one symmetric product (BLAS syrk), half a GEMM
+                del root
             self._w, self._u = np.linalg.eigh(k1)  # LAPACK syevd
-            self.sigma2 = obs.data.sigma2
+            self.sigma2, self._y = obs.data.sigma2, obs.data.y
         else:
             raise TypeError(f"unsupported observation model {type(obs).__name__}")
         self.n = obs.n
@@ -465,10 +470,21 @@ class _MarginalCovariance:
                 )
         return v, scaled / v
 
+    def whitening(self, beta: float) -> np.ndarray:
+        """W = U diag(v^-1/2) for point data, so that V(beta)^-1 = W W^T."""
+        return self._u / np.sqrt(self.variances(beta)[0])
+
     def rotate(self, mat) -> np.ndarray:
         """U^T mat: coordinates in the eigenbasis of V."""
         mat = np.asarray(mat, dtype=float)
         return mat if self._u is None else self._u.T @ mat
+
+    def residual(self, coeffs) -> np.ndarray:
+        """The observations minus what the field with coefficients `coeffs`
+        predicts for them, rotated by U^T."""
+        if self.basis is None:
+            return self._y - coeffs[: self.n]
+        return self.rotate(self._y - self.basis @ coeffs)
 
     def log_density(self, beta: float, r):
         """Log density of a residual already rotated by U^T under N(0, V(beta)),
@@ -525,18 +541,11 @@ def _check_beta(beta) -> float:
     return beta
 
 
-def _residual(mean: spectral.SpectralField, obs) -> np.ndarray:
-    """Observations minus what the prior mean predicts for them."""
-    if isinstance(obs, CoefficientObservations):
-        return obs.values - mean.coeffs[: obs.n]
-    return obs.data.y - spectral.evaluate(mean, obs.data.X)
-
-
 def _rotated_residual(spec: kernels.KernelSpec, prior, obs):
     """The marginal covariance of the observations, and their residual
     from the prior mean in its eigenbasis."""
     marginal = _MarginalCovariance(spec, obs)
-    return marginal, marginal.rotate(_residual(pde.prior_mean(prior, spec), obs))
+    return marginal, marginal.residual(pde.prior_mean(prior, spec).coeffs)
 
 
 def log_marginal(spec: kernels.KernelSpec, prior, obs, beta: float | None = None) -> float:
@@ -545,9 +554,9 @@ def log_marginal(spec: kernels.KernelSpec, prior, obs, beta: float | None = None
     For point data this is the Gaussian density of y under mean u0(X)
     and covariance beta^{-1} K_XX + sigma2 I; for coefficient data the
     covariance is diagonal with entries lambda_alpha / beta + sigma2.
-    `beta` overrides the spec's trust weight.  Each call builds (and for
-    point data eigendecomposes) its own Gram; `beta_map` and
-    `invert_source` decompose one per dataset for every beta they try.
+    `beta` overrides the spec's trust weight.  Each call decomposes its own
+    marginal covariance; `beta_map` and `invert_source` decompose one per
+    dataset for all the betas they try.
     """
     beta = _check_beta(spec.beta if beta is None else beta)
     marginal, resid = _rotated_residual(spec, prior, obs)
@@ -692,12 +701,9 @@ def _gls_design(obs, family: pde.LinearSourceFamily, spec: kernels.KernelSpec):
     lam_full = kernels.eigenvalues(spec)
     q_cols, q_off = family.coefficient_design(spec.dim, spec.order)
     u_cols = lam_full[:, None] * q_cols
-    u_off = lam_full * q_off
-    if isinstance(obs, CoefficientObservations):
-        return u_cols[: obs.n], obs.values - u_off[: obs.n], marginal
-    psi = spectral.basis_matrix(spec.dim, spec.order, obs.data.X)
-    return (marginal.rotate(psi @ u_cols), marginal.rotate(obs.data.y - psi @ u_off),
-            marginal)
+    design = u_cols[: obs.n] if marginal.basis is None else marginal.rotate(
+        marginal.basis @ u_cols)
+    return design, marginal.residual(lam_full * q_off), marginal
 
 
 class _GlsFit(Record):
@@ -800,8 +806,7 @@ def invert_source(obs, family, hyper: HyperPrior, spec: kernels.KernelSpec,
         marginal = _MarginalCovariance(spec, obs)
 
         def resid_at(theta):
-            u0 = pde.solve(family.source_at(theta), spec).u0
-            return marginal.rotate(_residual(u0, obs))
+            return marginal.residual(pde.solve(family.source_at(theta), spec).u0.coeffs)
 
         def log_posterior(r):
             """(beta, log posterior, boundary) at the theta of residual r,

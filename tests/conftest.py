@@ -36,3 +36,22 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def shift_eigenvalue(monkeypatch):
+    """shift(n, lowest) makes every (n, n) eigendecomposition return
+    `lowest(w)` as its least eigenvalue, the others as computed."""
+    def shift(n, lowest):
+        original = np.linalg.eigh
+
+        def eigh(a, *args, **kwargs):
+            w, u = original(a, *args, **kwargs)
+            if np.shape(a) == (n, n):
+                w = w.copy()
+                w[0] = lowest(w)
+            return w, u
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+
+    return shift

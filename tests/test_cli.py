@@ -31,6 +31,7 @@ from bridgegp import (
     PriorSampler,
     cli,
     condition,
+    kernels,
     pde,
     sample_coefficients,
     sample_posterior_values,
@@ -820,6 +821,58 @@ class TestBlasThreads:
         reference = self.run_fit(tmp_path, "old.csv", OPENBLAS_THREAD_TIMEOUT="28",
                                  OPENBLAS_NUM_THREADS=str(cores))
         assert self.run_fit(tmp_path, "new.csv") == reference
+
+
+class TestOneConditioningCore:
+    """Outside the 1D bridge every command conditions through the one
+    eigendecomposed marginal covariance; no Cholesky factor is built."""
+
+    POINTS = {1: [0.2, 0.45, 0.7], 2: [[0.2, 0.3], [0.5, 0.6], [0.7, 0.4]],
+              3: [[0.2, 0.3, 0.4], [0.5, 0.6, 0.5], [0.7, 0.4, 0.3]]}
+
+    def fit_config(self, kernel):
+        return {"kernel": kernel, "data": {"x": self.POINTS[kernel["dim"]],
+                                           "y": [0.3, -0.1, 0.2]},
+                "sigma2": 1e-4, "grid": 5}
+
+    @pytest.mark.parametrize("command, cfg", [
+        ("fit", kernel_cfg(dim=2, order=8)),
+        ("fit", kernel_cfg(dim=3, order=6)),
+        ("fit", kernel_cfg(family="helmholtz", omega=2.0)),
+        ("fit", kernel_cfg(family="power", p=0.75)),
+        ("sample", kernel_cfg(dim=2, order=8)),
+        ("invert", kernel_cfg(dim=2, order=8)),
+    ], ids=["fit-2d", "fit-3d", "fit-helmholtz", "fit-power", "sample-2d", "invert-2d"])
+    def test_runs_without_a_cholesky_factor(self, tmp_path, monkeypatch, command, cfg):
+        def refuse(*args, **kwargs):
+            raise AssertionError("production conditioning built an SpdSolver")
+
+        monkeypatch.setattr(kernels, "SpdSolver", refuse)
+        config = self.fit_config(cfg)
+        if command == "sample":
+            config.update(grid=4, mode="posterior", moment_draws=16, count=1)
+        elif command == "invert":
+            del config["grid"]
+            config["family"] = {"components": [
+                {"expression": "sin(pi*x1)*sin(pi*x2)"},
+                {"expression": "sin(2*pi*x1)*sin(pi*x2)"},
+            ]}
+        out = tmp_path / "out.csv"
+        assert run([command, "--config", write_config(tmp_path, config),
+                    "--out", str(out)]) == 0
+        assert out.exists()
+
+    def test_variance_left_nonpositive_exits_3(self, tmp_path, capsys, shift_eigenvalue):
+        # the least eigenvalue of K pushed so far below 0 that the one jitter
+        # (1e-12 times the mean variance) cannot lift it
+        shift_eigenvalue(3, lambda w: -1e-3 * w.max() - 1e-4)
+        out = tmp_path / "out.csv"
+        cfg = write_config(tmp_path, self.fit_config(kernel_cfg(dim=2, order=8)))
+        assert run(["fit", "--config", cfg, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("numerical failure:"), err
+        assert "after jitter" in err
+        assert not out.exists()
 
 
 class TestOneSampler:

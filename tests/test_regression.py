@@ -49,7 +49,7 @@ from bridgegp import (
     solve,
     zero_field,
 )
-from bridgegp import cli, kernels, pde
+from bridgegp import cli, kernels, pde, spectral
 from bridgegp.regression import closed_form_beta
 
 
@@ -61,8 +61,9 @@ def make_dataset(rng, n=12, sigma2=1e-4, dim=1):
 
 @pytest.fixture
 def decompositions(monkeypatch):
-    """Shapes of every eigendecomposition and sizes of every SpdSolver built."""
-    seen = {"eigh": [], "spd": []}
+    """Shapes of every eigendecomposition, sizes of every SpdSolver built and
+    shapes of the points of every basis matrix built."""
+    seen = {"eigh": [], "spd": [], "basis": []}
 
     def counting(original):
         def eigh(a, *args, **kwargs):
@@ -75,8 +76,13 @@ def decompositions(monkeypatch):
             seen["spd"].append(len(matrix))
             super().__init__(matrix)
 
+    def basis_matrix(dim, order, x, original=spectral.basis_matrix):
+        seen["basis"].append(np.shape(x))
+        return original(dim, order, x)
+
     monkeypatch.setattr(np.linalg, "eigh", counting(np.linalg.eigh))
     monkeypatch.setattr(kernels, "SpdSolver", CountingSolver)
+    monkeypatch.setattr(spectral, "basis_matrix", basis_matrix)
     return seen
 
 
@@ -400,11 +406,73 @@ class TestKrrEquivalence:
         np.testing.assert_allclose(post.mean(pts), ridge(pts), atol=1e-9)
         np.testing.assert_allclose(var, post.var(pts), atol=1e-12)
 
+    @pytest.mark.parametrize("dim, order", [(1, 64), (2, 8)])
+    def test_ridge_does_not_depend_on_beta(self, rng, dim, order):
+        # the ridge problem is posed on the beta = 1 kernel, so at a fixed
+        # eta the spec's beta changes no bit, and an extreme one cannot overflow
+        data = make_dataset(rng, n=10, sigma2=1e-3, dim=dim)
+        xs = rng.uniform(size=(7, dim))
+
+        def ridge(beta):
+            return krr_solve(KernelSpec("bridge", dim=dim, order=order, beta=beta), None,
+                             data, 1e-3)(xs)
+
+        np.testing.assert_array_equal(ridge(1.3), ridge(1.0))
+        assert np.isfinite(ridge(1e-309)).all()
+
     def test_eta_validation(self, rng):
         data = make_dataset(rng)
         for eta in (0.0, -1.0, np.inf):
             with pytest.raises(ValueError):
                 krr_solve(KernelSpec("bridge"), None, data, eta)
+
+
+class TestOneConditioningCore:
+    """Every truncated-kernel posterior factors V once, by the
+    eigendecomposition of `_MarginalCovariance`, with its one jitter rule."""
+
+    def test_condition_decomposes_once_on_one_basis(self, rng, decompositions):
+        n = 37
+        data = make_dataset(rng, n=n, dim=2)
+        post = condition(KernelSpec("bridge", dim=2, order=8), None, data)
+        post.on_grid(np.linspace(0.0, 1.0, 5))
+        assert [s for s in decompositions["eigh"] if s == (n, n)] == [(n, n)]
+        assert [s for s in decompositions["basis"] if s[0] == n] == [(n, 2)]
+        assert decompositions["spd"] == []
+
+    def test_point_linear_inversion_builds_one_basis(self, rng, decompositions):
+        n, order = 41, 8
+        spec = KernelSpec("bridge", dim=2, order=order)
+        fam = LinearSourceFamily(components=(
+            SpectralSource(basis_field(2, order, [1, 1])),
+            SpectralSource(basis_field(2, order, [2, 1])),
+        ))
+        x = rng.uniform(0.05, 0.95, size=(n, 2))
+        y = solve(fam.source_at([2.0, 0.5], 2, order), spec)(x) + 1e-3 * rng.normal(size=n)
+        decompositions["basis"].clear()
+        res = invert_source(PointObservations(Dataset(x, y, 1e-4)), fam, FLAT, spec)
+        assert np.abs(res.theta_mean - [2.0, 0.5]).max() < 0.1
+        assert [s for s in decompositions["basis"] if s[0] == n] == [(n, 2)]
+        assert decompositions["spd"] == []
+
+    def test_nonpositive_variance_takes_one_logged_jitter(self, rng, shift_eigenvalue, caplog):
+        # 12 sites on a 9-term kernel: the least eigenvalue of K is a rounding
+        # zero, and w / beta + sigma2 is exactly 0 for w = -sigma2 at beta = 1
+        spec = KernelSpec("bridge", dim=2, order=3)
+        data = make_dataset(rng, n=12, dim=2)
+        shift_eigenvalue(12, lambda w: -data.sigma2)
+        with caplog.at_level(logging.INFO, logger="bridgegp.regression"):
+            post = condition(spec, None, data)
+        assert caplog.text.count("adding jitter") == 1
+        mean, var = post.on_grid(np.linspace(0.0, 1.0, 5))
+        assert np.isfinite(mean).all() and np.isfinite(var).all()
+
+    def test_variance_left_nonpositive_raises(self, rng, shift_eigenvalue):
+        # 1e-12 times the mean variance cannot lift one of -1e-3 max(w)
+        data = make_dataset(rng, n=12, dim=2)
+        shift_eigenvalue(12, lambda w: -1e-3 * w.max() - data.sigma2)
+        with pytest.raises(SingularSystemError, match="after jitter"):
+            condition(KernelSpec("bridge", dim=2, order=8), None, data)
 
 
 class TestLogMarginal:

@@ -287,7 +287,8 @@ _SAMPLE = {"kernel": (_kernel, ...), "source": (_source, None), "grid": (_grid_p
 
 
 # `sample` holds one block of draws, but draws every value it is asked for:
-# moment_draws x (drawn coefficients or normals + grid points) values at most.
+# moment_draws x (normals + grid points) values, the normals one per grid
+# point when draws are taken at the points, else one per drawn coefficient.
 # About 1e9 values, 2**30, take some 40 s of normals on one core.
 _DRAW_BUDGET = 1 << 30
 
@@ -307,7 +308,8 @@ def _cmd_sample(opts: dict):
                 raise ConfigError(f"{key} applies only to mode 'posterior'; "
                                   "prior draws take no data")
         sampler = sampling.PriorSampler(spec, prior, opts["mesh_size"], opts["seed"])
-        _check_draw_budget(draws, sampler.mesh_size + points)
+        drawn = points if sampler.draws_at_points(points) else sampler.mesh_size
+        _check_draw_budget(draws, drawn + points)
         coords, labels, axis = _grid(spec.dim, opts["grid"])
         blocks = sampling.value_blocks(sampler, axis, draws)
     else:

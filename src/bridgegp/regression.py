@@ -441,14 +441,19 @@ class _MarginalCovariance:
             self._w, self._u, self.basis = _leading_eigenvalues(spec, obs.n), None, None
             self.sigma2, self._y = obs.sigma2, obs.values
         elif isinstance(obs, PointObservations):
-            self.basis = spectral.basis_matrix(spec.dim, spec.order, obs.data.X)
+            x = obs.data.X
             if spec.closed_form:
-                k1 = kernels.kernel_matrix(spec.with_beta(1.0), obs.data.X)
+                # the closed-form Gram needs no basis: build it after the
+                # decomposition, so the two are not resident together
+                self._w, self._u = np.linalg.eigh(
+                    kernels.kernel_matrix(spec.with_beta(1.0), x))  # LAPACK syevd
+                self.basis = spectral.basis_matrix(spec.dim, spec.order, x)
             else:
+                self.basis = spectral.basis_matrix(spec.dim, spec.order, x)
                 root = self.basis * np.sqrt(kernels.eigenvalues(spec))
                 k1 = root @ root.T  # one symmetric product (BLAS syrk), half a GEMM
                 del root
-            self._w, self._u = np.linalg.eigh(k1)  # LAPACK syevd
+                self._w, self._u = np.linalg.eigh(k1)
             self.sigma2, self._y = obs.data.sigma2, obs.data.y
         else:
             raise TypeError(f"unsupported observation model {type(obs).__name__}")

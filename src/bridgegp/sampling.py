@@ -14,7 +14,11 @@ requested at once or in what order batches are taken.
 
 Values of draws come as blocks of rows (`value_blocks` for the prior on a
 grid, `posterior_value_blocks` at points), so a caller that only needs
-moments and a few paths holds one block at a time.
+moments and a few paths holds one block at a time.  On a 1D grid of
+fewer points than drawn coefficients, the prior is a Gaussian of rank at
+most N at its N points, so `value_blocks` draws it there as posterior
+draws are drawn: from the eigendecomposition of its covariance at the
+points, with draw j taking the first N normals of its (seed, j) stream.
 """
 
 from __future__ import annotations
@@ -112,6 +116,14 @@ class PriorSampler(Record):
     def mean_prefix(self) -> np.ndarray:
         return self.mean.coeffs[: self.mesh_size]
 
+    def draws_at_points(self, size: int) -> bool:
+        """Whether `value_blocks` draws this prior at `size` points from its
+        covariance there, not by coefficients: a 1D prior on fewer points
+        than it draws coefficients, whose (size, size) covariance fits
+        `regression._GRID_BLOCK` values."""
+        return (self.spec.dim == 1 and size < self.mesh_size
+                and size * size <= regression._GRID_BLOCK)
+
 
 def sample_coefficients(sampler: PriorSampler, count: int, start: int = 0) -> np.ndarray:
     """Coefficient draws with absolute indices start..start+count-1.
@@ -132,20 +144,43 @@ def _rows(values_per_draw: int) -> int:
     return max(1, min(_BLOCK, regression._GRID_BLOCK // values_per_draw))
 
 
+def _root_blocks(cov, center, count: int, seed: int) -> Iterator[np.ndarray]:
+    """Draws 0..count-1 of N(center, cov) at N points, block by block: row j is
+    center + R xi_j, with R = V sqrt(max(w, 0)) from V diag(w) V^T = cov and
+    xi_j the first N normals of the (seed, j) stream."""
+    eigvals, eigvecs = np.linalg.eigh(cov)
+    del cov  # the caller's temporary: not resident beside the root
+    root_t = (eigvecs * np.sqrt(np.maximum(eigvals, 0.0))).T
+    size = len(center)
+    rows = _rows(size)
+    for done in range(0, count, rows):
+        yield _normals(seed, done, min(rows, count - done), size) @ root_t + center
+
+
 def value_blocks(sampler: PriorSampler, axis, count: int) -> Iterator[np.ndarray]:
     """Draws 0..count-1 on the tensor grid axis x ... x axis, block by block.
 
     Each block has shape (rows, len(axis)**dim), grid values flattened in C
     order as by `PosteriorModel.on_grid`; in 1D `axis` may be any points.
-    A block's coefficients are synthesized one axis at a time
-    (`spectral.synthesize`), so no basis matrix of the grid is formed.
-    Blocks hold `_BLOCK` draws, fewer when a draw's grid values or
-    coefficients pass `regression._GRID_BLOCK` values a block.
+    When `sampler.draws_at_points(len(axis))`, row j is T c0 + R xi_j as in
+    `posterior_value_blocks`, from the prior covariance T diag(lambda/beta) T^T
+    at the points, T their (N, M) table of the M drawn coefficients; xi_j is
+    the first N normals of the (seed, j) stream.  Otherwise a block's
+    coefficients are synthesized one axis at a time (`spectral.synthesize`),
+    so no basis matrix of the grid is formed.  Blocks hold `_BLOCK` draws,
+    fewer when a draw's grid values or coefficients pass
+    `regression._GRID_BLOCK` values a block.
     """
     if count < 1:
         raise ValueError(f"count must be positive, got {count}")
     dim = sampler.spec.dim
     axis = spectral.validate_points(axis, 1)[:, 0]
+    if sampler.draws_at_points(axis.size):
+        table = spectral.synthesis_tables([axis], sampler.mesh_size)[0]
+        center = table @ sampler.mean_prefix
+        table *= sampler.scales
+        yield from _root_blocks(table @ table.T, center, count, sampler.seed)
+        return
     # a 1D prefix is itself an expansion; in higher dimensions pad the tail
     order = sampler.mesh_size if dim == 1 else sampler.spec.order
     tail = order**dim - sampler.mesh_size
@@ -192,11 +227,7 @@ def posterior_value_blocks(post, x, count: int, seed: int = 0) -> Iterator[np.nd
     size = pts.shape[0]
     rows = _rows(size)
     if not post.spec.closed_form:
-        eigvals, eigvecs = np.linalg.eigh(post.cov(pts))
-        root_t = (eigvecs * np.sqrt(np.maximum(eigvals, 0.0))).T
-        center = post.mean(pts)
-        for done in range(0, count, rows):
-            yield _normals(seed, done, min(rows, count - done), size) @ root_t + center
+        yield from _root_blocks(post.cov(pts), post.mean(pts), count, seed)
         return
     steps = size * -(-count // rows)
     if steps > _BACKWARD_STEPS:

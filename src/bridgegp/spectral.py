@@ -368,9 +368,13 @@ def project(f, dim: int, order: int) -> SpectralField:
 
 
 def evaluate(u: SpectralField, x):
-    """Evaluate the expansion at a point or batch of points."""
+    """Evaluate the expansion at a point or batch of points; the zero field
+    (every coefficient 0, such as a zero prior mean) without a basis."""
     pts, single = as_point_batch(x, u.dim)
-    vals = basis_matrix(u.dim, u.order, pts) @ u.coeffs
+    if u.coeffs.any():
+        vals = basis_matrix(u.dim, u.order, pts) @ u.coeffs
+    else:
+        vals = np.zeros(pts.shape[0])
     return float(vals[0]) if single else vals
 
 

@@ -730,11 +730,17 @@ class TestDrawBudget:
         monkeypatch.setattr(sampling, "sample_coefficients", refuse)
         monkeypatch.setattr(sampling, "_normals", refuse)
 
-    @pytest.mark.parametrize("mode,per_draw", [("prior", 16 + 11), ("posterior", 2 * 11)])
+    # a prior draw takes its coefficients and its grid values, or, drawn at
+    # fewer points than coefficients, a normal and a value per point
+    @pytest.mark.parametrize("mode,per_draw,keys", [
+        ("prior", 11 + 16, {"grid": 16, "mesh_size": 11}),
+        ("prior", 2 * 11, {"grid": 11}),
+        ("posterior", 2 * 11, {"grid": 11}),
+    ], ids=["prior-27", "prior-22", "posterior-22"])
     def test_over_budget_exits_4_before_drawing(self, tmp_path, capsys, monkeypatch,
-                                                mode, per_draw):
-        payload = {"kernel": kernel_cfg(order=16), "mode": mode, "grid": 11,
-                   "moment_draws": 100, "count": 1}
+                                                mode, per_draw, keys):
+        payload = {"kernel": kernel_cfg(order=16), "mode": mode, "moment_draws": 100,
+                   "count": 1, **keys}
         if mode == "posterior":
             payload.update(data={"x": [0.5], "y": [0.1]}, sigma2=1e-3)
         cfg = write_config(tmp_path, payload)
@@ -950,6 +956,33 @@ class TestOneSampler:
                             (table[:, 2], values.mean(axis=0)),
                             (table[:, 3], values.std(axis=0))):
             np.testing.assert_allclose(got, expect, rtol=0, atol=1e-13 * np.abs(expect).max())
+
+    def test_1d_prior_draws_one_normal_per_grid_point(self, tmp_path, monkeypatch):
+        # 101 points under 512 coefficients: each draw asks its stream for
+        # 101 normals, not 512
+        sizes = []
+        normals = sampling._normals
+
+        def count(seed, start, rows, size):
+            sizes.extend([size] * rows)
+            return normals(seed, start, rows, size)
+
+        monkeypatch.setattr(sampling, "_normals", count)
+        cfg = write_config(tmp_path, {"kernel": kernel_cfg(order=512), "grid": 101,
+                                      "moment_draws": 3000, "seed": 41})
+        assert run(["sample", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 0
+        assert sizes == [101] * 3000
+
+    def test_1d_prior_paths_do_not_depend_on_moment_draws(self, tmp_path):
+        tables = []
+        for draws in (5, 5000):
+            cfg = write_config(tmp_path, {"kernel": kernel_cfg(order=512), "grid": 101,
+                                          "moment_draws": draws, "seed": 41})
+            out = tmp_path / f"{draws}.csv"
+            assert run(["sample", "--config", cfg, "--out", str(out)]) == 0
+            tables.append(np.loadtxt(out, delimiter=",", skiprows=4)[:, 3:])
+        few, many = tables
+        np.testing.assert_allclose(many, few, rtol=0, atol=1e-14 * np.abs(few).max())
 
     def test_cli_uses_no_private_sampling_name(self):
         tree = ast.parse(inspect.getsource(cli))

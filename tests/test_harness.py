@@ -17,6 +17,7 @@ from bridgegp import (
     model_error_study,
     zero_source,
 )
+from bridgegp import spectral
 from bridgegp.harness import _t_quantile
 
 
@@ -126,6 +127,22 @@ class TestConvergenceStudy:
         assert all(a > b for a, b in zip(errs, errs[1:]))
         assert report.extras["slope"] == pytest.approx(-2.0, abs=0.25)
         assert report.extras["slope_half_width"] > 0.0
+
+    def test_zero_prior_mean_builds_no_basis(self, monkeypatch):
+        # the 1D bridge conditions by Kalman filter, and a zero prior mean
+        # evaluates without sine tables: the study builds no basis at all
+        def refuse(*args):
+            raise AssertionError("built a basis for a zero prior mean")
+
+        monkeypatch.setattr(spectral, "basis_matrix", refuse)
+        report = convergence_study(
+            truth=lambda x: x * (1.0 - x),
+            assumed_source=zero_source(1, 512),
+            spec=KernelSpec("bridge"),
+            ns=[4, 8, 16],
+            grid=101,
+        )
+        assert len(report.rows) == 3
 
     def test_variance_contracts(self):
         spec = KernelSpec("bridge")

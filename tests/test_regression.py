@@ -50,7 +50,7 @@ from bridgegp import (
     zero_field,
 )
 from bridgegp import cli, kernels, pde, spectral
-from bridgegp.regression import closed_form_beta
+from bridgegp.regression import _MarginalCovariance, closed_form_beta
 
 
 def make_dataset(rng, n=12, sigma2=1e-4, dim=1):
@@ -454,6 +454,29 @@ class TestOneConditioningCore:
         assert np.abs(res.theta_mean - [2.0, 0.5]).max() < 0.1
         assert [s for s in decompositions["basis"] if s[0] == n] == [(n, 2)]
         assert decompositions["spd"] == []
+
+    @pytest.mark.parametrize("spec,order", [
+        (KernelSpec("bridge", order=64), ["eigh", "basis"]),
+        (KernelSpec("helmholtz", order=64, omega=2.0), ["basis", "eigh"]),
+    ], ids=["bridge", "helmholtz"])
+    def test_closed_form_basis_follows_the_decomposition(self, rng, monkeypatch,
+                                                         spec, order):
+        # the closed-form Gram needs no basis, so its n x S basis is built
+        # after the eigh and is not resident during it; a truncated
+        # kernel's Gram is built from the basis
+        events = []
+        eigh, basis_matrix = np.linalg.eigh, spectral.basis_matrix
+
+        def log(name, fn):
+            def call(*args):
+                events.append(name)
+                return fn(*args)
+            return call
+
+        monkeypatch.setattr(np.linalg, "eigh", log("eigh", eigh))
+        monkeypatch.setattr(spectral, "basis_matrix", log("basis", basis_matrix))
+        _MarginalCovariance(spec, PointObservations(make_dataset(rng, n=30)))
+        assert events == order
 
     def test_nonpositive_variance_takes_one_logged_jitter(self, rng, shift_eigenvalue, caplog):
         # 12 sites on a 9-term kernel: the least eigenvalue of K is a rounding

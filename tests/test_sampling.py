@@ -29,7 +29,7 @@ from bridgegp import (
     solve,
     value_blocks,
 )
-from bridgegp import regression, sampling
+from bridgegp import regression, sampling, spectral
 from bridgegp.sampling import _philox
 
 
@@ -143,8 +143,10 @@ class TestDraws:
             np.testing.assert_array_equal(f.coeffs[5:], np.zeros(27))
 
     def test_values_match_field_evaluation(self):
+        # more points than coefficients: values come by coefficient synthesis
         s = make_sampler(order=16, seed=4)
-        x = np.linspace(0.1, 0.9, 7)
+        x = np.linspace(0.05, 0.95, 20)
+        assert not s.draws_at_points(x.size)
         vals = sample_values(s, x, 3)
         fields = sample(s, 3)
         for j in range(3):
@@ -161,15 +163,32 @@ class TestDraws:
         np.testing.assert_allclose(sample_values(s, x, 10), full, atol=1e-14)
 
     def test_blocks_follow_the_value_budget(self, monkeypatch):
-        # a draw holds max(11 grid points, 16 coefficients) values: 6 draws
-        # fit a budget of 100, so 20 draws come in blocks of 6, 6, 6, 2
+        # coefficients: a draw holds max(16 grid points, 16 coefficients)
+        # values, 6 draws fit a budget of 100, so 20 draws come in blocks
+        # of 6, 6, 6, 2
         s = make_sampler(order=16, seed=6)
-        x = np.linspace(0.0, 1.0, 11)
+        x = np.linspace(0.0, 1.0, 16)
         full = sample_values(s, x, 20)
         monkeypatch.setattr(regression, "_GRID_BLOCK", 100)
         blocks = list(value_blocks(s, x, 20))
         assert [len(b) for b in blocks] == [6, 6, 6, 2]
         np.testing.assert_allclose(np.concatenate(blocks), full, rtol=0, atol=1e-14)
+        # points: a draw holds 11 values, and the 11 x 11 covariance takes
+        # a budget of at least 121, so rows are never fewer than points;
+        # at 121 20 draws come in blocks of 11, 9, and of 9, 9, 2 under a
+        # `_BLOCK` of 9
+        x = np.linspace(0.0, 1.0, 11)
+        monkeypatch.undo()
+        full = sample_values(s, x, 20)
+        monkeypatch.setattr(regression, "_GRID_BLOCK", 121)
+        assert s.draws_at_points(x.size)
+        for block, sizes in ((2048, [11, 9]), (9, [9, 9, 2])):
+            monkeypatch.setattr(sampling, "_BLOCK", block)
+            blocks = list(value_blocks(s, x, 20))
+            assert [len(b) for b in blocks] == sizes
+            np.testing.assert_allclose(np.concatenate(blocks), full, rtol=0, atol=1e-14)
+        monkeypatch.setattr(regression, "_GRID_BLOCK", 120)
+        assert not s.draws_at_points(x.size)
 
     def test_count_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -188,6 +207,87 @@ class TestDraws:
         np.testing.assert_allclose(
             draws.std(axis=0), expect_sd, rtol=0.03
         )
+
+
+class TestPointsRoute:
+    """A 1D prior on fewer points than coefficients is drawn at the points,
+    from its covariance there, as posterior draws are."""
+
+    def test_root_reproduces_the_prior_covariance(self, monkeypatch):
+        s = make_sampler(order=512, beta=2.5, seed=3)
+        x = np.linspace(0.0, 1.0, 101)
+        roots = []
+        eigh = np.linalg.eigh
+
+        def spy(a):
+            eigvals, eigvecs = eigh(a)
+            roots.append(eigvecs * np.sqrt(np.maximum(eigvals, 0.0)))
+            return eigvals, eigvecs
+
+        monkeypatch.setattr(np.linalg, "eigh", spy)
+        sample_values(s, x, 2)
+        table = spectral.synthesis_tables([x], 512)[0]
+        want = (table * (eigenvalues(s.spec) / 2.5)) @ table.T
+        (root,) = roots
+        assert np.abs(root @ root.T - want).max() <= 1e-14 * np.abs(want).max()
+
+    def test_draws_are_the_per_draw_streams(self):
+        # row j is T c0 + R xi_j with xi_j the first N normals of (seed, j)
+        spec = KernelSpec("bridge", order=64)
+        mean = SpectralField(1, 64, np.linspace(1.0, -1.0, 64))
+        s = PriorSampler(spec, mean, seed=12)
+        x = np.linspace(0.1, 0.9, 9)
+        table = spectral.synthesis_tables([x], 64)[0]
+        eigvals, eigvecs = np.linalg.eigh((table * s.scales**2) @ table.T)
+        root = eigvecs * np.sqrt(np.maximum(eigvals, 0.0))
+        xi = np.array([_philox(12, j).standard_normal(9) for j in range(4)])
+        np.testing.assert_allclose(sample_values(s, x, 4), xi @ root.T + table @ mean.coeffs,
+                                   rtol=0, atol=1e-13)
+
+    def test_boundary_values_are_the_mean_exactly(self):
+        mean = SpectralField(1, 128, np.ones(128))
+        s = PriorSampler(KernelSpec("bridge", order=128), mean, seed=5)
+        vals = sample_values(s, np.linspace(0.0, 1.0, 101), 50)
+        assert np.all(vals[:, 0] == 0.0) and np.all(vals[:, -1] == 0.0)
+        assert np.all(vals[:, 1:-1] != 0.0)
+
+    def test_moments_are_the_prior_moments(self):
+        # the points route samples the truncated prior's law: Monte Carlo
+        # mean and variance at a pinned seed within 5 sigma of the exact
+        spec = KernelSpec("bridge", order=64, beta=0.5)
+        mean = SpectralField(1, 64, 1.0 / np.arange(1, 65) ** 2)
+        s = PriorSampler(spec, mean, seed=77)
+        x = np.linspace(0.05, 0.95, 19)
+        table = spectral.synthesis_tables([x], 64)[0]
+        var = (table**2) @ s.scales**2
+        n = 20000
+        draws = sample_values(s, x, n)
+        assert np.all(np.abs(draws.mean(axis=0) - table @ mean.coeffs) <= 5 * np.sqrt(var / n))
+        assert np.all(np.abs(draws.var(axis=0) - var) <= 5 * np.sqrt(2.0 / n) * var)
+
+    def test_large_grid_takes_the_coefficient_route(self, monkeypatch):
+        # 2049 points under 4096 coefficients, but a 2049 x 2049 covariance
+        # exceeds the value budget: no covariance and no eigendecomposition
+        s = make_sampler(order=4096, seed=2)
+        x = np.linspace(0.0, 1.0, 2049)
+        assert not s.draws_at_points(x.size)
+
+        def refuse(*args):
+            raise AssertionError("built an N x N covariance")
+
+        monkeypatch.setattr(sampling, "_root_blocks", refuse)
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        vals = sample_values(s, x, 2)
+        table = spectral.synthesis_tables([x], 4096)[0]
+        np.testing.assert_allclose(vals, sample_coefficients(s, 2) @ table.T,
+                                   rtol=0, atol=1e-12)
+
+    def test_route_depends_on_points_and_coefficients(self):
+        assert make_sampler(order=16).draws_at_points(15)
+        assert not make_sampler(order=16).draws_at_points(16)
+        assert not make_sampler(order=16, mesh=8).draws_at_points(8)
+        assert make_sampler(order=16, mesh=8).draws_at_points(7)
+        assert not PriorSampler(KernelSpec("bridge", dim=2, order=8)).draws_at_points(5)
 
 
 def power_sampler(p, order, seed):

@@ -31,6 +31,7 @@ from bridgegp import (
     project,
     zero_field,
 )
+from bridgegp import spectral
 from bridgegp.spectral import synthesis_tables, synthesize, validate_points
 
 
@@ -180,6 +181,18 @@ class TestField:
             basis_field(2, 3, (0, 1))
         with pytest.raises(ValueError):
             basis_field(2, 3, (1, 4))
+
+    def test_zero_field_evaluates_without_a_basis(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("built a basis for the zero field")
+
+        monkeypatch.setattr(spectral, "basis_matrix", refuse)
+        vals = evaluate(SpectralField(2, 8, np.zeros(64)), np.full((5, 2), 0.3))
+        np.testing.assert_array_equal(vals, np.zeros(5))
+        assert np.signbit(vals).sum() == 0
+        assert evaluate(SpectralField(1, 512, np.zeros(512)), 0.5) == 0.0
+        with pytest.raises(DomainError):
+            evaluate(SpectralField(1, 4, np.zeros(4)), [1.5])
 
     def test_callable_matches_evaluate(self, rng):
         u = SpectralField(1, 5, rng.normal(size=5))

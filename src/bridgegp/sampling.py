@@ -14,11 +14,13 @@ requested at once or in what order batches are taken.
 
 Values of draws come as blocks of rows (`value_blocks` for the prior on a
 grid, `posterior_value_blocks` at points), so a caller that only needs
-moments and a few paths holds one block at a time.  On a 1D grid of
-fewer points than drawn coefficients, the prior is a Gaussian of rank at
-most N at its N points, so `value_blocks` draws it there as posterior
-draws are drawn: from the eigendecomposition of its covariance at the
-points, with draw j taking the first N normals of its (seed, j) stream.
+moments and a few paths holds one block at a time.  On a 1D grid of N
+points and M drawn coefficients, the prior is a Gaussian of rank at most
+N at its N points; when N is small and M several times N
+(`PriorSampler.draws_at_points`), `value_blocks` draws it there as
+posterior draws are drawn: from the eigendecomposition of its covariance
+at the points, with draw j taking the first N normals of its (seed, j)
+stream.
 """
 
 from __future__ import annotations
@@ -44,6 +46,16 @@ __all__ = [
 
 
 _BLOCK = 2048
+
+# A prior drawn at its N points pays once for their covariance (a syrk of
+# N^2 M flops and an O(N^3) eigh) and saves M - N normals and 2N(M - N)
+# flops a draw.  In fresh 1D `sample` processes on a 2-vCPU machine, grids
+# of at most 256 points with M >= 4N were no slower at 4096 draws and at
+# most 0.18 s CPU (1.4x) slower at 3; 512 to 1447 points cost up to
+# 0.2-1.3 s (1.6-3.4x) more at 100 draws, and M < 4N saved too little at
+# 4096 draws to pay for the eigh.
+_ROOT_POINTS = 256
+_ROOT_RATIO = 4
 
 
 def _philox(seed: int, index: int) -> np.random.Generator:
@@ -118,11 +130,12 @@ class PriorSampler(Record):
 
     def draws_at_points(self, size: int) -> bool:
         """Whether `value_blocks` draws this prior at `size` points from its
-        covariance there, not by coefficients: a 1D prior on fewer points
-        than it draws coefficients, whose (size, size) covariance fits
-        `regression._GRID_BLOCK` values."""
-        return (self.spec.dim == 1 and size < self.mesh_size
-                and size * size <= regression._GRID_BLOCK)
+        covariance there, not by coefficients: a 1D prior on at most
+        `_ROOT_POINTS` points that draws at least `_ROOT_RATIO` coefficients
+        a point.  The rule reads only the points and the coefficients, so a
+        path never depends on how many draws are requested."""
+        return (self.spec.dim == 1 and size <= _ROOT_POINTS
+                and _ROOT_RATIO * size <= self.mesh_size)
 
 
 def sample_coefficients(sampler: PriorSampler, count: int, start: int = 0) -> np.ndarray:

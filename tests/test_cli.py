@@ -731,10 +731,10 @@ class TestDrawBudget:
         monkeypatch.setattr(sampling, "_normals", refuse)
 
     # a prior draw takes its coefficients and its grid values, or, drawn at
-    # fewer points than coefficients, a normal and a value per point
+    # the points (11 under 64 coefficients), a normal and a value per point
     @pytest.mark.parametrize("mode,per_draw,keys", [
         ("prior", 11 + 16, {"grid": 16, "mesh_size": 11}),
-        ("prior", 2 * 11, {"grid": 11}),
+        ("prior", 2 * 11, {"grid": 11, "kernel": kernel_cfg(order=64)}),
         ("posterior", 2 * 11, {"grid": 11}),
     ], ids=["prior-27", "prior-22", "posterior-22"])
     def test_over_budget_exits_4_before_drawing(self, tmp_path, capsys, monkeypatch,

@@ -173,22 +173,17 @@ class TestDraws:
         blocks = list(value_blocks(s, x, 20))
         assert [len(b) for b in blocks] == [6, 6, 6, 2]
         np.testing.assert_allclose(np.concatenate(blocks), full, rtol=0, atol=1e-14)
-        # points: a draw holds 11 values, and the 11 x 11 covariance takes
-        # a budget of at least 121, so rows are never fewer than points;
-        # at 121 20 draws come in blocks of 11, 9, and of 9, 9, 2 under a
-        # `_BLOCK` of 9
+        # points: 11 points under 64 coefficients, a draw holds 11 values,
+        # 9 draws fit a budget of 100, so 20 draws come in blocks of 9, 9, 2
+        s = make_sampler(order=64, seed=6)
         x = np.linspace(0.0, 1.0, 11)
         monkeypatch.undo()
-        full = sample_values(s, x, 20)
-        monkeypatch.setattr(regression, "_GRID_BLOCK", 121)
         assert s.draws_at_points(x.size)
-        for block, sizes in ((2048, [11, 9]), (9, [9, 9, 2])):
-            monkeypatch.setattr(sampling, "_BLOCK", block)
-            blocks = list(value_blocks(s, x, 20))
-            assert [len(b) for b in blocks] == sizes
-            np.testing.assert_allclose(np.concatenate(blocks), full, rtol=0, atol=1e-14)
-        monkeypatch.setattr(regression, "_GRID_BLOCK", 120)
-        assert not s.draws_at_points(x.size)
+        full = sample_values(s, x, 20)
+        monkeypatch.setattr(regression, "_GRID_BLOCK", 100)
+        blocks = list(value_blocks(s, x, 20))
+        assert [len(b) for b in blocks] == [9, 9, 2]
+        np.testing.assert_allclose(np.concatenate(blocks), full, rtol=0, atol=1e-14)
 
     def test_count_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -237,6 +232,7 @@ class TestPointsRoute:
         mean = SpectralField(1, 64, np.linspace(1.0, -1.0, 64))
         s = PriorSampler(spec, mean, seed=12)
         x = np.linspace(0.1, 0.9, 9)
+        assert s.draws_at_points(x.size)
         table = spectral.synthesis_tables([x], 64)[0]
         eigvals, eigvecs = np.linalg.eigh((table * s.scales**2) @ table.T)
         root = eigvecs * np.sqrt(np.maximum(eigvals, 0.0))
@@ -245,8 +241,9 @@ class TestPointsRoute:
                                    rtol=0, atol=1e-13)
 
     def test_boundary_values_are_the_mean_exactly(self):
-        mean = SpectralField(1, 128, np.ones(128))
-        s = PriorSampler(KernelSpec("bridge", order=128), mean, seed=5)
+        mean = SpectralField(1, 512, np.ones(512))
+        s = PriorSampler(KernelSpec("bridge", order=512), mean, seed=5)
+        assert s.draws_at_points(101)
         vals = sample_values(s, np.linspace(0.0, 1.0, 101), 50)
         assert np.all(vals[:, 0] == 0.0) and np.all(vals[:, -1] == 0.0)
         assert np.all(vals[:, 1:-1] != 0.0)
@@ -254,11 +251,12 @@ class TestPointsRoute:
     def test_moments_are_the_prior_moments(self):
         # the points route samples the truncated prior's law: Monte Carlo
         # mean and variance at a pinned seed within 5 sigma of the exact
-        spec = KernelSpec("bridge", order=64, beta=0.5)
-        mean = SpectralField(1, 64, 1.0 / np.arange(1, 65) ** 2)
+        spec = KernelSpec("bridge", order=128, beta=0.5)
+        mean = SpectralField(1, 128, 1.0 / np.arange(1, 129) ** 2)
         s = PriorSampler(spec, mean, seed=77)
         x = np.linspace(0.05, 0.95, 19)
-        table = spectral.synthesis_tables([x], 64)[0]
+        assert s.draws_at_points(x.size)
+        table = spectral.synthesis_tables([x], 128)[0]
         var = (table**2) @ s.scales**2
         n = 20000
         draws = sample_values(s, x, n)
@@ -266,8 +264,8 @@ class TestPointsRoute:
         assert np.all(np.abs(draws.var(axis=0) - var) <= 5 * np.sqrt(2.0 / n) * var)
 
     def test_large_grid_takes_the_coefficient_route(self, monkeypatch):
-        # 2049 points under 4096 coefficients, but a 2049 x 2049 covariance
-        # exceeds the value budget: no covariance and no eigendecomposition
+        # 2049 points under 4096 coefficients, more points than the route
+        # takes: no covariance and no eigendecomposition
         s = make_sampler(order=4096, seed=2)
         x = np.linspace(0.0, 1.0, 2049)
         assert not s.draws_at_points(x.size)
@@ -283,10 +281,14 @@ class TestPointsRoute:
                                    rtol=0, atol=1e-12)
 
     def test_route_depends_on_points_and_coefficients(self):
-        assert make_sampler(order=16).draws_at_points(15)
-        assert not make_sampler(order=16).draws_at_points(16)
-        assert not make_sampler(order=16, mesh=8).draws_at_points(8)
-        assert make_sampler(order=16, mesh=8).draws_at_points(7)
+        # at most 256 points, at least 4 drawn coefficients a point
+        assert make_sampler(order=64).draws_at_points(16)
+        assert not make_sampler(order=64).draws_at_points(17)
+        assert make_sampler(order=64, mesh=32).draws_at_points(8)
+        assert not make_sampler(order=64, mesh=32).draws_at_points(9)
+        assert make_sampler(order=4096).draws_at_points(256)
+        assert not make_sampler(order=4096).draws_at_points(257)
+        assert make_sampler(order=512).draws_at_points(101)
         assert not PriorSampler(KernelSpec("bridge", dim=2, order=8)).draws_at_points(5)
 
 

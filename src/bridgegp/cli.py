@@ -29,8 +29,8 @@ Exit codes: 0 success, 2 config error (so is a plain ValueError, since the
 library's arguments come from the config, and so is an unwritable output),
 3 numerical failure (so is an arithmetic overflow, and a non-finite number
 in any artifact but those of `beta` and `study model-error`), 4 resource
-limit (so is a MemoryError, and a `sample` over `_DRAW_BUDGET` or over
-`sampling._BACKWARD_STEPS`).
+limit (so is a MemoryError, and a `sample` over `_DRAW_BUDGET`, over
+`sampling._BACKWARD_STEPS` or over `sampling._DENSE_POINTS`).
 """
 
 from __future__ import annotations
@@ -289,7 +289,7 @@ _SAMPLE = {"kernel": (_kernel, ...), "source": (_source, None), "grid": (_grid_p
 # `sample` holds one block of draws, but draws every value it is asked for:
 # moment_draws x (normals + grid points) values, the normals one per grid
 # point when draws are taken at the points, else one per drawn coefficient.
-# About 1e9 values, 2**30, take some 40 s of normals on one core.
+# About 1e9 values, 2**30, take some 20-25 s of normals on one core.
 _DRAW_BUDGET = 1 << 30
 
 

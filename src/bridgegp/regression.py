@@ -135,11 +135,6 @@ def fixed(beta0: float) -> HyperPrior:
     return HyperPrior("fixed", beta0)
 
 
-# `PosteriorModel.on_grid` synthesizes the variance factor a block of
-# first-axis grid coordinates at a time, at most this many values a block.
-_GRID_BLOCK = 1 << 21
-
-
 def _clamp_variance(v: np.ndarray) -> np.ndarray:
     """Clamp negative variances (round-off) at zero; warn below -1e-10."""
     worst = v.min() if v.size else 0.0
@@ -338,7 +333,7 @@ class PosteriorModel:
         prior_var = spectral.synthesize(
             self._lam.reshape((order,) * dim), [t * t for t in tables])
         factor = self._factor.reshape((order,) * dim + (-1,))
-        rows = max(1, _GRID_BLOCK // (axis.size ** (dim - 1) * factor.shape[-1]))
+        rows = max(1, spectral._GRID_BLOCK // (axis.size ** (dim - 1) * factor.shape[-1]))
         explained = np.concatenate([
             np.einsum("...j,...j->...", z, z)
             for z in (spectral.synthesize(factor, [tables[0][i:i + rows]] + tables[1:])

@@ -8,9 +8,9 @@ with iid standard normal xi.  The covariance is diagonal, so nested
 truncations are automatically consistent: the first M1 coordinates of
 an M2-coefficient draw (M1 <= M2) have exactly the M1-draw law.
 
-Randomness is counter-based: draw i uses a Philox generator keyed by
-(seed, i), so draws are reproducible independently of how many are
-requested at once or in what order batches are taken.
+Randomness is counter-based: draw 64c + k is column k of the (size, 64)
+normals of a Philox generator keyed by (seed, c), so draws do not depend
+on their batching, nor a draw's first m normals on its size.
 
 Values of draws come as blocks of rows (`value_blocks` for the prior on a
 grid, `posterior_value_blocks` at points), so a caller that only needs
@@ -19,8 +19,7 @@ points and M drawn coefficients, the prior is a Gaussian of rank at most
 N at its N points; when N is small and M several times N
 (`PriorSampler.draws_at_points`), `value_blocks` draws it there as
 posterior draws are drawn: from the eigendecomposition of its covariance
-at the points, with draw j taking the first N normals of its (seed, j)
-stream.
+at the points, with draw j taking its first N normals.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from . import kernels, pde, regression, spectral
+from . import kernels, pde, spectral
 from .errors import ResourceLimitError
 from .record import Record
 
@@ -48,35 +47,39 @@ __all__ = [
 _BLOCK = 2048
 
 # A prior drawn at its N points pays once for their covariance (a syrk of
-# N^2 M flops and an O(N^3) eigh) and saves M - N normals and 2N(M - N)
-# flops a draw.  In fresh 1D `sample` processes on a 2-vCPU machine, grids
-# of at most 256 points with M >= 4N were no slower at 4096 draws and at
-# most 0.18 s CPU (1.4x) slower at 3; 512 to 1447 points cost up to
-# 0.2-1.3 s (1.6-3.4x) more at 100 draws, and M < 4N saved too little at
-# 4096 draws to pay for the eigh.
+# N^2 M flops and an O(N^3) eigh) and saves M - N normals a draw.  In fresh 1D
+# `sample` processes (2-vCPU machine) up to 256 points with M >= 4N were no
+# slower at 4096 draws and at most 1.5x slower at 3; 512 points were 2.2x
+# slower at 100 draws, and M = 2N saved nothing at 4096.
 _ROOT_POINTS = 256
 _ROOT_RATIO = 4
+
+# Draws per generator: the normals of 50,000 draws at 101 points took 0.13, 0.10
+# and 0.09 s CPU at 16, 32 and 64 (2-vCPU machine), and no less at 128 or 256.
+_CHUNK = 64
 
 
 def _philox(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
 
 
-def _normals(seed: int, start: int, count: int, size: int) -> np.ndarray:
-    """(count, size) standard normals; row j starts the `_philox(seed, start + j)` stream."""
-    out = np.empty((count, size))
-    # One generator re-keyed per row: each row starts from the state a
-    # fresh `_philox(seed, start + j)` has (counter zero, empty buffer),
-    # without paying for a new generator and seed sequence per draw.
-    bits = np.random.Philox(key=np.array([seed, start], dtype=np.uint64))
-    gen = np.random.Generator(bits)
-    state = bits.state
-    key = state["state"]["key"]
-    for j in range(count):
-        key[1] = start + j
-        bits.state = state
-        gen.standard_normal(out=out[j])
-    return out
+def _normals(seed: int, size: int, count: int, rows: int, start: int = 0) -> Iterator[np.ndarray]:
+    """Standard normals of draws start..start+count-1, `size` a draw, as
+    point-major (size, r) blocks, r = `rows` but for the last.  Draw j is
+    column j % _CHUNK of the first (size, _CHUNK) normals of
+    `_philox(seed, j // _CHUNK)`, drawn once into one buffer; a block that
+    straddles chunks slices them."""
+    chunk, held = np.empty((size, _CHUNK)), -1
+    for lo in range(start, start + count, rows):
+        hi = min(lo + rows, start + count)
+        block = np.empty((size, hi - lo))
+        for c in range(lo // _CHUNK, -(-hi // _CHUNK)):
+            if c != held:
+                _philox(seed, c).standard_normal(out=chunk)
+                held = c
+            a, b = max(lo, c * _CHUNK), min(hi, (c + 1) * _CHUNK)
+            block[:, a - lo:b - lo] = chunk[:, a - c * _CHUNK:b - c * _CHUNK]
+        yield block
 
 
 def _check_seed(seed) -> int:
@@ -142,32 +145,32 @@ def sample_coefficients(sampler: PriorSampler, count: int, start: int = 0) -> np
     """Coefficient draws with absolute indices start..start+count-1.
 
     Row j is fully determined by (seed, start + j); requesting draws in
-    batches, in any order, yields the same numbers.
+    batches, in any order, yields the same numbers.  The rows are a view
+    of the point-major (mesh_size, count) draws.
     """
     if count < 0 or start < 0:
         raise ValueError("count and start must be nonnegative")
-    out = _normals(sampler.seed, start, count, sampler.mesh_size)
-    out *= sampler.scales
-    out += sampler.mean_prefix
-    return out
+    size = sampler.mesh_size
+    xi = next(_normals(sampler.seed, size, count, max(count, 1), start), np.empty((size, 0)))
+    return (sampler.mean_prefix[:, None] + sampler.scales[:, None] * xi).T
 
 
 def _rows(values_per_draw: int) -> int:
     """Draws per block: `_BLOCK`, fewer when a draw holds many values."""
-    return max(1, min(_BLOCK, regression._GRID_BLOCK // values_per_draw))
+    return max(1, min(_BLOCK, spectral._GRID_BLOCK // values_per_draw))
 
 
 def _root_blocks(cov, center, count: int, seed: int) -> Iterator[np.ndarray]:
     """Draws 0..count-1 of N(center, cov) at N points, block by block: row j is
     center + R xi_j, with R = V sqrt(max(w, 0)) from V diag(w) V^T = cov and
-    xi_j the first N normals of the (seed, j) stream."""
+    xi_j the first N normals of draw j.  A block is the product xi^T R^T of
+    the point-major normals, so it comes out draw-major."""
     eigvals, eigvecs = np.linalg.eigh(cov)
     del cov  # the caller's temporary: not resident beside the root
     root_t = (eigvecs * np.sqrt(np.maximum(eigvals, 0.0))).T
     size = len(center)
-    rows = _rows(size)
-    for done in range(0, count, rows):
-        yield _normals(seed, done, min(rows, count - done), size) @ root_t + center
+    for xi in _normals(seed, size, count, _rows(size)):
+        yield xi.T @ root_t + center
 
 
 def value_blocks(sampler: PriorSampler, axis, count: int) -> Iterator[np.ndarray]:
@@ -178,11 +181,11 @@ def value_blocks(sampler: PriorSampler, axis, count: int) -> Iterator[np.ndarray
     When `sampler.draws_at_points(len(axis))`, row j is T c0 + R xi_j as in
     `posterior_value_blocks`, from the prior covariance T diag(lambda/beta) T^T
     at the points, T their (N, M) table of the M drawn coefficients; xi_j is
-    the first N normals of the (seed, j) stream.  Otherwise a block's
+    the first N normals of draw j.  Otherwise a block's point-major
     coefficients are synthesized one axis at a time (`spectral.synthesize`),
     so no basis matrix of the grid is formed.  Blocks hold `_BLOCK` draws,
     fewer when a draw's grid values or coefficients pass
-    `regression._GRID_BLOCK` values a block.
+    `spectral._GRID_BLOCK` values a block.
     """
     if count < 1:
         raise ValueError(f"count must be positive, got {count}")
@@ -199,12 +202,12 @@ def value_blocks(sampler: PriorSampler, axis, count: int) -> Iterator[np.ndarray
     tail = order**dim - sampler.mesh_size
     rows = _rows(max(axis.size, order) ** dim)
     tables = spectral.synthesis_tables([axis] * dim, order)
-    for done in range(0, count, rows):
-        coeffs = sample_coefficients(sampler, min(rows, count - done), done)
+    for xi in _normals(sampler.seed, sampler.mesh_size, count, rows):
+        coeffs = sampler.mean_prefix[:, None] + sampler.scales[:, None] * xi
         if tail:
-            coeffs = np.pad(coeffs, ((0, 0), (0, tail)))
-        tensor = coeffs.T.reshape((order,) * dim + (len(coeffs),))
-        yield spectral.synthesize(tensor, tables).reshape(-1, len(coeffs)).T
+            coeffs = np.pad(coeffs, ((0, tail), (0, 0)))
+        tensor = coeffs.reshape((order,) * dim + (coeffs.shape[1],))
+        yield spectral.synthesize(tensor, tables).reshape(-1, coeffs.shape[1]).T
 
 
 def sample_values(sampler: PriorSampler, axis, count: int) -> np.ndarray:
@@ -217,21 +220,25 @@ def sample_values(sampler: PriorSampler, axis, count: int) -> np.ndarray:
 # (2-vCPU machine).  More steps than this, some 20 s, are refused before
 # any draw.
 _BACKWARD_STEPS = 1 << 23
+# Any other posterior takes the eigh of its dense covariance at its points: at
+# 4096 points a 2D `sample` took 16 s CPU and 684 MB max RSS.  More are refused.
+_DENSE_POINTS = 4096
 
 
 def posterior_value_blocks(post, x, count: int, seed: int = 0) -> Iterator[np.ndarray]:
     """Posterior draws 0..count-1 at points `x`, block by block.
 
-    Row j is built from xi_j, the first len(x) normals of the (seed, j)
-    stream.  For the 1D bridge it is drawn by backward sampling on the
-    Kalman filter of `post` (FFBS; Carter & Kohn, 1994): from the rightmost
-    point leftwards, f(x_k) = coef_k f(right neighbour) + center_k +
-    sqrt(var_k) xi_j[k], plus the prior mean, one vectorized step per point
-    over a block's draws; more than `_BACKWARD_STEPS` steps raise
-    ResourceLimitError before any draw.  Otherwise row j is
-    post.mean(x) + R xi_j, with R = V sqrt(max(w, 0)) from the dense
-    eigendecomposition V diag(w) V^T of post.cov(x).  Blocks hold `_BLOCK`
-    draws, fewer when len(x) passes `regression._GRID_BLOCK` values a block.
+    Row j is built from xi_j, the first len(x) normals of draw j.  For the
+    1D bridge it is drawn by backward sampling on the Kalman filter of
+    `post` (FFBS; Carter & Kohn, 1994): from the rightmost point leftwards,
+    f(x_k) = coef_k f(right neighbour) + center_k + sqrt(var_k) xi_j[k],
+    plus the prior mean, one step per point on a block's point-major draws;
+    more than `_BACKWARD_STEPS` steps raise ResourceLimitError before any
+    draw.  Otherwise row j is post.mean(x) + R xi_j, R = V sqrt(max(w, 0))
+    from the dense eigendecomposition V diag(w) V^T of post.cov(x); more
+    than `_DENSE_POINTS` points raise ResourceLimitError before it is built.
+    Blocks hold `_BLOCK` draws, fewer when len(x) passes
+    `spectral._GRID_BLOCK` values a block.
     """
     if count < 1:
         raise ValueError(f"count must be positive, got {count}")
@@ -240,6 +247,9 @@ def posterior_value_blocks(post, x, count: int, seed: int = 0) -> Iterator[np.nd
     size = pts.shape[0]
     rows = _rows(size)
     if not post.spec.closed_form:
+        if size > _DENSE_POINTS:
+            raise ResourceLimitError(f"posterior draws at {size} points need a dense {size}^2 "
+                                     f"covariance, over {_DENSE_POINTS} points; lower grid")
         yield from _root_blocks(post.cov(pts), post.mean(pts), count, seed)
         return
     steps = size * -(-count // rows)
@@ -254,14 +264,13 @@ def posterior_value_blocks(post, x, count: int, seed: int = 0) -> Iterator[np.nd
     links = [(k, prev, c) for prev, k, c in zip(order[:-1].tolist(), order[1:].tolist(),
                                                   coef[1:]) if c]
     prior = spectral.evaluate(post.prior, pts)
-    for done in range(0, count, rows):
-        draws = _normals(seed, done, min(rows, count - done), size)
-        draws *= scale
-        draws += shift
+    for draws in _normals(seed, size, count, rows):
+        draws *= scale[:, None]
+        draws += shift[:, None]
         for k, prev, c in links:
-            draws[:, k] += c * draws[:, prev]
-        draws += prior
-        yield draws
+            draws[k] += c * draws[prev]
+        draws += prior[:, None]
+        yield draws.T
 
 
 def sample_posterior_values(post, x, count: int, seed: int = 0) -> np.ndarray:
@@ -313,15 +322,11 @@ def nested_consistency(small: PriorSampler, large: PriorSampler,
         b = sample_coefficients(large, 3)[:, :m]
         prefix_match = bool(np.array_equal(a, b))
 
-    target = np.diag(small.scales**2)
-    dev = 0.0
     cross = np.zeros((m, m))
-    done = 0
-    while done < draws:
-        step = min(4096, draws - done)
-        block = sample_coefficients(large, step, done)[:, :m] - small.mean_prefix
+    for done in range(0, draws, 4096):
+        block = sample_coefficients(large, min(4096, draws - done), done)
+        block = block[:, :m] - small.mean_prefix
         cross += block.T @ block
-        done += step
-    dev = float(np.abs(cross / draws - target).max())
+    dev = float(np.abs(cross / draws - np.diag(small.scales**2)).max())
     bound = 4.0 * float(np.max(small.scales**2)) / np.sqrt(draws)
     return NestedReport(analytic, prefix_match, dev, bound, dev < bound, draws)

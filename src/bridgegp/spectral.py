@@ -44,6 +44,10 @@ _EXTRA_NODES = 33
 # Newton steps in `_leggauss`: 4 reach rounding at any n, the 5th evaluates P_n' there.
 _NEWTON_STEPS = 5
 
+# Values a block holds where points or draws are taken in blocks: `evaluate`'s
+# basis, `PosteriorModel.on_grid`'s variance factor and `sampling`'s draws.
+_GRID_BLOCK = 1 << 21
+
 
 def check_size(dim: int, order: int) -> None:
     """Reject dimension/order pairs outside the dense-storage budget."""
@@ -368,13 +372,14 @@ def project(f, dim: int, order: int) -> SpectralField:
 
 
 def evaluate(u: SpectralField, x):
-    """Evaluate the expansion at a point or batch of points; the zero field
-    (every coefficient 0, such as a zero prior mean) without a basis."""
+    """Evaluate the expansion at points, `_GRID_BLOCK` basis values at a
+    time; the zero field (such as a zero prior mean) without a basis."""
     pts, single = as_point_batch(x, u.dim)
+    vals = np.zeros(pts.shape[0])
     if u.coeffs.any():
-        vals = basis_matrix(u.dim, u.order, pts) @ u.coeffs
-    else:
-        vals = np.zeros(pts.shape[0])
+        rows = max(1, _GRID_BLOCK // u.coeffs.size)
+        for i in range(0, len(pts), rows):
+            vals[i:i + rows] = basis_matrix(u.dim, u.order, pts[i:i + rows]) @ u.coeffs
     return float(vals[0]) if single else vals
 
 
@@ -393,7 +398,9 @@ def synthesize(tensor, tables) -> np.ndarray:
     from `synthesis_tables`, so a caller that synthesizes many tensors on
     one grid builds them once.  Synthesis runs one axis at a time against
     its table, so the cost is O(d * m^d * S * batch) and no (m^d, S^d)
-    basis matrix is formed (sum factorization).  Squared tables give
+    basis matrix is formed (sum factorization).  Each axis is one product
+    table @ tensor, so a batch held in C order, as `sampling` holds its
+    point-major draws, is read as stored.  Squared tables give
     sum_alpha c_alpha psi_alpha(x)^2: from the eigenvalues, the kernel
     diagonal.
 
@@ -410,15 +417,7 @@ def synthesize(tensor, tables) -> np.ndarray:
                                  f"{tables[0].shape[1]}, got shape {tensor.shape}")
     for table in tables:
         rest = tensor.shape[1:]
-        flat = tensor.reshape(order, -1) if rest else tensor
-        if flat.flags.c_contiguous:
-            # matrix @ vector for a single 1D expansion, the product `evaluate` takes
-            product = table @ flat
-        else:
-            # A batch stored expansion by expansion (prior draws in rows) keeps
-            # that layout: the product in C order took 1.8x as long for 50k
-            # draws at S = 512 on 101 points (2-vCPU machine), the same values.
-            product = (flat.T @ table.T).T
+        product = table @ (tensor.reshape(order, -1) if rest else tensor)
         tensor = product.reshape((table.shape[0],) + rest)
         # the new grid axis goes behind the coefficient axes still to do
         tensor = np.moveaxis(tensor, 0, dim - 1)

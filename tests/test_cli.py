@@ -33,6 +33,7 @@ from bridgegp import (
     condition,
     kernels,
     pde,
+    regression,
     sample_coefficients,
     sample_posterior_values,
     sample_values,
@@ -780,6 +781,23 @@ class TestDrawBudget:
             capsys, ["sample", "--config", cfg], 4, "resource limit:")
         assert time.process_time() - started < 5.0
 
+    def test_dense_posterior_on_a_2d_grid_of_101_exits_4_at_once(self, tmp_path, capsys,
+                                                                   monkeypatch):
+        # 10201 points would need a 794 MiB covariance and its eigh
+        self.refuse_draws(monkeypatch)
+
+        def refuse(*args):
+            raise AssertionError("built the dense covariance")
+
+        monkeypatch.setattr(regression.PosteriorModel, "cov", refuse)
+        cfg = write_config(tmp_path, {"kernel": kernel_cfg(dim=2, order=16), "mode": "posterior",
+                                      "grid": 101, "data": {"x": [[0.3, 0.6], [0.7, 0.2]],
+                                                            "y": [0.2, -0.1]}, "sigma2": 1e-3})
+        started = time.process_time()
+        TestLibraryErrorsAreConfigErrors.one_line_failure(
+            capsys, ["sample", "--config", cfg], 4, "resource limit: posterior draws at 10201")
+        assert time.process_time() - started < 5.0
+
     def test_hundred_million_draws_exit_4_at_once(self, tmp_path, capsys, monkeypatch):
         self.refuse_draws(monkeypatch)
         cfg = write_config(tmp_path, {"kernel": {"family": "bridge"},
@@ -963,9 +981,10 @@ class TestOneSampler:
         sizes = []
         normals = sampling._normals
 
-        def count(seed, start, rows, size):
-            sizes.extend([size] * rows)
-            return normals(seed, start, rows, size)
+        def count(*args):
+            for block in normals(*args):
+                sizes.extend([len(block)] * block.shape[1])
+                yield block
 
         monkeypatch.setattr(sampling, "_normals", count)
         cfg = write_config(tmp_path, {"kernel": kernel_cfg(order=512), "grid": 101,

@@ -44,6 +44,12 @@ def make_sampler(order=32, beta=1.0, mesh=None, seed=0, mean=None):
     return PriorSampler(KernelSpec("bridge", order=order, beta=beta), mean, mesh, seed)
 
 
+def stream(seed, j, size):
+    """Draw j's first `size` normals: column j % 64 of the (size, 64) normals
+    of the generator keyed (seed, j // 64)."""
+    return _philox(seed, j // 64).standard_normal((size, 64))[:, j % 64]
+
+
 class TestReproducibility:
     def test_same_seed_same_draws(self):
         s = make_sampler(seed=11)
@@ -61,17 +67,25 @@ class TestReproducibility:
         np.testing.assert_array_equal(whole[6:7], sample_coefficients(s, 1, start=6))
 
     def test_batches_equal_per_draw_streams(self):
-        # row j is the stream of a fresh Philox generator keyed (seed, j)
+        # row j is column j % 64 of the chunk of draws keyed (seed, j // 64)
         s = make_sampler(seed=17, mesh=24)
-        for count, start in ((1, 40), (7, 0), (3, 5)):
-            xi = np.array([_philox(17, start + j).standard_normal(24)
-                           for j in range(count)])
+        for count, start in ((1, 40), (7, 0), (3, 5), (2, 127)):
+            xi = np.array([stream(17, start + j, 24) for j in range(count)])
             np.testing.assert_array_equal(
                 sample_coefficients(s, count, start), s.mean_prefix + s.scales * xi
             )
 
+    def test_block_across_a_chunk_edge(self):
+        # draws 60..69 take the last 4 columns of chunk 0 and the first 6 of chunk 1
+        s = make_sampler(seed=4, mesh=12)
+        whole = sample_coefficients(s, 70)
+        np.testing.assert_array_equal(sample_coefficients(s, 10, start=60), whole[60:])
+        np.testing.assert_array_equal(
+            whole[60:] - s.mean_prefix,
+            s.scales * np.array([stream(4, j, 12) for j in range(60, 70)]))
+
     def test_mesh_prefix_coincidence(self):
-        # the same (seed, j) stream feeds every mesh size
+        # a draw's first m normals do not depend on how many it takes
         coarse = make_sampler(mesh=4, seed=9)
         fine = make_sampler(mesh=20, seed=9)
         np.testing.assert_array_equal(
@@ -88,6 +102,60 @@ class TestReproducibility:
         base = sample_coefficients(make_sampler(beta=1.0, seed=5), 4)
         scaled = sample_coefficients(make_sampler(beta=4.0, seed=5), 4)
         np.testing.assert_allclose(scaled, base / 2.0, rtol=1e-15)
+
+
+class TestChunks:
+    """Normals come one generator per chunk of 64 draws, each chunk drawn once."""
+
+    @staticmethod
+    def routes():
+        """The four ways to draw values, each as a function of the draw count."""
+        bridge = TestPosteriorDraws.posterior()
+        spec2 = KernelSpec("bridge", dim=2, order=6, beta=2.0)
+        dense = condition(spec2, None, Dataset(np.array([[0.3, 0.6], [0.7, 0.2]]),
+                                               np.array([0.2, -0.1]), 1e-3))
+        x = np.linspace(0.0, 1.0, 9)
+        return {
+            "coefficients": lambda n: sample_values(make_sampler(order=8, seed=3), x, n),
+            "points": lambda n: sample_values(make_sampler(order=64, seed=3), x, n),
+            "backward": lambda n: sample_posterior_values(bridge, x, n, seed=3),
+            "dense": lambda n: sample_posterior_values(
+                dense, np.linspace(0.1, 0.9, 10).reshape(5, 2), n, seed=3),
+        }
+
+    @pytest.mark.parametrize("route", ["coefficients", "points", "backward", "dense"])
+    def test_rows_do_not_depend_on_the_block_size(self, monkeypatch, route):
+        # 150 draws cross two chunk edges; blocks of 5, 7 or 14 draws straddle
+        # them.  Backward sampling is elementwise, so its rows are exact.
+        draw = self.routes()[route]
+        full = draw(150)
+        monkeypatch.setattr(sampling, "_BLOCK", 5)
+        np.testing.assert_allclose(draw(150), full, rtol=0,
+                                   atol=0.0 if route == "backward" else 1e-14)
+        monkeypatch.setattr(sampling, "_BLOCK", 2048)
+        monkeypatch.setattr(spectral, "_GRID_BLOCK", 70)
+        np.testing.assert_allclose(draw(150), full, rtol=0, atol=1e-14)
+
+    def test_each_chunk_is_drawn_once(self, monkeypatch):
+        # 50,000 prior draws at 101 points take ceil(50000 / 64) = 782 generators,
+        # and blocks of 100 draws, which straddle chunks, draw none twice
+        keys = []
+
+        def counted(seed, index):
+            keys.append(index)
+            return _philox(seed, index)
+
+        monkeypatch.setattr(sampling, "_philox", counted)
+        s = make_sampler(order=512, seed=41)
+        for _ in value_blocks(s, np.linspace(0.0, 1.0, 101), 50000):
+            pass
+        assert keys == list(range(782))
+        keys.clear()
+        monkeypatch.setattr(spectral, "_GRID_BLOCK", 700)
+        blocks = posterior_value_blocks(TestPosteriorDraws.posterior(),
+                                        np.linspace(0.0, 1.0, 7), 1000, seed=2)
+        assert [len(b) for b in blocks][:2] == [100, 100]
+        assert keys == list(range(16))
 
 
 class TestSamplerConstruction:
@@ -169,7 +237,7 @@ class TestDraws:
         s = make_sampler(order=16, seed=6)
         x = np.linspace(0.0, 1.0, 16)
         full = sample_values(s, x, 20)
-        monkeypatch.setattr(regression, "_GRID_BLOCK", 100)
+        monkeypatch.setattr(spectral, "_GRID_BLOCK", 100)
         blocks = list(value_blocks(s, x, 20))
         assert [len(b) for b in blocks] == [6, 6, 6, 2]
         np.testing.assert_allclose(np.concatenate(blocks), full, rtol=0, atol=1e-14)
@@ -180,7 +248,7 @@ class TestDraws:
         monkeypatch.undo()
         assert s.draws_at_points(x.size)
         full = sample_values(s, x, 20)
-        monkeypatch.setattr(regression, "_GRID_BLOCK", 100)
+        monkeypatch.setattr(spectral, "_GRID_BLOCK", 100)
         blocks = list(value_blocks(s, x, 20))
         assert [len(b) for b in blocks] == [9, 9, 2]
         np.testing.assert_allclose(np.concatenate(blocks), full, rtol=0, atol=1e-14)
@@ -227,7 +295,7 @@ class TestPointsRoute:
         assert np.abs(root @ root.T - want).max() <= 1e-14 * np.abs(want).max()
 
     def test_draws_are_the_per_draw_streams(self):
-        # row j is T c0 + R xi_j with xi_j the first N normals of (seed, j)
+        # row j is T c0 + R xi_j with xi_j the first N normals of draw j
         spec = KernelSpec("bridge", order=64)
         mean = SpectralField(1, 64, np.linspace(1.0, -1.0, 64))
         s = PriorSampler(spec, mean, seed=12)
@@ -236,7 +304,7 @@ class TestPointsRoute:
         table = spectral.synthesis_tables([x], 64)[0]
         eigvals, eigvecs = np.linalg.eigh((table * s.scales**2) @ table.T)
         root = eigvecs * np.sqrt(np.maximum(eigvals, 0.0))
-        xi = np.array([_philox(12, j).standard_normal(9) for j in range(4)])
+        xi = np.array([stream(12, j, 9) for j in range(4)])
         np.testing.assert_allclose(sample_values(s, x, 4), xi @ root.T + table @ mean.coeffs,
                                    rtol=0, atol=1e-13)
 
@@ -325,7 +393,7 @@ class TestPosteriorDraws:
         return condition(spec, basis_field(1, 32, [1]), data)
 
     def test_rows_are_the_per_draw_streams(self):
-        # Row j is the backward construction on the (seed, j) stream, on both
+        # Row j is the backward construction on draw j's normals, on both
         # sides of the 2048-row block edge and for any count.  Drawing each
         # point given those right of it, from the rightmost leftwards, applies
         # the lower Cholesky factor of the covariance in descending order of
@@ -337,7 +405,7 @@ class TestPosteriorDraws:
         root = np.linalg.cholesky(post.cov(x)[np.ix_(desc, desc)])
         for j in (0, 1, 2047, 2048, 2049):
             expect = post.mean(x)
-            expect[desc] += root @ _philox(13, j).standard_normal(7)[desc]
+            expect[desc] += root @ stream(13, j, 7)[desc]
             np.testing.assert_allclose(draws[j], expect, rtol=0, atol=1e-14)
         np.testing.assert_array_equal(sample_posterior_values(post, x, 3, seed=13), draws[:3])
         # the bridge is pinned: draws at 0 and 1 are the prior mean there, 0
@@ -354,14 +422,14 @@ class TestPosteriorDraws:
         w, v = np.linalg.eigh(post.cov(x))
         root = v * np.sqrt(np.maximum(w, 0.0))
         for j in (0, 2047, 2048):
-            expect = post.mean(x) + root @ _philox(13, j).standard_normal(5)
+            expect = post.mean(x) + root @ stream(13, j, 5)
             np.testing.assert_allclose(draws[j], expect, rtol=0, atol=1e-15)
 
     def test_blocks_follow_the_value_budget(self, monkeypatch):
         post = self.posterior()
         x = np.linspace(0.0, 1.0, 7)
         full = sample_posterior_values(post, x, 10, seed=2)
-        monkeypatch.setattr(regression, "_GRID_BLOCK", 30)
+        monkeypatch.setattr(spectral, "_GRID_BLOCK", 30)
         blocks = list(posterior_value_blocks(post, x, 10, seed=2))
         assert [len(b) for b in blocks] == [4, 4, 2]
         np.testing.assert_allclose(np.concatenate(blocks), full, rtol=0, atol=1e-15)
@@ -402,6 +470,21 @@ class TestPosteriorDraws:
         monkeypatch.setattr(sampling, "_normals", refuse)
         with pytest.raises(ResourceLimitError, match="steps"):
             next(posterior_value_blocks(post, x, 10, seed=2))
+
+    def test_dense_points_over_the_limit_raise_before_the_covariance(self, monkeypatch):
+        spec = KernelSpec("bridge", dim=2, order=6, beta=2.0)
+        post = condition(spec, None, Dataset(np.array([[0.3, 0.6]]), np.array([0.2]), 1e-3))
+        x = np.linspace(0.1, 0.9, 10).reshape(5, 2)
+        monkeypatch.setattr(sampling, "_DENSE_POINTS", 5)
+        assert sample_posterior_values(post, x, 3).shape == (3, 5)
+        monkeypatch.setattr(sampling, "_DENSE_POINTS", 4)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("built the covariance past the point limit")
+
+        monkeypatch.setattr(regression.PosteriorModel, "cov", refuse)
+        with pytest.raises(ResourceLimitError, match="5 points"):
+            next(posterior_value_blocks(post, x, 3))
 
     def test_seed_validation(self):
         with pytest.raises(ValueError):

@@ -145,8 +145,7 @@ def sample_coefficients(sampler: PriorSampler, count: int, start: int = 0) -> np
     """Coefficient draws with absolute indices start..start+count-1.
 
     Row j is fully determined by (seed, start + j); requesting draws in
-    batches, in any order, yields the same numbers.  The rows are a view
-    of the point-major (mesh_size, count) draws.
+    batches, in any order, yields the same numbers.
     """
     if count < 0 or start < 0:
         raise ValueError("count and start must be nonnegative")
@@ -203,11 +202,12 @@ def value_blocks(sampler: PriorSampler, axis, count: int) -> Iterator[np.ndarray
     rows = _rows(max(axis.size, order) ** dim)
     tables = spectral.synthesis_tables([axis] * dim, order)
     for xi in _normals(sampler.seed, sampler.mesh_size, count, rows):
-        coeffs = sampler.mean_prefix[:, None] + sampler.scales[:, None] * xi
+        xi *= sampler.scales[:, None]
+        xi += sampler.mean_prefix[:, None]
         if tail:
-            coeffs = np.pad(coeffs, ((0, tail), (0, 0)))
-        tensor = coeffs.reshape((order,) * dim + (coeffs.shape[1],))
-        yield spectral.synthesize(tensor, tables).reshape(-1, coeffs.shape[1]).T
+            xi = np.pad(xi, ((0, tail), (0, 0)))
+        tensor = xi.reshape((order,) * dim + (xi.shape[1],))
+        yield spectral.synthesize(tensor, tables).reshape(-1, xi.shape[1]).T
 
 
 def sample_values(sampler: PriorSampler, axis, count: int) -> np.ndarray:

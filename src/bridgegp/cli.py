@@ -13,13 +13,15 @@ or thread counts the reduction order inside LAPACK and BLAS may differ,
 so the numbers agree to rounding: a mean to a few
 eps * max|mean|, a variance to a few eps * max k(x,x), and hence a
 standard deviation near a data point to about 1e-13 relative.  Posterior
-`sample` draws outside the 1D bridge are other draws of the same law
-(README, "Determinism").
+`sample` draws outside the 1D bridge, whose noise normals are read in the
+eigenbasis of the data covariance, are other draws of the same law (README,
+"Determinism").
 The serialization (headers, grid coordinates, 17 significant digits, LF,
 exact zeros on the boundary) stays byte-identical across builds.
 
-`solve`, `fit` and a prior `sample` evaluate on the grid by one sine
-synthesis per axis, never through a basis matrix of the grid: a 3D `solve`
+`solve`, `fit` and `sample` (but for a 1D bridge posterior, drawn by backward
+sampling) evaluate on the grid by one sine synthesis per axis, never through
+a basis matrix of the grid: a 3D `solve`
 at S = 32 and the default grid of 101 writes a 72 MB CSV in about 3 s CPU at
 82 MB peak RSS on a 2-vCPU machine, nearly all of it the formatting of its
 1030301 rows.  `sample` holds one block of draws at a time and merges the
@@ -29,8 +31,8 @@ Exit codes: 0 success, 2 config error (so is a plain ValueError, since the
 library's arguments come from the config, and so is an unwritable output),
 3 numerical failure (so is an arithmetic overflow, and a non-finite number
 in any artifact but those of `beta` and `study model-error`), 4 resource
-limit (so is a MemoryError, and a `sample` over `_DRAW_BUDGET`, over
-`sampling._BACKWARD_STEPS` or over `sampling._DENSE_POINTS`).
+limit (so is a MemoryError, a grid of more than `_GRID_POINTS` points, and a
+`sample` over `_DRAW_BUDGET` or over `sampling._BACKWARD_STEPS`).
 """
 
 from __future__ import annotations
@@ -253,8 +255,22 @@ def _require_finite(*arrays) -> None:
         raise NumericalError("the output would hold non-finite values")
 
 
+# Grid points a command evaluates on, per_axis**dim.  In fresh `solve`
+# processes (2-vCPU machine) 3D grids of 101, 128 and 161 points an axis took
+# 3.2, 8.0 and 13.8 s CPU at 82, 126 and 205 MB max RSS, and a 2D grid of 2048
+# 8.6 s at 161 MB; more points than a 3D grid of 161 are refused.
+_GRID_POINTS = 1 << 22
+
+
+def _check_grid(points: int) -> None:
+    if points > _GRID_POINTS:
+        raise ResourceLimitError(f"a grid of {points} points is over the limit of "
+                                 f"{_GRID_POINTS}; lower grid")
+
+
 def _grid(dim: int, per_axis: int):
     """The grid's coordinate columns in C order, their labels, and its axis."""
+    _check_grid(per_axis**dim)
     axis = np.linspace(0.0, 1.0, per_axis)
     labels = ("x",) if dim == 1 else tuple(f"x{i + 1}" for i in range(dim))
     return [g.reshape(-1) for g in np.meshgrid(*[axis] * dim, indexing="ij")], labels, axis
@@ -271,8 +287,8 @@ _SOLVE = {"kernel": (_kernel, ...), "source": (_source, ...), "grid": (_grid_poi
 
 def _cmd_solve(opts: dict):
     spec = opts["kernel"]
-    solution = pde.solve(_build_source(opts["source"], spec.dim, "source"), spec)
     coords, labels, axis = _grid(spec.dim, opts["grid"])
+    solution = pde.solve(_build_source(opts["source"], spec.dim, "source"), spec)
     vals = spectral.synthesize(solution.u0.as_tensor(),
                                spectral.synthesis_tables([axis] * spec.dim, spec.order))
     vals = vals.reshape(-1)
@@ -288,20 +304,22 @@ _SAMPLE = {"kernel": (_kernel, ...), "source": (_source, None), "grid": (_grid_p
 
 # `sample` holds one block of draws, but draws every value it is asked for:
 # moment_draws x (normals + grid points) values, the normals one per grid
-# point when draws are taken at the points, else one per drawn coefficient.
+# point when draws are taken at the points (a 1D bridge posterior, some 1D
+# priors), else one per drawn coefficient, plus one per datum for a posterior.
 # About 1e9 values, 2**30, take some 20-25 s of normals on one core.
 _DRAW_BUDGET = 1 << 30
 
 
 def _cmd_sample(opts: dict):
     spec = opts["kernel"]
-    prior = _build_prior(opts)
     count, draws, mode = opts["count"], opts["moment_draws"], opts["mode"]
     if mode not in ("prior", "posterior"):
         raise ConfigError(f"mode must be 'prior' or 'posterior', got {mode!r}")
     if not 1 <= count <= draws:
         raise ConfigError(f"count must be in [1, moment_draws], got {count}")
+    coords, labels, axis = _grid(spec.dim, opts["grid"])
     points = opts["grid"] ** spec.dim
+    prior = _build_prior(opts)
     if mode == "prior":
         for key in ("data", "sigma2"):
             if opts[key] is not None:
@@ -310,7 +328,6 @@ def _cmd_sample(opts: dict):
         sampler = sampling.PriorSampler(spec, prior, opts["mesh_size"], opts["seed"])
         drawn = points if sampler.draws_at_points(points) else sampler.mesh_size
         _check_draw_budget(draws, drawn + points)
-        coords, labels, axis = _grid(spec.dim, opts["grid"])
         blocks = sampling.value_blocks(sampler, axis, draws)
     else:
         if opts["mesh_size"] is not None:
@@ -319,12 +336,11 @@ def _cmd_sample(opts: dict):
         for key in ("sigma2", "data"):
             if opts[key] is None:
                 raise ConfigError(f"mode 'posterior' needs the key {key!r}")
-        _check_draw_budget(draws, 2 * points)
         data = _load_dataset(opts["data"], spec.dim, opts["sigma2"])
+        drawn = points if spec.closed_form else spec.n_coeffs + data.n
+        _check_draw_budget(draws, drawn + points)
         post = regression.condition(spec, prior, data)
-        coords, labels, _ = _grid(spec.dim, opts["grid"])
-        blocks = sampling.posterior_value_blocks(post, np.stack(coords, axis=-1), draws,
-                                                 opts["seed"])
+        blocks = sampling.posterior_value_blocks(post, axis, draws, opts["seed"])
     mean, sd, paths = _moments(blocks, count)
     _require_finite(mean, sd, paths)
     names = labels + ("mean", "sd") + tuple(f"path_{j}" for j in range(count))
@@ -365,10 +381,10 @@ _FIT = {"kernel": (_kernel, ...), "source": (_source, None), "data": (_data, ...
 def _cmd_fit(opts: dict):
     started = time.perf_counter()
     spec = opts["kernel"]
+    coords, labels, axis = _grid(spec.dim, opts["grid"])
     prior = _build_prior(opts)
     data = _load_dataset(opts["data"], spec.dim, opts["sigma2"])
     post = regression.condition(spec, prior, data)
-    coords, labels, axis = _grid(spec.dim, opts["grid"])
     mean, var = post.on_grid(axis)
     sd = np.sqrt(var)
     _require_finite(mean, sd)
@@ -454,6 +470,7 @@ _CONVERGENCE = {"kernel": (_kernel, ...), "assumed_source": (_source, ...),
 
 def _cmd_convergence(opts: dict):
     spec = opts["kernel"]
+    _check_grid(opts["grid"])  # the study's grid is one axis
     assumed = _build_source(opts["assumed_source"], spec.dim, "assumed_source")
     if (opts["truth"] is None) == (opts["truth_source"] is None):
         raise ConfigError("provide exactly one of 'truth' or 'truth_source'")

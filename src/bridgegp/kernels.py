@@ -16,10 +16,11 @@ min(x, y) - x*y, which is used as an exact closed form.  The scalar
 beta rescales the whole covariance and acts as a trust weight on the
 physics prior: large beta concentrates mass near the prior mean.
 
-Production code factors no Gram here: `regression` conditions, calibrates
-and inverts through one eigendecomposed marginal covariance, with the one
-jitter rule.  `SpdSolver` (Cholesky) is the solver of the dense oracles,
-`regression.krr_solve` and the 1D bridge's `PosteriorModel.cov`.
+Production code factors no Gram here: `regression` conditions, calibrates,
+inverts and draws posteriors through one eigendecomposed marginal covariance,
+with the one jitter rule.  `SpdSolver` (Cholesky) is the solver of the dense
+oracles, `regression.krr_solve` and the 1D bridge's `PosteriorModel.cov`,
+which no command calls.
 """
 
 from __future__ import annotations

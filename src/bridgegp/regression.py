@@ -150,28 +150,27 @@ def _clamp_variance(v: np.ndarray) -> np.ndarray:
 class PosteriorModel:
     """Conjugate GP posterior from point data.
 
-    Exposes the posterior mean, covariance, and pointwise variance; the
-    variance is never negative (tiny negative values from round-off are
-    clamped at zero and logged, never returned).
+    Exposes the posterior mean, the pointwise variance (never negative:
+    round-off below zero is clamped and logged) and, as the dense oracle of
+    the tests, which no command calls, the covariance.
 
     The 1D bridge is a Markov process, so its posterior is exact in
     O(n + N) without a Gram matrix: `mean`, `var` and `on_grid` run one
     Kalman filter and Rauch-Tung-Striebel smoother over the sorted union of
     the data sites and the N query points (`_bridge_kernels`), on the
-    residual r = y - u0(X), which is all the model keeps of the data.
-    Its `cov` stays dense, k(x, x') - k(x, X) V^-1 k(X, x') with
-    V = K / beta + sigma2 I factored per call: the oracle of that route.
-    Every other kernel is
-    a finite Mercer sum psi(x)^T Lambda psi(y) / beta, so its posterior
-    lives in coefficient space (GPML section 2.1).  With Psi the basis at
-    the data sites X and V = U diag(v) U^T from `_MarginalCovariance`, the
-    one factorization the evidence uses too, let G = Lambda Psi^T U
-    diag(v^-1/2) / beta.  The mean is the field `mean_field`,
-    c0 + G (v^-1/2 * U^T r), and the variance is k(x, x) - |G^T psi(x)|^2;
-    of the factorization only G is kept.  The basis at X is built once
-    (`_MarginalCovariance.basis`); `on_grid` evaluates
-    both moments on a tensor grid by synthesis, without a basis matrix of
-    the grid.
+    residual r = y - u0(X), which is all the model keeps of the data; its
+    `cov` is k(x, x') - k(x, X) V^-1 k(X, x'), V = K / beta + sigma2 I
+    factored per call.  Every other kernel is a finite Mercer sum
+    psi(x)^T Lambda psi(y) / beta, so its posterior lives in coefficient
+    space (GPML section 2.1).  With Psi the basis at the data sites X and
+    V = U diag(v) U^T from `_MarginalCovariance`, the one factorization the
+    evidence uses too, let G = Lambda Psi^T U diag(v^-1/2) / beta.  The mean
+    is the field `mean_field`, c0 + G (v^-1/2 * U^T r), the variance
+    k(x, x) - |G^T psi(x)|^2, and `coefficient_draws` draws by pathwise
+    conditioning; of the factorization only G and sqrt(1 - g), g = (w / beta)
+    / v, are kept.  The basis at X is built once (`_MarginalCovariance.basis`);
+    `on_grid` evaluates both moments on a tensor grid by synthesis, without a
+    basis matrix of the grid.
     """
 
     def __init__(self, spec: kernels.KernelSpec, prior, data: Dataset):
@@ -188,9 +187,11 @@ class PosteriorModel:
             self._resid = data.y - spectral.evaluate(self.prior, data.X)
             return
         marginal = _MarginalCovariance(spec, PointObservations(data))
-        psi, whiten = marginal.basis, marginal.whitening(spec.beta)
+        v, g = marginal.variances(spec.beta)
+        psi, whiten = marginal.basis, marginal._u / np.sqrt(v)
         resid = whiten.T @ (data.y - psi @ self.prior.coeffs)
         self._lam = kernels._over_beta(kernels.eigenvalues(spec), spec.beta)
+        self._noise_sd = np.sqrt(1.0 - g)  # of W^T eps: sigma2 / v = 1 - g
         psi *= self._lam
         # G = (Lambda Psi^T / beta) W, (S^d, n) in C order for `on_grid`;
         # Psi is scaled in place, so no second n x S^d array is held
@@ -279,6 +280,19 @@ class PosteriorModel:
         else:
             vals = spectral.evaluate(self.mean_field, pts)
         return float(vals[0]) if single else vals
+
+    def coefficient_draws(self, xi):
+        """Draws by pathwise conditioning (Wilson et al., 2020) from point-major
+        normals xi (S^d + n, r), overwritten: mean + s xi1 - G (G^T (xi1 / s) +
+        sqrt(1 - g) xi2), s = sqrt(lambda / beta), is the prior draw c0 + s xi1
+        less G W^T (Psi s xi1 + eps), of covariance Lambda / beta - G G^T."""
+        head, noise = np.split(xi, [self._lam.size])
+        scales = np.sqrt(self._lam)[:, None]
+        update = self._factor.T @ (head / scales) + self._noise_sd[:, None] * noise
+        head *= scales
+        head += self.mean_field.coeffs[:, None]
+        head -= self._factor @ update
+        return head
 
     def _whitened(self, pts):
         """The basis at a batch of points and G^T psi = W^T k(X, pts)."""
@@ -469,10 +483,6 @@ class _MarginalCovariance:
                     f"after jitter {jitter:.3e}"
                 )
         return v, scaled / v
-
-    def whitening(self, beta: float) -> np.ndarray:
-        """W = U diag(v^-1/2) for point data, so that V(beta)^-1 = W W^T."""
-        return self._u / np.sqrt(self.variances(beta)[0])
 
     def rotate(self, mat) -> np.ndarray:
         """U^T mat: coordinates in the eigenbasis of V."""

@@ -12,14 +12,14 @@ Randomness is counter-based: draw 64c + k is column k of the (size, 64)
 normals of a Philox generator keyed by (seed, c), so draws do not depend
 on their batching, nor a draw's first m normals on its size.
 
-Values of draws come as blocks of rows (`value_blocks` for the prior on a
-grid, `posterior_value_blocks` at points), so a caller that only needs
-moments and a few paths holds one block at a time.  On a 1D grid of N
-points and M drawn coefficients, the prior is a Gaussian of rank at most
-N at its N points; when N is small and M several times N
-(`PriorSampler.draws_at_points`), `value_blocks` draws it there as
-posterior draws are drawn: from the eigendecomposition of its covariance
-at the points, with draw j taking its first N normals.
+Values of draws come as blocks of rows on a tensor grid (`value_blocks`,
+`posterior_value_blocks`), so a caller that only needs moments and a few
+paths holds one block at a time.  Prior coefficient draws, and posterior
+ones by pathwise conditioning, whose first M normals are a prior draw's,
+are synthesized on the grid by one loop.  The 1D bridge posterior is drawn
+by backward sampling, and a 1D prior on few points under many coefficients
+(`PriorSampler.draws_at_points`) from the eigendecomposition of its
+covariance at the points, draw j taking its first N normals.
 """
 
 from __future__ import annotations
@@ -131,6 +131,12 @@ class PriorSampler(Record):
     def mean_prefix(self) -> np.ndarray:
         return self.mean.coeffs[: self.mesh_size]
 
+    def coefficient_draws(self, xi) -> np.ndarray:
+        """Draws c0 + s xi from point-major normals xi (mesh_size, r), overwritten."""
+        xi *= self.scales[:, None]
+        xi += self.mean_prefix[:, None]
+        return xi
+
     def draws_at_points(self, size: int) -> bool:
         """Whether `value_blocks` draws this prior at `size` points from its
         covariance there, not by coefficients: a 1D prior on at most
@@ -151,7 +157,7 @@ def sample_coefficients(sampler: PriorSampler, count: int, start: int = 0) -> np
         raise ValueError("count and start must be nonnegative")
     size = sampler.mesh_size
     xi = next(_normals(sampler.seed, size, count, max(count, 1), start), np.empty((size, 0)))
-    return (sampler.mean_prefix[:, None] + sampler.scales[:, None] * xi).T
+    return sampler.coefficient_draws(xi).T
 
 
 def _rows(values_per_draw: int) -> int:
@@ -159,17 +165,17 @@ def _rows(values_per_draw: int) -> int:
     return max(1, min(_BLOCK, spectral._GRID_BLOCK // values_per_draw))
 
 
-def _root_blocks(cov, center, count: int, seed: int) -> Iterator[np.ndarray]:
-    """Draws 0..count-1 of N(center, cov) at N points, block by block: row j is
-    center + R xi_j, with R = V sqrt(max(w, 0)) from V diag(w) V^T = cov and
-    xi_j the first N normals of draw j.  A block is the product xi^T R^T of
-    the point-major normals, so it comes out draw-major."""
-    eigvals, eigvecs = np.linalg.eigh(cov)
-    del cov  # the caller's temporary: not resident beside the root
-    root_t = (eigvecs * np.sqrt(np.maximum(eigvals, 0.0))).T
-    size = len(center)
-    for xi in _normals(seed, size, count, _rows(size)):
-        yield xi.T @ root_t + center
+def _synthesized(draw, seed, size, axis, dim, order, count) -> Iterator[np.ndarray]:
+    """Draws 0..count-1 on the tensor grid axis x ... x axis: `draw` maps each block of
+    `size` point-major normals to the leading point-major coefficients of order**dim."""
+    rows = _rows(max(max(axis.size, order) ** dim, size))
+    tables = spectral.synthesis_tables([axis] * dim, order)
+    for xi in _normals(seed, size, count, rows):
+        coeffs = draw(xi)
+        if len(coeffs) < order**dim:
+            coeffs = np.pad(coeffs, ((0, order**dim - len(coeffs)), (0, 0)))
+        tensor = coeffs.reshape((order,) * dim + (coeffs.shape[1],))
+        yield spectral.synthesize(tensor, tables).reshape(-1, coeffs.shape[1]).T
 
 
 def value_blocks(sampler: PriorSampler, axis, count: int) -> Iterator[np.ndarray]:
@@ -177,10 +183,10 @@ def value_blocks(sampler: PriorSampler, axis, count: int) -> Iterator[np.ndarray
 
     Each block has shape (rows, len(axis)**dim), grid values flattened in C
     order as by `PosteriorModel.on_grid`; in 1D `axis` may be any points.
-    When `sampler.draws_at_points(len(axis))`, row j is T c0 + R xi_j as in
-    `posterior_value_blocks`, from the prior covariance T diag(lambda/beta) T^T
-    at the points, T their (N, M) table of the M drawn coefficients; xi_j is
-    the first N normals of draw j.  Otherwise a block's point-major
+    When `sampler.draws_at_points(len(axis))`, row j is T c0 + R xi_j, xi_j
+    the first N normals of draw j and R = V sqrt(max(w, 0)) from the prior
+    covariance V diag(w) V^T = T diag(lambda/beta) T^T at the points, T their
+    (N, M) table of the M drawn coefficients.  Otherwise a block's point-major
     coefficients are synthesized one axis at a time (`spectral.synthesize`),
     so no basis matrix of the grid is formed.  Blocks hold `_BLOCK` draws,
     fewer when a draw's grid values or coefficients pass
@@ -194,20 +200,15 @@ def value_blocks(sampler: PriorSampler, axis, count: int) -> Iterator[np.ndarray
         table = spectral.synthesis_tables([axis], sampler.mesh_size)[0]
         center = table @ sampler.mean_prefix
         table *= sampler.scales
-        yield from _root_blocks(table @ table.T, center, count, sampler.seed)
+        eigvals, eigvecs = np.linalg.eigh(table @ table.T)
+        root_t = (eigvecs * np.sqrt(np.maximum(eigvals, 0.0))).T
+        for xi in _normals(sampler.seed, axis.size, count, _rows(axis.size)):
+            yield xi.T @ root_t + center
         return
     # a 1D prefix is itself an expansion; in higher dimensions pad the tail
     order = sampler.mesh_size if dim == 1 else sampler.spec.order
-    tail = order**dim - sampler.mesh_size
-    rows = _rows(max(axis.size, order) ** dim)
-    tables = spectral.synthesis_tables([axis] * dim, order)
-    for xi in _normals(sampler.seed, sampler.mesh_size, count, rows):
-        xi *= sampler.scales[:, None]
-        xi += sampler.mean_prefix[:, None]
-        if tail:
-            xi = np.pad(xi, ((0, tail), (0, 0)))
-        tensor = xi.reshape((order,) * dim + (xi.shape[1],))
-        yield spectral.synthesize(tensor, tables).reshape(-1, xi.shape[1]).T
+    yield from _synthesized(sampler.coefficient_draws, sampler.seed, sampler.mesh_size,
+                            axis, dim, order, count)
 
 
 def sample_values(sampler: PriorSampler, axis, count: int) -> np.ndarray:
@@ -220,50 +221,45 @@ def sample_values(sampler: PriorSampler, axis, count: int) -> np.ndarray:
 # (2-vCPU machine).  More steps than this, some 20 s, are refused before
 # any draw.
 _BACKWARD_STEPS = 1 << 23
-# Any other posterior takes the eigh of its dense covariance at its points: at
-# 4096 points a 2D `sample` took 16 s CPU and 684 MB max RSS.  More are refused.
-_DENSE_POINTS = 4096
 
 
-def posterior_value_blocks(post, x, count: int, seed: int = 0) -> Iterator[np.ndarray]:
-    """Posterior draws 0..count-1 at points `x`, block by block.
+def posterior_value_blocks(post, axis, count: int, seed: int = 0) -> Iterator[np.ndarray]:
+    """Posterior draws 0..count-1 on the tensor grid axis x ... x axis, block by
+    block, as `value_blocks` lays them out; in 1D `axis` may be any points.
 
-    Row j is built from xi_j, the first len(x) normals of draw j.  For the
-    1D bridge it is drawn by backward sampling on the Kalman filter of
-    `post` (FFBS; Carter & Kohn, 1994): from the rightmost point leftwards,
+    For the 1D bridge row j is drawn from the first len(axis) normals xi_j of
+    draw j by backward sampling on the Kalman filter of `post` (FFBS; Carter
+    & Kohn, 1994): from the rightmost point leftwards,
     f(x_k) = coef_k f(right neighbour) + center_k + sqrt(var_k) xi_j[k],
     plus the prior mean, one step per point on a block's point-major draws;
     more than `_BACKWARD_STEPS` steps raise ResourceLimitError before any
-    draw.  Otherwise row j is post.mean(x) + R xi_j, R = V sqrt(max(w, 0))
-    from the dense eigendecomposition V diag(w) V^T of post.cov(x); more
-    than `_DENSE_POINTS` points raise ResourceLimitError before it is built.
-    Blocks hold `_BLOCK` draws, fewer when len(x) passes
-    `spectral._GRID_BLOCK` values a block.
+    draw.  Any other kernel maps the first S^d + n normals of draw j to
+    coefficients by pathwise conditioning (`PosteriorModel.coefficient_draws`)
+    and synthesizes them as the prior's coefficient route does.  Blocks hold
+    `_BLOCK` draws, fewer when a draw passes `spectral._GRID_BLOCK` values.
     """
     if count < 1:
         raise ValueError(f"count must be positive, got {count}")
     seed = _check_seed(seed)
-    pts = spectral.validate_points(x, post.spec.dim)
-    size = pts.shape[0]
-    rows = _rows(size)
+    axis = spectral.validate_points(axis, 1)[:, 0]
     if not post.spec.closed_form:
-        if size > _DENSE_POINTS:
-            raise ResourceLimitError(f"posterior draws at {size} points need a dense {size}^2 "
-                                     f"covariance, over {_DENSE_POINTS} points; lower grid")
-        yield from _root_blocks(post.cov(pts), post.mean(pts), count, seed)
+        yield from _synthesized(post.coefficient_draws, seed, post.spec.n_coeffs + post.data.n,
+                                axis, post.spec.dim, post.spec.order, count)
         return
+    size = axis.size
+    rows = _rows(size)
     steps = size * -(-count // rows)
     if steps > _BACKWARD_STEPS:
         raise ResourceLimitError(
             f"backward sampling {count} draws at {size} points takes {steps} steps, over "
             f"the budget of {_BACKWARD_STEPS}; lower moment_draws or grid")
-    order, coef, center, var = post._bridge_kernels(pts[:, 0])
+    order, coef, center, var = post._bridge_kernels(axis)
     scale, shift = np.empty(size), np.empty(size)
     scale[order] = np.sqrt(var)
     shift[order] = center
     links = [(k, prev, c) for prev, k, c in zip(order[:-1].tolist(), order[1:].tolist(),
                                                   coef[1:]) if c]
-    prior = spectral.evaluate(post.prior, pts)
+    prior = spectral.evaluate(post.prior, axis)
     for draws in _normals(seed, size, count, rows):
         draws *= scale[:, None]
         draws += shift[:, None]
@@ -273,9 +269,9 @@ def posterior_value_blocks(post, x, count: int, seed: int = 0) -> Iterator[np.nd
         yield draws.T
 
 
-def sample_posterior_values(post, x, count: int, seed: int = 0) -> np.ndarray:
-    """All of `posterior_value_blocks` in one (count, len(x)) array."""
-    return np.concatenate(list(posterior_value_blocks(post, x, count, seed)))
+def sample_posterior_values(post, axis, count: int, seed: int = 0) -> np.ndarray:
+    """All of `posterior_value_blocks` in one (count, len(axis)**dim) array."""
+    return np.concatenate(list(posterior_value_blocks(post, axis, count, seed)))
 
 
 class NestedReport(Record):

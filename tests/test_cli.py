@@ -732,18 +732,22 @@ class TestDrawBudget:
         monkeypatch.setattr(sampling, "_normals", refuse)
 
     # a prior draw takes its coefficients and its grid values, or, drawn at
-    # the points (11 under 64 coefficients), a normal and a value per point
+    # the points (11 under 64 coefficients), a normal and a value per point;
+    # a 1D bridge posterior a normal and a value per point, and any other
+    # its 4^2 coefficients, a normal per datum and its grid values
     @pytest.mark.parametrize("mode,per_draw,keys", [
         ("prior", 11 + 16, {"grid": 16, "mesh_size": 11}),
         ("prior", 2 * 11, {"grid": 11, "kernel": kernel_cfg(order=64)}),
         ("posterior", 2 * 11, {"grid": 11}),
-    ], ids=["prior-27", "prior-22", "posterior-22"])
+        ("posterior", 4**2 + 1 + 5**2, {"grid": 5, "kernel": kernel_cfg(dim=2, order=4)}),
+    ], ids=["prior-27", "prior-22", "posterior-22", "posterior-2d-42"])
     def test_over_budget_exits_4_before_drawing(self, tmp_path, capsys, monkeypatch,
                                                 mode, per_draw, keys):
         payload = {"kernel": kernel_cfg(order=16), "mode": mode, "moment_draws": 100,
                    "count": 1, **keys}
         if mode == "posterior":
-            payload.update(data={"x": [0.5], "y": [0.1]}, sigma2=1e-3)
+            x = [0.5] if payload["kernel"]["dim"] == 1 else [[0.5, 0.5]]
+            payload.update(data={"x": x, "y": [0.1]}, sigma2=1e-3)
         cfg = write_config(tmp_path, payload)
         monkeypatch.setattr(cli, "_DRAW_BUDGET", 100 * per_draw)
         assert run(["sample", "--config", cfg, "--out", str(tmp_path / "a.csv")]) == 0
@@ -781,21 +785,19 @@ class TestDrawBudget:
             capsys, ["sample", "--config", cfg], 4, "resource limit:")
         assert time.process_time() - started < 5.0
 
-    def test_dense_posterior_on_a_2d_grid_of_101_exits_4_at_once(self, tmp_path, capsys,
-                                                                   monkeypatch):
-        # 10201 points would need a 794 MiB covariance and its eigh
-        self.refuse_draws(monkeypatch)
-
+    def test_posterior_on_a_2d_grid_of_101_exits_0_without_the_covariance(
+            self, tmp_path, monkeypatch):
+        # 10201 points: pathwise draws build no 10201^2 covariance
         def refuse(*args):
             raise AssertionError("built the dense covariance")
 
         monkeypatch.setattr(regression.PosteriorModel, "cov", refuse)
         cfg = write_config(tmp_path, {"kernel": kernel_cfg(dim=2, order=16), "mode": "posterior",
-                                      "grid": 101, "data": {"x": [[0.3, 0.6], [0.7, 0.2]],
-                                                            "y": [0.2, -0.1]}, "sigma2": 1e-3})
+                                      "grid": 101, "moment_draws": 64,
+                                      "data": {"x": [[0.3, 0.6], [0.7, 0.2]],
+                                               "y": [0.2, -0.1]}, "sigma2": 1e-3})
         started = time.process_time()
-        TestLibraryErrorsAreConfigErrors.one_line_failure(
-            capsys, ["sample", "--config", cfg], 4, "resource limit: posterior draws at 10201")
+        assert run(["sample", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 0
         assert time.process_time() - started < 5.0
 
     def test_hundred_million_draws_exit_4_at_once(self, tmp_path, capsys, monkeypatch):
@@ -806,6 +808,44 @@ class TestDrawBudget:
         TestLibraryErrorsAreConfigErrors.one_line_failure(
             capsys, ["sample", "--config", cfg], 4, "resource limit:")
         assert time.perf_counter() - started < 1.0
+
+
+class TestGridLimit:
+    """A grid of more than `cli._GRID_POINTS` points is refused before any
+    array is built."""
+
+    @pytest.mark.parametrize("command, payload", [
+        (["solve"], {"kernel": kernel_cfg(dim=3, order=8), "source": {"expression": "1"},
+                     "grid": 1000}),
+        (["fit"], {"kernel": kernel_cfg(dim=3, order=8), "data": {"x": [[0.5] * 3], "y": [0.1]},
+                   "sigma2": 1e-3, "grid": 1000}),
+        (["sample"], {"kernel": kernel_cfg(dim=3, order=8), "grid": 1000}),
+        (["study", "convergence"], {"kernel": kernel_cfg(order=16),
+                                    "assumed_source": {"expression": "0"},
+                                    "truth": {"expression": "sin(pi*x)"}, "ns": [4, 8],
+                                    "grid": (1 << 22) + 1}),
+    ], ids=["solve-3d-1000", "fit-3d-1000", "sample-3d-1000", "convergence"])
+    def test_oversized_grid_exits_4_at_once(self, tmp_path, capsys, monkeypatch, command,
+                                            payload):
+        # a 3D grid of 1000 would ask for 7.45 GiB of coordinates alone
+        def refuse(*args, **kwargs):
+            raise AssertionError("built an array past the grid check")
+
+        for module, name in ((np, "meshgrid"), (pde, "solve"), (regression, "condition")):
+            monkeypatch.setattr(module, name, refuse)
+        started = time.perf_counter()
+        TestLibraryErrorsAreConfigErrors.one_line_failure(
+            capsys, [*command, "--config", write_config(tmp_path, payload)], 4,
+            "resource limit: a grid of")
+        assert time.perf_counter() - started < 1.0
+
+    def test_grid_at_the_limit_is_accepted(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_GRID_POINTS", 5**3)
+        cfg = {"kernel": kernel_cfg(dim=3, order=4), "source": {"expression": "1"}, "grid": 5}
+        out = tmp_path / "o.csv"
+        assert run(["solve", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+        monkeypatch.setattr(cli, "_GRID_POINTS", 5**3 - 1)
+        assert run(["solve", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 4
 
 
 class TestBlasThreads:
@@ -922,6 +962,60 @@ class TestOneSampler:
         np.testing.assert_array_equal(table[:, 3:], draws[:3].T)
         np.testing.assert_allclose(table[:, 1], draws.mean(axis=0), rtol=1e-12, atol=0)
         np.testing.assert_allclose(table[:, 2], draws.std(axis=0), rtol=1e-12, atol=0)
+
+    def test_2d_posterior_artifact_is_the_library_draws(self, tmp_path):
+        x, y = [[0.3, 0.6], [0.7, 0.2], [0.5, 0.5]], [0.2, -0.1, 0.3]
+        cfg = write_config(tmp_path, {
+            "kernel": kernel_cfg(dim=2, order=8, beta=2.0), "mode": "posterior",
+            "data": {"x": x, "y": y}, "sigma2": 1e-3, "grid": 6, "count": 3,
+            "moment_draws": 2100, "seed": 5,
+        })
+        out = tmp_path / "o.csv"
+        assert run(["sample", "--config", cfg, "--out", str(out)]) == 0
+        table = np.loadtxt(out, delimiter=",", skiprows=4)
+        post = condition(KernelSpec("bridge", dim=2, order=8, beta=2.0), None,
+                         Dataset(np.array(x), np.array(y), 1e-3))
+        draws = sample_posterior_values(post, np.linspace(0.0, 1.0, 6), 2100, seed=5)
+        np.testing.assert_array_equal(table[:, 4:], draws[:3].T)
+        np.testing.assert_allclose(table[:, 2], draws.mean(axis=0), rtol=1e-12, atol=0)
+        np.testing.assert_allclose(table[:, 3], draws.std(axis=0), rtol=1e-12, atol=0)
+
+    # every command, and `sample` on each posterior route
+    @pytest.mark.parametrize("command, payload", [
+        (["sample"], {"kernel": kernel_cfg(order=16), "mode": "posterior", "grid": 9,
+                      "data": {"x": [0.3, 0.6], "y": [0.2, -0.1]}, "sigma2": 1e-3,
+                      "moment_draws": 64}),
+        (["sample"], {"kernel": kernel_cfg(family="helmholtz", order=64, omega=3.0),
+                      "mode": "posterior", "grid": 9, "moment_draws": 64,
+                      "data": {"x": [0.3, 0.6], "y": [0.2, -0.1]}, "sigma2": 1e-3}),
+        (["sample"], {"kernel": kernel_cfg(dim=2, order=8), "mode": "posterior", "grid": 9,
+                      "data": {"x": [[0.3, 0.6], [0.7, 0.2]], "y": [0.2, -0.1]},
+                      "sigma2": 1e-3, "moment_draws": 64}),
+        (["fit"], {"kernel": kernel_cfg(dim=2, order=8), "grid": 9, "sigma2": 1e-3,
+                   "data": {"x": [[0.3, 0.6], [0.7, 0.2]], "y": [0.2, -0.1]}}),
+        (["beta"], {"kernel": kernel_cfg(order=16), "mesh_size": 4,
+                    "observed": {"epsilon": 0.1}, "sigma2": 1e-4}),
+        (["invert"], {"kernel": kernel_cfg(order=16), "sigma2": 1e-4,
+                      "family": {"components": [{"expression": "sin(pi*x)"}]},
+                      "data": {"x": [0.2, 0.5, 0.8], "y": [0.05, 0.1, 0.05]}}),
+        (["study", "convergence"], {"kernel": kernel_cfg(order=64),
+                                    "assumed_source": {"expression": "0"},
+                                    "truth": {"expression": "sin(pi*x)"}, "ns": [4, 8],
+                                    "grid": 101}),
+        (["study", "model-error"], {"kernel": kernel_cfg(order=16), "mesh_size": 4,
+                                    "eps_values": [0.0, 0.5]}),
+    ], ids=["sample-bridge-1d", "sample-helmholtz", "sample-2d", "fit", "beta", "invert",
+            "convergence", "model-error"])
+    def test_no_command_calls_the_dense_covariance(self, tmp_path, monkeypatch, command,
+                                                   payload):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a command called PosteriorModel.cov")
+
+        monkeypatch.setattr(regression.PosteriorModel, "cov", refuse)
+        out = tmp_path / "o.csv"
+        assert run([*command, "--config", write_config(tmp_path, payload),
+                    "--out", str(out)]) == 0
+        assert out.exists()
 
     @staticmethod
     def library_draws(mode, grid, draws, seed):

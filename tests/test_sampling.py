@@ -6,6 +6,8 @@ pure function of (seed, j)), so those tests use array equality, not
 tolerances.  Moment checks use pinned seeds with Monte Carlo bounds.
 """
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -112,18 +114,18 @@ class TestChunks:
         """The four ways to draw values, each as a function of the draw count."""
         bridge = TestPosteriorDraws.posterior()
         spec2 = KernelSpec("bridge", dim=2, order=6, beta=2.0)
-        dense = condition(spec2, None, Dataset(np.array([[0.3, 0.6], [0.7, 0.2]]),
+        post2 = condition(spec2, None, Dataset(np.array([[0.3, 0.6], [0.7, 0.2]]),
                                                np.array([0.2, -0.1]), 1e-3))
         x = np.linspace(0.0, 1.0, 9)
         return {
             "coefficients": lambda n: sample_values(make_sampler(order=8, seed=3), x, n),
             "points": lambda n: sample_values(make_sampler(order=64, seed=3), x, n),
             "backward": lambda n: sample_posterior_values(bridge, x, n, seed=3),
-            "dense": lambda n: sample_posterior_values(
-                dense, np.linspace(0.1, 0.9, 10).reshape(5, 2), n, seed=3),
+            "pathwise": lambda n: sample_posterior_values(
+                post2, np.linspace(0.1, 0.9, 5), n, seed=3),
         }
 
-    @pytest.mark.parametrize("route", ["coefficients", "points", "backward", "dense"])
+    @pytest.mark.parametrize("route", ["coefficients", "points", "backward", "pathwise"])
     def test_rows_do_not_depend_on_the_block_size(self, monkeypatch, route):
         # 150 draws cross two chunk edges; blocks of 5, 7 or 14 draws straddle
         # them.  Backward sampling is elementwise, so its rows are exact.
@@ -341,7 +343,6 @@ class TestPointsRoute:
         def refuse(*args):
             raise AssertionError("built an N x N covariance")
 
-        monkeypatch.setattr(sampling, "_root_blocks", refuse)
         monkeypatch.setattr(np.linalg, "eigh", refuse)
         vals = sample_values(s, x, 2)
         table = spectral.synthesis_tables([x], 4096)[0]
@@ -413,17 +414,89 @@ class TestPosteriorDraws:
         assert np.all(ends[:, [0, 2]] == 0.0) and np.all(ends[:, 1] != 0.0)
 
     def test_rows_are_the_per_draw_streams_in_2d(self, rng):
-        # in 2D row j is mean + R xi_j, R from the eigendecomposition of the covariance
+        # in 2D row j is Matheron's rule on draw j's first M + n normals, the
+        # M prior normals xi1 then the n noise normals xi2, synthesized on the grid:
+        # mean + s xi1 - G (G^T (xi1 / s) + sqrt(1 - g) xi2)
         spec = KernelSpec("bridge", dim=2, order=6, beta=2.0)
         data = Dataset(rng.uniform(0.1, 0.9, (4, 2)), rng.normal(size=4), 1e-3)
         post = condition(spec, None, data)
-        x = rng.uniform(size=(5, 2))
-        draws = sample_posterior_values(post, x, 2049, seed=13)
-        w, v = np.linalg.eigh(post.cov(x))
-        root = v * np.sqrt(np.maximum(w, 0.0))
+        axis = rng.uniform(size=3)
+        draws = sample_posterior_values(post, axis, 2049, seed=13)
+        assert draws.shape == (2049, 9)
+        scales = np.sqrt(eigenvalues(spec) / 2.0)
+        _, g = regression._MarginalCovariance(
+            spec, regression.PointObservations(data)).variances(2.0)
+        gain = post._factor
+        points = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+        psi = spectral.basis_matrix(2, 6, points)
         for j in (0, 2047, 2048):
-            expect = post.mean(x) + root @ stream(13, j, 5)
-            np.testing.assert_allclose(draws[j], expect, rtol=0, atol=1e-15)
+            xi = stream(13, j, 36 + 4)
+            xi1, xi2 = xi[:36], xi[36:]
+            coeffs = (post.mean_field.coeffs + scales * xi1
+                      - gain @ (gain.T @ (xi1 / scales) + np.sqrt(1.0 - g) * xi2))
+            np.testing.assert_allclose(draws[j], psi @ coeffs, rtol=0, atol=1e-15)
+
+    def test_first_normals_are_the_prior_draws(self, monkeypatch):
+        # draw j's first M normals are those of prior draw j at the same seed
+        spec = KernelSpec("helmholtz", order=16, omega=2.0)
+        post = condition(spec, None, Dataset(np.array([0.3, 0.7]), np.array([0.1, 0.2]), 1e-3))
+        seen = []
+        draw = regression.PosteriorModel.coefficient_draws
+
+        def spy(self, xi):
+            seen.append(xi[:16].copy())
+            return draw(self, xi)
+
+        monkeypatch.setattr(regression.PosteriorModel, "coefficient_draws", spy)
+        monkeypatch.setattr(sampling, "_BLOCK", 30)
+        sample_posterior_values(post, np.linspace(0.0, 1.0, 5), 70, seed=21)
+        prior = PriorSampler(spec, None, seed=21)
+        xi = np.concatenate(seen, axis=1)
+        np.testing.assert_array_equal(prior.scales * xi.T, sample_coefficients(prior, 70))
+
+    @pytest.mark.parametrize("spec,axis", [
+        (KernelSpec("bridge", dim=2, order=6, beta=2.0), np.linspace(0.15, 0.85, 4)),
+        (KernelSpec("helmholtz", order=64, beta=2.0, omega=3.0), np.linspace(0.05, 0.95, 10)),
+        (KernelSpec("power", order=64, beta=2.0, p=0.75), np.linspace(0.05, 0.95, 10)),
+    ], ids=["bridge-2d", "helmholtz", "power"])
+    def test_moments_of_the_pathwise_draws(self, spec, axis):
+        # Monte Carlo mean, variance and covariance against the dense `cov` at a
+        # pinned seed, each within 5 sigma; the boundary draws are exactly 0
+        x = {1: np.array([0.2, 0.45, 0.8]),
+             2: np.array([[0.2, 0.3], [0.45, 0.7], [0.8, 0.5]])}[spec.dim]
+        post = condition(spec, None, Dataset(x, np.array([0.1, -0.05, 0.2]), 1e-3))
+        points = axis if spec.dim == 1 else np.stack(
+            np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+        n = 40000
+        draws = sample_posterior_values(post, axis, n, seed=99)
+        cov = post.cov(points)
+        var = np.diag(cov)
+        assert np.all(np.abs(draws.mean(axis=0) - post.mean(points)) <= 5 * np.sqrt(var / n))
+        assert np.all(np.abs(draws.var(axis=0) - var) <= 5 * np.sqrt(2.0 / n) * var)
+        sigma = np.sqrt((np.outer(var, var) + cov**2) / n)
+        assert np.all(np.abs(np.cov(draws, rowvar=False) - cov) <= 5 * sigma)
+        ends = sample_posterior_values(post, [0.0, 0.5, 1.0], 5, seed=99)
+        centre = (3**spec.dim - 1) // 2  # the one grid point off the boundary
+        assert np.all(np.delete(ends, centre, axis=1) == 0.0) and np.all(ends[:, centre] != 0.0)
+
+    def test_jittered_posterior_draws_with_one_logged_jitter(self, rng, shift_eigenvalue,
+                                                              caplog):
+        # 12 sites on a 9-term kernel with the least variance of V pushed to 0:
+        # the one jitter is logged once, and the draws have the jittered law
+        spec = KernelSpec("bridge", dim=2, order=3)
+        data = Dataset(rng.uniform(0.05, 0.95, (12, 2)), rng.normal(size=12), 1e-4)
+        shift_eigenvalue(12, lambda w: -data.sigma2)
+        axis = np.linspace(0.2, 0.8, 3)
+        n = 20000
+        with caplog.at_level(logging.INFO, logger="bridgegp.regression"):
+            post = condition(spec, None, data)
+            draws = sample_posterior_values(post, axis, n, seed=5)
+        assert caplog.text.count("adding jitter") == 1
+        points = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+        var = post.var(points)
+        assert np.isfinite(draws).all()
+        assert np.all(np.abs(draws.mean(axis=0) - post.mean(points)) <= 5 * np.sqrt(var / n))
+        assert np.all(np.abs(draws.var(axis=0) - var) <= 5 * np.sqrt(2.0 / n) * var)
 
     def test_blocks_follow_the_value_budget(self, monkeypatch):
         post = self.posterior()
@@ -470,21 +543,6 @@ class TestPosteriorDraws:
         monkeypatch.setattr(sampling, "_normals", refuse)
         with pytest.raises(ResourceLimitError, match="steps"):
             next(posterior_value_blocks(post, x, 10, seed=2))
-
-    def test_dense_points_over_the_limit_raise_before_the_covariance(self, monkeypatch):
-        spec = KernelSpec("bridge", dim=2, order=6, beta=2.0)
-        post = condition(spec, None, Dataset(np.array([[0.3, 0.6]]), np.array([0.2]), 1e-3))
-        x = np.linspace(0.1, 0.9, 10).reshape(5, 2)
-        monkeypatch.setattr(sampling, "_DENSE_POINTS", 5)
-        assert sample_posterior_values(post, x, 3).shape == (3, 5)
-        monkeypatch.setattr(sampling, "_DENSE_POINTS", 4)
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("built the covariance past the point limit")
-
-        monkeypatch.setattr(regression.PosteriorModel, "cov", refuse)
-        with pytest.raises(ResourceLimitError, match="5 points"):
-            next(posterior_value_blocks(post, x, 3))
 
     def test_seed_validation(self):
         with pytest.raises(ValueError):

@@ -304,8 +304,8 @@ _SAMPLE = {"kernel": (_kernel, ...), "source": (_source, None), "grid": (_grid_p
 
 # `sample` holds one block of draws, but draws every value it is asked for:
 # moment_draws x (normals + grid points) values, the normals one per grid
-# point when draws are taken at the points (a 1D bridge posterior, some 1D
-# priors), else one per drawn coefficient, plus one per datum for a posterior.
+# point for a 1D bridge posterior, one per mode of `PriorSampler.grid_modes`
+# for a prior, else one per coefficient plus one per datum.
 # About 1e9 values, 2**30, take some 20-25 s of normals on one core.
 _DRAW_BUDGET = 1 << 30
 
@@ -326,8 +326,7 @@ def _cmd_sample(opts: dict):
                 raise ConfigError(f"{key} applies only to mode 'posterior'; "
                                   "prior draws take no data")
         sampler = sampling.PriorSampler(spec, prior, opts["mesh_size"], opts["seed"])
-        drawn = points if sampler.draws_at_points(points) else sampler.mesh_size
-        _check_draw_budget(draws, drawn + points)
+        _check_draw_budget(draws, sampler.grid_modes(axis)[0].size + points)
         blocks = sampling.value_blocks(sampler, axis, draws)
     else:
         if opts["mesh_size"] is not None:

@@ -16,10 +16,9 @@ Values of draws come as blocks of rows on a tensor grid (`value_blocks`,
 `posterior_value_blocks`), so a caller that only needs moments and a few
 paths holds one block at a time.  Prior coefficient draws, and posterior
 ones by pathwise conditioning, whose first M normals are a prior draw's,
-are synthesized on the grid by one loop.  The 1D bridge posterior is drawn
-by backward sampling, and a 1D prior on few points under many coefficients
-(`PriorSampler.draws_at_points`) from the eigendecomposition of its
-covariance at the points, draw j taking its first N normals.
+are synthesized on the grid by one loop, a prior's modes first folded onto
+those a uniform grid resolves (DST-I aliasing); the 1D bridge posterior is
+drawn by backward sampling.
 """
 
 from __future__ import annotations
@@ -45,14 +44,6 @@ __all__ = [
 
 
 _BLOCK = 2048
-
-# A prior drawn at its N points pays once for their covariance (a syrk of
-# N^2 M flops and an O(N^3) eigh) and saves M - N normals a draw.  In fresh 1D
-# `sample` processes (2-vCPU machine) up to 256 points with M >= 4N were no
-# slower at 4096 draws and at most 1.5x slower at 3; 512 points were 2.2x
-# slower at 100 draws, and M = 2N saved nothing at 4096.
-_ROOT_POINTS = 256
-_ROOT_RATIO = 4
 
 # Draws per generator: the normals of 50,000 draws at 101 points took 0.13, 0.10
 # and 0.09 s CPU at 16, 32 and 64 (2-vCPU machine), and no less at 128 or 256.
@@ -131,20 +122,41 @@ class PriorSampler(Record):
     def mean_prefix(self) -> np.ndarray:
         return self.mean.coeffs[: self.mesh_size]
 
-    def coefficient_draws(self, xi) -> np.ndarray:
-        """Draws c0 + s xi from point-major normals xi (mesh_size, r), overwritten."""
-        xi *= self.scales[:, None]
-        xi += self.mean_prefix[:, None]
-        return xi
+    def grid_modes(self, axis) -> tuple[np.ndarray, np.ndarray, int]:
+        """Standard deviations and means of the modes a draw of `value_blocks` takes
+        on the grid axis x ... x axis, one normal each, and its modes an axis: the
+        leading mesh_size coefficients of order**dim (in 1D a prefix is itself an
+        expansion), folded onto the m - 2 modes an axis resolves (`_fold`) when
+        the axis is np.linspace(0, 1, m) and 1 <= m - 2 < order."""
+        dim, size, m = self.spec.dim, self.mesh_size, np.size(axis)
+        order = size if dim == 1 else self.spec.order
+        if not (1 <= m - 2 < order and np.array_equal(np.ravel(axis), np.linspace(0.0, 1.0, m))):
+            return self.scales, self.mean_prefix, order
+        shape, tail = (order,) * dim, order**dim - size
+        center = np.pad(self.mean_prefix, (0, tail)).reshape(shape)
+        var = np.pad(self.scales**2, (0, tail)).reshape(shape)
+        for _ in range(dim):
+            center, var = _fold(center, m, -1.0), _fold(var, m, 1.0)
+        return np.sqrt(var).reshape(-1), center.reshape(-1), m - 2
 
-    def draws_at_points(self, size: int) -> bool:
-        """Whether `value_blocks` draws this prior at `size` points from its
-        covariance there, not by coefficients: a 1D prior on at most
-        `_ROOT_POINTS` points that draws at least `_ROOT_RATIO` coefficients
-        a point.  The rule reads only the points and the coefficients, so a
-        path never depends on how many draws are requested."""
-        return (self.spec.dim == 1 and size <= _ROOT_POINTS
-                and _ROOT_RATIO * size <= self.mesh_size)
+
+def _shifted(xi, scales, center) -> np.ndarray:
+    """Draws center + scales xi from point-major normals xi (size, r), overwritten."""
+    xi *= scales[:, None]
+    xi += center[:, None]
+    return xi
+
+
+def _fold(tensor: np.ndarray, points: int, sign: float) -> np.ndarray:
+    """The leading axis of `tensor`, modes n = 1..S, summed onto the modes 1..m - 2
+    that the uniform grid of m = `points` points resolves, and moved last.  There
+    mode n, r = n mod 2(m - 1), is mode r, `sign` times mode 2(m - 1) - r (-1 for
+    means, 1 for variances), or zero when r is 0 or m - 1."""
+    period, rest = 2 * (points - 1), tensor.shape[1:]
+    padded = np.zeros((-(-(len(tensor) + 1) // period) * period,) + rest)
+    padded[1:len(tensor) + 1] = tensor
+    residues = padded.reshape((-1, period) + rest).sum(axis=0)
+    return np.moveaxis(residues[1:points - 1] + sign * residues[:points - 1:-1], 0, -1)
 
 
 def sample_coefficients(sampler: PriorSampler, count: int, start: int = 0) -> np.ndarray:
@@ -157,7 +169,7 @@ def sample_coefficients(sampler: PriorSampler, count: int, start: int = 0) -> np
         raise ValueError("count and start must be nonnegative")
     size = sampler.mesh_size
     xi = next(_normals(sampler.seed, size, count, max(count, 1), start), np.empty((size, 0)))
-    return sampler.coefficient_draws(xi).T
+    return _shifted(xi, sampler.scales, sampler.mean_prefix).T
 
 
 def _rows(values_per_draw: int) -> int:
@@ -165,10 +177,11 @@ def _rows(values_per_draw: int) -> int:
     return max(1, min(_BLOCK, spectral._GRID_BLOCK // values_per_draw))
 
 
-def _synthesized(draw, seed, size, axis, dim, order, count) -> Iterator[np.ndarray]:
+def _synthesized(draw, seed, size, axis, dim, order, count, held=0) -> Iterator[np.ndarray]:
     """Draws 0..count-1 on the tensor grid axis x ... x axis: `draw` maps each block of
-    `size` point-major normals to the leading point-major coefficients of order**dim."""
-    rows = _rows(max(max(axis.size, order) ** dim, size))
+    `size` point-major normals, holding up to `held` values a draw, to the leading
+    point-major coefficients of order**dim."""
+    rows = _rows(max(max(axis.size, order) ** dim, size, held))
     tables = spectral.synthesis_tables([axis] * dim, order)
     for xi in _normals(seed, size, count, rows):
         coeffs = draw(xi)
@@ -183,32 +196,18 @@ def value_blocks(sampler: PriorSampler, axis, count: int) -> Iterator[np.ndarray
 
     Each block has shape (rows, len(axis)**dim), grid values flattened in C
     order as by `PosteriorModel.on_grid`; in 1D `axis` may be any points.
-    When `sampler.draws_at_points(len(axis))`, row j is T c0 + R xi_j, xi_j
-    the first N normals of draw j and R = V sqrt(max(w, 0)) from the prior
-    covariance V diag(w) V^T = T diag(lambda/beta) T^T at the points, T their
-    (N, M) table of the M drawn coefficients.  Otherwise a block's point-major
-    coefficients are synthesized one axis at a time (`spectral.synthesize`),
-    so no basis matrix of the grid is formed.  Blocks hold `_BLOCK` draws,
-    fewer when a draw's grid values or coefficients pass
-    `spectral._GRID_BLOCK` values a block.
+    Draw j scales the first normals of its column to the modes of
+    `sampler.grid_modes(axis)`, one each, synthesized one axis at a
+    time (`spectral.synthesize`): no basis matrix or covariance of the grid
+    is formed.  Blocks hold `_BLOCK` draws, fewer when a draw's grid values
+    or normals pass `spectral._GRID_BLOCK` values a block.
     """
     if count < 1:
         raise ValueError(f"count must be positive, got {count}")
-    dim = sampler.spec.dim
     axis = spectral.validate_points(axis, 1)[:, 0]
-    if sampler.draws_at_points(axis.size):
-        table = spectral.synthesis_tables([axis], sampler.mesh_size)[0]
-        center = table @ sampler.mean_prefix
-        table *= sampler.scales
-        eigvals, eigvecs = np.linalg.eigh(table @ table.T)
-        root_t = (eigvecs * np.sqrt(np.maximum(eigvals, 0.0))).T
-        for xi in _normals(sampler.seed, axis.size, count, _rows(axis.size)):
-            yield xi.T @ root_t + center
-        return
-    # a 1D prefix is itself an expansion; in higher dimensions pad the tail
-    order = sampler.mesh_size if dim == 1 else sampler.spec.order
-    yield from _synthesized(sampler.coefficient_draws, sampler.seed, sampler.mesh_size,
-                            axis, dim, order, count)
+    scales, center, order = sampler.grid_modes(axis)
+    yield from _synthesized(lambda xi: _shifted(xi, scales, center), sampler.seed,
+                            scales.size, axis, sampler.spec.dim, order, count)
 
 
 def sample_values(sampler: PriorSampler, axis, count: int) -> np.ndarray:
@@ -235,16 +234,17 @@ def posterior_value_blocks(post, axis, count: int, seed: int = 0) -> Iterator[np
     more than `_BACKWARD_STEPS` steps raise ResourceLimitError before any
     draw.  Any other kernel maps the first S^d + n normals of draw j to
     coefficients by pathwise conditioning (`PosteriorModel.coefficient_draws`)
-    and synthesizes them as the prior's coefficient route does.  Blocks hold
-    `_BLOCK` draws, fewer when a draw passes `spectral._GRID_BLOCK` values.
+    and synthesizes them as prior draws are.  Blocks hold `_BLOCK` draws, fewer
+    when a draw holds over `spectral._GRID_BLOCK` values (3 S^d + 2n pathwise).
     """
     if count < 1:
         raise ValueError(f"count must be positive, got {count}")
     seed = _check_seed(seed)
     axis = spectral.validate_points(axis, 1)[:, 0]
     if not post.spec.closed_form:
-        yield from _synthesized(post.coefficient_draws, seed, post.spec.n_coeffs + post.data.n,
-                                axis, post.spec.dim, post.spec.order, count)
+        m, n = post.spec.n_coeffs, post.data.n
+        yield from _synthesized(post.coefficient_draws, seed, m + n, axis, post.spec.dim,
+                                post.spec.order, count, 3 * m + 2 * n)
         return
     size = axis.size
     rows = _rows(size)

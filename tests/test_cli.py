@@ -40,6 +40,7 @@ from bridgegp import (
     sampling,
     spectral,
 )
+from bridgegp.sampling import _philox
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 FIXTURES = pathlib.Path(__file__).resolve().parent / "fixtures"
@@ -731,16 +732,18 @@ class TestDrawBudget:
         monkeypatch.setattr(sampling, "sample_coefficients", refuse)
         monkeypatch.setattr(sampling, "_normals", refuse)
 
-    # a prior draw takes its coefficients and its grid values, or, drawn at
-    # the points (11 under 64 coefficients), a normal and a value per point;
-    # a 1D bridge posterior a normal and a value per point, and any other
-    # its 4^2 coefficients, a normal per datum and its grid values
+    # a prior draw takes its coefficients and its grid values, or, folded on
+    # a grid of m points (12 under 64 coefficients, 7^2 under 8^2), a normal
+    # per mode, (m - 2)^dim, and its grid values; a 1D bridge posterior a
+    # normal and a value per point, and any other its 4^2 coefficients, a
+    # normal per datum and its grid values
     @pytest.mark.parametrize("mode,per_draw,keys", [
         ("prior", 11 + 16, {"grid": 16, "mesh_size": 11}),
-        ("prior", 2 * 11, {"grid": 11, "kernel": kernel_cfg(order=64)}),
+        ("prior", 10 + 12, {"grid": 12, "kernel": kernel_cfg(order=64)}),
+        ("prior", 5**2 + 7**2, {"grid": 7, "kernel": kernel_cfg(dim=2, order=8)}),
         ("posterior", 2 * 11, {"grid": 11}),
         ("posterior", 4**2 + 1 + 5**2, {"grid": 5, "kernel": kernel_cfg(dim=2, order=4)}),
-    ], ids=["prior-27", "prior-22", "posterior-22", "posterior-2d-42"])
+    ], ids=["prior-27", "prior-22", "prior-2d-74", "posterior-22", "posterior-2d-42"])
     def test_over_budget_exits_4_before_drawing(self, tmp_path, capsys, monkeypatch,
                                                 mode, per_draw, keys):
         payload = {"kernel": kernel_cfg(order=16), "mode": mode, "moment_draws": 100,
@@ -1048,6 +1051,8 @@ class TestOneSampler:
         np.testing.assert_allclose(table[:, 2], values.std(axis=0), rtol=1e-12, atol=0)
 
     def test_2d_prior_grid_sample_builds_no_basis(self, tmp_path, monkeypatch):
+        # grid 7 resolves 5 modes an axis, fewer than order 8: the leading 50
+        # coefficients are drawn folded onto 5^2 modes, one normal each
         basis_matrix = spectral.basis_matrix
 
         def refuse(*args, **kwargs):
@@ -1062,16 +1067,18 @@ class TestOneSampler:
         assert run(["sample", "--config", cfg, "--out", str(out)]) == 0
         table = np.loadtxt(out, delimiter=",", skiprows=4)
         sampler = PriorSampler(KernelSpec("bridge", dim=2, order=8), None, 50, 9)
-        psi = basis_matrix(2, 8, table[:, :2])[:, :50]
-        values = sample_coefficients(sampler, 40) @ psi.T
+        scales, center, modes = sampler.grid_modes(np.linspace(0.0, 1.0, 7))
+        assert modes == 5
+        xi = _philox(9, 0).standard_normal((25, 64))[:, :40].T  # draw j: column j
+        values = (center + scales * xi) @ basis_matrix(2, 5, table[:, :2]).T
         for got, expect in ((table[:, 4:].T, values[:3]),
                             (table[:, 2], values.mean(axis=0)),
                             (table[:, 3], values.std(axis=0))):
             np.testing.assert_allclose(got, expect, rtol=0, atol=1e-13 * np.abs(expect).max())
 
-    def test_1d_prior_draws_one_normal_per_grid_point(self, tmp_path, monkeypatch):
-        # 101 points under 512 coefficients: each draw asks its stream for
-        # 101 normals, not 512
+    def test_1d_prior_draws_one_normal_per_folded_mode(self, tmp_path, monkeypatch):
+        # 101 points resolve 99 modes, fewer than 512 coefficients: each draw
+        # asks its stream for 99 normals, not 512
         sizes = []
         normals = sampling._normals
 
@@ -1084,7 +1091,20 @@ class TestOneSampler:
         cfg = write_config(tmp_path, {"kernel": kernel_cfg(order=512), "grid": 101,
                                       "moment_draws": 3000, "seed": 41})
         assert run(["sample", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 0
-        assert sizes == [101] * 3000
+        assert sizes == [99] * 3000
+
+    @pytest.mark.parametrize("kernel,grid", [
+        (kernel_cfg(order=512), 101), (kernel_cfg(order=64), 101),
+        (kernel_cfg(dim=2, order=8), 7), (kernel_cfg(dim=2, order=4), 11),
+        (kernel_cfg(dim=3, order=8), 5),
+    ], ids=["1d-folded", "1d", "2d-folded", "2d", "3d-folded"])
+    def test_no_prior_sample_calls_eigh(self, tmp_path, monkeypatch, kernel, grid):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a prior sample called np.linalg.eigh")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        cfg = write_config(tmp_path, {"kernel": kernel, "grid": grid, "moment_draws": 100})
+        assert run(["sample", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 0
 
     def test_1d_prior_paths_do_not_depend_on_moment_draws(self, tmp_path):
         tables = []

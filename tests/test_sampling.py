@@ -7,6 +7,7 @@ tolerances.  Moment checks use pinned seeds with Monte Carlo bounds.
 """
 
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -117,8 +118,10 @@ class TestChunks:
         post2 = condition(spec2, None, Dataset(np.array([[0.3, 0.6], [0.7, 0.2]]),
                                                np.array([0.2, -0.1]), 1e-3))
         x = np.linspace(0.0, 1.0, 9)
+        # 9 grid points resolve 7 modes: 7 coefficients are drawn as they are,
+        # and 64 folded onto 7 modes
         return {
-            "coefficients": lambda n: sample_values(make_sampler(order=8, seed=3), x, n),
+            "coefficients": lambda n: sample_values(make_sampler(order=7, seed=3), x, n),
             "points": lambda n: sample_values(make_sampler(order=64, seed=3), x, n),
             "backward": lambda n: sample_posterior_values(bridge, x, n, seed=3),
             "pathwise": lambda n: sample_posterior_values(
@@ -216,7 +219,7 @@ class TestDraws:
         # more points than coefficients: values come by coefficient synthesis
         s = make_sampler(order=16, seed=4)
         x = np.linspace(0.05, 0.95, 20)
-        assert not s.draws_at_points(x.size)
+        assert s.grid_modes(x)[2] == 16
         vals = sample_values(s, x, 3)
         fields = sample(s, 3)
         for j in range(3):
@@ -243,12 +246,13 @@ class TestDraws:
         blocks = list(value_blocks(s, x, 20))
         assert [len(b) for b in blocks] == [6, 6, 6, 2]
         np.testing.assert_allclose(np.concatenate(blocks), full, rtol=0, atol=1e-14)
-        # points: 11 points under 64 coefficients, a draw holds 11 values,
-        # 9 draws fit a budget of 100, so 20 draws come in blocks of 9, 9, 2
+        # fold: 64 coefficients on 11 grid points are 9 modes, a draw holds
+        # 11 values, 9 draws fit a budget of 100, so 20 draws come in blocks
+        # of 9, 9, 2
         s = make_sampler(order=64, seed=6)
         x = np.linspace(0.0, 1.0, 11)
         monkeypatch.undo()
-        assert s.draws_at_points(x.size)
+        assert s.grid_modes(x)[0].size == 9
         full = sample_values(s, x, 20)
         monkeypatch.setattr(spectral, "_GRID_BLOCK", 100)
         blocks = list(value_blocks(s, x, 20))
@@ -274,91 +278,183 @@ class TestDraws:
         )
 
 
-class TestPointsRoute:
-    """A 1D prior on fewer points than coefficients is drawn at the points,
-    from its covariance there, as posterior draws are."""
+def folded(sampler, m):
+    """Standard deviations and means of the (m - 2)**dim grid modes, by the alias
+    rule one mode at a time: on np.linspace(0, 1, m), sin(n pi x) is
+    sin(r pi x), r = n mod 2(m - 1), or -sin((2(m - 1) - r) pi x), or 0."""
+    dim, k, period = sampler.spec.dim, m - 2, 2 * (m - 1)
+    order = sampler.mesh_size if dim == 1 else sampler.spec.order
+    var, center = np.zeros((k,) * dim), np.zeros((k,) * dim)
+    modes = np.ndindex(*(order,) * dim)
+    for alpha, sd, c in zip(modes, sampler.scales, sampler.mean_prefix):
+        index, sign = [], 1.0
+        for a in alpha:
+            r = (a + 1) % period
+            if r in (0, m - 1):
+                break
+            index.append(r - 1 if r < m - 1 else period - r - 1)
+            sign *= 1.0 if r < m - 1 else -1.0
+        else:
+            var[tuple(index)] += sd**2
+            center[tuple(index)] += sign * c
+    return np.sqrt(var).reshape(-1), center.reshape(-1)
 
-    def test_root_reproduces_the_prior_covariance(self, monkeypatch):
-        s = make_sampler(order=512, beta=2.5, seed=3)
-        x = np.linspace(0.0, 1.0, 101)
-        roots = []
-        eigh = np.linalg.eigh
 
-        def spy(a):
-            eigvals, eigvecs = eigh(a)
-            roots.append(eigvecs * np.sqrt(np.maximum(eigvals, 0.0)))
-            return eigvals, eigvecs
+def grid_points(axis, dim):
+    return np.stack(np.meshgrid(*[axis] * dim, indexing="ij"), axis=-1).reshape(-1, dim)
 
-        monkeypatch.setattr(np.linalg, "eigh", spy)
-        sample_values(s, x, 2)
-        table = spectral.synthesis_tables([x], 512)[0]
-        want = (table * (eigenvalues(s.spec) / 2.5)) @ table.T
-        (root,) = roots
-        assert np.abs(root @ root.T - want).max() <= 1e-14 * np.abs(want).max()
 
-    def test_draws_are_the_per_draw_streams(self):
-        # row j is T c0 + R xi_j with xi_j the first N normals of draw j
-        spec = KernelSpec("bridge", order=64)
-        mean = SpectralField(1, 64, np.linspace(1.0, -1.0, 64))
-        s = PriorSampler(spec, mean, seed=12)
-        x = np.linspace(0.1, 0.9, 9)
-        assert s.draws_at_points(x.size)
-        table = spectral.synthesis_tables([x], 64)[0]
-        eigvals, eigvecs = np.linalg.eigh((table * s.scales**2) @ table.T)
-        root = eigvecs * np.sqrt(np.maximum(eigvals, 0.0))
-        xi = np.array([stream(12, j, 9) for j in range(4)])
-        np.testing.assert_allclose(sample_values(s, x, 4), xi @ root.T + table @ mean.coeffs,
-                                   rtol=0, atol=1e-13)
+class TestFold:
+    """A prior of more modes an axis than m - 2 is drawn on the uniform grid of m
+    points from its modes folded onto the m - 2 that the grid resolves."""
 
-    def test_boundary_values_are_the_mean_exactly(self):
+    @staticmethod
+    def prior(dim, order, mesh=None, seed=3):
+        spec = KernelSpec("bridge", dim=dim, order=order, beta=2.5)
+        size = order**dim
+        mean = SpectralField(dim, order, np.cos(np.arange(size)) / np.arange(1, size + 1))
+        return PriorSampler(spec, mean, mesh, seed)
+
+    @pytest.mark.parametrize("dim,order,mesh,m", [
+        (1, 512, None, 101), (1, 512, 300, 101), (2, 64, None, 17), (2, 64, 1000, 17),
+        (3, 16, 2000, 7),
+    ], ids=["1d", "1d-mesh", "2d", "2d-mesh", "3d-mesh"])
+    def test_grid_covariance_is_the_truncated_priors(self, dim, order, mesh, m):
+        s = self.prior(dim, order, mesh)
+        scales, center, modes = s.grid_modes(np.linspace(0.0, 1.0, m))
+        assert modes == m - 2 and scales.size == center.size == (m - 2) ** dim
+        points = grid_points(np.linspace(0.0, 1.0, m), dim)
+        table = spectral.basis_matrix(dim, m - 2, points)
+        full = spectral.basis_matrix(dim, order, points)[:, :s.mesh_size]
+        want = (full * s.scales**2) @ full.T
+        got = (table * scales**2) @ table.T
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+        want = full @ s.mean_prefix
+        assert np.abs(table @ center - want).max() <= 1e-14 * np.abs(want).max()
+
+    @pytest.mark.parametrize("dim,order,m", [(1, 64, 9), (2, 8, 7)], ids=["1d", "2d"])
+    def test_draws_are_the_per_draw_streams(self, dim, order, m):
+        # row j is T (c + s xi_j), xi_j the first (m - 2)**dim normals of draw j,
+        # on both sides of a chunk edge
+        s = self.prior(dim, order, seed=12)
+        axis = np.linspace(0.0, 1.0, m)
+        scales, center = folded(s, m)
+        table = spectral.basis_matrix(dim, m - 2, grid_points(axis, dim))
+        draws = sample_values(s, axis, 66)
+        for j in (0, 1, 63, 64, 65):
+            expect = table @ (center + scales * stream(12, j, (m - 2) ** dim))
+            np.testing.assert_allclose(draws[j], expect, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("dim,order,m", [(1, 512, 101), (2, 8, 7), (3, 8, 5)],
+                             ids=["1d", "2d", "3d"])
+    def test_a_draw_takes_one_normal_per_folded_mode(self, monkeypatch, dim, order, m):
+        sizes = []
+        normals = sampling._normals
+
+        def count(seed, size, *args):
+            sizes.append(size)
+            return normals(seed, size, *args)
+
+        monkeypatch.setattr(sampling, "_normals", count)
+        sample_values(self.prior(dim, order), np.linspace(0.0, 1.0, m), 3)
+        assert sizes == [(m - 2) ** dim]
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_grid_2_is_zero_and_grid_3_one_mode(self, dim):
+        s = self.prior(dim, 8)
+        assert s.grid_modes(np.array([0.0, 1.0]))[2] == 8
+        np.testing.assert_array_equal(sample_values(s, [0.0, 1.0], 5), 0.0)
+        scales, center, modes = s.grid_modes(np.array([0.0, 0.5, 1.0]))
+        assert modes == 1 and scales.shape == center.shape == (1,)
+        np.testing.assert_allclose((scales, center), folded(s, 3), rtol=1e-15)
+        vals = sample_values(s, [0.0, 0.5, 1.0], 5).reshape((5,) + (3,) * dim)
+        middle = vals[(slice(None),) + (1,) * dim]
+        stream0 = np.array([stream(3, j, 1)[0] for j in range(5)])
+        np.testing.assert_allclose(middle, 2.0 ** (dim / 2) * (center + scales * stream0),
+                                   rtol=1e-14)
+        vals[(slice(None),) + (1,) * dim] = 0.0
+        assert np.all(vals == 0.0)
+
+    def test_boundary_values_are_exactly_zero(self):
         mean = SpectralField(1, 512, np.ones(512))
         s = PriorSampler(KernelSpec("bridge", order=512), mean, seed=5)
-        assert s.draws_at_points(101)
         vals = sample_values(s, np.linspace(0.0, 1.0, 101), 50)
         assert np.all(vals[:, 0] == 0.0) and np.all(vals[:, -1] == 0.0)
         assert np.all(vals[:, 1:-1] != 0.0)
 
     def test_moments_are_the_prior_moments(self):
-        # the points route samples the truncated prior's law: Monte Carlo
-        # mean and variance at a pinned seed within 5 sigma of the exact
+        # the folded draws sample the truncated prior's law: Monte Carlo mean
+        # and variance at a pinned seed within 5 sigma of the exact
         spec = KernelSpec("bridge", order=128, beta=0.5)
         mean = SpectralField(1, 128, 1.0 / np.arange(1, 129) ** 2)
         s = PriorSampler(spec, mean, seed=77)
-        x = np.linspace(0.05, 0.95, 19)
-        assert s.draws_at_points(x.size)
+        x = np.linspace(0.0, 1.0, 21)
+        assert s.grid_modes(x)[2] == 19
         table = spectral.synthesis_tables([x], 128)[0]
         var = (table**2) @ s.scales**2
         n = 20000
-        draws = sample_values(s, x, n)
-        assert np.all(np.abs(draws.mean(axis=0) - table @ mean.coeffs) <= 5 * np.sqrt(var / n))
+        draws = sample_values(s, x, n)[:, 1:-1]
+        var, expect = var[1:-1], (table @ mean.coeffs)[1:-1]
+        assert np.all(np.abs(draws.mean(axis=0) - expect) <= 5 * np.sqrt(var / n))
         assert np.all(np.abs(draws.var(axis=0) - var) <= 5 * np.sqrt(2.0 / n) * var)
 
-    def test_large_grid_takes_the_coefficient_route(self, monkeypatch):
-        # 2049 points under 4096 coefficients, more points than the route
-        # takes: no covariance and no eigendecomposition
-        s = make_sampler(order=4096, seed=2)
-        x = np.linspace(0.0, 1.0, 2049)
-        assert not s.draws_at_points(x.size)
+    def test_non_uniform_points_take_the_coefficient_route(self):
+        # 9 points under 64 coefficients, but not np.linspace(0, 1, 9): one
+        # normal per coefficient, synthesized at the points
+        s = self.prior(1, 64, seed=2)
+        nudged = np.linspace(0.0, 1.0, 9)
+        nudged[3] = np.nextafter(nudged[3], 1.0)
+        for x in (np.linspace(0.1, 0.9, 9), np.linspace(0.0, 1.0, 9) ** 2, nudged):
+            scales, center, modes = s.grid_modes(x)
+            assert modes == 64 and scales.size == center.size == 64
+            table = spectral.synthesis_tables([x], 64)[0]
+            np.testing.assert_allclose(sample_values(s, x, 3), sample_coefficients(s, 3) @ table.T,
+                                       rtol=0, atol=1e-13)
 
+    def test_large_grid_takes_the_coefficient_route(self, monkeypatch):
+        # 2049 points resolve 2047 modes, fewer than 2048 coefficients: folded;
+        # 2050 resolve 2048: drawn by coefficients, with no eigendecomposition
         def refuse(*args):
             raise AssertionError("built an N x N covariance")
 
         monkeypatch.setattr(np.linalg, "eigh", refuse)
-        vals = sample_values(s, x, 2)
-        table = spectral.synthesis_tables([x], 4096)[0]
-        np.testing.assert_allclose(vals, sample_coefficients(s, 2) @ table.T,
+        s = make_sampler(order=2048, seed=2)
+        assert s.grid_modes(np.linspace(0.0, 1.0, 2049))[2] == 2047
+        x = np.linspace(0.0, 1.0, 2050)
+        assert s.grid_modes(x)[2] == 2048
+        table = spectral.synthesis_tables([x], 2048)[0]
+        np.testing.assert_allclose(sample_values(s, x, 2), sample_coefficients(s, 2) @ table.T,
                                    rtol=0, atol=1e-12)
 
     def test_route_depends_on_points_and_coefficients(self):
-        # at most 256 points, at least 4 drawn coefficients a point
-        assert make_sampler(order=64).draws_at_points(16)
-        assert not make_sampler(order=64).draws_at_points(17)
-        assert make_sampler(order=64, mesh=32).draws_at_points(8)
-        assert not make_sampler(order=64, mesh=32).draws_at_points(9)
-        assert make_sampler(order=4096).draws_at_points(256)
-        assert not make_sampler(order=4096).draws_at_points(257)
-        assert make_sampler(order=512).draws_at_points(101)
-        assert not PriorSampler(KernelSpec("bridge", dim=2, order=8)).draws_at_points(5)
+        # folded iff the grid is uniform and 1 <= m - 2 < the modes an axis:
+        # mesh_size in 1D, order in 2D and 3D, whatever mesh_size
+        def normals(s, m):
+            return s.grid_modes(np.linspace(0.0, 1.0, m))[0].size
+
+        assert [normals(make_sampler(order=64), m) for m in (2, 3, 65, 66, 200)] == [64, 1, 63,
+                                                                                      64, 64]
+        assert [normals(make_sampler(order=64, mesh=32), m) for m in (33, 34)] == [31, 32]
+        # a column of grid points is the same grid
+        assert make_sampler(order=64).grid_modes(np.linspace(0.0, 1.0, 9)[:, None])[2] == 7
+        two = PriorSampler(KernelSpec("bridge", dim=2, order=8))
+        assert [normals(two, m) for m in (2, 3, 9, 10)] == [64, 1, 49, 64]
+        assert normals(PriorSampler(KernelSpec("bridge", dim=2, order=8), mesh_size=3), 9) == 49
+        assert normals(PriorSampler(KernelSpec("bridge", dim=3, order=8), mesh_size=3), 10) == 3
+
+    def test_long_expansion_forms_nothing_of_order_by_grid(self):
+        # 262144 coefficients on 101 points: the fold holds a few vectors of the
+        # order (12.6 MB at peak), never a (101, 262144) table of 212 MB
+        s = make_sampler(order=262144, seed=1)
+        x = np.linspace(0.0, 1.0, 101)
+        tracemalloc.start()
+        try:
+            vals = sample_values(s, x, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert vals.shape == (3, 101)
+        assert peak < 262144 * 101 * 8 / 10
 
 
 def power_sampler(p, order, seed):

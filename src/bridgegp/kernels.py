@@ -152,13 +152,14 @@ def eigenvalues(spec: KernelSpec, indices: np.ndarray | None = None) -> np.ndarr
     return (np.pi**2 * sq) ** (-spec.p)
 
 
-def _over_beta(values, beta: float) -> np.ndarray:
-    """values / beta for beta = 1 kernel values or eigenvalues; a quotient
-    that overflows raises NumericalError naming beta."""
+def _over_beta(values, beta) -> np.ndarray:
+    """values / beta for beta = 1 kernel values or eigenvalues, beta a float
+    or a column of them; a quotient that overflows raises NumericalError
+    naming the least beta."""
     with np.errstate(over="ignore"):
         out = np.asarray(values) / beta
     if not np.isfinite(out).all():
-        raise NumericalError(f"the kernel divided by beta = {beta:.6g} overflows")
+        raise NumericalError(f"the kernel divided by beta = {np.min(beta):.6g} overflows")
     return out
 
 

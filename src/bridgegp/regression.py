@@ -15,14 +15,18 @@ otherwise, `krr_solve` solves with the beta = 1 Gram by Cholesky) so the
 equivalence is a checkable property rather than a definition.
 
 Calibration of beta, source inversion and the conditioning of every
-truncated kernel share one exact solver.  The beta = 1 marginal
-covariance is eigendecomposed once per dataset (it is diagonal for
-observed coefficients), so for a residual rotated once into its
-eigenbasis the log marginal and its first two derivatives in log beta
-cost O(n) per beta.  Beta is found by a scan over log beta refined
-by safeguarded Newton; theta by generalized least squares, which is exact
-for linear source families and is the damped Gauss-Newton step, alternated
-with the beta search, for nonlinear expression families.
+truncated kernel share one exact solver, `_MarginalCovariance`, which
+eigendecomposes the beta = 1 marginal covariance once per dataset (diagonal
+for observed coefficients).  For observation-space columns C and an array
+of betas, its `forms` give C^T V^-1 C and log det V, V = K / beta + sigma2 I,
+with their first two derivatives in log beta, for every beta at once; its
+`whitening` gives a square root of V^-1.  The evidence of a residual
+(C = r), the generalized least squares step and its profile (C = [a r]),
+and the posterior derive from these.  Beta is found by a 121-point scan
+over log beta, one call, refined by safeguarded Newton; theta by
+generalized least squares, which is exact for linear source families and
+is the damped Gauss-Newton step, alternated with the beta search, for
+nonlinear expression families.
 """
 
 from __future__ import annotations
@@ -112,19 +116,20 @@ class HyperPrior(Record):
                 raise ValueError("fixed hyper prior needs a positive beta0")
             object.__setattr__(self, "beta0", float(self.beta0))
         elif self.beta0 is not None:
-            raise ValueError(f"beta0 is only meaningful for kind='fixed'")
+            raise ValueError("beta0 is only meaningful for kind='fixed'")
 
-    def log_density(self, beta: float) -> float:
-        if self.kind == "jeffreys":
-            return -float(np.log(beta))
-        return 0.0
+    def log_density(self, beta):
+        """log p(beta) up to a constant, elementwise for an array of betas."""
+        out = -np.log(beta) if self.kind == "jeffreys" else np.zeros(np.shape(beta))
+        return out if np.ndim(out) else float(out)
 
-    def dlog_density(self, beta: float) -> float:
+    def dlog_density(self, beta):
+        """d log p / d beta, elementwise for an array of betas."""
         if self.kind == "fixed":
             raise ValueError("a point-mass prior has no density gradient")
-        if self.kind == "jeffreys":
-            return -1.0 / beta
-        return 0.0
+        out = (-1.0 / np.asarray(beta, dtype=float) if self.kind == "jeffreys"
+               else np.zeros(np.shape(beta)))
+        return out if np.ndim(out) else float(out)
 
 
 FLAT = HyperPrior("flat")
@@ -163,14 +168,13 @@ class PosteriorModel:
     factored per call.  Every other kernel is a finite Mercer sum
     psi(x)^T Lambda psi(y) / beta, so its posterior lives in coefficient
     space (GPML section 2.1).  With Psi the basis at the data sites X and
-    V = U diag(v) U^T from `_MarginalCovariance`, the one factorization the
-    evidence uses too, let G = Lambda Psi^T U diag(v^-1/2) / beta.  The mean
-    is the field `mean_field`, c0 + G (v^-1/2 * U^T r), the variance
-    k(x, x) - |G^T psi(x)|^2, and `coefficient_draws` draws by pathwise
-    conditioning; of the factorization only G and sqrt(1 - g), g = (w / beta)
-    / v, are kept.  The basis at X is built once (`_MarginalCovariance.basis`);
-    `on_grid` evaluates both moments on a tensor grid by synthesis, without a
-    basis matrix of the grid.
+    W W^T = V^-1 the whitening of `_MarginalCovariance`, the one factorization
+    the evidence uses too, let G = Lambda Psi^T W / beta.  The mean is the
+    field `mean_field`, c0 + G W^T r, the variance k(x, x) - |G^T psi(x)|^2,
+    and `coefficient_draws` draws by pathwise conditioning; of V only G and
+    the noise scale sqrt(1 - g) of `whitening` are kept.  The basis at X is
+    built once (`_MarginalCovariance.basis`); `on_grid` evaluates both
+    moments on a tensor grid by synthesis, without a basis matrix of the grid.
     """
 
     def __init__(self, spec: kernels.KernelSpec, prior, data: Dataset):
@@ -187,11 +191,10 @@ class PosteriorModel:
             self._resid = data.y - spectral.evaluate(self.prior, data.X)
             return
         marginal = _MarginalCovariance(spec, PointObservations(data))
-        v, g = marginal.variances(spec.beta)
-        psi, whiten = marginal.basis, marginal._u / np.sqrt(v)
+        whiten, self._noise_sd = marginal.whitening(spec.beta)
+        psi = marginal.basis
         resid = whiten.T @ (data.y - psi @ self.prior.coeffs)
         self._lam = kernels._over_beta(kernels.eigenvalues(spec), spec.beta)
-        self._noise_sd = np.sqrt(1.0 - g)  # of W^T eps: sigma2 / v = 1 - g
         psi *= self._lam
         # G = (Lambda Psi^T / beta) W, (S^d, n) in C order for `on_grid`;
         # Psi is scaled in place, so no second n x S^d array is held
@@ -436,19 +439,21 @@ class _MarginalCovariance:
 
     The one place that knows V for each observation model, and its one
     factorization in production.  The beta = 1 covariance K = U diag(w) U^T
-    is decomposed once, so V(beta) = U diag(w / beta + sigma2) U^T costs
-    O(n) per beta for data rotated once by U^T (`rotate`, `residual`).
-    Point data keep the basis at the data sites (`basis`, which also builds
-    a truncated kernel's Gram); coefficient data are diagonal (w the leading
-    kernel eigenvalues, U the identity, no basis).  A variance
-    w / beta + sigma2 <= 0 gets one jitter of 1e-12 times their mean,
+    is decomposed once, so V(beta) = U diag(v) U^T with v = w / beta + sigma2.
+    Callers reach V through two methods: `forms`, its quadratic forms and log
+    determinant with their log-beta derivatives at every beta of an array at
+    once, and `whitening`, a square root of V^-1 at one beta; each applies U
+    itself.  Point data keep the basis at the data sites (`basis`, which also
+    builds a truncated kernel's Gram); coefficient data are diagonal (w the
+    leading kernel eigenvalues, U the identity, no basis).  A beta with a
+    variance v <= 0 gets one jitter of 1e-12 times the mean of its v,
     logged; if one stays <= 0, SingularSystemError is raised.
     """
 
     def __init__(self, spec: kernels.KernelSpec, obs):
         if isinstance(obs, CoefficientObservations):
             self._w, self._u, self.basis = _leading_eigenvalues(spec, obs.n), None, None
-            self.sigma2, self._y = obs.sigma2, obs.values
+            self.sigma2 = obs.sigma2
         elif isinstance(obs, PointObservations):
             x = obs.data.X
             if spec.closed_form:
@@ -463,52 +468,50 @@ class _MarginalCovariance:
                 k1 = root @ root.T  # one symmetric product (BLAS syrk), half a GEMM
                 del root
                 self._w, self._u = np.linalg.eigh(k1)
-            self.sigma2, self._y = obs.data.sigma2, obs.data.y
+            self.sigma2 = obs.data.sigma2
         else:
             raise TypeError(f"unsupported observation model {type(obs).__name__}")
         self.n = obs.n
 
-    def variances(self, beta: float):
-        """The eigenvalues v = w / beta + sigma2 of V(beta), after the floor,
-        and g = (w / beta) / v, so that dv/dt = -g v in t = log beta."""
-        scaled = kernels._over_beta(self._w, beta)
+    def _variances(self, betas):
+        """The eigenvalues v = w / beta + sigma2 of V, one row per beta, after
+        the jitter rule, and g = (w / beta) / v, so that dv/dt = -g v."""
+        betas = np.asarray(betas, dtype=float).reshape(-1, 1)
+        scaled = kernels._over_beta(self._w, betas)
         v = scaled + self.sigma2
-        if v.min() <= 0.0:
-            jitter = kernels._JITTER_SCALE * np.mean(v)
+        for i in np.flatnonzero(v.min(axis=1) <= 0.0):
+            beta, jitter = betas[i, 0], kernels._JITTER_SCALE * np.mean(v[i])
             logger.info("marginal covariance at beta %.3e: adding jitter %.3e", beta, jitter)
-            v = v + jitter
-            if v.min() <= 0.0:
-                raise SingularSystemError(
-                    f"marginal covariance at beta {beta:.3e} is not positive definite "
-                    f"after jitter {jitter:.3e}"
-                )
+            v[i] += jitter
+            if v[i].min() <= 0.0:
+                raise SingularSystemError(f"marginal covariance at beta {beta:.3e} is not "
+                                          f"positive definite after jitter {jitter:.3e}")
         return v, scaled / v
 
-    def rotate(self, mat) -> np.ndarray:
-        """U^T mat: coordinates in the eigenbasis of V."""
-        mat = np.asarray(mat, dtype=float)
-        return mat if self._u is None else self._u.T @ mat
+    def forms(self, betas, cols):
+        """For observation-space columns C, (n, k) or a vector, at each of B
+        betas: the forms Q_j = C^T (d^j V^-1 / dt^j) C, t = log beta, j = 0,
+        1, 2, as an array (3, B, k, k), and log det V with its first two
+        t-derivatives, (3, B).  In the eigenbasis d^j (1 / v) / dt^j is 1 / v,
+        g / v and g (2 g - 1) / v, and the log-det terms are sum log v, -sum g
+        and sum g (1 - g); O(B n k^2) after the rotation of C."""
+        v, g = self._variances(betas)
+        cols = np.asarray(cols, dtype=float).reshape(self.n, -1)
+        if self._u is not None:  # U^T C; OpenBLAS takes U.T @ C at twice the time
+            cols = (cols.T @ self._u).T
+        k = cols.shape[1]
+        inv = 1.0 / v
+        weights = np.stack([inv, g * inv, g * (2.0 * g - 1.0) * inv])
+        quad = weights @ (cols[:, :, None] * cols[:, None, :]).reshape(self.n, k * k)
+        logdet = np.stack([np.log(v).sum(axis=1), -g.sum(axis=1), (g * (1.0 - g)).sum(axis=1)])
+        return quad.reshape(3, -1, k, k), logdet
 
-    def residual(self, coeffs) -> np.ndarray:
-        """The observations minus what the field with coefficients `coeffs`
-        predicts for them, rotated by U^T."""
-        if self.basis is None:
-            return self._y - coeffs[: self.n]
-        return self.rotate(self._y - self.basis @ coeffs)
-
-    def log_density(self, beta: float, r):
-        """Log density of a residual already rotated by U^T under N(0, V(beta)),
-        and its first and second derivatives in t = log beta; O(n)."""
-        v, g = self.variances(beta)
-        q = r * r / v
-        value = float(
-            -0.5 * r @ (r / v)
-            - 0.5 * float(np.sum(np.log(v)))
-            - 0.5 * self.n * np.log(2.0 * np.pi)
-        )
-        d1 = 0.5 * float(np.sum(g * (1.0 - q)))
-        d2 = -0.5 * float(np.sum(g * ((1.0 - g) * (1.0 - q) + g * q)))
-        return value, d1, d2
+    def whitening(self, beta: float):
+        """W = U diag(v)^-1/2 at one beta, so that W W^T = V^-1 (point data),
+        and sqrt(1 - g), the standard deviation of W^T eps per noise normal:
+        sigma2 / v = 1 - g."""
+        v, g = self._variances([beta])
+        return self._u / np.sqrt(v[0]), np.sqrt(1.0 - g[0])
 
 
 def _leading_eigenvalues(spec: kernels.KernelSpec, m: int) -> np.ndarray:
@@ -551,11 +554,29 @@ def _check_beta(beta) -> float:
     return beta
 
 
-def _rotated_residual(spec: kernels.KernelSpec, prior, obs):
-    """The marginal covariance of the observations, and their residual
-    from the prior mean in its eigenbasis."""
+def _residual(obs, basis, coeffs):
+    """The observations minus what the field with coefficients `coeffs`
+    predicts for them, `basis` the basis at their sites (None: coefficients)."""
+    if basis is None:
+        return obs.values - coeffs[: obs.n]
+    return obs.data.y - basis @ coeffs
+
+
+def _log_density(marginal: _MarginalCovariance, betas, r):
+    """Log density of the residual r under N(0, V(beta)) and its first two
+    derivatives in t = log beta, (3, B), at each of B betas."""
+    quad, logdet = marginal.forms(betas, r)
+    out = -0.5 * (quad[:, :, 0, 0] + logdet)
+    out[0] -= 0.5 * r.size * np.log(2.0 * np.pi)
+    return out
+
+
+def _evidence(spec: kernels.KernelSpec, prior, obs):
+    """The log density of the observations' residual from the prior mean,
+    as a function of an array of betas (`_log_density`)."""
     marginal = _MarginalCovariance(spec, obs)
-    return marginal, marginal.residual(pde.prior_mean(prior, spec).coeffs)
+    r = _residual(obs, marginal.basis, pde.prior_mean(prior, spec).coeffs)
+    return lambda betas: _log_density(marginal, betas, r)
 
 
 def log_marginal(spec: kernels.KernelSpec, prior, obs, beta: float | None = None) -> float:
@@ -569,25 +590,18 @@ def log_marginal(spec: kernels.KernelSpec, prior, obs, beta: float | None = None
     dataset for all the betas they try.
     """
     beta = _check_beta(spec.beta if beta is None else beta)
-    marginal, resid = _rotated_residual(spec, prior, obs)
-    return marginal.log_density(beta, resid)[0]
+    return float(_evidence(spec, prior, obs)([beta])[0, 0])
 
 
 def beta_gradient(spec: kernels.KernelSpec, prior, obs, beta: float,
                   hyper: HyperPrior = FLAT) -> float:
     """Exact d/d beta of the log posterior of beta, log_marginal plus the
-    hyper prior's log density, for coefficient or point observations.
-
-    With v_i = w_i / beta + sigma2 the eigenvalues of the marginal
-    covariance and r the residual in its eigenbasis,
-
-        grad = 1 / (2 beta) sum (w_i / beta) / v_i (1 - r_i^2 / v_i)
-               + d log p(beta).
+    hyper prior's log density, for coefficient or point observations: with
+    the forms of the residual r, -(r^T (dV^-1/dt) r + d log det V / dt) /
+    (2 beta) + d log p(beta), t = log beta.
     """
     beta = _check_beta(beta)
-    marginal, resid = _rotated_residual(spec, prior, obs)
-    _, d1, _ = marginal.log_density(beta, resid)
-    return float(d1 / beta + hyper.dlog_density(beta))
+    return float(_evidence(spec, prior, obs)([beta])[1, 0] / beta + hyper.dlog_density(beta))
 
 
 class BetaMapResult(Record):
@@ -615,23 +629,25 @@ _NEWTON_ITERATIONS = 100
 def _maximize_over_log_beta(log_density, hyper: HyperPrior):
     """Maximize log_density(beta) + log p(beta) over log beta in the bracket.
 
-    `log_density(beta)` returns a value and its first two derivatives in
-    t = log beta; log p is linear in t (0 flat, -t Jeffreys).  The best of
-    121 grid points, if interior, is refined by Newton on the exact
-    derivative between its two neighbours, bisecting when a step leaves the
-    shrinking bracket or the curvature is not negative, and the result is
-    kept only if it is no worse.  Returns (t, value, boundary).
+    `log_density(betas)` returns, for an array of betas, the values and their
+    first two derivatives in t = log beta, (3, B); log p is linear in t (0
+    flat, -t Jeffreys).  The 121 grid points are evaluated in one call.  The
+    best, if interior, is refined by Newton on the exact derivative between
+    its two neighbours, bisecting when a step leaves the shrinking bracket or
+    the curvature is not negative, one call per step, and the result is kept
+    only if it is no worse.  Returns (t, value, boundary).
     """
     def objective(t):
-        beta = float(np.exp(t))
-        value, d1, d2 = log_density(beta)
-        value += hyper.log_density(beta)
-        return (value if np.isfinite(value) else -np.inf,
-                d1 + beta * hyper.dlog_density(beta), d2)
+        beta = np.exp(t)
+        out = log_density(beta)
+        out[0] += hyper.log_density(beta)
+        out[1] += beta * hyper.dlog_density(beta)
+        out[0, ~np.isfinite(out[0])] = -np.inf
+        return out
 
-    lo, hi = LOG_BETA_RANGE
-    grid = np.linspace(lo, hi, 121)
-    vals = np.array([objective(float(t))[0] for t in grid])
+    grid = np.linspace(*LOG_BETA_RANGE, 121)
+    scan = objective(grid)
+    vals = scan[0]
     best = int(np.argmax(vals))
     if vals[best] == -np.inf:
         raise NumericalError("the beta objective is not finite anywhere in the bracket")
@@ -640,20 +656,17 @@ def _maximize_over_log_beta(log_density, hyper: HyperPrior):
     if best == len(grid) - 1:
         return grid[-1], vals[-1], "upper"
     left, right, t = float(grid[best - 1]), float(grid[best + 1]), float(grid[best])
+    value, d1, d2 = scan[:, best]
     for _ in range(_NEWTON_ITERATIONS):
-        _, d1, d2 = objective(t)
-        if d1 > 0.0:
-            left = t
-        else:
-            right = t
+        left, right = (t, right) if d1 > 0.0 else (left, t)
         new = t - d1 / d2 if d2 < 0.0 else np.nan
         t, last = (new if left <= new <= right else 0.5 * (left + right)), t
+        value, d1, d2 = objective(np.array([t]))[:, 0]
         if abs(t - last) <= _LOG_BETA_STEP:
             break
-    value = objective(t)[0]
     if value < vals[best]:
         return grid[best], vals[best], None
-    return t, value, None
+    return float(t), float(value), None
 
 
 def beta_map(spec: kernels.KernelSpec, prior, obs, hyper: HyperPrior) -> BetaMapResult:
@@ -666,9 +679,7 @@ def beta_map(spec: kernels.KernelSpec, prior, obs, hyper: HyperPrior) -> BetaMap
     """
     if hyper.kind == "fixed":
         raise ValueError("beta_map needs a flat or Jeffreys hyper prior")
-    marginal, resid = _rotated_residual(spec, prior, obs)
-    t_star, value, boundary = _maximize_over_log_beta(
-        lambda beta: marginal.log_density(beta, resid), hyper)
+    t_star, value, boundary = _maximize_over_log_beta(_evidence(spec, prior, obs), hyper)
     if boundary is not None:
         warnings.warn(f"beta search terminated at the {boundary} bracket boundary")
     return BetaMapResult(float(np.exp(t_star)), t_star, value, boundary)
@@ -704,70 +715,60 @@ class InversionResult(Record):
 
 
 def _gls_design(obs, family: pde.LinearSourceFamily, spec: kernels.KernelSpec):
-    """Affine observation map theta -> A theta + b: returns A and the data
-    minus b, both rotated into the eigenbasis of the marginal covariance,
-    and that covariance."""
+    """Affine observation map theta -> A theta + b: returns A, the data
+    minus b, and the marginal covariance of the data."""
     marginal = _MarginalCovariance(spec, obs)
     lam_full = kernels.eigenvalues(spec)
     q_cols, q_off = family.coefficient_design(spec.dim, spec.order)
     u_cols = lam_full[:, None] * q_cols
-    design = u_cols[: obs.n] if marginal.basis is None else marginal.rotate(
-        marginal.basis @ u_cols)
-    return design, marginal.residual(lam_full * q_off), marginal
+    design = u_cols[: obs.n] if marginal.basis is None else marginal.basis @ u_cols
+    return design, _residual(obs, marginal.basis, lam_full * q_off), marginal
 
 
-class _GlsFit(Record):
-    """Generalized least squares fit of r by a theta at one beta."""
+def _gls(a, r, marginal: _MarginalCovariance, betas):
+    """Eigen-based pseudo-solves of the normal equations of design a and
+    residual r at each of B betas, from the forms Q_j of C = [a r].
 
-    mean: np.ndarray
-    cov: np.ndarray
-    flat: np.ndarray
-    mean_norm2: float  # mean^T P mean, P the precision
-    log_density: tuple  # profile value and its two log-beta derivatives
-
-
-def _gls(a, r, marginal: _MarginalCovariance, beta: float) -> _GlsFit:
-    """Eigen-based pseudo-solve of the normal equations at one beta, for a
-    design a and residual r already rotated by U^T.
-
-    The profile log density is the log density at theta* = P^+ a^T V^-1 r.
-    By the envelope theorem its log-beta derivative is the partial one at
-    theta*; its second derivative adds c^T P^+ c for the motion of theta*,
-    with c = a^T (d V^-1 / dt) (r - a theta*) and d(1/v)/dt = g / v.
+    The precision is P = Q0[a, a], theta* = P^+ Q0[a, r], and the residual
+    e = r - a theta* = C z with z = [-theta*; 1], so its forms are z^T Q_j z.
+    The profile log density is the log density of e.  By the envelope theorem
+    its log-beta derivative is the partial one at theta*; its second
+    derivative adds c^T P^+ c for the motion of theta*, c = Q1[a, :] z.
+    Returns the profile and its two derivatives, (3, B), and per beta theta*,
+    P^+, the eigenvectors of P, which of them are kept, and Q0[a, r].
     """
-    v, g = marginal.variances(beta)
-    wa = a / v[:, None]
-    prec = a.T @ wa
-    prec = 0.5 * (prec + prec.T)
-    rhs = wa.T @ r
-    eigvals, eigvecs = np.linalg.eigh(prec)
-    tol = max(eigvals.max(), 0.0) * 1e-10
-    keep = eigvals > tol
-    inv = np.zeros_like(eigvals)
-    inv[keep] = 1.0 / eigvals[keep]
-    mean = eigvecs @ (inv * (eigvecs.T @ rhs))
-    cov = (eigvecs * inv) @ eigvecs.T
-    flat = eigvecs[:, ~keep].T
-    e = r - a @ mean
-    value, d1, d2 = marginal.log_density(beta, e)
-    c = wa.T @ (g * e)
-    return _GlsFit(mean, cov, flat, float(mean @ rhs), (value, d1, d2 + float(c @ cov @ c)))
+    p = a.shape[1]
+    quad, logdet = marginal.forms(betas, np.column_stack([a, r]))
+    prec, rhs = quad[0, :, :p, :p], quad[0, :, :p, p]
+    eigvals, eigvecs = np.linalg.eigh(0.5 * (prec + prec.swapaxes(1, 2)))
+    keep = eigvals > np.maximum(eigvals.max(axis=1, keepdims=True), 0.0) * 1e-10
+    inv = np.divide(1.0, eigvals, out=np.zeros_like(eigvals), where=keep)
+    cov = (eigvecs * inv[:, None, :]) @ eigvecs.swapaxes(1, 2)
+    mean = np.einsum("bij,bj->bi", cov, rhs)
+    z = np.column_stack([-mean, np.ones(len(mean))])
+    out = -0.5 * (np.einsum("bi,jbik,bk->jb", z, quad, z) + logdet)
+    out[0] -= 0.5 * r.size * np.log(2.0 * np.pi)
+    c = np.einsum("bij,bj->bi", quad[1, :, :p], z)
+    out[2] += np.einsum("bi,bij,bj->b", c, cov, c)
+    return out, mean, cov, eigvecs, keep, rhs
 
 
 def _best_beta(log_density, hyper: HyperPrior):
-    """The beta that maximizes log_density(beta)[0] plus the hyper prior
+    """The beta that maximizes log_density(betas)[0] plus the hyper prior
     (beta0 for a point mass): (beta, log posterior, boundary flag)."""
     if hyper.kind == "fixed":
-        return hyper.beta0, log_density(hyper.beta0)[0], None
+        return hyper.beta0, float(log_density([hyper.beta0])[0, 0]), None
     t, value, boundary = _maximize_over_log_beta(log_density, hyper)
     return float(np.exp(t)), value, boundary
 
 
 def _gls_at_best_beta(a, r, marginal: _MarginalCovariance, hyper: HyperPrior):
     """The GLS fit at the beta that maximizes its profile plus the hyper
-    prior: (fit, beta, log posterior, boundary flag)."""
-    beta, value, boundary = _best_beta(lambda b: _gls(a, r, marginal, b).log_density, hyper)
-    return _gls(a, r, marginal, beta), beta, value, boundary
+    prior: theta*, its covariance, its flat directions, theta*^T P theta*
+    (P the precision), beta, the log posterior and the boundary flag."""
+    beta, value, boundary = _best_beta(lambda betas: _gls(a, r, marginal, betas)[0], hyper)
+    _, (mean,), (cov,), (vecs,), (keep,), (rhs,) = _gls(a, r, marginal, [beta])
+    return mean, cov, vecs[:, ~keep].T, float(mean @ rhs), beta, value, boundary
 
 
 # Gauss-Newton on theta stops when a step is below 1e-6 posterior sd and
@@ -799,14 +800,11 @@ def invert_source(obs, family, hyper: HyperPrior, spec: kernels.KernelSpec,
     linearization's GLS covariance, flat directions included.
     """
     if family.n_params > obs.n:
-        raise ValueError(
-            f"{family.n_params} parameters but only {obs.n} observations"
-        )
+        raise ValueError(f"{family.n_params} parameters but only {obs.n} observations")
     if isinstance(family, pde.LinearSourceFamily):
-        fit, beta, objective, boundary = _gls_at_best_beta(
+        mean, cov, flat, _, beta, objective, boundary = _gls_at_best_beta(
             *_gls_design(obs, family, spec), hyper)
-        return InversionResult(fit.mean, fit.cov, fit.flat, beta, objective, boundary,
-                               "linear")
+        return InversionResult(mean, cov, flat, beta, objective, boundary, "linear")
     if isinstance(family, pde.ExpressionSourceFamily):
         if init is None:
             raise ValueError("nonlinear inversion needs an initial theta")
@@ -816,13 +814,14 @@ def invert_source(obs, family, hyper: HyperPrior, spec: kernels.KernelSpec,
         marginal = _MarginalCovariance(spec, obs)
 
         def resid_at(theta):
-            return marginal.residual(pde.solve(family.source_at(theta), spec).u0.coeffs)
+            return _residual(obs, marginal.basis,
+                             pde.solve(family.source_at(theta), spec).u0.coeffs)
 
         def log_posterior(r):
             """(beta, log posterior, boundary) at the theta of residual r,
             maximized over beta; -inf when it is nowhere finite."""
             try:
-                return _best_beta(lambda b: marginal.log_density(b, r), hyper)
+                return _best_beta(lambda betas: _log_density(marginal, betas, r), hyper)
             except NumericalError:
                 return None, -np.inf, None
 
@@ -837,13 +836,12 @@ def invert_source(obs, family, hyper: HyperPrior, spec: kernels.KernelSpec,
                 (resid_at(theta - h * e) - resid_at(theta + h * e)) / (2.0 * h)
                 for h, e in zip(steps, np.eye(theta.size))
             ])
-            fit, beta_lin, _, _ = _gls_at_best_beta(jac, r, marginal, hyper)
-            if (fit.mean_norm2 <= _THETA_STEP2
-                    and abs(np.log(beta_lin / beta)) <= _LOG_BETA_SETTLED):
+            step, cov, flat, step2, beta_lin, _, _ = _gls_at_best_beta(jac, r, marginal, hyper)
+            if step2 <= _THETA_STEP2 and abs(np.log(beta_lin / beta)) <= _LOG_BETA_SETTLED:
                 converged = True
                 break
             for halving in range(_HALVINGS + 1):
-                trial = theta + 0.5**halving * fit.mean
+                trial = theta + 0.5**halving * step
                 r_trial = resid_at(trial)
                 found = log_posterior(r_trial)
                 if found[1] >= value:
@@ -851,6 +849,6 @@ def invert_source(obs, family, hyper: HyperPrior, spec: kernels.KernelSpec,
             else:
                 break
             theta, r, (beta, value, boundary) = trial, r_trial, found
-        return InversionResult(theta, fit.cov, fit.flat, beta, value, boundary, "laplace",
+        return InversionResult(theta, cov, flat, beta, value, boundary, "laplace",
                                converged=converged)
     raise TypeError(f"unsupported source family {type(family).__name__}")

@@ -8,8 +8,10 @@ calibrated trust weight under exact coefficient data, and a 40-digit
 mpmath solve for the Kalman-filter route of the 1D bridge.
 """
 
+import ast
 import json
 import logging
+import pathlib
 import tracemalloc
 import warnings
 
@@ -21,6 +23,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bridgegp
 from bridgegp import (
     FLAT,
     JEFFREYS,
@@ -86,6 +89,20 @@ def decompositions(monkeypatch):
     return seen
 
 
+@pytest.fixture
+def forms_calls(monkeypatch):
+    """The number of betas of every `_MarginalCovariance.forms` call."""
+    seen = []
+    original = _MarginalCovariance.forms
+
+    def forms(self, betas, cols):
+        seen.append(np.size(betas))
+        return original(self, betas, cols)
+
+    monkeypatch.setattr(_MarginalCovariance, "forms", forms)
+    return seen
+
+
 class TestDataset:
     def test_noise_floor_warned(self):
         with pytest.warns(UserWarning, match="floored"):
@@ -132,6 +149,16 @@ class TestHyperPrior:
         assert JEFFREYS.dlog_density(5.0) == -0.2
         with pytest.raises(ValueError):
             fixed(2.0).dlog_density(2.0)
+
+    def test_arrays_of_betas(self):
+        betas = np.array([0.5, 2.0, 7.0])
+        np.testing.assert_array_equal(JEFFREYS.log_density(betas), -np.log(betas))
+        np.testing.assert_array_equal(JEFFREYS.dlog_density(betas), -1.0 / betas)
+        np.testing.assert_array_equal(FLAT.log_density(betas), np.zeros(3))
+        np.testing.assert_array_equal(FLAT.dlog_density(betas), np.zeros(3))
+        for hyper in (FLAT, JEFFREYS):
+            assert type(hyper.log_density(3.0)) is float
+            assert type(hyper.dlog_density(3.0)) is float
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -440,7 +467,7 @@ class TestOneConditioningCore:
         assert [s for s in decompositions["basis"] if s[0] == n] == [(n, 2)]
         assert decompositions["spd"] == []
 
-    def test_point_linear_inversion_builds_one_basis(self, rng, decompositions):
+    def test_point_linear_inversion_builds_one_basis(self, rng, decompositions, forms_calls):
         n, order = 41, 8
         spec = KernelSpec("bridge", dim=2, order=order)
         fam = LinearSourceFamily(components=(
@@ -454,6 +481,13 @@ class TestOneConditioningCore:
         assert np.abs(res.theta_mean - [2.0, 0.5]).max() < 0.1
         assert [s for s in decompositions["basis"] if s[0] == n] == [(n, 2)]
         assert decompositions["spd"] == []
+        # one n x n decomposition; then one stacked 2 x 2 eigh for the whole
+        # scan, one per Newton step (none here: the search stops at the upper
+        # edge) and one for the fit at the best beta, not one per scan beta
+        assert res.boundary == "upper"
+        assert [s for s in decompositions["eigh"] if s[-1] == n] == [(n, n)]
+        assert forms_calls == [121, 1]
+        assert [s for s in decompositions["eigh"] if s[-1] == 2] == [(121, 2, 2), (1, 2, 2)]
 
     @pytest.mark.parametrize("spec,order", [
         (KernelSpec("bridge", order=64), ["eigh", "basis"]),
@@ -496,6 +530,118 @@ class TestOneConditioningCore:
         shift_eigenvalue(12, lambda w: -1e-3 * w.max() - data.sigma2)
         with pytest.raises(SingularSystemError, match="after jitter"):
             condition(KernelSpec("bridge", dim=2, order=8), None, data)
+
+
+def dense_forms(k1, sigma2, betas, cols):
+    """The forms and log-det terms of `_MarginalCovariance.forms`, one beta at
+    a time from dense solves: with V = K / beta + sigma2 I, dV/dt = -K / beta
+    and d2V/dt2 = K / beta, X = V^-1 C and Y = (K / beta) X,
+    Q0 = C^T X, Q1 = X^T Y, Q2 = 2 Y^T V^-1 Y - Q1; the log-det terms are
+    log det V, -tr(V^-1 K / beta) and tr(A) - tr(A A), A = V^-1 K / beta."""
+    quad, logdet = [], []
+    for beta in betas:
+        kb = k1 / beta
+        v = kb + sigma2 * np.eye(len(k1))
+        x = np.linalg.solve(v, cols)
+        y = kb @ x
+        q1 = x.T @ y
+        quad.append([cols.T @ x, q1, 2.0 * y.T @ np.linalg.solve(v, y) - q1])
+        a = np.linalg.solve(v, kb)
+        logdet.append([np.linalg.slogdet(v)[1], -np.trace(a), np.trace(a) - np.trace(a @ a)])
+    return np.array(quad).transpose(1, 0, 2, 3), np.array(logdet).T
+
+
+class TestMarginalForms:
+    """`_MarginalCovariance.forms` against dense per-beta evaluation, its
+    jitter rule row by row, and the boundary of the class."""
+
+    SCAN = np.exp(np.linspace(-12.0, 12.0, 121))
+
+    @pytest.mark.parametrize("kind", ["coefficients", "bridge-1d", "truncated-2d"])
+    def test_forms_match_dense_evaluation(self, rng, kind):
+        # sigma2 = 100 against a Gram of norm about 1: V stays well conditioned
+        # (cond below about 2e3) at every scan beta, so a dense solve is
+        # accurate to well within the 1e-12 checked
+        sigma2 = 100.0
+        if kind == "coefficients":
+            spec = KernelSpec("bridge", order=32)
+            obs = CoefficientObservations(rng.normal(size=10), sigma2)
+            k1 = np.diag(eigenvalues(spec)[:10])
+        elif kind == "bridge-1d":
+            spec = KernelSpec("bridge", order=64)
+            data = make_dataset(rng, n=8, sigma2=sigma2)
+            obs, k1 = PointObservations(data), kernel_matrix(spec.with_beta(1.0), data.X)
+        else:
+            spec = KernelSpec("bridge", dim=2, order=4)
+            data = make_dataset(rng, n=12, sigma2=sigma2, dim=2)
+            psi = spectral.basis_matrix(2, 4, data.X)
+            obs, k1 = PointObservations(data), (psi * eigenvalues(spec)) @ psi.T
+        cols = rng.normal(size=(obs.n, 3))
+        quad, logdet = _MarginalCovariance(spec, obs).forms(self.SCAN, cols)
+        want_quad, want_logdet = dense_forms(k1, sigma2, self.SCAN, cols)
+        assert quad.shape == (3, 121, 3, 3) and logdet.shape == (3, 121)
+        scale = np.abs(want_quad).max(axis=(2, 3), keepdims=True)
+        assert np.all(np.abs(quad - want_quad) <= 1e-12 * scale)
+        np.testing.assert_allclose(logdet, want_logdet, rtol=1e-12, atol=0)
+        # a vector is one column
+        vec_quad, vec_logdet = _MarginalCovariance(spec, obs).forms(self.SCAN[:3], cols[:, 0])
+        np.testing.assert_allclose(vec_quad[..., 0, 0], quad[:, :3, 0, 0], rtol=1e-14)
+        np.testing.assert_array_equal(vec_logdet, logdet[:, :3])
+
+    def test_jitter_fires_only_on_the_betas_that_need_it(self, rng, shift_eigenvalue, caplog):
+        # w = -sigma2 makes w / beta + sigma2 exactly 0 at beta = 1 and
+        # positive above it: only the rows at beta = 1 take the jitter
+        spec = KernelSpec("bridge", dim=2, order=3)
+        data = make_dataset(rng, n=12, dim=2)
+        shift_eigenvalue(12, lambda w: -data.sigma2)
+        marginal = _MarginalCovariance(spec, PointObservations(data))
+        betas = np.concatenate([[1.0], self.SCAN[61:], [1.0]])
+        with caplog.at_level(logging.INFO, logger="bridgegp.regression"):
+            quad, logdet = marginal.forms(betas, data.y)
+        assert caplog.text.count("adding jitter") == 2
+        assert caplog.text.count("at beta 1.000e+00: adding jitter") == 2
+        assert np.isfinite(quad).all() and np.isfinite(logdet).all()
+        np.testing.assert_array_equal(logdet[:, 0], logdet[:, -1])
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="bridgegp.regression"):
+            rest = marginal.forms(betas[1:-1], data.y)
+        assert "jitter" not in caplog.text
+        np.testing.assert_allclose(rest[0], quad[:, 1:-1], rtol=1e-14)
+        np.testing.assert_allclose(rest[1], logdet[:, 1:-1], rtol=1e-14)
+
+    def test_variance_left_nonpositive_raises_in_the_scan(self, rng, shift_eigenvalue):
+        # below beta = 1 the shifted variance sigma2 (1 - 1 / beta) is far
+        # below what a jitter of 1e-12 times the mean variance lifts
+        spec = KernelSpec("bridge", dim=2, order=3)
+        data = make_dataset(rng, n=12, dim=2)
+        shift_eigenvalue(12, lambda w: -data.sigma2)
+        marginal = _MarginalCovariance(spec, PointObservations(data))
+        with pytest.raises(SingularSystemError, match="after jitter"):
+            marginal.forms(self.SCAN, data.y)
+        with pytest.raises(SingularSystemError, match="after jitter"):
+            beta_map(spec, None, PointObservations(data), FLAT)
+
+    def test_whitening_is_a_square_root_of_the_inverse(self, rng):
+        spec = KernelSpec("bridge", dim=2, order=4)
+        data = make_dataset(rng, n=9, sigma2=1e-2, dim=2)
+        psi = spectral.basis_matrix(2, 4, data.X)
+        v = (psi * eigenvalues(spec)) @ psi.T / 2.0 + 1e-2 * np.eye(9)
+        whiten, noise_sd = _MarginalCovariance(spec, PointObservations(data)).whitening(2.0)
+        np.testing.assert_allclose(whiten @ whiten.T @ v, np.eye(9), atol=1e-12)
+        # W^T eps has covariance sigma2 W^T W = diag(1 - g)
+        np.testing.assert_allclose(1e-2 * whiten.T @ whiten, np.diag(noise_sd**2), atol=1e-14)
+
+    def test_no_code_outside_the_class_reads_its_eigenbasis(self):
+        # every consumer reaches V through `forms`, `whitening` and `basis`
+        reads = []
+        for path in sorted(pathlib.Path(bridgegp.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for node in list(ast.walk(tree)):
+                if isinstance(node, ast.ClassDef) and node.name == "_MarginalCovariance":
+                    node.body = []
+            reads += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                      if isinstance(node, ast.Attribute) and node.attr in ("_u", "_w")]
+        assert reads == []
 
 
 class TestLogMarginal:
@@ -617,7 +763,7 @@ def deviation_energy(spec, dev):
 
 
 class TestBetaMap:
-    def test_flat_stationary_point(self, rng):
+    def test_flat_stationary_point(self, rng, forms_calls):
         # exact data, sigma2 = 0: the maximizer is M / ||dev||_H^2
         spec = KernelSpec("bridge", order=128)
         m = 50
@@ -625,6 +771,9 @@ class TestBetaMap:
         dev[0] = 0.5
         obs = CoefficientObservations(dev, sigma2=0.0)
         res = beta_map(spec, None, obs, FLAT)
+        # the 121-point scan is one call, then one call per Newton step
+        assert forms_calls[0] == 121 and forms_calls[1:] == [1] * (len(forms_calls) - 1)
+        assert 2 <= len(forms_calls) <= 10
         expect = m / deviation_energy(spec, dev)
         assert res.boundary is None
         assert res.beta == pytest.approx(expect, rel=1e-7)
@@ -947,7 +1096,7 @@ class TestInversion:
         assert [s for s in decompositions["eigh"] if s == (40, 40)] == [(40, 40)]
         assert decompositions["spd"] == []
 
-    def test_point_linear_beta_search_factors_once(self, rng, decompositions):
+    def test_point_linear_beta_search_factors_once(self, rng, decompositions, forms_calls):
         # every beta the profile tries reuses the one eigendecomposition
         n = 300
         spec = KernelSpec("bridge", order=64)
@@ -959,6 +1108,14 @@ class TestInversion:
         assert res.boundary is None
         assert [s for s in decompositions["eigh"] if s == (n, n)] == [(n, n)]
         assert decompositions["spd"] == []
+        # the p x p precisions: one stacked eigh for the 121-point scan, one
+        # per Newton step, one for the fit at the best beta (a scan of one
+        # call per beta would make 121 + steps + 2)
+        newton = len(forms_calls) - 2
+        assert forms_calls == [121] + [1] * (newton + 1)
+        assert [s for s in decompositions["eigh"] if s[-1] == 2] == (
+            [(121, 2, 2)] + [(1, 2, 2)] * (newton + 1))
+        assert 1 <= newton <= 10
 
     def test_linear_expression_takes_one_gauss_newton_step(self, rng, monkeypatch):
         # a family linear in theta: the init, two central-difference

@@ -520,8 +520,8 @@ class TestPosteriorDraws:
         draws = sample_posterior_values(post, axis, 2049, seed=13)
         assert draws.shape == (2049, 9)
         scales = np.sqrt(eigenvalues(spec) / 2.0)
-        _, g = regression._MarginalCovariance(
-            spec, regression.PointObservations(data)).variances(2.0)
+        _, noise_sd = regression._MarginalCovariance(
+            spec, regression.PointObservations(data)).whitening(2.0)
         gain = post._factor
         points = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
         psi = spectral.basis_matrix(2, 6, points)
@@ -529,7 +529,7 @@ class TestPosteriorDraws:
             xi = stream(13, j, 36 + 4)
             xi1, xi2 = xi[:36], xi[36:]
             coeffs = (post.mean_field.coeffs + scales * xi1
-                      - gain @ (gain.T @ (xi1 / scales) + np.sqrt(1.0 - g) * xi2))
+                      - gain @ (gain.T @ (xi1 / scales) + noise_sd * xi2))
             np.testing.assert_allclose(draws[j], psi @ coeffs, rtol=0, atol=1e-15)
 
     def test_first_normals_are_the_prior_draws(self, monkeypatch):

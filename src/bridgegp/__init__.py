@@ -82,6 +82,7 @@ from .sampling import (
 from .spectral import (
     QuadratureRule,
     SpectralField,
+    basis_blocks,
     basis_eval,
     basis_field,
     basis_matrix,

@@ -289,9 +289,10 @@ def _cmd_solve(opts: dict):
     spec = opts["kernel"]
     coords, labels, axis = _grid(spec.dim, opts["grid"])
     solution = pde.solve(_build_source(opts["source"], spec.dim, "source"), spec)
-    vals = spectral.synthesize(solution.u0.as_tensor(),
-                               spectral.synthesis_tables([axis] * spec.dim, spec.order))
-    vals = vals.reshape(-1)
+    # in chunks of first-axis coordinates, so a 1D grid's sine table is bounded
+    vals = np.concatenate([
+        spectral.synthesize(solution.u0.as_tensor(), tables) for tables in spectral.grid_tables(
+            axis, spec.dim, spec.order, spectral._GRID_BLOCK // spec.order)]).reshape(-1)
     _require_finite(vals)
     return labels + ("u0",), [*coords, vals], {}
 

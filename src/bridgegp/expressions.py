@@ -16,7 +16,8 @@ Names resolve to the functions sin, cos, exp, the constants pi and e,
 the coordinates (x for dim 1, x1..xd otherwise), or declared parameter
 names.  Anything else is rejected at compile time with a position.  The
 checked tree is flattened to postfix steps, so neither checking nor
-evaluating it recurses.  Evaluation is vectorized over numpy arrays of points.
+evaluating it recurses.  Evaluation is vectorized over numpy arrays of points,
+or over a grid's per-axis coordinates, broadcast against each other.
 """
 
 from __future__ import annotations
@@ -106,29 +107,49 @@ class CompiledExpression(Record):
     used_parameters: tuple[str, ...]
 
     def __call__(self, x, params: dict | None = None) -> np.ndarray:
+        """Values at points or on the axes of a grid.
+
+        `x` is a scalar, an (N,) array (dim 1) or one point (dim > 1), or
+        an (N, dim) batch, giving (N,) values; or a tuple of `dim`
+        coordinate arrays that broadcast together, such as a tensor grid's
+        axes shaped (m, 1, 1), (1, m, 1) and (1, 1, m), giving a read-only
+        array of their broadcast shape.  Each value is computed by the same
+        operations, so it has the same bits, as at its point; a coordinate
+        that the expression does not use is never expanded.
+        """
         params = dict(params or {})
         missing = [p for p in self.used_parameters if p not in params]
         if missing:
             raise ExpressionError(f"missing parameter values for {missing}")
-        coords = np.asarray(x, dtype=float)
-        if coords.ndim == 0:
-            coords = coords.reshape(1, 1)
-        elif coords.ndim == 1:
-            if self.dim == 1:
-                coords = coords.reshape(-1, 1)
-            else:
-                coords = coords.reshape(1, -1)
-        if coords.shape[1] != self.dim:
-            raise ExpressionError(
-                f"points of shape {np.shape(x)} do not match dimension {self.dim}"
-            )
+        if isinstance(x, tuple):
+            if len(x) != self.dim:
+                raise ExpressionError(f"{len(x)} coordinate arrays do not match "
+                                      f"dimension {self.dim}")
+            coords = [np.asarray(axis, dtype=float) for axis in x]
+            shapes = [axis.shape for axis in coords]
+            try:
+                shape = np.broadcast_shapes(*shapes)
+            except ValueError:
+                raise ExpressionError(f"coordinate arrays of shapes {shapes} "
+                                      "do not broadcast") from None
+        else:
+            points = np.asarray(x, dtype=float)
+            if points.ndim == 0:
+                points = points.reshape(1, 1)
+            elif points.ndim == 1:
+                points = points.reshape(-1, 1) if self.dim == 1 else points.reshape(1, -1)
+            if points.shape[1] != self.dim:
+                raise ExpressionError(
+                    f"points of shape {np.shape(x)} do not match dimension {self.dim}"
+                )
+            coords, shape = points.T, (points.shape[0],)
         stack = []
         with np.errstate(all="ignore"):
             for kind, arg in self.steps:
                 if kind == "num":
                     stack.append(arg)
                 elif kind == "coord":
-                    stack.append(coords[:, arg])
+                    stack.append(coords[arg])
                 elif kind == "param":
                     stack.append(params[arg])
                 elif kind == "unary":
@@ -136,7 +157,8 @@ class CompiledExpression(Record):
                 else:
                     right = stack.pop()
                     stack[-1] = arg(stack[-1], right)
-        return np.broadcast_to(np.asarray(stack[0], dtype=float), (coords.shape[0],)).copy()
+        values = np.broadcast_to(np.asarray(stack[0], dtype=float), shape)
+        return values if isinstance(x, tuple) else values.copy()
 
 
 def compile_expression(text: str, dim: int, parameters=()) -> CompiledExpression:

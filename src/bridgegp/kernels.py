@@ -25,7 +25,9 @@ which no command calls.
 
 from __future__ import annotations
 
+import functools
 import logging
+import operator
 
 import numpy as np
 
@@ -167,9 +169,12 @@ def kernel_matrix(spec: KernelSpec, x, y=None) -> np.ndarray:
     """Kernel values k(x_i, y_j) including the beta scaling.
 
     The one-dimensional bridge uses the closed form min - xy; all other
-    families sum the truncated Mercer series at the spec's order.  The
-    beta = 1 value is divided by beta once, and multiplying back does not
-    recover it exactly: ask for the beta = 1 kernel by `spec.with_beta(1.0)`.
+    families sum the truncated Mercer series at the spec's order, as
+    sum_a (Psi_x,a Lambda_a) Psi_y,a^T over the column blocks of
+    `spectral.basis_blocks`, so the N x S^d bases are never held whole.
+    The beta = 1 value is divided by beta once, and multiplying back does
+    not recover it exactly: ask for the beta = 1 kernel by
+    `spec.with_beta(1.0)`.
     """
     xs = spectral.validate_points(x, spec.dim)
     ys = xs if y is None else spectral.validate_points(y, spec.dim)
@@ -177,9 +182,11 @@ def kernel_matrix(spec: KernelSpec, x, y=None) -> np.ndarray:
         base = np.minimum(xs[:, :1], ys[:, 0]) - np.outer(xs[:, 0], ys[:, 0])
     else:
         lam = eigenvalues(spec)
-        px = spectral.basis_matrix(spec.dim, spec.order, xs)
-        py = px if y is None else spectral.basis_matrix(spec.dim, spec.order, ys)
-        base = (px * lam) @ py.T
+        cols = max(len(xs), len(ys))  # one block partition for both sets
+        yblocks = None if y is None else spectral.basis_blocks(spec.dim, spec.order, ys, cols)
+        base = functools.reduce(operator.iadd, (
+            (px * lam[start:start + px.shape[1]]) @ (px if y is None else next(yblocks)[1]).T
+            for start, px in spectral.basis_blocks(spec.dim, spec.order, xs, cols)))
     if y is None:
         base = 0.5 * (base + base.T)
     return _over_beta(base, spec.beta)

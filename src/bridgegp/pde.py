@@ -79,9 +79,10 @@ class SpectralSource(SourceModel, Record):
 class ClosedFormSource(SourceModel):
     """A source given by an expression string, e.g. '10*exp(-(x-0.25)^2)'.
 
-    Parameter values must be fully bound.  Projections onto a basis are
-    cached per (dim, order), so repeated solves against the same
-    truncation do not re-integrate.
+    Parameter values must be fully bound.  Projections onto a basis
+    evaluate the expression on the quadrature rule's axes, not on its
+    points, and are cached per (dim, order), so repeated solves against
+    the same truncation do not re-integrate.
     """
 
     def __init__(self, expression: str, parameters: dict | None = None):
@@ -106,7 +107,9 @@ class ClosedFormSource(SourceModel):
     def coefficients(self, dim, order) -> np.ndarray:
         key = (dim, order)
         if key not in self._coeff_cache:
-            self._coeff_cache[key] = spectral.project(self.evaluate, dim, order).coeffs
+            compiled = self.compiled(dim)
+            self._coeff_cache[key] = spectral.project(
+                lambda coords: compiled(coords, self.parameters), dim, order).coeffs
         return np.array(self._coeff_cache[key])
 
     def __repr__(self):

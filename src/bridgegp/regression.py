@@ -31,7 +31,9 @@ nonlinear expression families.
 
 from __future__ import annotations
 
+import functools
 import logging
+import operator
 import warnings
 
 import numpy as np
@@ -172,9 +174,12 @@ class PosteriorModel:
     the evidence uses too, let G = Lambda Psi^T W / beta.  The mean is the
     field `mean_field`, c0 + G W^T r, the variance k(x, x) - |G^T psi(x)|^2,
     and `coefficient_draws` draws by pathwise conditioning; of V only G and
-    the noise scale sqrt(1 - g) of `whitening` are kept.  The basis at X is
-    built once (`_MarginalCovariance.basis`); `on_grid` evaluates both
-    moments on a tensor grid by synthesis, without a basis matrix of the grid.
+    the noise scale sqrt(1 - g) of `whitening` are kept.  The basis at X
+    (`_MarginalCovariance.basis`) gives the prior mean's residual and is
+    released before G is written, a block of its rows at a time
+    (`spectral.basis_blocks`), so one n x S^d array is held at a time;
+    `on_grid` evaluates both moments on a tensor grid by synthesis, without
+    a basis matrix of the grid.
     """
 
     def __init__(self, spec: kernels.KernelSpec, prior, data: Dataset):
@@ -192,13 +197,16 @@ class PosteriorModel:
             return
         marginal = _MarginalCovariance(spec, PointObservations(data))
         whiten, self._noise_sd = marginal.whitening(spec.beta)
-        psi = marginal.basis
-        resid = whiten.T @ (data.y - psi @ self.prior.coeffs)
+        resid = whiten.T @ (data.y - marginal.basis @ self.prior.coeffs)
+        del marginal  # its n x S^d basis goes before G takes as much
         self._lam = kernels._over_beta(kernels.eigenvalues(spec), spec.beta)
-        psi *= self._lam
-        # G = (Lambda Psi^T / beta) W, (S^d, n) in C order for `on_grid`;
-        # Psi is scaled in place, so no second n x S^d array is held
-        self._factor = psi.T @ whiten
+        # G = (Lambda Psi^T / beta) W, (S^d, n) in C order for `on_grid`,
+        # written a block of basis columns (rows of G) at a time
+        self._factor = np.empty((spec.n_coeffs, data.n))
+        for start, block in spectral.basis_blocks(spec.dim, spec.order, data.X):
+            stop = start + block.shape[1]
+            block *= self._lam[start:stop]
+            np.matmul(block.T, whiten, out=self._factor[start:stop])
         self.mean_field = spectral.SpectralField(
             spec.dim, spec.order, self.prior.coeffs + self._factor @ resid)
 
@@ -337,26 +345,26 @@ class PosteriorModel:
         For the 1D bridge `axis` may be any points: one smoother pass gives
         both moments.  In coefficient space the mean is the synthesis of
         `mean_field`, the prior variance that of lambda / beta with squared
-        tables, and the subtracted term that of the n columns of G, a block
-        of first-axis coordinates at a time; each axis's table is built once.
+        tables, and the subtracted term that of the n columns of G, a chunk
+        of first-axis coordinates at a time (`spectral.grid_tables`), so a
+        chunk's table and its n columns each hold at most `_GRID_BLOCK` values.
         """
         axis = spectral.validate_points(axis, 1)[:, 0]
         if self.mean_field is None:
             mean, var = self._bridge_moments(axis)
             return spectral.evaluate(self.prior, axis) + mean, var
         order, dim = self.spec.order, self.spec.dim
-        tables = spectral.synthesis_tables([axis] * dim, order)
-        mean = spectral.synthesize(self.mean_field.as_tensor(), tables)
-        prior_var = spectral.synthesize(
-            self._lam.reshape((order,) * dim), [t * t for t in tables])
         factor = self._factor.reshape((order,) * dim + (-1,))
-        rows = max(1, spectral._GRID_BLOCK // (axis.size ** (dim - 1) * factor.shape[-1]))
-        explained = np.concatenate([
-            np.einsum("...j,...j->...", z, z)
-            for z in (spectral.synthesize(factor, [tables[0][i:i + rows]] + tables[1:])
-                      for i in range(0, axis.size, rows))
-        ])
-        return mean.reshape(-1), _clamp_variance((prior_var - explained).reshape(-1))
+        rows = max(1, spectral._GRID_BLOCK // max(order, axis.size ** (dim - 1) * factor.shape[-1]))
+        mean, var = [], []
+        for tables in spectral.grid_tables(axis, dim, order, rows):
+            mean.append(spectral.synthesize(self.mean_field.as_tensor(), tables))
+            z = spectral.synthesize(factor, tables)
+            explained = np.einsum("...j,...j->...", z, z)
+            del z  # before the squared tables take as much
+            var.append(spectral.synthesize(self._lam.reshape(factor.shape[:-1]),
+                                           [t * t for t in tables]) - explained)
+        return np.concatenate(mean).reshape(-1), _clamp_variance(np.concatenate(var).reshape(-1))
 
 
 def condition(spec: kernels.KernelSpec, prior, data: Dataset) -> PosteriorModel:
@@ -443,11 +451,13 @@ class _MarginalCovariance:
     Callers reach V through two methods: `forms`, its quadratic forms and log
     determinant with their log-beta derivatives at every beta of an array at
     once, and `whitening`, a square root of V^-1 at one beta; each applies U
-    itself.  Point data keep the basis at the data sites (`basis`, which also
-    builds a truncated kernel's Gram); coefficient data are diagonal (w the
-    leading kernel eigenvalues, U the identity, no basis).  A beta with a
-    variance v <= 0 gets one jitter of 1e-12 times the mean of its v,
-    logged; if one stays <= 0, SingularSystemError is raised.
+    itself.  Point data keep the basis at the data sites (`basis`), built
+    after the decomposition; a truncated kernel's Gram is summed over basis
+    blocks (`spectral.basis_blocks`), so the two are never held together.
+    Coefficient data are diagonal (w the leading kernel eigenvalues, U the
+    identity, no basis).  A beta with a variance v <= 0 gets one jitter of
+    1e-12 times the mean of its v, logged; if one stays <= 0,
+    SingularSystemError is raised.
     """
 
     def __init__(self, spec: kernels.KernelSpec, obs):
@@ -457,17 +467,19 @@ class _MarginalCovariance:
         elif isinstance(obs, PointObservations):
             x = obs.data.X
             if spec.closed_form:
-                # the closed-form Gram needs no basis: build it after the
-                # decomposition, so the two are not resident together
-                self._w, self._u = np.linalg.eigh(
-                    kernels.kernel_matrix(spec.with_beta(1.0), x))  # LAPACK syevd
-                self.basis = spectral.basis_matrix(spec.dim, spec.order, x)
+                k1 = kernels.kernel_matrix(spec.with_beta(1.0), x)
             else:
-                self.basis = spectral.basis_matrix(spec.dim, spec.order, x)
-                root = self.basis * np.sqrt(kernels.eigenvalues(spec))
-                k1 = root @ root.T  # one symmetric product (BLAS syrk), half a GEMM
-                del root
-                self._w, self._u = np.linalg.eigh(k1)
+                # K = sum_a R_a R_a^T over the basis blocks, R_a = Psi_a Lambda_a^1/2;
+                # each product is symmetric (BLAS syrk), half a GEMM
+                lam = kernels.eigenvalues(spec)
+                roots = (block * np.sqrt(lam[start:start + block.shape[1]])
+                         for start, block in spectral.basis_blocks(spec.dim, spec.order, x))
+                k1 = functools.reduce(operator.iadd, (r @ r.T for r in roots))
+            self._w, self._u = np.linalg.eigh(k1)  # LAPACK syevd
+            del k1
+            # built after the decomposition, so the basis and the Gram are
+            # not resident together
+            self.basis = spectral.basis_matrix(spec.dim, spec.order, x)
             self.sigma2 = obs.data.sigma2
         else:
             raise TypeError(f"unsupported observation model {type(obs).__name__}")

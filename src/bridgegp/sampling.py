@@ -127,10 +127,12 @@ class PriorSampler(Record):
         on the grid axis x ... x axis, one normal each, and its modes an axis: the
         leading mesh_size coefficients of order**dim (in 1D a prefix is itself an
         expansion), folded onto the m - 2 modes an axis resolves (`_fold`) when
-        the axis is np.linspace(0, 1, m) and 1 <= m - 2 < order."""
+        the axis is np.linspace(0, 1, m) and 1 <= m - 2 with (m - 2)**dim <
+        mesh_size: the fold only ever takes fewer normals than the prefix."""
         dim, size, m = self.spec.dim, self.mesh_size, np.size(axis)
         order = size if dim == 1 else self.spec.order
-        if not (1 <= m - 2 < order and np.array_equal(np.ravel(axis), np.linspace(0.0, 1.0, m))):
+        if not (1 <= m - 2 and (m - 2) ** dim < size
+                and np.array_equal(np.ravel(axis), np.linspace(0.0, 1.0, m))):
             return self.scales, self.mean_prefix, order
         shape, tail = (order,) * dim, order**dim - size
         center = np.pad(self.mean_prefix, (0, tail)).reshape(shape)

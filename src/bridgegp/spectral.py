@@ -11,6 +11,14 @@ so this module owns the bookkeeping: a canonical index enumeration, a
 truncated-field container, tensor Gauss-Legendre quadrature, and the
 transforms between point samples and coefficients.
 
+The basis is separable, and every transform works axis by axis (sum
+factorization; Orszag, J. Comput. Phys. 37, 1980).  `project` hands its
+integrand the quadrature rule's per-axis coordinates and contracts one
+axis at a time, `synthesize` evaluates on a tensor grid from per-axis
+tables, and a basis at scattered points is produced a few leading
+indices at a time (`basis_blocks`), so products with it never hold the
+whole N x S^d matrix.
+
 Coefficient vectors are stored dense in the canonical (lexicographic)
 enumeration of {1..S}^d, i.e. C-order raveling of an (S, ..., S)
 tensor.  Dense storage is only viable at desk scale, so construction
@@ -19,7 +27,9 @@ enforces hard caps on the axis order per dimension.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 
 import numpy as np
 
@@ -45,7 +55,8 @@ _EXTRA_NODES = 33
 _NEWTON_STEPS = 5
 
 # Values a block holds where points or draws are taken in blocks: `evaluate`'s
-# basis, `PosteriorModel.on_grid`'s variance factor and `sampling`'s draws.
+# points (times S^d), a 1D grid's sine table in `PosteriorModel.on_grid` and
+# `cli` solve, `on_grid`'s variance factor and `sampling`'s draws.
 _GRID_BLOCK = 1 << 21
 
 
@@ -152,9 +163,46 @@ def _sine_table(coords, order: int) -> np.ndarray:
     exact instead of leaving ~1e-16 residue from rounded pi.
     """
     coords = np.asarray(coords, dtype=float).reshape(-1)
-    table = np.sin(np.pi * np.outer(coords, np.arange(1, order + 1)))
+    table = np.outer(coords, np.arange(1, order + 1))
+    table *= np.pi
+    np.sin(table, out=table)  # in place: the table is the one (N, S) array held
     table[(coords == 0.0) | (coords == 1.0)] = 0.0
     return table
+
+
+def basis_blocks(dim: int, order: int, x, columns: int | None = None):
+    """The columns of `basis_matrix`, a few leading indices at a time.
+
+    Yields (start, block) pairs: block holds columns start, start + 1, ...
+    of the (N, S^d) matrix, those of k consecutive leading indices (first
+    multi-index entries), k S^(d-1) columns, with k the least that gives
+    at least `columns` columns (default N; k = 1 while that is at most
+    S^(d-1)), so two point sets blocked with one `columns` pair up block
+    by block; in 1D the one block is the whole (N, S) matrix.  Each block
+    is bitwise equal to those columns of `basis_matrix`: the same products
+    of the per-axis sine tables, in the same order, with boundary rows
+    zeroed.  A product with the basis at scattered points (a Gram, a
+    cross-kernel, an evaluation) reduces over the blocks, so it holds
+    about N * max(N, S^(d-1)) basis values at a time, not N * S^d, and
+    each block's product stays wide enough for BLAS: a Gram's n x n
+    partial sums cost no more than its flops.
+    """
+    pts = validate_points(x, dim)
+    check_size(dim, order)
+    n = pts.shape[0]
+    tables = [_sine_table(pts[:, axis], order) for axis in range(dim)]
+    boundary = np.any((pts == 0.0) | (pts == 1.0), axis=1)
+    width = order ** (dim - 1)
+    leads = order if dim > 1 else 1
+    step = min(leads, max(1, -(-(n if columns is None else columns) // width)))
+    for lead in range(0, leads, step):
+        block = tables[0] if dim == 1 else tables[0][:, lead:lead + step]
+        for table in tables[1:]:
+            block = (block[:, :, None] * table[:, None, :]).reshape(n, block.shape[1] * order)
+        # a product with a zero factor may be -0.0; boundary rows are +0.0
+        block[boundary] = 0.0
+        block *= 2.0 ** (dim / 2.0)
+        yield lead * width, block
 
 
 def basis_matrix(dim: int, order: int, x) -> np.ndarray:
@@ -162,19 +210,15 @@ def basis_matrix(dim: int, order: int, x) -> np.ndarray:
 
     The basis is separable, so each axis contributes one (N, S) sine
     table and the canonical columns are broadcast products of those
-    tables: d * N * S sines and about N * S^d multiplications.  Values
-    on a tensor grid need no such matrix; see `synthesize`.
+    tables (`basis_blocks`): d * N * S sines and about N * S^d
+    multiplications.  Values on a tensor grid need no such matrix; see
+    `synthesize`.
     """
     pts = validate_points(x, dim)
     check_size(dim, order)
-    n = pts.shape[0]
-    vals = _sine_table(pts[:, 0], order)
-    for axis in range(1, dim):
-        table = _sine_table(pts[:, axis], order)
-        vals = (vals[:, :, None] * table[:, None, :]).reshape(n, order ** (axis + 1))
-    # a product with a zero factor may be -0.0; boundary rows are +0.0
-    vals[np.any((pts == 0.0) | (pts == 1.0), axis=1)] = 0.0
-    vals *= 2.0 ** (dim / 2.0)
+    vals = np.empty((pts.shape[0], order**dim))
+    for start, block in basis_blocks(dim, order, pts):
+        vals[:, start:start + block.shape[1]] = block
     return vals
 
 
@@ -257,8 +301,9 @@ class QuadratureRule(Record):
 
     `axis_nodes` / `axis_weights` hold the 1D rule reused on every axis;
     `nodes` and `weights` expose the full tensor grid for generic
-    integrands.  Weights are strictly positive and sum to one on each
-    axis, hence to one over the cube.
+    integrands (the quadrature energy of `pde.energy`); `project` works
+    from the axes alone.  Weights are strictly positive and sum to one on
+    each axis, hence to one over the cube.
     """
 
     dim: int
@@ -342,7 +387,12 @@ def project(f, dim: int, order: int) -> SpectralField:
     Parameters
     ----------
     f : callable
-        Maps an (N,) array (dim = 1) or (N, dim) array to (N,) values.
+        In 1D, maps the (m,) vector of quadrature nodes to (m,) values.
+        Otherwise it gets the tensor rule's coordinates as `dim` axis
+        arrays shaped to broadcast, (m, 1, 1), (1, m, 1) and (1, 1, m) in
+        3D, and returns values that broadcast to the (m,) * dim grid (a
+        `CompiledExpression` evaluates on such axes), so no array of
+        grid points is formed.
     dim, order : int
         Target expansion shape.
 
@@ -354,10 +404,13 @@ def project(f, dim: int, order: int) -> SpectralField:
     """
     check_size(dim, order)
     rule = default_rule(dim, order)
-    pts = rule.nodes
-    vals = np.asarray(f(pts[:, 0] if dim == 1 else pts), dtype=float).reshape(
-        (rule.axis_nodes.size,) * dim
-    )
+    m = rule.axis_nodes.size
+    if dim == 1:
+        coords = rule.axis_nodes
+    else:
+        coords = tuple(rule.axis_nodes.reshape((1,) * k + (m,) + (1,) * (dim - 1 - k))
+                       for k in range(dim))
+    vals = np.broadcast_to(np.asarray(f(coords), dtype=float), (m,) * dim)
     # C order, as the contractions hand it to BLAS, whose summation
     # order may depend on the operand layout.
     t = np.ascontiguousarray(np.sqrt(2.0) * _sine_table(rule.axis_nodes, order).T)
@@ -372,21 +425,45 @@ def project(f, dim: int, order: int) -> SpectralField:
 
 
 def evaluate(u: SpectralField, x):
-    """Evaluate the expansion at points, `_GRID_BLOCK` basis values at a
-    time; the zero field (such as a zero prior mean) without a basis."""
+    """Evaluate the expansion at points; the zero field (such as a zero
+    prior mean) without a basis.
+
+    Points go `_GRID_BLOCK // S^d` at a time, and each chunk's values are
+    summed over its `basis_blocks`: in 1D one block of `_GRID_BLOCK`
+    values, at the 2D and 3D caps blocks of 1/8 and 1/32 of that.
+    """
     pts, single = as_point_batch(x, u.dim)
     vals = np.zeros(pts.shape[0])
     if u.coeffs.any():
         rows = max(1, _GRID_BLOCK // u.coeffs.size)
         for i in range(0, len(pts), rows):
-            vals[i:i + rows] = basis_matrix(u.dim, u.order, pts[i:i + rows]) @ u.coeffs
+            vals[i:i + rows] = functools.reduce(operator.iadd, (
+                block @ u.coeffs[start:start + block.shape[1]]
+                for start, block in basis_blocks(u.dim, u.order, pts[i:i + rows])))
     return float(vals[0]) if single else vals
 
 
 def synthesis_tables(axes, order: int) -> list[np.ndarray]:
     """The (m_i, S) table sqrt(2) sin(n pi x) of each axis's m_i coordinates,
     n = 1..order: the 1D basis at the axis, for `synthesize`."""
-    return [np.sqrt(2.0) * _sine_table(validate_points(coords, 1), order) for coords in axes]
+    tables = [_sine_table(validate_points(coords, 1), order) for coords in axes]
+    for table in tables:
+        table *= np.sqrt(2.0)
+    return tables
+
+
+def grid_tables(axis, dim: int, order: int, rows: int):
+    """The `synthesis_tables` of the grid axis x ... x axis (dim axes),
+    `rows` leading coordinates at a time: one list of dim tables per chunk
+    of the first axis, the others built once.  Synthesizing chunk by chunk
+    and concatenating gives the grid in C order.  Each list is emptied
+    before the next chunk's table is built, so one rows x S table of the
+    first axis is held at a time: a 1D grid's table is bounded."""
+    rest = synthesis_tables([axis] * (dim - 1), order)
+    for i in range(0, len(axis), rows):
+        tables = synthesis_tables([axis[i:i + rows]], order) + rest
+        yield tables
+        tables.clear()
 
 
 def synthesize(tensor, tables) -> np.ndarray:

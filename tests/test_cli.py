@@ -942,6 +942,32 @@ class TestOneConditioningCore:
         assert not out.exists()
 
 
+class TestSourcesOnAxes:
+    """Sources are projected on the quadrature rule's axes: no command forms
+    the rule's (2 order + 33)^dim points."""
+
+    POINTS = {"x": [[0.2, 0.3], [0.5, 0.6], [0.7, 0.4], [0.4, 0.2]], "y": [0.3, -0.1, 0.2, 0.1]}
+
+    @pytest.mark.parametrize("command, payload", [
+        ("solve", {"kernel": kernel_cfg(dim=3, order=6), "grid": 5,
+                   "source": {"expression": "exp(-(x1-0.3)^2)*x2*(1-x3)+1"}}),
+        ("fit", {"kernel": kernel_cfg(dim=2, order=8), "source": {"expression": "sin(pi*x1)*x2"},
+                 "data": POINTS, "sigma2": 1e-4, "grid": 5}),
+        ("invert", {"kernel": kernel_cfg(dim=2, order=8), "data": POINTS, "sigma2": 1e-4,
+                    "family": {"expression": "a*sin(pi*x1)*sin(pi*x2)", "free": ["a"]},
+                    "hyper": {"kind": "flat"}, "init": [1.0]}),
+    ], ids=["solve-3d", "fit-2d", "invert-2d"])
+    def test_runs_without_the_rule_points(self, tmp_path, monkeypatch, command, payload):
+        def refuse(rule):
+            raise AssertionError("a command formed the quadrature rule's points")
+
+        monkeypatch.setattr(spectral.QuadratureRule, "nodes", property(refuse))
+        out = tmp_path / "out.csv"
+        assert run([command, "--config", write_config(tmp_path, payload),
+                    "--out", str(out)]) == 0
+        assert out.exists()
+
+
 class TestOneSampler:
     def test_posterior_artifact_is_the_library_draws(self, tmp_path):
         x, y = [0.15, 0.5, 0.85], [0.3, -0.2, 0.1]
@@ -1290,6 +1316,24 @@ class TestStreamingWriter:
         else:
             assert len(json.loads(out.read_text())["rows"]) == 41**3
         assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+    def test_peak_memory_of_a_long_1d_grid(self, tmp_path):
+        # order 512 on 40001 points: the grid's sine table would be 156 MiB;
+        # it is synthesized _GRID_BLOCK // 512 = 4096 points (16 MiB) at a time
+        cfg = write_config(tmp_path, {"kernel": kernel_cfg(order=512), "grid": 40001,
+                                      "source": {"expression": "exp(-(x-0.3)^2/0.01)"}})
+        out = tmp_path / "o.csv"
+        tracemalloc.start()
+        try:
+            assert run(["solve", "--config", cfg, "--out", str(out)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40001 * 512 * 8 / 6, f"peak {peak / 2**20:.1f} MiB"
+        table = np.loadtxt(out, delimiter=",", skiprows=4)
+        some = np.arange(0, 40001, 997)
+        u0 = pde.solve(pde.ClosedFormSource("exp(-(x-0.3)^2/0.01)"), KernelSpec("bridge"))
+        np.testing.assert_allclose(table[some, 1], u0(table[some, 0]), rtol=0, atol=1e-15)
 
 
 class TestUnwritableOutput:

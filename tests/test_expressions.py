@@ -106,6 +106,33 @@ class TestVectorization:
         expr = compile_expression("x1", 2)
         with pytest.raises(ExpressionError):
             expr(np.zeros((4, 3)))
+        with pytest.raises(ExpressionError, match="coordinate arrays"):
+            expr((np.zeros(3),))
+        with pytest.raises(ExpressionError, match="do not broadcast"):
+            expr((np.zeros(3), np.zeros(4)))
+
+    @pytest.mark.parametrize("dim, text", [
+        (3, "x1+x2-x3*x1/(1+x2)"),
+        (3, "(x1+0.5)^(x2*2)*2^-x3"),
+        (3, "-sin(pi*x1)*cos(2*pi*x2)*exp(-x3^2/e)"),
+        (3, "a*exp(-((x1-c)^2+(x2-c)^2+(x3-c)^2)/b)"),
+        (2, "sin(k*pi*x1)*sin(pi*x2)+1/(x1+1)"),
+        (2, "-(x2-0.3)^2/b"),
+        (3, "cos(x2)"),
+        (3, "2*pi+e"),
+        (1, "x*(1-x)-exp(a*x)"),
+    ])
+    def test_axes_give_the_bits_of_the_points(self, rng, dim, text):
+        # a tensor grid's axes, shaped to broadcast, against its points
+        params = {"a": 1.3, "b": 0.02, "c": 0.4, "k": 3}
+        expr = compile_expression(text, dim, tuple(params))
+        m = 7 + dim
+        axis = np.sort(rng.uniform(size=m))
+        axes = tuple(axis.reshape((1,) * k + (m,) + (1,) * (dim - 1 - k)) for k in range(dim))
+        points = np.stack(np.meshgrid(*[axis] * dim, indexing="ij"), axis=-1).reshape(-1, dim)
+        got = expr(axes, params)
+        assert got.shape == (m,) * dim and not got.flags.writeable
+        assert np.array_equal(got.reshape(-1), expr(points, params))
 
 
 class TestErrors:

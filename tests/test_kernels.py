@@ -6,6 +6,7 @@ sum c^2/lambda is compared against a finite-difference energy oracle.
 """
 
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -187,6 +188,29 @@ class TestMercerTruncation:
         via_matrix = kernel_matrix(spec, x, y)[0, 0]
         via_sum = mercer_partial_sum(spec, x, y, 12)
         assert via_matrix == pytest.approx(via_sum, rel=1e-12, abs=1e-15)
+
+
+    def test_truncated_matrix_holds_a_basis_block_at_a_time(self, rng):
+        # 64 x 60 points in 3D at S = 32: one basis is 60 x 32768 doubles
+        # (15 MiB); the sum runs over the 32 leading-index blocks of each
+        spec = KernelSpec("bridge", dim=3, order=32, beta=2.0)
+        x, y = rng.uniform(size=(64, 3)), rng.uniform(size=(60, 3))
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            got = kernel_matrix(spec, x, y)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 60 * spec.n_coeffs * 8 / 4, f"peak {peak / 2**20:.1f} MiB"
+        px, py = spectral.basis_matrix(3, 32, x), spectral.basis_matrix(3, 32, y)
+        want = (px * eigenvalues(spec)) @ py.T / spec.beta
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * np.abs(want).max())
+        sym = kernel_matrix(spec, x)
+        assert np.array_equal(sym, sym.T)
+        np.testing.assert_allclose(sym, kernel_matrix(spec, x, x), rtol=0,
+                                   atol=1e-15 * np.abs(sym).max())
 
 
 class TestPositivity:

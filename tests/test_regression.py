@@ -283,6 +283,47 @@ class TestPosterior:
         assert mean.shape == var.shape == (30**3,)
         assert peak < 128 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
+    def test_3d_conditioning_holds_one_basis_at_a_time(self, rng):
+        # S = 32, n = 60: the basis at the data and G are each n x S^3 doubles
+        # (15 MiB); the Gram and G are built from basis blocks, and G after
+        # the basis is released, so no two such arrays are held at once
+        spec = KernelSpec("bridge", dim=3, order=32)
+        data = make_dataset(rng, n=60, sigma2=1e-4, dim=3)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            post = condition(spec, None, data)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * data.n * spec.n_coeffs * 8, f"peak {peak / 2**20:.1f} MiB"
+        psi = spectral.basis_matrix(3, 32, data.X)
+        lam = kernels.eigenvalues(spec)
+        dense = (psi * lam) @ psi.T + data.sigma2 * np.eye(data.n)
+        coeffs = lam * (psi.T @ np.linalg.solve(dense, data.y))
+        np.testing.assert_allclose(post.mean_field.coeffs, coeffs, rtol=0,
+                                   atol=1e-9 * np.abs(coeffs).max())
+
+    def test_1d_grid_holds_a_chunk_of_the_sine_table(self, rng):
+        # helmholtz at S = 512 on 40001 points: the grid's sine table would be
+        # 156 MiB; on_grid synthesizes _GRID_BLOCK // 512 = 4096 points at a time
+        post = condition(KernelSpec("helmholtz", order=512, omega=3.0), None,
+                         make_dataset(rng, n=20))
+        axis = np.linspace(0.0, 1.0, 40001)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            mean, var = post.on_grid(axis)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < axis.size * 512 * 8 / 4, f"peak {peak / 2**20:.1f} MiB"
+        some = np.arange(0, axis.size, 997)
+        np.testing.assert_allclose(mean[some], post.mean(axis[some]), rtol=0, atol=1e-13)
+        np.testing.assert_allclose(var[some], post.var(axis[some]), rtol=0, atol=1e-13)
+
     def test_prior_rejections(self, rng):
         data = make_dataset(rng)
         with pytest.raises(TypeError):
@@ -491,13 +532,13 @@ class TestOneConditioningCore:
 
     @pytest.mark.parametrize("spec,order", [
         (KernelSpec("bridge", order=64), ["eigh", "basis"]),
-        (KernelSpec("helmholtz", order=64, omega=2.0), ["basis", "eigh"]),
+        (KernelSpec("helmholtz", order=64, omega=2.0), ["eigh", "basis"]),
     ], ids=["bridge", "helmholtz"])
     def test_closed_form_basis_follows_the_decomposition(self, rng, monkeypatch,
                                                          spec, order):
-        # the closed-form Gram needs no basis, so its n x S basis is built
-        # after the eigh and is not resident during it; a truncated
-        # kernel's Gram is built from the basis
+        # no Gram needs the n x S basis matrix: the closed form has no basis,
+        # and a truncated kernel's Gram sums the products of basis blocks; so
+        # the basis is built after the eigh and is not resident during it
         events = []
         eigh, basis_matrix = np.linalg.eigh, spectral.basis_matrix
 

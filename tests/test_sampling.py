@@ -427,8 +427,8 @@ class TestFold:
                                    rtol=0, atol=1e-12)
 
     def test_route_depends_on_points_and_coefficients(self):
-        # folded iff the grid is uniform and 1 <= m - 2 < the modes an axis:
-        # mesh_size in 1D, order in 2D and 3D, whatever mesh_size
+        # folded iff the grid is uniform, 1 <= m - 2 and (m - 2)^dim < mesh_size,
+        # in every dimension: a fold never takes more normals than the prefix
         def normals(s, m):
             return s.grid_modes(np.linspace(0.0, 1.0, m))[0].size
 
@@ -439,7 +439,8 @@ class TestFold:
         assert make_sampler(order=64).grid_modes(np.linspace(0.0, 1.0, 9)[:, None])[2] == 7
         two = PriorSampler(KernelSpec("bridge", dim=2, order=8))
         assert [normals(two, m) for m in (2, 3, 9, 10)] == [64, 1, 49, 64]
-        assert normals(PriorSampler(KernelSpec("bridge", dim=2, order=8), mesh_size=3), 9) == 49
+        assert [normals(PriorSampler(KernelSpec("bridge", dim=2, order=8), mesh_size=size), 9)
+                for size in (3, 49, 50)] == [3, 49, 49]
         assert normals(PriorSampler(KernelSpec("bridge", dim=3, order=8), mesh_size=3), 10) == 3
 
     def test_long_expansion_forms_nothing_of_order_by_grid(self):

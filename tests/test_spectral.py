@@ -32,6 +32,7 @@ from bridgegp import (
     zero_field,
 )
 from bridgegp import spectral
+from bridgegp.pde import ClosedFormSource
 from bridgegp.spectral import synthesis_tables, synthesize, validate_points
 
 
@@ -117,6 +118,22 @@ class TestBasis:
             col[on_boundary] = 0.0
             expected[:, j] = 2.0 ** (dim / 2.0) * col
         assert np.array_equal(basis_matrix(dim, order, pts), expected)
+        # the blocks are those columns, the fewest leading indices a block
+        # that give at least as many columns as points (one for 5 points)
+        lead = order ** (dim - 1)
+        for rows in (len(pts), 5):
+            starts, blocks = zip(*spectral.basis_blocks(dim, order, pts[:rows]))
+            widths = [b.shape[1] for b in blocks]
+            step = order**dim if dim == 1 else min(order**dim, lead * -(-rows // lead))
+            assert widths == [min(step, order**dim - start) for start in starts]
+            assert list(starts) == list(range(0, order**dim, step))
+            assert np.array_equal(np.hstack(blocks), expected[:rows])
+            assert not np.any(np.signbit(np.hstack(blocks)[on_boundary[:rows]]))
+        assert [b.shape[1] for _, b in spectral.basis_blocks(dim, order, pts[:5])] == (
+            [order] if dim == 1 else [lead] * order)
+        # `columns` gives two point sets one partition
+        assert ([s for s, _ in spectral.basis_blocks(dim, order, pts[:5], len(pts))]
+                == [s for s, _ in spectral.basis_blocks(dim, order, pts)])
 
     def test_boundary_values_exactly_zero(self):
         pts = np.array([[0.0, 0.3], [1.0, 0.7], [0.25, 0.0], [0.5, 1.0]])
@@ -247,13 +264,14 @@ class TestProjection:
         np.testing.assert_allclose(v.coeffs, u.coeffs, atol=1e-12)
 
     def test_round_trip_2d(self, rng):
+        # in 2D the integrand gets the rule's axes, (m, 1) and (1, m)
         u = SpectralField(2, 4, rng.normal(size=16))
-        v = project(u, 2, 4)
+        v = project(lambda axes: synth(u.as_tensor(), [a.reshape(-1) for a in axes]), 2, 4)
         np.testing.assert_allclose(v.coeffs, u.coeffs, atol=1e-12)
 
     def test_separable_product_2d(self):
         # f(x, y) = x(1-x) y(1-y) has coefficients c_m * c_n.
-        u = project(lambda p: parabola(p[:, 0]) * parabola(p[:, 1]), 2, 6)
+        u = project(lambda axes: parabola(axes[0]) * parabola(axes[1]), 2, 6)
         tensor = u.as_tensor()
         c1 = np.array([PARABOLA_COEFFS.get(n, 0.0) for n in range(1, 7)])
         np.testing.assert_allclose(tensor, np.outer(c1, c1), atol=1e-14)
@@ -278,6 +296,27 @@ class TestProjection:
         )
         with pytest.raises(OrderMismatchError):
             synth(np.zeros((5, 4)), [rule.axis_nodes] * 2)
+
+    def test_3d_projection_evaluates_on_the_axes(self):
+        # S = 32 in 3D: the rule has 97^3 nodes; their (N, 3) point array
+        # alone would be 21.8 MB, and the old route peaked at 41.8 MB
+        rule = default_rule(3, 32)
+        m = rule.axis_nodes.size
+        for text in ("exp(-((x1-0.3)^2+(x2-0.6)^2+(x3-0.5)^2)/0.02)",
+                     "sin(pi*x1)*sin(2*pi*x2)*x3", "1"):
+            source = ClosedFormSource(text)
+            tracemalloc.start()
+            try:
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                coeffs = source.coefficients(3, 32)
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            assert peak < 16 * 2**20, f"{text}: peak {peak / 2**20:.1f} MiB"
+            # the same bits as the integrand's values at the rule's points
+            on_points = project(lambda axes: source.evaluate(rule.nodes).reshape((m,) * 3), 3, 32)
+            assert np.array_equal(coeffs, on_points.coeffs), text
 
     def test_inner_product_via_parseval(self):
         u = SpectralField(1, 3, [1.0, 0.0, 2.0])

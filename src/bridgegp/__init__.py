@@ -59,7 +59,6 @@ from .regression import (
     HyperPrior,
     InversionResult,
     KrrSolution,
-    PointObservations,
     PosteriorModel,
     beta_gradient,
     beta_map,

@@ -443,8 +443,7 @@ def _cmd_invert(opts: dict):
         obs = regression.CoefficientObservations(
             np.array(opts["observed"]["coefficients"]), opts["sigma2"])
     else:
-        obs = regression.PointObservations(
-            _load_dataset(opts["data"], spec.dim, opts["sigma2"]))
+        obs = _load_dataset(opts["data"], spec.dim, opts["sigma2"])
     res = regression.invert_source(obs, family, opts["hyper"], spec, init=opts["init"])
     _require_finite(res.theta_mean, res.objective, res.theta_cov)
     m = res.theta_mean.size

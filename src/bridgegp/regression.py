@@ -174,12 +174,10 @@ class PosteriorModel:
     the evidence uses too, let G = Lambda Psi^T W / beta.  The mean is the
     field `mean_field`, c0 + G W^T r, the variance k(x, x) - |G^T psi(x)|^2,
     and `coefficient_draws` draws by pathwise conditioning; of V only G and
-    the noise scale sqrt(1 - g) of `whitening` are kept.  The basis at X
-    (`_MarginalCovariance.basis`) gives the prior mean's residual and is
-    released before G is written, a block of its rows at a time
-    (`spectral.basis_blocks`), so one n x S^d array is held at a time;
-    `on_grid` evaluates both moments on a tensor grid by synthesis, without
-    a basis matrix of the grid.
+    the noise scale sqrt(1 - g) of `whitening` are kept.  G is the one
+    n x S^d array held, written a block of its rows at a time
+    (`spectral.basis_blocks`); `on_grid` evaluates both moments on a tensor
+    grid by synthesis, without a basis matrix of the grid.
     """
 
     def __init__(self, spec: kernels.KernelSpec, prior, data: Dataset):
@@ -191,14 +189,11 @@ class PosteriorModel:
         self.prior = pde.prior_mean(prior, spec)
         self.data = data
         self.eta = data.sigma2 * spec.beta / data.n
+        self._resid = _residual(data, self.prior)
         if spec.closed_form:
             self.mean_field = None
-            self._resid = data.y - spectral.evaluate(self.prior, data.X)
             return
-        marginal = _MarginalCovariance(spec, PointObservations(data))
-        whiten, self._noise_sd = marginal.whitening(spec.beta)
-        resid = whiten.T @ (data.y - marginal.basis @ self.prior.coeffs)
-        del marginal  # its n x S^d basis goes before G takes as much
+        whiten, self._noise_sd = _MarginalCovariance(spec, data).whitening(spec.beta)
         self._lam = kernels._over_beta(kernels.eigenvalues(spec), spec.beta)
         # G = (Lambda Psi^T / beta) W, (S^d, n) in C order for `on_grid`,
         # written a block of basis columns (rows of G) at a time
@@ -208,7 +203,7 @@ class PosteriorModel:
             block *= self._lam[start:stop]
             np.matmul(block.T, whiten, out=self._factor[start:stop])
         self.mean_field = spectral.SpectralField(
-            spec.dim, spec.order, self.prior.coeffs + self._factor @ resid)
+            spec.dim, spec.order, self.prior.coeffs + self._factor @ (whiten.T @ self._resid))
 
     def _bridge_kernels(self, x):
         """The backward kernels of the residual process at 1D points `x`.
@@ -405,16 +400,6 @@ def krr_solve(spec: kernels.KernelSpec, prior, data: Dataset, eta: float) -> Krr
     return KrrSolution(spec, prior, data, eta)
 
 
-class PointObservations(Record):
-    """Point-evaluation measurement model wrapping a Dataset."""
-
-    data: Dataset
-
-    @property
-    def n(self) -> int:
-        return self.data.n
-
-
 class CoefficientObservations(Record):
     """Direct observation of the first M canonical coefficients.
 
@@ -451,21 +436,18 @@ class _MarginalCovariance:
     Callers reach V through two methods: `forms`, its quadratic forms and log
     determinant with their log-beta derivatives at every beta of an array at
     once, and `whitening`, a square root of V^-1 at one beta; each applies U
-    itself.  Point data keep the basis at the data sites (`basis`), built
-    after the decomposition; a truncated kernel's Gram is summed over basis
-    blocks (`spectral.basis_blocks`), so the two are never held together.
-    Coefficient data are diagonal (w the leading kernel eigenvalues, U the
-    identity, no basis).  A beta with a variance v <= 0 gets one jitter of
-    1e-12 times the mean of its v, logged; if one stays <= 0,
-    SingularSystemError is raised.
+    itself.  For a `Dataset` a truncated kernel's Gram is summed over basis
+    blocks (`spectral.basis_blocks`); coefficient data are diagonal (w the
+    leading kernel eigenvalues, U the identity).  A beta with a variance
+    v <= 0 gets one jitter of 1e-12 times the mean of its v, logged; if one
+    stays <= 0, SingularSystemError is raised.
     """
 
     def __init__(self, spec: kernels.KernelSpec, obs):
         if isinstance(obs, CoefficientObservations):
-            self._w, self._u, self.basis = _leading_eigenvalues(spec, obs.n), None, None
-            self.sigma2 = obs.sigma2
-        elif isinstance(obs, PointObservations):
-            x = obs.data.X
+            self._w, self._u = _leading_eigenvalues(spec, obs.n), None
+        elif isinstance(obs, Dataset):
+            x = obs.X
             if spec.closed_form:
                 k1 = kernels.kernel_matrix(spec.with_beta(1.0), x)
             else:
@@ -476,14 +458,9 @@ class _MarginalCovariance:
                          for start, block in spectral.basis_blocks(spec.dim, spec.order, x))
                 k1 = functools.reduce(operator.iadd, (r @ r.T for r in roots))
             self._w, self._u = np.linalg.eigh(k1)  # LAPACK syevd
-            del k1
-            # built after the decomposition, so the basis and the Gram are
-            # not resident together
-            self.basis = spectral.basis_matrix(spec.dim, spec.order, x)
-            self.sigma2 = obs.data.sigma2
         else:
             raise TypeError(f"unsupported observation model {type(obs).__name__}")
-        self.n = obs.n
+        self.sigma2, self.n = obs.sigma2, obs.n
 
     def _variances(self, betas):
         """The eigenvalues v = w / beta + sigma2 of V, one row per beta, after
@@ -566,12 +543,18 @@ def _check_beta(beta) -> float:
     return beta
 
 
-def _residual(obs, basis, coeffs):
-    """The observations minus what the field with coefficients `coeffs`
-    predicts for them, `basis` the basis at their sites (None: coefficients)."""
-    if basis is None:
-        return obs.values - coeffs[: obs.n]
-    return obs.data.y - basis @ coeffs
+def _predicted(obs, field: spectral.SpectralField) -> np.ndarray:
+    """What `field` predicts for the observations: its leading coefficients,
+    or its values at the sites of a `Dataset`."""
+    if isinstance(obs, CoefficientObservations):
+        return field.coeffs[: obs.n]
+    return spectral.evaluate(field, obs.X)
+
+
+def _residual(obs, field: spectral.SpectralField) -> np.ndarray:
+    """The observations minus what `field` predicts for them."""
+    observed = obs.values if isinstance(obs, CoefficientObservations) else obs.y
+    return observed - _predicted(obs, field)
 
 
 def _log_density(marginal: _MarginalCovariance, betas, r):
@@ -587,7 +570,7 @@ def _evidence(spec: kernels.KernelSpec, prior, obs):
     """The log density of the observations' residual from the prior mean,
     as a function of an array of betas (`_log_density`)."""
     marginal = _MarginalCovariance(spec, obs)
-    r = _residual(obs, marginal.basis, pde.prior_mean(prior, spec).coeffs)
+    r = _residual(obs, pde.prior_mean(prior, spec))
     return lambda betas: _log_density(marginal, betas, r)
 
 
@@ -608,7 +591,7 @@ def log_marginal(spec: kernels.KernelSpec, prior, obs, beta: float | None = None
 def beta_gradient(spec: kernels.KernelSpec, prior, obs, beta: float,
                   hyper: HyperPrior = FLAT) -> float:
     """Exact d/d beta of the log posterior of beta, log_marginal plus the
-    hyper prior's log density, for coefficient or point observations: with
+    hyper prior's log density, for coefficient observations or a Dataset: with
     the forms of the residual r, -(r^T (dV^-1/dt) r + d log det V / dt) /
     (2 beta) + d log p(beta), t = log beta.
     """
@@ -728,13 +711,16 @@ class InversionResult(Record):
 
 def _gls_design(obs, family: pde.LinearSourceFamily, spec: kernels.KernelSpec):
     """Affine observation map theta -> A theta + b: returns A, the data
-    minus b, and the marginal covariance of the data."""
-    marginal = _MarginalCovariance(spec, obs)
-    lam_full = kernels.eigenvalues(spec)
+    minus b, and the marginal covariance of the data.  Column j of A is the
+    prediction of component j's solution, b that of the offset's."""
+    lam = kernels.eigenvalues(spec)
     q_cols, q_off = family.coefficient_design(spec.dim, spec.order)
-    u_cols = lam_full[:, None] * q_cols
-    design = u_cols[: obs.n] if marginal.basis is None else marginal.basis @ u_cols
-    return design, _residual(obs, marginal.basis, lam_full * q_off), marginal
+
+    def solution(q):
+        return spectral.SpectralField(spec.dim, spec.order, lam * q)
+
+    design = np.column_stack([_predicted(obs, solution(q)) for q in q_cols.T])
+    return design, _residual(obs, solution(q_off)), _MarginalCovariance(spec, obs)
 
 
 def _gls(a, r, marginal: _MarginalCovariance, betas):
@@ -824,10 +810,14 @@ def invert_source(obs, family, hyper: HyperPrior, spec: kernels.KernelSpec,
         if theta.size != family.n_params:
             raise ValueError(f"init has {theta.size} entries, expected {family.n_params}")
         marginal = _MarginalCovariance(spec, obs)
+        # 2p + 1 new fields an iteration, plus halvings, are predicted at the
+        # same sites: their basis is built once
+        basis = (spectral.basis_matrix(spec.dim, spec.order, obs.X)
+                 if isinstance(obs, Dataset) else None)
 
         def resid_at(theta):
-            return _residual(obs, marginal.basis,
-                             pde.solve(family.source_at(theta), spec).u0.coeffs)
+            u0 = pde.solve(family.source_at(theta), spec).u0
+            return _residual(obs, u0) if basis is None else obs.y - basis @ u0.coeffs
 
         def log_posterior(r):
             """(beta, log posterior, boundary) at the theta of residual r,

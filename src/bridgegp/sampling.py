@@ -182,15 +182,27 @@ def _rows(values_per_draw: int) -> int:
 def _synthesized(draw, seed, size, axis, dim, order, count, held=0) -> Iterator[np.ndarray]:
     """Draws 0..count-1 on the tensor grid axis x ... x axis: `draw` maps each block of
     `size` point-major normals, holding up to `held` values a draw, to the leading
-    point-major coefficients of order**dim."""
+    point-major coefficients of order**dim.  The grid's tables are built once, unless
+    the first axis's table passes `spectral._GRID_BLOCK` values: then each block is
+    synthesized `spectral.grid_tables` chunk by chunk, one chunk's table at a time."""
     rows = _rows(max(max(axis.size, order) ** dim, size, held))
-    tables = spectral.synthesis_tables([axis] * dim, order)
+    chunk = max(1, spectral._GRID_BLOCK // order)
+    tables = spectral.synthesis_tables([axis] * dim, order) if axis.size <= chunk else None
     for xi in _normals(seed, size, count, rows):
         coeffs = draw(xi)
         if len(coeffs) < order**dim:
             coeffs = np.pad(coeffs, ((0, order**dim - len(coeffs)), (0, 0)))
-        tensor = coeffs.reshape((order,) * dim + (coeffs.shape[1],))
-        yield spectral.synthesize(tensor, tables).reshape(-1, coeffs.shape[1]).T
+        r = coeffs.shape[1]
+        tensor = coeffs.reshape((order,) * dim + (r,))
+        if tables is not None:
+            yield spectral.synthesize(tensor, tables).reshape(-1, r).T
+            continue
+        values, start = np.empty((axis.size**dim, r)), 0
+        for part in spectral.grid_tables(axis, dim, order, chunk):
+            piece = spectral.synthesize(tensor, part).reshape(-1, r)
+            values[start:start + len(piece)] = piece
+            start += len(piece)
+        yield values.T
 
 
 def value_blocks(sampler: PriorSampler, axis, count: int) -> Iterator[np.ndarray]:

@@ -360,10 +360,17 @@ def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     """
     m = (n + 1) // 2
     x = -np.cos(np.pi * (np.arange(1, m + 1) - 0.25) / (n + 0.5))
+    p0, p1, term = np.empty(m), np.empty(m), np.empty(m)
     for _ in range(_NEWTON_STEPS):
-        p0, p1 = np.ones(m), x
+        p0.fill(1.0)
+        p1[:] = x
         for j in range(1, n):
-            p0, p1 = p1, (2 * j + 1) / (j + 1) * x * p1 - j / (j + 1) * p0
+            # P_{j+1} = (2j + 1) / (j + 1) x P_j - j / (j + 1) P_{j-1}, into p0's array
+            np.multiply((2 * j + 1) / (j + 1), x, out=term)
+            term *= p1
+            p0 *= j / (j + 1)
+            np.subtract(term, p0, out=p0)
+            p0, p1 = p1, p0
         dp = n * (x * p1 - p0) / (x * x - 1.0)
         x = x - p1 / dp
     w = 2.0 / ((1.0 - x * x) * dp * dp)
@@ -413,7 +420,7 @@ def project(f, dim: int, order: int) -> SpectralField:
     vals = np.broadcast_to(np.asarray(f(coords), dtype=float), (m,) * dim)
     # C order, as the contractions hand it to BLAS, whose summation
     # order may depend on the operand layout.
-    t = np.ascontiguousarray(np.sqrt(2.0) * _sine_table(rule.axis_nodes, order).T)
+    t = np.multiply(np.sqrt(2.0), _sine_table(rule.axis_nodes, order).T, order="C")
     t *= rule.axis_weights
     tensor = vals
     for _ in range(dim):

@@ -40,6 +40,12 @@ GOOD_NUMBERS, EDGE_NUMBERS = st.floats(0.01, 4.0), st.one_of(
     st.sampled_from([0, -1, 1e-12, 1e308, -1e308, 10**400, math.inf, -math.inf, math.nan]),
     st.floats(-4.0, 4.0))
 GOOD_UNIT = st.floats(0.0, 1.0)
+# Point data with every site given twice: the point-data routes meet a
+# rank-deficient Gram on purpose, and with sigma2 0 (floored to 1e-12, with a
+# warning) a marginal variance at the scale of the jitter rule.
+REPEATED_SITES = st.integers(1, 3).flatmap(lambda n: st.fixed_dictionaries({
+    "x": st.lists(GOOD_UNIT, min_size=n, max_size=n).map(lambda x: x + x),
+    "y": st.lists(GOOD_NUMBERS, min_size=2 * n, max_size=2 * n)}))
 # Some keys are meaningful only next to others (omega with helmholtz, beta0
 # with a fixed hyper prior), so good values of these objects come whole.
 GOOD_OBJECTS = {
@@ -53,6 +59,7 @@ GOOD_OBJECTS = {
                                "p": st.floats(0.55, 1.0)})),
     "hyper": st.sampled_from([{"kind": "flat"}, {"kind": "jeffreys"},
                               {"kind": "fixed", "beta0": 2.0}]),
+    "data": st.one_of(st.deferred(lambda: object_of(cli._DATA, False)), REPEATED_SITES),
 }
 GOOD = {
     cli._number: GOOD_NUMBERS,
@@ -67,6 +74,7 @@ GOOD = {
     "family": st.sampled_from(["bridge", "helmholtz", "power"]),
     "kind": st.sampled_from(["flat", "jeffreys"]),
     "moment_draws": st.integers(6, 64),
+    "sigma2": st.one_of(GOOD_NUMBERS, st.just(0.0)),
     "mode": st.sampled_from(["prior", "posterior"]),
     "expression": st.sampled_from(["1", "x*(1-x)", "sin(pi*x)", "a*sin(pi*x)+b"]),
     "path": st.just(str(FIXTURES / "fit_data.csv")),
@@ -87,6 +95,7 @@ EDGE = {
     "family": st.just("matern"),
     "kind": st.sampled_from(["fixed", "uniform"]),
     "moment_draws": st.integers(-1, 5),
+    "sigma2": EDGE_NUMBERS,
     "mode": st.just("both"),
     "expression": st.sampled_from(["0", "sin(pi*x1)*sin(pi*x2)", "x1*x2*x3", "exp(-a*x)",
                                    "sin(pi*x", "", "1/x"]),
@@ -192,3 +201,29 @@ def test_exit_code_contract(command, workdir, data):
         assert well_formed(out, fmt)
     if code == 0 and command in ("solve", "sample", "fit", "invert"):
         assert finite_artifact(out, fmt)
+
+
+@pytest.mark.parametrize("command", ["fit", "sample", "invert"])
+@pytest.mark.parametrize("kernel", [
+    {"family": "bridge", "order": 6}, {"family": "helmholtz", "order": 6, "omega": 2.0},
+    {"family": "bridge", "order": 4, "dim": 2},
+], ids=["bridge", "helmholtz", "bridge-2d"])
+def test_repeated_sites_without_noise(command, kernel, workdir):
+    # both edges at once: every site twice and sigma2 0, floored to 1e-12
+    sites = ([0.2, 0.5, 0.7] if "dim" not in kernel
+             else [[0.2, 0.3], [0.5, 0.6], [0.7, 0.4]])
+    cfg = {"kernel": kernel, "data": {"x": sites + sites, "y": [0.3, -0.1, 0.2, 0.2, -0.1, 0.3]},
+           "sigma2": 0}
+    if command == "invert":
+        cfg["family"] = {"expression": "a*x*(1-x)" if "dim" not in kernel
+                         else "a*x1*(1-x1)*x2*(1-x2)", "free": ["a"]}
+        cfg["init"] = [1.0]
+    else:
+        cfg["grid"] = 5
+    if command == "sample":
+        cfg.update(mode="posterior", count=2, moment_draws=16)
+    config, out = workdir / "config.json", workdir / "out.csv"
+    config.write_text(json.dumps(cfg), encoding="utf-8")
+    out.unlink(missing_ok=True)
+    assert cli.main([command, "--config", str(config), "--out", str(out)]) == 0
+    assert well_formed(out, "csv") and finite_artifact(out, "csv")

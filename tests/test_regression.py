@@ -35,7 +35,6 @@ from bridgegp import (
     KernelSpec,
     LinearSourceFamily,
     OrderMismatchError,
-    PointObservations,
     SingularSystemError,
     SpectralField,
     SpectralSource,
@@ -499,16 +498,17 @@ class TestOneConditioningCore:
     """Every truncated-kernel posterior factors V once, by the
     eigendecomposition of `_MarginalCovariance`, with its one jitter rule."""
 
-    def test_condition_decomposes_once_on_one_basis(self, rng, decompositions):
+    def test_condition_decomposes_once_without_a_basis_matrix(self, rng, decompositions):
         n = 37
         data = make_dataset(rng, n=n, dim=2)
         post = condition(KernelSpec("bridge", dim=2, order=8), None, data)
         post.on_grid(np.linspace(0.0, 1.0, 5))
         assert [s for s in decompositions["eigh"] if s == (n, n)] == [(n, n)]
-        assert [s for s in decompositions["basis"] if s[0] == n] == [(n, 2)]
+        assert decompositions["basis"] == []
         assert decompositions["spd"] == []
 
-    def test_point_linear_inversion_builds_one_basis(self, rng, decompositions, forms_calls):
+    def test_point_linear_inversion_builds_no_basis_matrix(self, rng, decompositions,
+                                                           forms_calls):
         n, order = 41, 8
         spec = KernelSpec("bridge", dim=2, order=order)
         fam = LinearSourceFamily(components=(
@@ -517,10 +517,9 @@ class TestOneConditioningCore:
         ))
         x = rng.uniform(0.05, 0.95, size=(n, 2))
         y = solve(fam.source_at([2.0, 0.5], 2, order), spec)(x) + 1e-3 * rng.normal(size=n)
-        decompositions["basis"].clear()
-        res = invert_source(PointObservations(Dataset(x, y, 1e-4)), fam, FLAT, spec)
+        res = invert_source(Dataset(x, y, 1e-4), fam, FLAT, spec)
         assert np.abs(res.theta_mean - [2.0, 0.5]).max() < 0.1
-        assert [s for s in decompositions["basis"] if s[0] == n] == [(n, 2)]
+        assert decompositions["basis"] == []
         assert decompositions["spd"] == []
         # one n x n decomposition; then one stacked 2 x 2 eigh for the whole
         # scan, one per Newton step (none here: the search stops at the upper
@@ -530,15 +529,12 @@ class TestOneConditioningCore:
         assert forms_calls == [121, 1]
         assert [s for s in decompositions["eigh"] if s[-1] == 2] == [(121, 2, 2), (1, 2, 2)]
 
-    @pytest.mark.parametrize("spec,order", [
-        (KernelSpec("bridge", order=64), ["eigh", "basis"]),
-        (KernelSpec("helmholtz", order=64, omega=2.0), ["eigh", "basis"]),
+    @pytest.mark.parametrize("spec", [
+        KernelSpec("bridge", order=64), KernelSpec("helmholtz", order=64, omega=2.0),
     ], ids=["bridge", "helmholtz"])
-    def test_closed_form_basis_follows_the_decomposition(self, rng, monkeypatch,
-                                                         spec, order):
-        # no Gram needs the n x S basis matrix: the closed form has no basis,
-        # and a truncated kernel's Gram sums the products of basis blocks; so
-        # the basis is built after the eigh and is not resident during it
+    def test_marginal_builds_no_basis_matrix(self, rng, monkeypatch, spec):
+        # the closed form has no basis, and a truncated kernel's Gram sums the
+        # products of basis blocks: the marginal knows only V
         events = []
         eigh, basis_matrix = np.linalg.eigh, spectral.basis_matrix
 
@@ -550,8 +546,50 @@ class TestOneConditioningCore:
 
         monkeypatch.setattr(np.linalg, "eigh", log("eigh", eigh))
         monkeypatch.setattr(spectral, "basis_matrix", log("basis", basis_matrix))
-        _MarginalCovariance(spec, PointObservations(make_dataset(rng, n=30)))
-        assert events == order
+        marginal = _MarginalCovariance(spec, make_dataset(rng, n=30))
+        assert events == ["eigh"]
+        assert not hasattr(marginal, "basis")
+
+    @pytest.mark.parametrize("case", [
+        "fit-helmholtz", "fit-2d", "fit-3d", "log-marginal", "beta-map", "invert-linear",
+    ])
+    def test_point_data_routes_build_no_basis_matrix(self, rng, monkeypatch, case):
+        # a field reaches the data sites through `spectral.evaluate`, which
+        # sums over basis blocks; only the expression inversion builds one
+        # basis of the sites (below)
+        def refuse(*args):
+            raise AssertionError("a basis matrix was built")
+
+        dim = {"fit-2d": 2, "fit-3d": 3, "invert-linear": 2}.get(case, 1)
+        spec = (KernelSpec("helmholtz", order=64, omega=2.0) if dim == 1
+                else KernelSpec("bridge", dim=dim, order=8 if dim == 2 else 6))
+        prior = solve(ClosedFormSource("1 + x1" if dim > 1 else "1 + x"), spec)
+        data = make_dataset(rng, n=20, dim=dim)
+        monkeypatch.setattr(spectral, "basis_matrix", refuse)
+        if case.startswith("fit"):
+            mean, var = condition(spec, prior, data).on_grid(np.linspace(0.0, 1.0, 5))
+            assert np.isfinite(mean).all() and np.isfinite(var).all()
+        elif case == "log-marginal":
+            assert np.isfinite(log_marginal(spec, prior, data))
+        elif case == "beta-map":
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # a bracket edge is fine here
+                assert np.isfinite(beta_map(spec, prior, data, FLAT).objective)
+        else:
+            fam = LinearSourceFamily(components=(SpectralSource(basis_field(2, 8, [1, 1])),
+                                                 SpectralSource(basis_field(2, 8, [2, 1]))))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                assert np.isfinite(invert_source(data, fam, FLAT, spec).theta_mean).all()
+
+    def test_expression_inversion_builds_one_basis_of_the_sites(self, rng, decompositions):
+        spec = KernelSpec("bridge", dim=2, order=6)
+        fam = ExpressionSourceFamily("a*sin(pi*x1)*sin(pi*x2)", ("a",))
+        x = rng.uniform(0.05, 0.95, size=(15, 2))
+        y = solve(fam.source_at([2.0]), spec)(x) + 1e-3 * rng.normal(size=15)
+        res = invert_source(Dataset(x, y, 1e-4), fam, FLAT, spec, init=[1.0])
+        assert res.theta_mean[0] == pytest.approx(2.0, abs=0.1)
+        assert decompositions["basis"] == [(15, 2)]
 
     def test_nonpositive_variance_takes_one_logged_jitter(self, rng, shift_eigenvalue, caplog):
         # 12 sites on a 9-term kernel: the least eigenvalue of K is a rounding
@@ -611,12 +649,12 @@ class TestMarginalForms:
         elif kind == "bridge-1d":
             spec = KernelSpec("bridge", order=64)
             data = make_dataset(rng, n=8, sigma2=sigma2)
-            obs, k1 = PointObservations(data), kernel_matrix(spec.with_beta(1.0), data.X)
+            obs, k1 = data, kernel_matrix(spec.with_beta(1.0), data.X)
         else:
             spec = KernelSpec("bridge", dim=2, order=4)
             data = make_dataset(rng, n=12, sigma2=sigma2, dim=2)
             psi = spectral.basis_matrix(2, 4, data.X)
-            obs, k1 = PointObservations(data), (psi * eigenvalues(spec)) @ psi.T
+            obs, k1 = data, (psi * eigenvalues(spec)) @ psi.T
         cols = rng.normal(size=(obs.n, 3))
         quad, logdet = _MarginalCovariance(spec, obs).forms(self.SCAN, cols)
         want_quad, want_logdet = dense_forms(k1, sigma2, self.SCAN, cols)
@@ -635,7 +673,7 @@ class TestMarginalForms:
         spec = KernelSpec("bridge", dim=2, order=3)
         data = make_dataset(rng, n=12, dim=2)
         shift_eigenvalue(12, lambda w: -data.sigma2)
-        marginal = _MarginalCovariance(spec, PointObservations(data))
+        marginal = _MarginalCovariance(spec, data)
         betas = np.concatenate([[1.0], self.SCAN[61:], [1.0]])
         with caplog.at_level(logging.INFO, logger="bridgegp.regression"):
             quad, logdet = marginal.forms(betas, data.y)
@@ -656,24 +694,24 @@ class TestMarginalForms:
         spec = KernelSpec("bridge", dim=2, order=3)
         data = make_dataset(rng, n=12, dim=2)
         shift_eigenvalue(12, lambda w: -data.sigma2)
-        marginal = _MarginalCovariance(spec, PointObservations(data))
+        marginal = _MarginalCovariance(spec, data)
         with pytest.raises(SingularSystemError, match="after jitter"):
             marginal.forms(self.SCAN, data.y)
         with pytest.raises(SingularSystemError, match="after jitter"):
-            beta_map(spec, None, PointObservations(data), FLAT)
+            beta_map(spec, None, data, FLAT)
 
     def test_whitening_is_a_square_root_of_the_inverse(self, rng):
         spec = KernelSpec("bridge", dim=2, order=4)
         data = make_dataset(rng, n=9, sigma2=1e-2, dim=2)
         psi = spectral.basis_matrix(2, 4, data.X)
         v = (psi * eigenvalues(spec)) @ psi.T / 2.0 + 1e-2 * np.eye(9)
-        whiten, noise_sd = _MarginalCovariance(spec, PointObservations(data)).whitening(2.0)
+        whiten, noise_sd = _MarginalCovariance(spec, data).whitening(2.0)
         np.testing.assert_allclose(whiten @ whiten.T @ v, np.eye(9), atol=1e-12)
         # W^T eps has covariance sigma2 W^T W = diag(1 - g)
         np.testing.assert_allclose(1e-2 * whiten.T @ whiten, np.diag(noise_sd**2), atol=1e-14)
 
     def test_no_code_outside_the_class_reads_its_eigenbasis(self):
-        # every consumer reaches V through `forms`, `whitening` and `basis`
+        # every consumer reaches V through `forms` and `whitening`
         reads = []
         for path in sorted(pathlib.Path(bridgegp.__file__).parent.glob("*.py")):
             tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -701,7 +739,7 @@ class TestLogMarginal:
         spec = KernelSpec("bridge")
         data = make_dataset(rng, n=7, sigma2=1e-3)
         beta = 1.8
-        got = log_marginal(spec, None, PointObservations(data), beta)
+        got = log_marginal(spec, None, data, beta)
         cov = kernel_matrix(spec.with_beta(beta), data.X) + 1e-3 * np.eye(7)
         want = scipy.stats.multivariate_normal.logpdf(data.y, mean=np.zeros(7), cov=cov)
         assert got == pytest.approx(want, rel=1e-10)
@@ -741,7 +779,7 @@ class TestLogMarginal:
         # stand-in beta = 1 Gram with chosen eigenvalues (diagonal, so exact)
         monkeypatch.setattr(kernels, "kernel_matrix", lambda spec, x, y=None: k1.copy())
         x = np.linspace(0.2, 0.8, len(k1))
-        return PointObservations(Dataset(x, np.zeros(len(k1)), 1e-4))
+        return Dataset(x, np.zeros(len(k1)), 1e-4)
 
     def test_floor_adds_one_logged_jitter(self, monkeypatch, caplog):
         # w / beta + sigma2 is exactly 0 for w = -1e-4 at beta = 1
@@ -790,7 +828,7 @@ class TestBetaGradient:
         spec = KernelSpec("bridge", order=64)
         prior = solve(SpectralSource(basis_field(1, 64, [1])), spec)
         for sigma2 in (1e-6, 1e-4, 1e-2):
-            obs = PointObservations(make_dataset(rng, n=15, sigma2=sigma2))
+            obs = make_dataset(rng, n=15, sigma2=sigma2)
             for beta in (0.3, 1.0, 4.0):
                 for hyper in (FLAT, JEFFREYS):
                     got = beta_gradient(spec, prior, obs, beta, hyper)
@@ -871,7 +909,7 @@ class TestBetaMap:
         u0 = solve(SpectralSource(basis_field(1, 512, [1])), spec)
         x = rng.uniform(0.1, 0.9, size=15)
         y = u0(x) + 0.05 * np.sin(3 * np.pi * x)
-        res = beta_map(spec, u0, PointObservations(Dataset(x, y, 1e-6)), FLAT)
+        res = beta_map(spec, u0, Dataset(x, y, 1e-6), FLAT)
         assert res.boundary is None
         assert 1e-6 < res.beta < 1e6
 
@@ -888,10 +926,10 @@ class TestBetaMap:
         spec = KernelSpec("bridge", order=64)
         x = rng.uniform(0.1, 0.9, size=15)
         data = Dataset(x, np.sin(3 * np.pi * x), 1e-6)
-        res = beta_map(spec, None, PointObservations(data), FLAT)
+        res = beta_map(spec, None, data, FLAT)
         assert len(calls) == 1
         assert res.objective == pytest.approx(
-            log_marginal(spec, None, PointObservations(data), res.beta), rel=1e-12
+            log_marginal(spec, None, data, res.beta), rel=1e-12
         )
 
     def test_point_search_matches_cholesky_route(self, rng):
@@ -918,7 +956,7 @@ class TestBetaMap:
             method="golden", options={"xtol": 1e-10},
         ).x
         value_ref = reference(t_ref)
-        res = beta_map(spec, None, PointObservations(Dataset(x, y, sigma2)), FLAT)
+        res = beta_map(spec, None, Dataset(x, y, sigma2), FLAT)
         assert boundary is None and res.boundary is None
         assert res.beta == pytest.approx(np.exp(t_ref), rel=1e-6)
         assert res.objective == pytest.approx(value_ref, rel=1e-10)
@@ -1012,7 +1050,7 @@ class TestInversion:
         u = solve(fam.source_at(theta_true, 1, 64), spec)
         x = rng.uniform(0.05, 0.95, size=40)
         data = Dataset(x, u(x), 1e-8)
-        res = invert_source(PointObservations(data), fam, FLAT, spec)
+        res = invert_source(data, fam, FLAT, spec)
         np.testing.assert_allclose(res.theta_mean, theta_true, atol=1e-4)
 
     def test_profiled_beta_at_boundary_flagged(self):
@@ -1096,7 +1134,7 @@ class TestInversion:
             obs = CoefficientObservations(vals, sigma2=1e-5)
         else:
             x = rng.uniform(0.05, 0.95, size=30)
-            obs = PointObservations(Dataset(x, u(x) + 1e-3 * rng.normal(size=30), 1e-5))
+            obs = Dataset(x, u(x) + 1e-3 * rng.normal(size=30), 1e-5)
         beta = 3.0
         res = invert_source(obs, fam, fixed(beta), spec)
         prior = solve(fam.source_at(res.theta_mean, 1, 64), spec)
@@ -1112,7 +1150,7 @@ class TestInversion:
         fam = two_mode_family()
         x = rng.uniform(0.05, 0.95, size=n)
         u = solve(fam.source_at([2.0, 0.5], 1, 64), spec)
-        obs = PointObservations(Dataset(x, u(x) + 0.01 * rng.normal(size=n), 1e-4))
+        obs = Dataset(x, u(x) + 0.01 * rng.normal(size=n), 1e-4)
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
@@ -1131,7 +1169,7 @@ class TestInversion:
         fam = ExpressionSourceFamily("a*exp(-(x-b)^2)", free=("a", "b"))
         u = solve(fam.source_at([10.0, 0.25]), spec)
         x = rng.uniform(0.05, 0.95, size=40)
-        obs = PointObservations(Dataset(x, u(x) + 1e-3 * rng.normal(size=40), 1e-5))
+        obs = Dataset(x, u(x) + 1e-3 * rng.normal(size=40), 1e-5)
         res = invert_source(obs, fam, fixed(2.0), spec, init=[8.0, 0.35])
         assert res.method == "laplace"
         assert [s for s in decompositions["eigh"] if s == (40, 40)] == [(40, 40)]
@@ -1145,7 +1183,7 @@ class TestInversion:
         x = rng.uniform(0.05, 0.95, size=n)
         u = solve(fam.source_at([2.0, 0.5], 1, 64), spec)
         y = u(x) + 0.01 * np.sin(5 * np.pi * x) + 0.01 * rng.normal(size=n)
-        res = invert_source(PointObservations(Dataset(x, y, 1e-4)), fam, FLAT, spec)
+        res = invert_source(Dataset(x, y, 1e-4), fam, FLAT, spec)
         assert res.boundary is None
         assert [s for s in decompositions["eigh"] if s == (n, n)] == [(n, n)]
         assert decompositions["spd"] == []
@@ -1165,7 +1203,7 @@ class TestInversion:
         expression = ExpressionSourceFamily("a*sin(pi*x) + b*sin(2*pi*x)", free=("a", "b"))
         u = solve(expression.source_at([3.0, -2.0]), spec)
         x = rng.uniform(0.05, 0.95, size=40)
-        obs = PointObservations(Dataset(x, u(x) + 1e-3 * rng.normal(size=40), 1e-5))
+        obs = Dataset(x, u(x) + 1e-3 * rng.normal(size=40), 1e-5)
         calls = []
         original = pde.solve
 
@@ -1193,7 +1231,7 @@ class TestInversion:
             obs = CoefficientObservations(u.u0.coeffs[:12] + 1e-3 * rng.normal(size=12), 1e-5)
         else:
             x = rng.uniform(0.05, 0.95, size=40)
-            obs = PointObservations(Dataset(x, u(x) + 1e-3 * rng.normal(size=40), 1e-5))
+            obs = Dataset(x, u(x) + 1e-3 * rng.normal(size=40), 1e-5)
         exact = invert_source(obs, linear, fixed(2.0), spec)
         laplace = invert_source(obs, expression, fixed(2.0), spec, init=[2.5, -1.5])
         assert laplace.flat_directions.shape == (0, 2)

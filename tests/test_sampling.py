@@ -457,6 +457,35 @@ class TestFold:
         assert vals.shape == (3, 101)
         assert peak < 262144 * 101 * 8 / 10
 
+    def test_long_grid_is_synthesized_a_chunk_of_its_table_at_a_time(self):
+        # order 512 on 100001 points: the grid's sine table would take 391 MiB;
+        # the draws are synthesized _GRID_BLOCK // 512 = 4096 points (16 MiB of
+        # table) at a time
+        s = make_sampler(order=512, seed=3)
+        x = np.linspace(0.0, 1.0, 100001)
+        tracemalloc.start()
+        try:
+            vals = sample_values(s, x, 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100001 * 512 * 8 / 12, f"peak {peak / 2**20:.1f} MiB"
+        # points of every chunk against the draws synthesized on their own table
+        some = np.arange(0, 100001, 997)
+        table = spectral.synthesis_tables([x[some]], 512)[0]
+        np.testing.assert_allclose(vals[:, some], sample_coefficients(s, 8) @ table.T,
+                                   rtol=0, atol=1e-12)
+
+    def test_chunked_synthesis_is_bitwise_the_whole_table_route(self, monkeypatch):
+        s = make_sampler(order=64, seed=5)
+        x = np.linspace(0.0, 1.0, 2001)
+        whole = sample_values(s, x, 8)
+        # 1 << 14 values a block: chunks of 256 points, and still one block of
+        # the 8 draws (the product's width may change its rounding)
+        monkeypatch.setattr(spectral, "_GRID_BLOCK", 1 << 14)
+        chunked = sample_values(s, x, 8)
+        assert chunked.tobytes() == whole.tobytes()
+
 
 def power_sampler(p, order, seed):
     return PriorSampler(KernelSpec("power", order=order, p=p), seed=seed)
@@ -521,8 +550,7 @@ class TestPosteriorDraws:
         draws = sample_posterior_values(post, axis, 2049, seed=13)
         assert draws.shape == (2049, 9)
         scales = np.sqrt(eigenvalues(spec) / 2.0)
-        _, noise_sd = regression._MarginalCovariance(
-            spec, regression.PointObservations(data)).whitening(2.0)
+        _, noise_sd = regression._MarginalCovariance(spec, data).whitening(2.0)
         gain = post._factor
         points = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
         psi = spectral.basis_matrix(2, 6, points)

@@ -246,6 +246,24 @@ class TestQuadrature:
         t = np.sqrt(2.0) * np.sin(np.pi * np.outer(np.arange(1, order + 1), x))
         assert np.abs((t * w) @ t.T - np.eye(order)).max() <= 5e-14
 
+    @pytest.mark.parametrize("n", [97, 289, 1057])
+    def test_in_place_recurrence_is_bitwise_the_allocating_one(self, n):
+        # reference: the same Newton iteration with a new array every
+        # recurrence step, in the same operation order
+        m = (n + 1) // 2
+        x = -np.cos(np.pi * (np.arange(1, m + 1) - 0.25) / (n + 0.5))
+        for _ in range(spectral._NEWTON_STEPS):
+            p0, p1 = np.ones(m), x
+            for j in range(1, n):
+                p0, p1 = p1, (2 * j + 1) / (j + 1) * x * p1 - j / (j + 1) * p0
+            dp = n * (x * p1 - p0) / (x * x - 1.0)
+            x = x - p1 / dp
+        w = 2.0 / ((1.0 - x * x) * dp * dp)
+        half = n // 2
+        nodes, weights = spectral._leggauss(n)
+        assert nodes.tobytes() == np.r_[x, -x[:half][::-1]].tobytes()
+        assert weights.tobytes() == np.r_[w, w[:half][::-1]].tobytes()
+
     def test_default_rule_cached(self):
         assert default_rule(1, 6) is default_rule(1, 6)
 

@@ -74,25 +74,19 @@ from .sampling import (
     nested_consistency,
     posterior_value_blocks,
     sample_coefficients,
-    sample_posterior_values,
-    sample_values,
     value_blocks,
 )
 from .spectral import (
     QuadratureRule,
     SpectralField,
     basis_blocks,
-    basis_eval,
     basis_field,
     basis_matrix,
     default_rule,
     dirichlet_eigenvalues,
-    enumerate_indices,
     evaluate,
     gauss_legendre_rule,
     index_array,
-    l2_inner,
-    l2_norm,
     project,
     synthesis_tables,
     synthesize,

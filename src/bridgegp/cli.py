@@ -290,9 +290,8 @@ def _cmd_solve(opts: dict):
     coords, labels, axis = _grid(spec.dim, opts["grid"])
     solution = pde.solve(_build_source(opts["source"], spec.dim, "source"), spec)
     # in chunks of first-axis coordinates, so a 1D grid's sine table is bounded
-    vals = np.concatenate([
-        spectral.synthesize(solution.u0.as_tensor(), tables) for tables in spectral.grid_tables(
-            axis, spec.dim, spec.order, spectral._GRID_BLOCK // spec.order)]).reshape(-1)
+    vals = np.concatenate([spectral.synthesize(solution.u0.as_tensor(), tables) for tables
+                           in spectral.grid_tables(axis, spec.dim, spec.order)]).reshape(-1)
     _require_finite(vals)
     return labels + ("u0",), [*coords, vals], {}
 

@@ -15,11 +15,6 @@ import numpy as np
 from . import kernels, pde, regression, spectral
 from .record import Factory, Record
 
-# Evaluation grids for the fill-distance supremum, per dimension; about
-# 1e4 nodes each.  The 1D grid is inclusive with spacing 1e-4 so that
-# the common uniform designs land on exact values.
-_FILL_GRID = {1: 10001, 2: 101, 3: 22}
-
 
 class DesignMetrics(Record):
     """Fill distance, separation radius, and their mesh ratio."""
@@ -34,52 +29,22 @@ class DesignMetrics(Record):
 
 
 def design_metrics(x) -> DesignMetrics:
-    """Space-filling diagnostics of a point design in the unit cube.
+    """Space-filling diagnostics of a 1D point design in [0, 1].
 
-    The fill distance sup_x min_i |x - x_i| is approximated on a dense
-    grid (~1e4 nodes); the separation radius is half the smallest
-    pairwise distance.  Designs need at least two distinct points.
-    In 1D both come from the sorted design; in 2D and 3D from distances
-    computed in blocks of rows.
+    Exact, from the sorted design x_(1) <= ... <= x_(n): the fill distance
+    sup_x min_i |x - x_i| is max(x_(1), 1 - x_(n), half the largest gap),
+    and the separation radius is half the smallest gap.  Designs need at
+    least two distinct points; a design of several columns raises ValueError.
     """
-    arr = np.asarray(x, dtype=float)
-    dim = 1 if arr.ndim <= 1 else arr.shape[1]
-    pts = spectral.validate_points(arr, dim)
-    if pts.shape[0] < 2:
+    xs = np.sort(spectral.validate_points(x, 1)[:, 0])
+    if xs.size < 2:
         raise ValueError("design metrics need at least two points")
-    per_axis = _FILL_GRID[dim]
-    axes = [np.linspace(0.0, 1.0, per_axis)] * dim
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
-    if dim == 1:
-        xs = np.sort(pts[:, 0])
-        separation = 0.5 * float(np.diff(xs).min())
-        right = np.clip(np.searchsorted(xs, grid[:, 0]), 1, xs.size - 1)
-        fill = float(np.minimum(np.abs(grid[:, 0] - xs[right - 1]),
-                                np.abs(grid[:, 0] - xs[right])).max())
-    else:
-        separation = 0.5 * float(np.sqrt(_nearest_sq(pts, pts, exclude_self=True).min()))
-        fill = float(np.sqrt(_nearest_sq(grid, pts).max()))
+    gaps = np.diff(xs)
+    separation = 0.5 * float(gaps.min())
     if separation == 0.0:
         raise ValueError("design contains duplicate points")
-    return DesignMetrics(pts.shape[0], fill, separation)
-
-
-# Pairwise distances are formed at most this many at a time.
-_DISTANCE_BLOCK = 1 << 20
-
-
-def _nearest_sq(queries: np.ndarray, pts: np.ndarray, exclude_self: bool = False):
-    """Squared distance from each query to its nearest point (other than
-    itself, with `exclude_self`, when the queries are the points)."""
-    rows = max(1, _DISTANCE_BLOCK // pts.shape[0])
-    out = np.empty(queries.shape[0])
-    for start in range(0, queries.shape[0], rows):
-        block = queries[start:start + rows]
-        d2 = np.sum((block[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
-        if exclude_self:
-            d2[np.arange(block.shape[0]), np.arange(start, start + block.shape[0])] = np.inf
-        out[start:start + rows] = d2.min(axis=1)
-    return out
+    fill = max(float(xs[0]), float(1.0 - xs[-1]), 0.5 * float(gaps.max()))
+    return DesignMetrics(xs.size, fill, separation)
 
 
 class StudyReport(Record):

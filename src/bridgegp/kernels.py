@@ -18,9 +18,9 @@ physics prior: large beta concentrates mass near the prior mean.
 
 Production code factors no Gram here: `regression` conditions, calibrates,
 inverts and draws posteriors through one eigendecomposed marginal covariance,
-with the one jitter rule.  `SpdSolver` (Cholesky) is the solver of the dense
-oracles, `regression.krr_solve` and the 1D bridge's `PosteriorModel.cov`,
-which no command calls.
+whose Gram `kernel_matrix` builds, with the one jitter rule.  `SpdSolver`
+(Cholesky) is the solver of the dense oracles, `regression.krr_solve` and the
+1D bridge's `PosteriorModel.cov`, which no command calls.
 """
 
 from __future__ import annotations
@@ -127,21 +127,13 @@ class KernelSpec(Record):
         return KernelSpec(self.family, self.dim, self.order, beta, self.omega, self.p)
 
 
-def eigenvalues(spec: KernelSpec, indices: np.ndarray | None = None) -> np.ndarray:
+def eigenvalues(spec: KernelSpec) -> np.ndarray:
     """Eigenvalues of the beta = 1 kernel, canonical enumeration.
 
-    `indices` may restrict to an (M, dim) array of multi-indices;
-    helmholtz eigenvalues that are not strictly positive raise
+    Helmholtz eigenvalues that are not strictly positive raise
     ResonanceError, since the kernel is not positive definite there.
     """
-    if indices is None:
-        indices = spectral.index_array(spec.dim, spec.order)
-    idx = np.asarray(indices, dtype=float)
-    if idx.ndim != 2 or idx.shape[1] != spec.dim:
-        raise ValueError(f"indices must be (M, {spec.dim}), got shape {idx.shape}")
-    if np.any(idx < 1):
-        raise ValueError("multi-index entries must be >= 1")
-    sq = np.sum(idx**2, axis=1)
+    sq = np.sum(spectral.index_array(spec.dim, spec.order).astype(float) ** 2, axis=1)
     if spec.family == "bridge":
         return 1.0 / (np.pi**2 * sq)
     if spec.family == "helmholtz":
@@ -166,29 +158,36 @@ def _over_beta(values, beta) -> np.ndarray:
 
 
 def kernel_matrix(spec: KernelSpec, x, y=None) -> np.ndarray:
-    """Kernel values k(x_i, y_j) including the beta scaling.
+    """Kernel values k(x_i, y_j) including the beta scaling; the Gram at `x`
+    when `y` is None.
 
     The one-dimensional bridge uses the closed form min - xy; all other
-    families sum the truncated Mercer series at the spec's order, as
-    sum_a (Psi_x,a Lambda_a) Psi_y,a^T over the column blocks of
-    `spectral.basis_blocks`, so the N x S^d bases are never held whole.
-    The beta = 1 value is divided by beta once, and multiplying back does
-    not recover it exactly: ask for the beta = 1 kernel by
+    families sum the truncated Mercer series at the spec's order over the
+    column blocks of `spectral.basis_blocks`, so the N x S^d bases are never
+    held whole: a cross-kernel as sum_a (Psi_x,a Lambda_a) Psi_y,a^T, a Gram
+    as sum_a R_a R_a^T, R_a = Psi_a Lambda_a^1/2, each product symmetric
+    (BLAS syrk), half a GEMM.  Either Gram is exactly symmetric.  This is the
+    one builder of a Gram at points, the marginal covariance of `regression`
+    included.  The beta = 1 value is divided by beta once, and multiplying
+    back does not recover it exactly: ask for the beta = 1 kernel by
     `spec.with_beta(1.0)`.
     """
     xs = spectral.validate_points(x, spec.dim)
     ys = xs if y is None else spectral.validate_points(y, spec.dim)
     if spec.closed_form:
         base = np.minimum(xs[:, :1], ys[:, 0]) - np.outer(xs[:, 0], ys[:, 0])
+    elif y is None:
+        lam = eigenvalues(spec)
+        roots = (block * np.sqrt(lam[start:start + block.shape[1]])
+                 for start, block in spectral.basis_blocks(spec.dim, spec.order, xs))
+        base = functools.reduce(operator.iadd, (r @ r.T for r in roots))
     else:
         lam = eigenvalues(spec)
         cols = max(len(xs), len(ys))  # one block partition for both sets
-        yblocks = None if y is None else spectral.basis_blocks(spec.dim, spec.order, ys, cols)
+        yblocks = spectral.basis_blocks(spec.dim, spec.order, ys, cols)
         base = functools.reduce(operator.iadd, (
-            (px * lam[start:start + px.shape[1]]) @ (px if y is None else next(yblocks)[1]).T
+            (px * lam[start:start + px.shape[1]]) @ next(yblocks)[1].T
             for start, px in spectral.basis_blocks(spec.dim, spec.order, xs, cols)))
-    if y is None:
-        base = 0.5 * (base + base.T)
     return _over_beta(base, spec.beta)
 
 

@@ -31,9 +31,7 @@ nonlinear expression families.
 
 from __future__ import annotations
 
-import functools
 import logging
-import operator
 import warnings
 
 import numpy as np
@@ -341,8 +339,8 @@ class PosteriorModel:
         both moments.  In coefficient space the mean is the synthesis of
         `mean_field`, the prior variance that of lambda / beta with squared
         tables, and the subtracted term that of the n columns of G, a chunk
-        of first-axis coordinates at a time (`spectral.grid_tables`), so a
-        chunk's table and its n columns each hold at most `_GRID_BLOCK` values.
+        of first-axis coordinates at a time (`spectral.grid_tables` of width
+        n), so a chunk's table and its n columns each stay bounded.
         """
         axis = spectral.validate_points(axis, 1)[:, 0]
         if self.mean_field is None:
@@ -350,9 +348,8 @@ class PosteriorModel:
             return spectral.evaluate(self.prior, axis) + mean, var
         order, dim = self.spec.order, self.spec.dim
         factor = self._factor.reshape((order,) * dim + (-1,))
-        rows = max(1, spectral._GRID_BLOCK // max(order, axis.size ** (dim - 1) * factor.shape[-1]))
         mean, var = [], []
-        for tables in spectral.grid_tables(axis, dim, order, rows):
+        for tables in spectral.grid_tables(axis, dim, order, factor.shape[-1]):
             mean.append(spectral.synthesize(self.mean_field.as_tensor(), tables))
             z = spectral.synthesize(factor, tables)
             explained = np.einsum("...j,...j->...", z, z)
@@ -436,8 +433,8 @@ class _MarginalCovariance:
     Callers reach V through two methods: `forms`, its quadratic forms and log
     determinant with their log-beta derivatives at every beta of an array at
     once, and `whitening`, a square root of V^-1 at one beta; each applies U
-    itself.  For a `Dataset` a truncated kernel's Gram is summed over basis
-    blocks (`spectral.basis_blocks`); coefficient data are diagonal (w the
+    itself.  For a `Dataset` K is the Gram of `kernels.kernel_matrix`, which
+    this class does not build itself; coefficient data are diagonal (w the
     leading kernel eigenvalues, U the identity).  A beta with a variance
     v <= 0 gets one jitter of 1e-12 times the mean of its v, logged; if one
     stays <= 0, SingularSystemError is raised.
@@ -447,16 +444,7 @@ class _MarginalCovariance:
         if isinstance(obs, CoefficientObservations):
             self._w, self._u = _leading_eigenvalues(spec, obs.n), None
         elif isinstance(obs, Dataset):
-            x = obs.X
-            if spec.closed_form:
-                k1 = kernels.kernel_matrix(spec.with_beta(1.0), x)
-            else:
-                # K = sum_a R_a R_a^T over the basis blocks, R_a = Psi_a Lambda_a^1/2;
-                # each product is symmetric (BLAS syrk), half a GEMM
-                lam = kernels.eigenvalues(spec)
-                roots = (block * np.sqrt(lam[start:start + block.shape[1]])
-                         for start, block in spectral.basis_blocks(spec.dim, spec.order, x))
-                k1 = functools.reduce(operator.iadd, (r @ r.T for r in roots))
+            k1 = kernels.kernel_matrix(spec.with_beta(1.0), obs.X)
             self._w, self._u = np.linalg.eigh(k1)  # LAPACK syevd
         else:
             raise TypeError(f"unsupported observation model {type(obs).__name__}")

@@ -35,9 +35,7 @@ __all__ = [
     "PriorSampler",
     "sample_coefficients",
     "value_blocks",
-    "sample_values",
     "posterior_value_blocks",
-    "sample_posterior_values",
     "NestedReport",
     "nested_consistency",
 ]
@@ -182,24 +180,18 @@ def _rows(values_per_draw: int) -> int:
 def _synthesized(draw, seed, size, axis, dim, order, count, held=0) -> Iterator[np.ndarray]:
     """Draws 0..count-1 on the tensor grid axis x ... x axis: `draw` maps each block of
     `size` point-major normals, holding up to `held` values a draw, to the leading
-    point-major coefficients of order**dim.  The grid's tables are built once, unless
-    the first axis's table passes `spectral._GRID_BLOCK` values: then each block is
-    synthesized `spectral.grid_tables` chunk by chunk, one chunk's table at a time."""
+    point-major coefficients of order**dim, synthesized `spectral.grid_tables` chunk
+    by chunk, one chunk's table at a time."""
     rows = _rows(max(max(axis.size, order) ** dim, size, held))
-    chunk = max(1, spectral._GRID_BLOCK // order)
-    tables = spectral.synthesis_tables([axis] * dim, order) if axis.size <= chunk else None
     for xi in _normals(seed, size, count, rows):
         coeffs = draw(xi)
         if len(coeffs) < order**dim:
             coeffs = np.pad(coeffs, ((0, order**dim - len(coeffs)), (0, 0)))
         r = coeffs.shape[1]
         tensor = coeffs.reshape((order,) * dim + (r,))
-        if tables is not None:
-            yield spectral.synthesize(tensor, tables).reshape(-1, r).T
-            continue
         values, start = np.empty((axis.size**dim, r)), 0
-        for part in spectral.grid_tables(axis, dim, order, chunk):
-            piece = spectral.synthesize(tensor, part).reshape(-1, r)
+        for tables in spectral.grid_tables(axis, dim, order):
+            piece = spectral.synthesize(tensor, tables).reshape(-1, r)
             values[start:start + len(piece)] = piece
             start += len(piece)
         yield values.T
@@ -222,11 +214,6 @@ def value_blocks(sampler: PriorSampler, axis, count: int) -> Iterator[np.ndarray
     scales, center, order = sampler.grid_modes(axis)
     yield from _synthesized(lambda xi: _shifted(xi, scales, center), sampler.seed,
                             scales.size, axis, sampler.spec.dim, order, count)
-
-
-def sample_values(sampler: PriorSampler, axis, count: int) -> np.ndarray:
-    """All of `value_blocks` in one (count, len(axis)**dim) array."""
-    return np.concatenate(list(value_blocks(sampler, axis, count)))
 
 
 # A 1D bridge posterior takes one vectorized step per point per block of
@@ -281,11 +268,6 @@ def posterior_value_blocks(post, axis, count: int, seed: int = 0) -> Iterator[np
             draws[k] += c * draws[prev]
         draws += prior[:, None]
         yield draws.T
-
-
-def sample_posterior_values(post, axis, count: int, seed: int = 0) -> np.ndarray:
-    """All of `posterior_value_blocks` in one (count, len(axis)**dim) array."""
-    return np.concatenate(list(posterior_value_blocks(post, axis, count, seed)))
 
 
 class NestedReport(Record):

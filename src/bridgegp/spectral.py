@@ -28,7 +28,6 @@ enforces hard caps on the axis order per dimension.
 from __future__ import annotations
 
 import functools
-import itertools
 import operator
 
 import numpy as np
@@ -55,8 +54,8 @@ _EXTRA_NODES = 33
 _NEWTON_STEPS = 5
 
 # Values a block holds where points or draws are taken in blocks: `evaluate`'s
-# points (times S^d), a 1D grid's sine table in `PosteriorModel.on_grid` and
-# `cli` solve, `on_grid`'s variance factor and `sampling`'s draws.
+# points (times S^d), a chunk of a grid's first-axis table and its synthesis
+# (`grid_tables`), and `sampling`'s draws.
 _GRID_BLOCK = 1 << 21
 
 
@@ -73,19 +72,13 @@ def check_size(dim: int, order: int) -> None:
         )
 
 
-def enumerate_indices(dim: int, order: int) -> list[tuple[int, ...]]:
-    """Canonical enumeration of {1..order}^dim as a list of tuples.
+def index_array(dim: int, order: int) -> np.ndarray:
+    """Canonical enumeration of {1..order}^dim as an (M, dim) int array.
 
     The order is lexicographic: for dim=2, order=2 it is
     (1,1), (1,2), (2,1), (2,2).  Coefficient vectors throughout the
     package follow this enumeration.
     """
-    check_size(dim, order)
-    return list(itertools.product(range(1, order + 1), repeat=dim))
-
-
-def index_array(dim: int, order: int) -> np.ndarray:
-    """Same enumeration as `enumerate_indices` but as an (M, dim) int array."""
     check_size(dim, order)
     axes = [np.arange(1, order + 1)] * dim
     mesh = np.meshgrid(*axes, indexing="ij")
@@ -129,31 +122,6 @@ def as_point_batch(x, dim: int):
 def validate_points(x, dim: int) -> np.ndarray:
     """Return `x` as an (N, dim) array, rejecting points outside [0, 1]^d."""
     return as_point_batch(x, dim)[0]
-
-
-def basis_eval(alpha, x):
-    """Evaluate psi_alpha at `x`.
-
-    Parameters
-    ----------
-    alpha : sequence of int
-        Multi-index with entries >= 1; its length sets the dimension.
-    x : scalar, (d,) point, or (N, d) batch
-        Points in the closed unit cube.
-
-    Returns
-    -------
-    float or ndarray
-        2^(d/2) * prod_i sin(alpha_i pi x_i), one value per point.
-    """
-    alpha = np.asarray(alpha, dtype=int).reshape(-1)
-    if alpha.size == 0 or np.any(alpha < 1):
-        raise ValueError(f"multi-index entries must be >= 1, got {tuple(alpha)}")
-    dim = alpha.size
-    pts, single = as_point_batch(x, dim)
-    vals = 2.0 ** (dim / 2.0) * np.prod(np.sin(np.pi * pts * alpha), axis=1)
-    vals[np.any((pts == 0.0) | (pts == 1.0), axis=1)] = 0.0
-    return float(vals[0]) if single else vals
 
 
 def _sine_table(coords, order: int) -> np.ndarray:
@@ -459,13 +427,17 @@ def synthesis_tables(axes, order: int) -> list[np.ndarray]:
     return tables
 
 
-def grid_tables(axis, dim: int, order: int, rows: int):
-    """The `synthesis_tables` of the grid axis x ... x axis (dim axes),
-    `rows` leading coordinates at a time: one list of dim tables per chunk
-    of the first axis, the others built once.  Synthesizing chunk by chunk
-    and concatenating gives the grid in C order.  Each list is emptied
-    before the next chunk's table is built, so one rows x S table of the
-    first axis is held at a time: a 1D grid's table is bounded."""
+def grid_tables(axis, dim: int, order: int, width: int = 1):
+    """The `synthesis_tables` of the grid axis x ... x axis (dim axes), a chunk
+    of first-axis coordinates at a time: one list of dim tables per chunk, the
+    other axes' tables built once.  This is the one chunk rule of every grid
+    synthesis: a chunk has `_GRID_BLOCK` // max(S, m^(d-1) width) coordinates
+    (at least one), so its first-axis table and the synthesis of `width`
+    expansions on it each hold at most `_GRID_BLOCK` values.  Synthesizing
+    chunk by chunk and concatenating gives the grid in C order.  Each list is
+    emptied before the next chunk's table is built, so one chunk's table of
+    the first axis is held at a time: a 1D grid's table is bounded."""
+    rows = max(1, _GRID_BLOCK // max(order, len(axis) ** (dim - 1) * width))
     rest = synthesis_tables([axis] * (dim - 1), order)
     for i in range(0, len(axis), rows):
         tables = synthesis_tables([axis[i:i + rows]], order) + rest
@@ -506,13 +478,3 @@ def synthesize(tensor, tables) -> np.ndarray:
         # the new grid axis goes behind the coefficient axes still to do
         tensor = np.moveaxis(tensor, 0, dim - 1)
     return tensor
-
-
-def l2_inner(u: SpectralField, v: SpectralField) -> float:
-    """L2 inner product via Parseval; fields must share dim and order."""
-    _check_compatible(u, v)
-    return float(u.coeffs @ v.coeffs)
-
-
-def l2_norm(u: SpectralField) -> float:
-    return float(np.linalg.norm(u.coeffs))

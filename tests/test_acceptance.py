@@ -36,9 +36,9 @@ from bridgegp import (
     krr_solve,
     log_marginal,
     nested_consistency,
-    sample_values,
     solve,
     source_energy_offset,
+    value_blocks,
     zero_source,
 )
 
@@ -87,7 +87,7 @@ def test_prior_sampling_variance(acceptance):
     draws = 100000
     sampler = PriorSampler(KernelSpec("bridge", order=512), seed=0)
     xs = np.array([0.25, 0.5, 0.75])
-    values = sample_values(sampler, xs, draws)
+    values = np.concatenate(list(value_blocks(sampler, xs, draws)))
     v_hat = values.var(axis=0)
     target = xs * (1.0 - xs)
     bound = 3.0 * target * np.sqrt(2.0) / np.sqrt(draws)

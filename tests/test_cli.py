@@ -34,11 +34,11 @@ from bridgegp import (
     kernels,
     pde,
     regression,
+    posterior_value_blocks,
     sample_coefficients,
-    sample_posterior_values,
-    sample_values,
     sampling,
     spectral,
+    value_blocks,
 )
 from bridgegp.sampling import _philox
 
@@ -986,7 +986,7 @@ class TestOneSampler:
         table = np.loadtxt(out, delimiter=",", skiprows=4)
         post = condition(KernelSpec("bridge", order=32, beta=3.0), None,
                          Dataset(np.array(x), np.array(y), 1e-3))
-        draws = sample_posterior_values(post, table[:, :1], 2100, seed=5)
+        draws = np.concatenate(list(posterior_value_blocks(post, table[:, :1], 2100, seed=5)))
         # the paths are the draws; the moments are merged over two blocks
         np.testing.assert_array_equal(table[:, 3:], draws[:3].T)
         np.testing.assert_allclose(table[:, 1], draws.mean(axis=0), rtol=1e-12, atol=0)
@@ -1004,7 +1004,8 @@ class TestOneSampler:
         table = np.loadtxt(out, delimiter=",", skiprows=4)
         post = condition(KernelSpec("bridge", dim=2, order=8, beta=2.0), None,
                          Dataset(np.array(x), np.array(y), 1e-3))
-        draws = sample_posterior_values(post, np.linspace(0.0, 1.0, 6), 2100, seed=5)
+        axis = np.linspace(0.0, 1.0, 6)
+        draws = np.concatenate(list(posterior_value_blocks(post, axis, 2100, seed=5)))
         np.testing.assert_array_equal(table[:, 4:], draws[:3].T)
         np.testing.assert_allclose(table[:, 2], draws.mean(axis=0), rtol=1e-12, atol=0)
         np.testing.assert_allclose(table[:, 3], draws.std(axis=0), rtol=1e-12, atol=0)
@@ -1052,9 +1053,12 @@ class TestOneSampler:
         spec = KernelSpec("bridge", order=16)
         axis = np.linspace(0.0, 1.0, grid)
         if mode == "prior":
-            return sample_values(PriorSampler(spec, None, None, seed), axis, draws)
-        post = condition(spec, None, Dataset(np.array([0.3, 0.6]), np.array([0.2, -0.1]), 1e-3))
-        return sample_posterior_values(post, axis, draws, seed)
+            blocks = value_blocks(PriorSampler(spec, None, None, seed), axis, draws)
+        else:
+            post = condition(spec, None, Dataset(np.array([0.3, 0.6]), np.array([0.2, -0.1]),
+                                                 1e-3))
+            blocks = posterior_value_blocks(post, axis, draws, seed)
+        return np.concatenate(list(blocks))
 
     # blocks of 7 draws: fewer draws than a block, a ragged last block,
     # and every draw a path

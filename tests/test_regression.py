@@ -667,6 +667,23 @@ class TestMarginalForms:
         np.testing.assert_allclose(vec_quad[..., 0, 0], quad[:, :3, 0, 0], rtol=1e-14)
         np.testing.assert_array_equal(vec_logdet, logdet[:, :3])
 
+    @pytest.mark.parametrize("spec", [KernelSpec("bridge", order=64, beta=3.0),
+                                      KernelSpec("helmholtz", order=64, omega=2.0, beta=3.0),
+                                      KernelSpec("bridge", dim=2, order=6, beta=3.0)],
+                             ids=["bridge-1d", "helmholtz", "bridge-2d"])
+    def test_decomposes_the_gram_of_kernel_matrix(self, rng, monkeypatch, spec):
+        data = make_dataset(rng, dim=spec.dim)
+        seen, original = [], np.linalg.eigh
+
+        def eigh(a, *args, **kwargs):
+            seen.append(np.array(a))
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        _MarginalCovariance(spec, data)
+        assert len(seen) == 1
+        assert seen[0].tobytes() == kernel_matrix(spec.with_beta(1.0), data.X).tobytes()
+
     def test_jitter_fires_only_on_the_betas_that_need_it(self, rng, shift_eigenvalue, caplog):
         # w = -sigma2 makes w / beta + sigma2 exactly 0 at beta = 1 and
         # positive above it: only the rows at beta = 1 take the jitter

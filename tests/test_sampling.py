@@ -27,8 +27,6 @@ from bridgegp import (
     nested_consistency,
     posterior_value_blocks,
     sample_coefficients,
-    sample_posterior_values,
-    sample_values,
     solve,
     value_blocks,
 )
@@ -41,6 +39,12 @@ def sample(sampler, count):
     full = np.zeros((count, sampler.spec.n_coeffs))
     full[:, : sampler.mesh_size] = sample_coefficients(sampler, count)
     return [SpectralField(sampler.spec.dim, sampler.spec.order, row) for row in full]
+
+
+def stacked(blocks):
+    """All blocks of `value_blocks` or `posterior_value_blocks` in one
+    (count, points) array."""
+    return np.concatenate(list(blocks))
 
 
 def make_sampler(order=32, beta=1.0, mesh=None, seed=0, mean=None):
@@ -121,11 +125,11 @@ class TestChunks:
         # 9 grid points resolve 7 modes: 7 coefficients are drawn as they are,
         # and 64 folded onto 7 modes
         return {
-            "coefficients": lambda n: sample_values(make_sampler(order=7, seed=3), x, n),
-            "points": lambda n: sample_values(make_sampler(order=64, seed=3), x, n),
-            "backward": lambda n: sample_posterior_values(bridge, x, n, seed=3),
-            "pathwise": lambda n: sample_posterior_values(
-                post2, np.linspace(0.1, 0.9, 5), n, seed=3),
+            "coefficients": lambda n: stacked(value_blocks(make_sampler(order=7, seed=3), x, n)),
+            "points": lambda n: stacked(value_blocks(make_sampler(order=64, seed=3), x, n)),
+            "backward": lambda n: stacked(posterior_value_blocks(bridge, x, n, seed=3)),
+            "pathwise": lambda n: stacked(posterior_value_blocks(
+                post2, np.linspace(0.1, 0.9, 5), n, seed=3)),
         }
 
     @pytest.mark.parametrize("route", ["coefficients", "points", "backward", "pathwise"])
@@ -220,7 +224,7 @@ class TestDraws:
         s = make_sampler(order=16, seed=4)
         x = np.linspace(0.05, 0.95, 20)
         assert s.grid_modes(x)[2] == 16
-        vals = sample_values(s, x, 3)
+        vals = stacked(value_blocks(s, x, 3))
         fields = sample(s, 3)
         for j in range(3):
             np.testing.assert_allclose(vals[j], fields[j](x), atol=1e-12)
@@ -231,9 +235,9 @@ class TestDraws:
         # only to rounding
         s = make_sampler(order=16, seed=8)
         x = np.array([0.25, 0.75])
-        full = sample_values(s, x, 10)
+        full = stacked(value_blocks(s, x, 10))
         monkeypatch.setattr(sampling, "_BLOCK", 3)
-        np.testing.assert_allclose(sample_values(s, x, 10), full, atol=1e-14)
+        np.testing.assert_allclose(stacked(value_blocks(s, x, 10)), full, atol=1e-14)
 
     def test_blocks_follow_the_value_budget(self, monkeypatch):
         # coefficients: a draw holds max(16 grid points, 16 coefficients)
@@ -241,7 +245,7 @@ class TestDraws:
         # of 6, 6, 6, 2
         s = make_sampler(order=16, seed=6)
         x = np.linspace(0.0, 1.0, 16)
-        full = sample_values(s, x, 20)
+        full = stacked(value_blocks(s, x, 20))
         monkeypatch.setattr(spectral, "_GRID_BLOCK", 100)
         blocks = list(value_blocks(s, x, 20))
         assert [len(b) for b in blocks] == [6, 6, 6, 2]
@@ -253,7 +257,7 @@ class TestDraws:
         x = np.linspace(0.0, 1.0, 11)
         monkeypatch.undo()
         assert s.grid_modes(x)[0].size == 9
-        full = sample_values(s, x, 20)
+        full = stacked(value_blocks(s, x, 20))
         monkeypatch.setattr(spectral, "_GRID_BLOCK", 100)
         blocks = list(value_blocks(s, x, 20))
         assert [len(b) for b in blocks] == [9, 9, 2]
@@ -261,7 +265,7 @@ class TestDraws:
 
     def test_count_must_be_positive(self):
         with pytest.raises(ValueError):
-            sample_values(make_sampler(), [0.5], 0)
+            stacked(value_blocks(make_sampler(), [0.5], 0))
 
     def test_moments(self):
         # mean and variance of the drawn coefficients at pinned seed
@@ -340,7 +344,7 @@ class TestFold:
         axis = np.linspace(0.0, 1.0, m)
         scales, center = folded(s, m)
         table = spectral.basis_matrix(dim, m - 2, grid_points(axis, dim))
-        draws = sample_values(s, axis, 66)
+        draws = stacked(value_blocks(s, axis, 66))
         for j in (0, 1, 63, 64, 65):
             expect = table @ (center + scales * stream(12, j, (m - 2) ** dim))
             np.testing.assert_allclose(draws[j], expect, rtol=0, atol=1e-14)
@@ -356,18 +360,18 @@ class TestFold:
             return normals(seed, size, *args)
 
         monkeypatch.setattr(sampling, "_normals", count)
-        sample_values(self.prior(dim, order), np.linspace(0.0, 1.0, m), 3)
+        stacked(value_blocks(self.prior(dim, order), np.linspace(0.0, 1.0, m), 3))
         assert sizes == [(m - 2) ** dim]
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_grid_2_is_zero_and_grid_3_one_mode(self, dim):
         s = self.prior(dim, 8)
         assert s.grid_modes(np.array([0.0, 1.0]))[2] == 8
-        np.testing.assert_array_equal(sample_values(s, [0.0, 1.0], 5), 0.0)
+        np.testing.assert_array_equal(stacked(value_blocks(s, [0.0, 1.0], 5)), 0.0)
         scales, center, modes = s.grid_modes(np.array([0.0, 0.5, 1.0]))
         assert modes == 1 and scales.shape == center.shape == (1,)
         np.testing.assert_allclose((scales, center), folded(s, 3), rtol=1e-15)
-        vals = sample_values(s, [0.0, 0.5, 1.0], 5).reshape((5,) + (3,) * dim)
+        vals = stacked(value_blocks(s, [0.0, 0.5, 1.0], 5)).reshape((5,) + (3,) * dim)
         middle = vals[(slice(None),) + (1,) * dim]
         stream0 = np.array([stream(3, j, 1)[0] for j in range(5)])
         np.testing.assert_allclose(middle, 2.0 ** (dim / 2) * (center + scales * stream0),
@@ -378,7 +382,7 @@ class TestFold:
     def test_boundary_values_are_exactly_zero(self):
         mean = SpectralField(1, 512, np.ones(512))
         s = PriorSampler(KernelSpec("bridge", order=512), mean, seed=5)
-        vals = sample_values(s, np.linspace(0.0, 1.0, 101), 50)
+        vals = stacked(value_blocks(s, np.linspace(0.0, 1.0, 101), 50))
         assert np.all(vals[:, 0] == 0.0) and np.all(vals[:, -1] == 0.0)
         assert np.all(vals[:, 1:-1] != 0.0)
 
@@ -393,7 +397,7 @@ class TestFold:
         table = spectral.synthesis_tables([x], 128)[0]
         var = (table**2) @ s.scales**2
         n = 20000
-        draws = sample_values(s, x, n)[:, 1:-1]
+        draws = stacked(value_blocks(s, x, n))[:, 1:-1]
         var, expect = var[1:-1], (table @ mean.coeffs)[1:-1]
         assert np.all(np.abs(draws.mean(axis=0) - expect) <= 5 * np.sqrt(var / n))
         assert np.all(np.abs(draws.var(axis=0) - var) <= 5 * np.sqrt(2.0 / n) * var)
@@ -408,8 +412,8 @@ class TestFold:
             scales, center, modes = s.grid_modes(x)
             assert modes == 64 and scales.size == center.size == 64
             table = spectral.synthesis_tables([x], 64)[0]
-            np.testing.assert_allclose(sample_values(s, x, 3), sample_coefficients(s, 3) @ table.T,
-                                       rtol=0, atol=1e-13)
+            np.testing.assert_allclose(stacked(value_blocks(s, x, 3)),
+                                       sample_coefficients(s, 3) @ table.T, rtol=0, atol=1e-13)
 
     def test_large_grid_takes_the_coefficient_route(self, monkeypatch):
         # 2049 points resolve 2047 modes, fewer than 2048 coefficients: folded;
@@ -423,8 +427,8 @@ class TestFold:
         x = np.linspace(0.0, 1.0, 2050)
         assert s.grid_modes(x)[2] == 2048
         table = spectral.synthesis_tables([x], 2048)[0]
-        np.testing.assert_allclose(sample_values(s, x, 2), sample_coefficients(s, 2) @ table.T,
-                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(stacked(value_blocks(s, x, 2)),
+                                   sample_coefficients(s, 2) @ table.T, rtol=0, atol=1e-12)
 
     def test_route_depends_on_points_and_coefficients(self):
         # folded iff the grid is uniform, 1 <= m - 2 and (m - 2)^dim < mesh_size,
@@ -450,7 +454,7 @@ class TestFold:
         x = np.linspace(0.0, 1.0, 101)
         tracemalloc.start()
         try:
-            vals = sample_values(s, x, 3)
+            vals = stacked(value_blocks(s, x, 3))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -465,7 +469,7 @@ class TestFold:
         x = np.linspace(0.0, 1.0, 100001)
         tracemalloc.start()
         try:
-            vals = sample_values(s, x, 8)
+            vals = stacked(value_blocks(s, x, 8))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -476,14 +480,14 @@ class TestFold:
         np.testing.assert_allclose(vals[:, some], sample_coefficients(s, 8) @ table.T,
                                    rtol=0, atol=1e-12)
 
-    def test_chunked_synthesis_is_bitwise_the_whole_table_route(self, monkeypatch):
+    def test_chunked_synthesis_is_bitwise_across_chunk_sizes(self, monkeypatch):
         s = make_sampler(order=64, seed=5)
         x = np.linspace(0.0, 1.0, 2001)
-        whole = sample_values(s, x, 8)
+        whole = stacked(value_blocks(s, x, 8))
         # 1 << 14 values a block: chunks of 256 points, and still one block of
         # the 8 draws (the product's width may change its rounding)
         monkeypatch.setattr(spectral, "_GRID_BLOCK", 1 << 14)
-        chunked = sample_values(s, x, 8)
+        chunked = stacked(value_blocks(s, x, 8))
         assert chunked.tobytes() == whole.tobytes()
 
 
@@ -527,16 +531,17 @@ class TestPosteriorDraws:
         # position to the normals in that order.
         post = self.posterior()
         x = np.array([0.9, 0.05, 0.45, 0.3, 0.7, 0.2, 0.6])  # 0.2 and 0.45 are data sites
-        draws = sample_posterior_values(post, x, 2050, seed=13)
+        draws = stacked(posterior_value_blocks(post, x, 2050, seed=13))
         desc = np.argsort(-x)
         root = np.linalg.cholesky(post.cov(x)[np.ix_(desc, desc)])
         for j in (0, 1, 2047, 2048, 2049):
             expect = post.mean(x)
             expect[desc] += root @ stream(13, j, 7)[desc]
             np.testing.assert_allclose(draws[j], expect, rtol=0, atol=1e-14)
-        np.testing.assert_array_equal(sample_posterior_values(post, x, 3, seed=13), draws[:3])
+        np.testing.assert_array_equal(stacked(posterior_value_blocks(post, x, 3, seed=13)),
+                                      draws[:3])
         # the bridge is pinned: draws at 0 and 1 are the prior mean there, 0
-        ends = sample_posterior_values(post, [1.0, 0.5, 0.0], 5, seed=13)
+        ends = stacked(posterior_value_blocks(post, [1.0, 0.5, 0.0], 5, seed=13))
         assert np.all(ends[:, [0, 2]] == 0.0) and np.all(ends[:, 1] != 0.0)
 
     def test_rows_are_the_per_draw_streams_in_2d(self, rng):
@@ -547,7 +552,7 @@ class TestPosteriorDraws:
         data = Dataset(rng.uniform(0.1, 0.9, (4, 2)), rng.normal(size=4), 1e-3)
         post = condition(spec, None, data)
         axis = rng.uniform(size=3)
-        draws = sample_posterior_values(post, axis, 2049, seed=13)
+        draws = stacked(posterior_value_blocks(post, axis, 2049, seed=13))
         assert draws.shape == (2049, 9)
         scales = np.sqrt(eigenvalues(spec) / 2.0)
         _, noise_sd = regression._MarginalCovariance(spec, data).whitening(2.0)
@@ -574,7 +579,7 @@ class TestPosteriorDraws:
 
         monkeypatch.setattr(regression.PosteriorModel, "coefficient_draws", spy)
         monkeypatch.setattr(sampling, "_BLOCK", 30)
-        sample_posterior_values(post, np.linspace(0.0, 1.0, 5), 70, seed=21)
+        stacked(posterior_value_blocks(post, np.linspace(0.0, 1.0, 5), 70, seed=21))
         prior = PriorSampler(spec, None, seed=21)
         xi = np.concatenate(seen, axis=1)
         np.testing.assert_array_equal(prior.scales * xi.T, sample_coefficients(prior, 70))
@@ -593,14 +598,14 @@ class TestPosteriorDraws:
         points = axis if spec.dim == 1 else np.stack(
             np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
         n = 40000
-        draws = sample_posterior_values(post, axis, n, seed=99)
+        draws = stacked(posterior_value_blocks(post, axis, n, seed=99))
         cov = post.cov(points)
         var = np.diag(cov)
         assert np.all(np.abs(draws.mean(axis=0) - post.mean(points)) <= 5 * np.sqrt(var / n))
         assert np.all(np.abs(draws.var(axis=0) - var) <= 5 * np.sqrt(2.0 / n) * var)
         sigma = np.sqrt((np.outer(var, var) + cov**2) / n)
         assert np.all(np.abs(np.cov(draws, rowvar=False) - cov) <= 5 * sigma)
-        ends = sample_posterior_values(post, [0.0, 0.5, 1.0], 5, seed=99)
+        ends = stacked(posterior_value_blocks(post, [0.0, 0.5, 1.0], 5, seed=99))
         centre = (3**spec.dim - 1) // 2  # the one grid point off the boundary
         assert np.all(np.delete(ends, centre, axis=1) == 0.0) and np.all(ends[:, centre] != 0.0)
 
@@ -615,7 +620,7 @@ class TestPosteriorDraws:
         n = 20000
         with caplog.at_level(logging.INFO, logger="bridgegp.regression"):
             post = condition(spec, None, data)
-            draws = sample_posterior_values(post, axis, n, seed=5)
+            draws = stacked(posterior_value_blocks(post, axis, n, seed=5))
         assert caplog.text.count("adding jitter") == 1
         points = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
         var = post.var(points)
@@ -626,7 +631,7 @@ class TestPosteriorDraws:
     def test_blocks_follow_the_value_budget(self, monkeypatch):
         post = self.posterior()
         x = np.linspace(0.0, 1.0, 7)
-        full = sample_posterior_values(post, x, 10, seed=2)
+        full = stacked(posterior_value_blocks(post, x, 10, seed=2))
         monkeypatch.setattr(spectral, "_GRID_BLOCK", 30)
         blocks = list(posterior_value_blocks(post, x, 10, seed=2))
         assert [len(b) for b in blocks] == [4, 4, 2]
@@ -637,7 +642,7 @@ class TestPosteriorDraws:
         post = self.posterior()
         x = np.linspace(0.05, 0.95, 10)
         n = 20000
-        draws = sample_posterior_values(post, x, n, seed=99)
+        draws = stacked(posterior_value_blocks(post, x, n, seed=99))
         var = post.var(x)
         assert np.all(np.abs(draws.mean(axis=0) - post.mean(x)) <= 5 * np.sqrt(var / n))
         assert np.all(np.abs(draws.var(axis=0) - var) <= 5 * np.sqrt(2.0 / n) * var)
@@ -648,7 +653,7 @@ class TestPosteriorDraws:
         post = self.posterior()
         x = np.array([0.1, 0.2, 0.35, 0.45, 0.6, 0.8, 0.95])
         n = 20000
-        draws = sample_posterior_values(post, x, n, seed=7)
+        draws = stacked(posterior_value_blocks(post, x, n, seed=7))
         cov = post.cov(x)
         got = np.cov(draws, rowvar=False)
         sigma = np.sqrt((np.outer(np.diag(cov), np.diag(cov)) + cov**2) / n)
@@ -659,7 +664,7 @@ class TestPosteriorDraws:
         post = self.posterior()
         x = np.linspace(0.0, 1.0, 7)
         monkeypatch.setattr(sampling, "_BACKWARD_STEPS", 7)
-        assert sample_posterior_values(post, x, 10, seed=2).shape == (10, 7)
+        assert stacked(posterior_value_blocks(post, x, 10, seed=2)).shape == (10, 7)
         monkeypatch.setattr(sampling, "_BACKWARD_STEPS", 6)
 
         def refuse(*args, **kwargs):
@@ -671,7 +676,7 @@ class TestPosteriorDraws:
 
     def test_seed_validation(self):
         with pytest.raises(ValueError):
-            sample_posterior_values(self.posterior(), [0.5], 1, seed=-1)
+            stacked(posterior_value_blocks(self.posterior(), [0.5], 1, seed=-1))
 
 
 class TestNestedConsistency:

@@ -17,23 +17,34 @@ from bridgegp import (
     OrderMismatchError,
     ResourceLimitError,
     SpectralField,
-    basis_eval,
     basis_field,
     basis_matrix,
     default_rule,
     dirichlet_eigenvalues,
-    enumerate_indices,
     evaluate,
     gauss_legendre_rule,
     index_array,
-    l2_inner,
-    l2_norm,
     project,
     zero_field,
 )
 from bridgegp import spectral
 from bridgegp.pde import ClosedFormSource
 from bridgegp.spectral import synthesis_tables, synthesize, validate_points
+
+
+def enumerate_indices(dim, order):
+    """The canonical enumeration of {1..order}^dim, lexicographic, as tuples."""
+    return list(itertools.product(range(1, order + 1), repeat=dim))
+
+
+def basis_eval(alpha, x):
+    """psi_alpha = 2^(d/2) prod_i sin(alpha_i pi x_i) at a scalar, a (d,) point
+    or an (N, d) batch, zero on the boundary: one column of `basis_matrix`."""
+    alpha = np.asarray(alpha).reshape(-1)
+    pts, single = spectral.as_point_batch(x, alpha.size)
+    vals = 2.0 ** (alpha.size / 2.0) * np.prod(np.sin(np.pi * pts * alpha), axis=1)
+    vals[np.any((pts == 0.0) | (pts == 1.0), axis=1)] = 0.0
+    return float(vals[0]) if single else vals
 
 
 def synth(coeffs, axes):
@@ -55,7 +66,7 @@ def parabola(x):
 
 class TestEnumeration:
     def test_lexicographic_example(self):
-        assert enumerate_indices(2, 2) == [(1, 1), (1, 2), (2, 1), (2, 2)]
+        assert index_array(2, 2).tolist() == [[1, 1], [1, 2], [2, 1], [2, 2]]
 
     def test_index_array_matches_list(self):
         for dim, order in [(1, 7), (2, 4), (3, 3)]:
@@ -70,13 +81,13 @@ class TestEnumeration:
 
     def test_caps(self):
         with pytest.raises(ResourceLimitError):
-            enumerate_indices(4, 2)
+            index_array(4, 2)
         with pytest.raises(ResourceLimitError):
-            enumerate_indices(2, 65)
+            index_array(2, 65)
         with pytest.raises(ResourceLimitError):
-            enumerate_indices(3, 33)
+            index_array(3, 33)
         with pytest.raises(ValueError):
-            enumerate_indices(1, 0)
+            index_array(1, 0)
         # the largest allowed shapes construct fine
         index_array(2, 64)
         index_array(3, 32)
@@ -298,7 +309,7 @@ class TestProjection:
         # integral of x^2 (1-x)^2 over [0, 1] is 1/30; the S = 512 series
         # tail is ~1e-16, far below the tolerance.
         u = project(parabola, 1, 512)
-        assert l2_norm(u) ** 2 == pytest.approx(1.0 / 30.0, abs=1e-13)
+        assert u.coeffs @ u.coeffs == pytest.approx(1.0 / 30.0, abs=1e-13)
 
     def test_evaluate_matches_function(self):
         u = project(parabola, 1, 512)
@@ -337,10 +348,13 @@ class TestProjection:
             assert np.array_equal(coeffs, on_points.coeffs), text
 
     def test_inner_product_via_parseval(self):
+        # the L2 inner product by quadrature is the coefficients' dot product
         u = SpectralField(1, 3, [1.0, 0.0, 2.0])
         v = SpectralField(1, 3, [0.5, 1.0, -1.0])
-        assert l2_inner(u, v) == -1.5
-        assert l2_inner(zero_field(1, 3), v) == 0.0
+        rule = default_rule(1, 3)
+        on_v = evaluate(v, rule.nodes)
+        assert rule.integrate(evaluate(u, rule.nodes) * on_v) == pytest.approx(-1.5, abs=1e-14)
+        assert rule.integrate(evaluate(zero_field(1, 3), rule.nodes) * on_v) == 0.0
 
 
 class TestSynthesis:
@@ -391,6 +405,20 @@ class TestSynthesis:
             synth(np.zeros(4), [[0.5], [0.5]])
         with pytest.raises(DomainError):
             synthesis_tables([[1.5]], 4)
+
+    @pytest.mark.parametrize("dim, order, m, width, chunks", [
+        (1, 8, 300, 1, [125, 125, 50]), (2, 8, 30, 4, [8, 8, 8, 6]),
+        (3, 4, 10, 3, [3, 3, 3, 1]), (2, 8, 30, 10**6, [1] * 30)])
+    def test_grid_tables_chunk_rule(self, monkeypatch, rng, dim, order, m, width, chunks):
+        # _GRID_BLOCK // max(S, m^(d-1) width) first-axis coordinates a chunk, at least one
+        axis = np.linspace(0.0, 1.0, m)
+        coeffs = rng.normal(size=(order,) * dim)
+        whole = synth(coeffs, [axis] * dim)
+        monkeypatch.setattr(spectral, "_GRID_BLOCK", 1000)
+        parts = [synthesize(coeffs, tables)
+                 for tables in spectral.grid_tables(axis, dim, order, width)]
+        assert [len(part) for part in parts] == chunks
+        np.testing.assert_allclose(np.concatenate(parts), whole, rtol=0, atol=1e-14)
 
     def test_3d_default_grid_memory(self, rng):
         # S = 32 on the 101^3 grid: a dense basis would be 1030301 x 32768

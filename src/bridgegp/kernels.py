@@ -19,8 +19,8 @@ physics prior: large beta concentrates mass near the prior mean.
 Production code factors no Gram here: `regression` conditions, calibrates,
 inverts and draws posteriors through one eigendecomposed marginal covariance,
 whose Gram `kernel_matrix` builds, with the one jitter rule.  `SpdSolver`
-(Cholesky) is the solver of the dense oracles, `regression.krr_solve` and the
-1D bridge's `PosteriorModel.cov`, which no command calls.
+(Cholesky) is the solver of the dense oracles, `regression.krr_solve` and
+`PosteriorModel.cov`, which no command calls.
 """
 
 from __future__ import annotations

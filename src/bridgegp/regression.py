@@ -157,23 +157,22 @@ class PosteriorModel:
 
     Exposes the posterior mean, the pointwise variance (never negative:
     round-off below zero is clamped and logged) and, as the dense oracle of
-    the tests, which no command calls, the covariance.
+    the tests, which no command calls, the covariance k(x, x') -
+    k(x, X) V^-1 k(X, x'), V = K / beta + sigma2 I factored per call.
 
-    The 1D bridge is a Markov process, so its posterior is exact in
-    O(n + N) without a Gram matrix: `mean`, `var` and `on_grid` run one
-    Kalman filter and Rauch-Tung-Striebel smoother over the sorted union of
-    the data sites and the N query points (`_bridge_kernels`), on the
-    residual r = y - u0(X), which is all the model keeps of the data; its
-    `cov` is k(x, x') - k(x, X) V^-1 k(X, x'), V = K / beta + sigma2 I
-    factored per call.  Every other kernel is a finite Mercer sum
-    psi(x)^T Lambda psi(y) / beta, so its posterior lives in coefficient
-    space (GPML section 2.1).  With Psi the basis at the data sites X and
-    W W^T = V^-1 the whitening of `_MarginalCovariance`, the one factorization
-    the evidence uses too, let G = Lambda Psi^T W / beta.  The mean is the
-    field `mean_field`, c0 + G W^T r, the variance k(x, x) - |G^T psi(x)|^2,
-    and `coefficient_draws` draws by pathwise conditioning; of V only G and
-    the noise scale sqrt(1 - g) of `whitening` are kept.  G is the one
-    n x S^d array held, written a block of its rows at a time
+    The 1D bridge is a Markov process, so its posterior is exact in O(n + N)
+    without a Gram matrix: one Kalman filter and smoother over the data sites
+    (`_site_pass`) on the residual r = y - u0(X), all it keeps of the data, and
+    the N query points filled in by the bridge between the sites around each,
+    which is free of the data.  Every other kernel is a finite Mercer sum
+    psi(x)^T Lambda psi(y) / beta, so its posterior lives in coefficient space
+    (GPML section 2.1).  With Psi the basis at the data sites X and W W^T =
+    V^-1 the whitening of `_MarginalCovariance`, the one factorization the
+    evidence uses too, let G = Lambda Psi^T W / beta.  The mean is the field
+    `mean_field`, c0 + G W^T r, the variance k(x, x) - |G^T psi(x)|^2, and
+    `coefficient_draws` draws by pathwise conditioning; of V only G and the
+    noise scale sqrt(1 - g) of `whitening` are kept.  G is the one n x S^d
+    array held, written a block of its rows at a time
     (`spectral.basis_blocks`); `on_grid` evaluates both moments on a tensor
     grid by synthesis, without a basis matrix of the grid.
     """
@@ -190,6 +189,7 @@ class PosteriorModel:
         self._resid = _residual(data, self.prior)
         if spec.closed_form:
             self.mean_field = None
+            self._site_pass()
             return
         whiten, self._noise_sd = _MarginalCovariance(spec, data).whitening(spec.beta)
         self._lam = kernels._over_beta(kernels.eigenvalues(spec), spec.beta)
@@ -203,78 +203,76 @@ class PosteriorModel:
         self.mean_field = spectral.SpectralField(
             spec.dim, spec.order, self.prior.coeffs + self._factor @ (whiten.T @ self._resid))
 
-    def _bridge_kernels(self, x):
-        """The backward kernels of the residual process at 1D points `x`.
-
-        Returns `order`, the indices of x by descending position, and three
-        lists in that order: the residual f at x[order[k]], given the data
-        and f at x[order[k - 1]] (its right neighbour among the points), is
-        normal with mean coef[k] f(x[order[k - 1]]) + center[k] and variance
-        var[k]; coef[0] is 0, so the first is the smoothed marginal.
-
-        The bridge transition s -> t has mean factor (1 - t) / (1 - s) and
-        variance (t - s)(1 - t) / ((1 - s) beta).  A Kalman filter in
-        covariance form runs over the stable-sorted union of data sites and
-        points; an observation is one update, so several at one site are
-        sequential updates.  Its backward (RTS) kernels are composed through
-        the data-only sites (Carter & Kohn, 1994).  No step divides by a gap
-        between sites, and the variances are sums of nonnegative terms.
-        """
-        sites = self.data.X[:, 0]
-        n = sites.size
-        perm = np.argsort(np.concatenate([sites, x]), kind="stable")
-        t = np.concatenate([sites, x])[perm]
+    def _site_pass(self):
+        """Filter and smooth the residual over its knots `_knots`: 0, the sites
+        inside (0, 1) ascending, and 1 (where the bridge is pinned, so sites
+        there see only noise).  Keeps the smoothed means and variances there
+        (`_smoothed`) and the backward kernels (`_backward`): f at knot i given
+        the data and f at knot i + 1 has mean c_i f(knot i + 1) + d_i and
+        variance v_i.  The filter steps once per observation in sorted order
+        (repeats are steps of factor 1 and variance 0), the RTS smoother once
+        per site; variances are sums of nonnegative terms."""
+        x = self.data.X[:, 0]
+        order = np.argsort(x, kind="stable")
+        order = order[(x[order] > 0.0) & (x[order] < 1.0)]
+        t = x[order]
         prev = np.concatenate([[0.0], t[:-1]])
-        # past a site at 1 the state is exactly 0 and every gap is 0
-        a = np.divide(1.0 - t, 1.0 - prev, out=np.zeros_like(t), where=prev < 1.0)
+        a = (1.0 - t) / (1.0 - prev)
         q = kernels._over_beta((t - prev) * a, self.spec.beta)
-        resid = np.zeros(t.size)
-        observed = perm < n
-        resid[observed] = self._resid[perm[observed]]
-        s2 = self.data.sigma2
-        m = p = 0.0
-        mf, pf, pp = [], [], []
-        for ai, qi, ri, obs in zip(a.tolist(), q.tolist(), resid.tolist(), observed.tolist()):
-            m *= ai
+        s2, m, p, mf, pf, pp = self.data.sigma2, 0.0, 0.0, [], [], []
+        for ai, qi, ri in zip(a.tolist(), q.tolist(), self._resid[order].tolist()):
             p = ai * ai * p + qi
             pp.append(p)
-            if obs:
-                g = p + s2
-                m = (s2 * m + p * ri) / g
-                p = p * s2 / g
+            g = p + s2
+            m, p = (s2 * (ai * m) + p * ri) / g, p * s2 / g
             mf.append(m)
             pf.append(p)
-        # f(t_i) | f(t_{i+1}), data to t_i: mean c f(t_{i+1}) + w m_f, variance
-        # w P_f, with c = a P_f / P_p, w = q / P_p = 1 - c a (P_p, a, q of the
-        # step to t_{i+1}); when P_p = 0, f(t_{i+1}) is known and c = 0, w = 1.
         mf, pf, pp = np.array(mf), np.array(pf), np.array(pp)
-        c, w = np.zeros(t.size), np.ones(t.size)
-        known = pp[1:] == 0.0
-        np.divide(a[1:] * pf[:-1], pp[1:], out=c[:-1], where=~known)
-        np.divide(q[1:], pp[1:], out=w[:-1], where=~known)
-        coef, center, var = [], [], []
-        gain, mean, cond = 1.0, 0.0, 0.0  # f(t_i) in terms of the last point passed
-        for ci, di, vi, query in zip(c[::-1].tolist(), (w * mf)[::-1].tolist(),
-                                     (w * pf)[::-1].tolist(), (~observed[::-1]).tolist()):
-            gain, mean, cond = ci * gain, ci * mean + di, ci * ci * cond + vi
-            if query:
-                coef.append(gain)
-                center.append(mean)
-                var.append(cond)
-                gain, mean, cond = 1.0, 0.0, 0.0
-        return perm[~observed][::-1] - n, coef, center, var
+        first = np.flatnonzero(np.diff(t, prepend=-1.0))  # each site's first observation
+        mf, pf = (u[np.flatnonzero(np.diff(t, append=2.0))] for u in (mf, pf))  # and last
+        # f(t_i) | f(t_{i+1}), data to t_i: mean c f(t_{i+1}) + w m_f, variance w P_f,
+        # c = a P_f / P_p, w = q / P_p = 1 - c a (P_p, a, q of the step to t_{i+1},
+        # 0 from the last site to 1); when P_p = 0, c = 0 and w = 1.
+        a, q, pp = (np.append(u, 0.0)[np.append(first, t.size)[1:]] for u in (a, q, pp))
+        c = np.divide(a * pf, pp, out=np.zeros(pp.size), where=pp != 0.0)
+        w = np.divide(q, pp, out=np.ones(pp.size), where=pp != 0.0)
+        c, d, v = (np.pad(u, 1) for u in (c, w * mf, w * pf))
+        mean, var = [0.0], [0.0]
+        for ci, di, vi in zip(c[-2:0:-1].tolist(), d[-2:0:-1].tolist(), v[-2:0:-1].tolist()):
+            mean.append(ci * mean[-1] + di)
+            var.append(ci * ci * var[-1] + vi)
+        self._knots = np.concatenate([[0.0], t[first], [1.0]])
+        self._smoothed = np.array([0.0] + mean[::-1]), np.array([0.0] + var[::-1])
+        self._backward = c, d, v
+
+    def _gaps(self, x):
+        """Per 1D point x, the index of its knots a <= x < b (a < x = b at 1),
+        x - a, and the weights w_a = (b - x) / (b - a) and w_b = 1 - w_a."""
+        knots = self._knots
+        lo = np.searchsorted(knots, x, side="right").clip(max=knots.size - 1) - 1
+        a, b = knots[lo], knots[lo + 1]
+        return lo, x - a, (b - x) / (b - a), (x - a) / (b - a)
 
     def _bridge_moments(self, x):
-        """Smoothed mean and variance of the residual process at 1D points `x`."""
-        order, coef, center, var = self._bridge_kernels(x)
-        mean, out_var = np.empty(x.size), np.empty(x.size)
-        m = p = 0.0
-        for k, c, d, v in zip(order.tolist(), coef, center, var):
-            m = c * m + d
-            p = c * c * p + v
-            mean[k] = m
-            out_var[k] = p
-        return mean, out_var
+        """Smoothed mean and variance of the residual at 1D points `x`: given
+        f(a) and f(b), f(x) is a bridge of variance (x - a) w_a / beta, free of
+        the data, so its variance is that plus (w_a c_a + w_b)^2 P(b) +
+        w_a^2 v_a, P the smoothed variance (P(a) itself at a knot)."""
+        lo, h, wa, wb = self._gaps(x)
+        mean, var = self._smoothed
+        c, _, v = self._backward
+        out = kernels._over_beta(h * wa, self.spec.beta) + (wa * c[lo] + wb) ** 2 * var[lo + 1]
+        return wa * mean[lo] + wb * mean[lo + 1], out + wa**2 * v[lo]
+
+    def knot_draws(self, xi):
+        """Draws of the residual at the k knots inside (0, 1) from point-major
+        normals xi (k, r), overwritten: leftwards from the last knot,
+        f_i = c_i f_{i+1} + d_i + sqrt(v_i) xi[i] (Carter & Kohn, 1994)."""
+        c, d, v = self._backward
+        xi *= np.sqrt(v[1:-1])[:, None]
+        xi += d[1:-1, None]
+        for i, ci in zip(range(len(xi) - 2, -1, -1), c[-3:0:-1].tolist()):
+            xi[i] += ci * xi[i + 1]
 
     def mean(self, x):
         """Posterior mean at a point or batch of points."""
@@ -298,46 +296,34 @@ class PosteriorModel:
         head -= self._factor @ update
         return head
 
-    def _whitened(self, pts):
-        """The basis at a batch of points and G^T psi = W^T k(X, pts)."""
-        psi = spectral.basis_matrix(self.spec.dim, self.spec.order, pts)
-        return psi, (psi @ self._factor).T
-
     def cov(self, x, x2=None) -> np.ndarray:
         """Posterior covariance matrix between two batches of points."""
         a = spectral.validate_points(x, self.spec.dim)
         b = a if x2 is None else spectral.validate_points(x2, self.spec.dim)
-        if self.mean_field is None:
-            solver = kernels.SpdSolver(kernels.kernel_matrix(self.spec, self.data.X)
-                                       + self.data.sigma2 * np.eye(self.data.n))
-            za = solver.whiten(kernels.kernel_matrix(self.spec, self.data.X, a))
-            zb = za if x2 is None else solver.whiten(
-                kernels.kernel_matrix(self.spec, self.data.X, b))
-            prior_cov = kernels.kernel_matrix(self.spec, a, b)
-        else:
-            (pa, za), (pb, zb) = self._whitened(a), self._whitened(b)
-            prior_cov = (pa * self._lam) @ pb.T
-        out = prior_cov - za.T @ zb
-        if x2 is None:
-            out = 0.5 * (out + out.T)
-        return out
+        solver = kernels.SpdSolver(kernels.kernel_matrix(self.spec, self.data.X)
+                                   + self.data.sigma2 * np.eye(self.data.n))
+        za = solver.whiten(kernels.kernel_matrix(self.spec, self.data.X, a))
+        zb = za if x2 is None else solver.whiten(kernels.kernel_matrix(self.spec, self.data.X, b))
+        out = kernels.kernel_matrix(self.spec, a, b) - za.T @ zb
+        return 0.5 * (out + out.T) if x2 is None else out
 
     def var(self, x) -> np.ndarray:
         """Pointwise posterior variance, clamped at zero."""
         pts = spectral.validate_points(x, self.spec.dim)
         if self.mean_field is None:
             return self._bridge_moments(pts[:, 0])[1]
-        psi, z = self._whitened(pts)
+        psi = spectral.basis_matrix(self.spec.dim, self.spec.order, pts)
+        z = psi @ self._factor  # G^T psi = W^T k(X, pts), one row a point
         prior_var = np.einsum("ij,j,ij->i", psi, self._lam, psi)
-        return _clamp_variance(prior_var - np.einsum("ij,ij->j", z, z))
+        return _clamp_variance(prior_var - np.einsum("ij,ij->i", z, z))
 
     def on_grid(self, axis):
         """Posterior mean and variance on the tensor grid axis x ... x axis,
         flattened in C order (the last coordinate varies fastest).
 
-        For the 1D bridge `axis` may be any points: one smoother pass gives
-        both moments.  In coefficient space the mean is the synthesis of
-        `mean_field`, the prior variance that of lambda / beta with squared
+        For the 1D bridge `axis` may be any points, filled from the site pass
+        as by `mean` and `var`.  In coefficient space the mean is the synthesis
+        of `mean_field`, the prior variance that of lambda / beta with squared
         tables, and the subtracted term that of the n columns of G, a chunk
         of first-axis coordinates at a time (`spectral.grid_tables` of width
         n), so a chunk's table and its n columns each stay bounded.

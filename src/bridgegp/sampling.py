@@ -17,8 +17,9 @@ Values of draws come as blocks of rows on a tensor grid (`value_blocks`,
 paths holds one block at a time.  Prior coefficient draws, and posterior
 ones by pathwise conditioning, whose first M normals are a prior draw's,
 are synthesized on the grid by one loop, a prior's modes first folded onto
-those a uniform grid resolves (DST-I aliasing); the 1D bridge posterior is
-drawn by backward sampling.
+those a uniform grid resolves (DST-I aliasing).  The 1D bridge posterior is
+drawn at its data sites by backward sampling, and between them by bridge
+interpolation (Doob's time change), in place on a block of normals.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from collections.abc import Iterator
 import numpy as np
 
 from . import kernels, pde, spectral
-from .errors import ResourceLimitError
 from .record import Record
 
 __all__ = [
@@ -69,6 +69,7 @@ def _normals(seed: int, size: int, count: int, rows: int, start: int = 0) -> Ite
             a, b = max(lo, c * _CHUNK), min(hi, (c + 1) * _CHUNK)
             block[:, a - lo:b - lo] = chunk[:, a - c * _CHUNK:b - c * _CHUNK]
         yield block
+        del block  # before the next is allocated
 
 
 def _check_seed(seed) -> int:
@@ -216,27 +217,22 @@ def value_blocks(sampler: PriorSampler, axis, count: int) -> Iterator[np.ndarray
                             scales.size, axis, sampler.spec.dim, order, count)
 
 
-# A 1D bridge posterior takes one vectorized step per point per block of
-# draws: about 2 us each for the 20-draw blocks of a 100001-point grid
-# (2-vCPU machine).  More steps than this, some 20 s, are refused before
-# any draw.
-_BACKWARD_STEPS = 1 << 23
-
-
 def posterior_value_blocks(post, axis, count: int, seed: int = 0) -> Iterator[np.ndarray]:
     """Posterior draws 0..count-1 on the tensor grid axis x ... x axis, block by
     block, as `value_blocks` lays them out; in 1D `axis` may be any points.
 
-    For the 1D bridge row j is drawn from the first len(axis) normals xi_j of
-    draw j by backward sampling on the Kalman filter of `post` (FFBS; Carter
-    & Kohn, 1994): from the rightmost point leftwards,
-    f(x_k) = coef_k f(right neighbour) + center_k + sqrt(var_k) xi_j[k],
-    plus the prior mean, one step per point on a block's point-major draws;
-    more than `_BACKWARD_STEPS` steps raise ResourceLimitError before any
-    draw.  Any other kernel maps the first S^d + n normals of draw j to
-    coefficients by pathwise conditioning (`PosteriorModel.coefficient_draws`)
-    and synthesizes them as prior draws are.  Blocks hold `_BLOCK` draws, fewer
-    when a draw holds over `spectral._GRID_BLOCK` values (3 S^d + 2n pathwise).
+    The 1D bridge with k distinct data sites inside (0, 1) maps the first N + k
+    normals of draw j, N = len(axis), in place: the last k to the residual at
+    the sites (`PosteriorModel.knot_draws`), the first N, one a point in
+    ascending order (ties in axis order), to w_a f(a) + w_b f(b) + w_a W(tau)
+    between knots a < b (`PosteriorModel._gaps`): Doob's time change
+    tau = (x - a)(b - a)/(b - x) of a Brownian motion W of rate 1/beta, a
+    cumulative sum over the gap's points, one gap a step.  Other kernels map
+    the first S^d + n normals to coefficients by pathwise conditioning
+    (`PosteriorModel.coefficient_draws`), synthesized as prior draws are.
+    Blocks hold `_BLOCK` draws, fewer when a draw holds over
+    `spectral._GRID_BLOCK` values: 3 S^d + 2n pathwise, N + k for the bridge
+    (2N + k when its values are put back in the order of unsorted points).
     """
     if count < 1:
         raise ValueError(f"count must be positive, got {count}")
@@ -247,27 +243,37 @@ def posterior_value_blocks(post, axis, count: int, seed: int = 0) -> Iterator[np
         yield from _synthesized(post.coefficient_draws, seed, m + n, axis, post.spec.dim,
                                 post.spec.order, count, 3 * m + 2 * n)
         return
-    size = axis.size
-    rows = _rows(size)
-    steps = size * -(-count // rows)
-    if steps > _BACKWARD_STEPS:
-        raise ResourceLimitError(
-            f"backward sampling {count} draws at {size} points takes {steps} steps, over "
-            f"the budget of {_BACKWARD_STEPS}; lower moment_draws or grid")
-    order, coef, center, var = post._bridge_kernels(axis)
-    scale, shift = np.empty(size), np.empty(size)
-    scale[order] = np.sqrt(var)
-    shift[order] = center
-    links = [(k, prev, c) for prev, k, c in zip(order[:-1].tolist(), order[1:].tolist(),
-                                                  coef[1:]) if c]
-    prior = spectral.evaluate(post.prior, axis)
-    for draws in _normals(seed, size, count, rows):
-        draws *= scale[:, None]
-        draws += shift[:, None]
-        for k, prev, c in links:
-            draws[k] += c * draws[prev]
-        draws += prior[:, None]
-        yield draws.T
+    size, sites = axis.size, post._knots.size - 2
+    order = np.argsort(axis, kind="stable")
+    lo, h, wa, _ = post._gaps(axis[order])
+    tau = np.divide(h, wa, out=np.zeros(size), where=wa > 0.0)
+    start = np.flatnonzero(np.diff(lo, prepend=-1))  # each gap's first point
+    step = np.diff(tau, prepend=0.0)
+    step[start] = tau[start]
+    # a point at 1 (w_a = 0, tau = 0) takes no step
+    scale = np.sqrt(kernels._over_beta(np.where(wa > 0.0, step, 0.0), post.spec.beta))
+    gaps = list(zip(lo[start].tolist(), start.tolist(), np.append(start[1:], size).tolist()))
+    scale, wa = scale[:, None], wa[:, None]
+    prior = spectral.evaluate(post.prior, axis[order])[:, None]
+    ordered, rank = np.array_equal(order, np.arange(size)), np.argsort(order)
+
+    def fill(xi):  # row N + i - 1 holds knot i; f(0) = f(1) = 0
+        post.knot_draws(xi[size:])
+        w = xi[:size]
+        w *= scale
+        for i, s, e in gaps:  # w_a (W + f(a) - f(b)) + f(b), W summed over the gap
+            gap = w[s:e]
+            np.add.accumulate(gap, axis=0, out=gap)
+            fb = xi[size + i] if i < sites else 0.0
+            gap += (xi[size + i - 1] if i else 0.0) - fb
+            gap *= wa[s:e]
+            gap += fb
+        w += prior
+        return w if ordered else w[rank]
+
+    for xi in _normals(seed, size + sites, count, _rows(size + sites + (0 if ordered else size))):
+        yield fill(xi).T
+        del xi
 
 
 class NestedReport(Record):

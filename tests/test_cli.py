@@ -735,13 +735,15 @@ class TestDrawBudget:
     # a prior draw takes its coefficients and its grid values, or, folded on
     # a grid of m points (12 under 64 coefficients, 7^2 under 8^2), a normal
     # per mode, (m - 2)^dim, and its grid values; a 1D bridge posterior a
-    # normal and a value per point, and any other its 4^2 coefficients, a
+    # normal per point and per distinct site inside (0, 1), here 2 of the 5
+    # sites, and a value per point, and any other its 4^2 coefficients, a
     # normal per datum and its grid values
     @pytest.mark.parametrize("mode,per_draw,keys", [
         ("prior", 11 + 16, {"grid": 16, "mesh_size": 11}),
         ("prior", 10 + 12, {"grid": 12, "kernel": kernel_cfg(order=64)}),
         ("prior", 5**2 + 7**2, {"grid": 7, "kernel": kernel_cfg(dim=2, order=8)}),
-        ("posterior", 2 * 11, {"grid": 11}),
+        ("posterior", 10 + 2 + 10, {"grid": 10, "data": {"x": [0.0, 0.3, 0.3, 0.6, 1.0],
+                                                         "y": [0.1, 0.2, 0.3, 0.1, 0.0]}}),
         ("posterior", 4**2 + 1 + 5**2, {"grid": 5, "kernel": kernel_cfg(dim=2, order=4)}),
     ], ids=["prior-27", "prior-22", "prior-2d-74", "posterior-22", "posterior-2d-42"])
     def test_over_budget_exits_4_before_drawing(self, tmp_path, capsys, monkeypatch,
@@ -750,7 +752,8 @@ class TestDrawBudget:
                    "count": 1, **keys}
         if mode == "posterior":
             x = [0.5] if payload["kernel"]["dim"] == 1 else [[0.5, 0.5]]
-            payload.update(data={"x": x, "y": [0.1]}, sigma2=1e-3)
+            payload.setdefault("data", {"x": x, "y": [0.1]})
+            payload["sigma2"] = 1e-3
         cfg = write_config(tmp_path, payload)
         monkeypatch.setattr(cli, "_DRAW_BUDGET", 100 * per_draw)
         assert run(["sample", "--config", cfg, "--out", str(tmp_path / "a.csv")]) == 0
@@ -761,15 +764,23 @@ class TestDrawBudget:
             capsys, ["sample", "--config", cfg, "--out", str(out)], 4, "resource limit:")
         assert not out.exists()
 
-    def test_backward_steps_over_budget_exit_4_before_drawing(self, tmp_path, capsys,
-                                                              monkeypatch):
-        # a 1D posterior takes one step per grid point per block of draws
+    def test_bridge_posterior_budget_counts_its_sites_before_conditioning(
+            self, tmp_path, capsys, monkeypatch):
+        # 100 draws at 11 points with sites 0.2, 0.5, 0.5 and 1: two distinct
+        # sites inside (0, 1), so 11 + 2 normals and 11 values a draw
         cfg = write_config(tmp_path, {"kernel": kernel_cfg(order=16), "mode": "posterior",
                                       "grid": 11, "moment_draws": 100, "count": 1,
-                                      "data": {"x": [0.5], "y": [0.1]}, "sigma2": 1e-3})
-        monkeypatch.setattr(sampling, "_BACKWARD_STEPS", 11)
+                                      "data": {"x": [0.2, 0.5, 0.5, 1.0],
+                                               "y": [0.1, 0.2, 0.3, 0.0]},
+                                      "sigma2": 1e-3})
+        monkeypatch.setattr(cli, "_DRAW_BUDGET", 100 * (11 + 2 + 11))
         assert run(["sample", "--config", cfg, "--out", str(tmp_path / "a.csv")]) == 0
-        monkeypatch.setattr(sampling, "_BACKWARD_STEPS", 10)
+        monkeypatch.setattr(cli, "_DRAW_BUDGET", 100 * (11 + 2 + 11) - 1)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("conditioned past the budget")
+
+        monkeypatch.setattr(regression, "condition", refuse)
         self.refuse_draws(monkeypatch)
         out = tmp_path / "b.csv"
         TestLibraryErrorsAreConfigErrors.one_line_failure(
@@ -778,10 +789,11 @@ class TestDrawBudget:
 
     def test_posterior_on_a_hundred_thousand_points_exits_4_at_once(self, tmp_path, capsys,
                                                                     monkeypatch):
-        # grid 100001: blocks of 20 draws, so 4096 draws take 205 x 100001 steps
+        # grid 100001 and one site: 200003 values a draw, so 6000 draws are
+        # 1.2e9 values, over the budget (4096 draws, 8.2e8, are drawn)
         self.refuse_draws(monkeypatch)
         cfg = write_config(tmp_path, {"kernel": kernel_cfg(), "mode": "posterior",
-                                      "grid": 100001, "moment_draws": 4096,
+                                      "grid": 100001, "moment_draws": 6000,
                                       "data": {"x": [0.5], "y": [0.1]}, "sigma2": 1e-3})
         started = time.process_time()
         TestLibraryErrorsAreConfigErrors.one_line_failure(

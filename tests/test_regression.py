@@ -9,6 +9,7 @@ mpmath solve for the Kalman-filter route of the 1D bridge.
 """
 
 import ast
+import builtins
 import json
 import logging
 import pathlib
@@ -51,7 +52,7 @@ from bridgegp import (
     solve,
     zero_field,
 )
-from bridgegp import cli, kernels, pde, spectral
+from bridgegp import cli, kernels, pde, regression, sampling, spectral
 from bridgegp.regression import _MarginalCovariance, closed_form_beta
 
 
@@ -398,6 +399,67 @@ class TestMarkovRoute:
         eps = np.finfo(float).eps
         assert np.abs(post.mean(query) - ref_mean).max() <= 8 * eps * np.abs(ref_mean).max()
         assert np.abs(post.var(query) - ref_var).max() <= 8 * eps * 0.25 / spec.beta
+
+    def test_query_points_on_and_between_sites_match_the_dense_oracles(self):
+        # On a site, on a site observed three times, at 0 and 1 (sites too),
+        # just either side of a site, and between two sites with no other query
+        # point between them: the interpolated moments against `krr_solve` and
+        # the dense `cov`, and exact zeros at the pinned ends
+        spec = KernelSpec("bridge", order=64, beta=3.0)
+        x = np.array([0.0, 0.2, 0.45, 0.45, 0.45, 0.5, 0.52, 0.8, 1.0])
+        y = np.array([0.1, 0.3, -0.2, -0.25, -0.15, 0.05, 0.1, 0.4, -0.1])
+        prior = basis_field(1, 64, [2])
+        post = condition(spec, prior, Dataset(x, y, 1e-4))
+        query = np.array([0.0, 0.2, 0.45, np.nextafter(0.45, 0.0), np.nextafter(0.45, 1.0),
+                          0.51, 0.1, 0.9, 1.0])
+        mean, var = post.mean(query), post.var(query)
+        dense = krr_solve(spec, prior, Dataset(x, y, 1e-4), post.eta)(query)
+        assert np.abs(mean - dense).max() <= 1e-12 * np.abs(dense).max()
+        np.testing.assert_allclose(var, np.diag(post.cov(query)), rtol=0,
+                                   atol=1e-15 * 0.25 / spec.beta)
+        assert mean[0] == mean[-1] == var[0] == var[-1] == 0.0
+        assert np.all(var[1:-1] > 0.0)
+        grid_mean, grid_var = post.on_grid(query)
+        assert np.array_equal(grid_mean, mean) and np.array_equal(grid_var, var)
+
+    def test_sites_only_at_the_pinned_ends_leave_the_prior(self):
+        # no site inside (0, 1): no knot between 0 and 1, and data at the
+        # pinned ends see only noise, so the posterior is the prior bridge
+        spec = KernelSpec("bridge", order=16, beta=2.0)
+        prior = basis_field(1, 16, [1])
+        post = condition(spec, prior, Dataset(np.array([0.0, 1.0, 1.0]), np.ones(3), 1e-4))
+        query = np.array([0.7, 0.0, 0.25, 1.0, 0.5])
+        np.testing.assert_array_equal(post.mean(query), prior(query))
+        np.testing.assert_allclose(post.var(query), query * (1.0 - query) / 2.0, rtol=1e-15)
+        np.testing.assert_allclose(post.cov(query), (np.minimum.outer(query, query)
+                                                     - np.outer(query, query)) / 2.0, atol=1e-15)
+        draws = np.concatenate(list(sampling.posterior_value_blocks(post, query, 5, seed=3)))
+        assert draws.shape == (5, 5) and np.all(draws[:, [1, 3]] == 0.0)
+
+    def test_the_site_pass_takes_n_steps_whatever_the_query(self, monkeypatch):
+        # 9 observations, 7 inside (0, 1) at 5 distinct sites: the filter takes
+        # 7 steps and the smoother 5 in `condition`; the moments at 11 or
+        # 100001 points take none, and a block of draws 4, one per site left
+        # of the last
+        steps = []
+
+        def counted(*iterables):
+            for item in builtins.zip(*iterables):
+                steps.append(item)
+                yield item
+
+        monkeypatch.setattr(regression, "zip", counted, raising=False)
+        x = np.array([0.0, 0.2, 0.45, 0.45, 0.45, 0.5, 0.52, 0.8, 1.0])
+        post = condition(KernelSpec("bridge", order=16), None, Dataset(x, np.sin(x), 1e-4))
+        assert len(steps) == 7 + 5
+        for grid in (11, 100001):
+            steps.clear()
+            axis = np.linspace(0.0, 1.0, grid)
+            for moments in (post.on_grid, post.mean, post.var):
+                moments(axis)
+            assert steps == []
+            next(sampling.posterior_value_blocks(post, axis, 3, seed=1))
+            assert len(steps) == 4
 
     def test_fit_study_and_sample_build_no_gram(self, tmp_path, monkeypatch):
         # 1D fit, study convergence and a 1D posterior sample run without a

@@ -18,7 +18,6 @@ from bridgegp import (
     NestedReport,
     OrderMismatchError,
     PriorSampler,
-    ResourceLimitError,
     SpectralField,
     SpectralSource,
     basis_field,
@@ -160,7 +159,8 @@ class TestChunks:
             pass
         assert keys == list(range(782))
         keys.clear()
-        monkeypatch.setattr(spectral, "_GRID_BLOCK", 700)
+        # 7 points and 3 sites: 7 + 3 normals a draw, blocks of 100
+        monkeypatch.setattr(spectral, "_GRID_BLOCK", 1000)
         blocks = posterior_value_blocks(TestPosteriorDraws.posterior(),
                                         np.linspace(0.0, 1.0, 7), 1000, seed=2)
         assert [len(b) for b in blocks][:2] == [100, 100]
@@ -480,7 +480,8 @@ class TestFold:
         np.testing.assert_allclose(vals[:, some], sample_coefficients(s, 8) @ table.T,
                                    rtol=0, atol=1e-12)
 
-    def test_chunked_synthesis_is_bitwise_across_chunk_sizes(self, monkeypatch):
+    def test_chunked_synthesis_is_bitwise_at_order_64_in_256_point_chunks(self, monkeypatch):
+        # bits hold at these sizes only; other sizes round differently (below)
         s = make_sampler(order=64, seed=5)
         x = np.linspace(0.0, 1.0, 2001)
         whole = stacked(value_blocks(s, x, 8))
@@ -489,6 +490,20 @@ class TestFold:
         monkeypatch.setattr(spectral, "_GRID_BLOCK", 1 << 14)
         chunked = stacked(value_blocks(s, x, 8))
         assert chunked.tobytes() == whole.tobytes()
+
+    def test_chunked_synthesis_agrees_to_rounding_at_order_512_in_32_point_chunks(
+            self, monkeypatch):
+        # 3000 points in one chunk, then in chunks of 32 (and blocks of 5 draws):
+        # the last bits move, within README "Determinism"'s bound of 32 eps of
+        # a draw's largest absolute value (measured: up to 14.3 eps over 480 draws)
+        s = make_sampler(order=512, seed=5)
+        x = np.linspace(0.0, 1.0, 3000)
+        whole = stacked(value_blocks(s, x, 8))
+        monkeypatch.setattr(spectral, "_GRID_BLOCK", 1 << 14)
+        chunked = stacked(value_blocks(s, x, 8))
+        bound = 32 * np.finfo(float).eps * np.abs(whole).max(axis=1, keepdims=True)
+        assert not np.array_equal(chunked, whole)
+        assert np.all(np.abs(chunked - whole) <= bound)
 
 
 def power_sampler(p, order, seed):
@@ -524,25 +539,57 @@ class TestPosteriorDraws:
         return condition(spec, basis_field(1, 32, [1]), data)
 
     def test_rows_are_the_per_draw_streams(self):
-        # Row j is the backward construction on draw j's normals, on both
-        # sides of the 2048-row block edge and for any count.  Drawing each
-        # point given those right of it, from the rightmost leftwards, applies
-        # the lower Cholesky factor of the covariance in descending order of
-        # position to the normals in that order.
-        post = self.posterior()
+        # Row j takes draw j's first N + k normals, N = 7 points and k = 3 sites,
+        # on both sides of the 2048-row block edge and for any count.  The last
+        # k draw f at the sites: backward sampling from the rightmost leftwards
+        # applies the lower Cholesky factor of their covariance in descending
+        # order of position to those normals in that order.  The first N, one a
+        # point in ascending order, draw the bridge between the two knots a < b
+        # around each point, (b - x)/(b - a) W(tau), tau = (x - a)(b - a)/(b - x),
+        # W a Brownian motion of rate 1/beta summed over the gap's points.
+        post, beta = self.posterior(), 2.0
         x = np.array([0.9, 0.05, 0.45, 0.3, 0.7, 0.2, 0.6])  # 0.2 and 0.45 are data sites
+        sites = np.array([0.2, 0.45, 0.8])
+        knots = np.concatenate([[0.0], sites, [1.0]])
+        root = np.linalg.cholesky(post.cov(sites)[::-1, ::-1])
         draws = stacked(posterior_value_blocks(post, x, 2050, seed=13))
-        desc = np.argsort(-x)
-        root = np.linalg.cholesky(post.cov(x)[np.ix_(desc, desc)])
         for j in (0, 1, 2047, 2048, 2049):
-            expect = post.mean(x)
-            expect[desc] += root @ stream(13, j, 7)[desc]
+            xi = stream(13, j, 7 + 3)
+            f = np.zeros(5)
+            f[1:4] = post.mean(sites) - post.prior(sites) + (root @ xi[7:][::-1])[::-1]
+            expect, walks = np.empty(7), {}
+            for k, i in enumerate(np.argsort(x, kind="stable")):
+                g = np.searchsorted(knots, x[i], side="right") - 1
+                a, b = knots[g], knots[g + 1]
+                tau = (x[i] - a) * (b - a) / (b - x[i])
+                last, w = walks.get(g, (0.0, 0.0))
+                walks[g] = tau, w + np.sqrt((tau - last) / beta) * xi[k]
+                wa = (b - x[i]) / (b - a)
+                expect[i] = (post.prior(x[i]) + wa * f[g] + (1.0 - wa) * f[g + 1]
+                             + wa * walks[g][1])
             np.testing.assert_allclose(draws[j], expect, rtol=0, atol=1e-14)
         np.testing.assert_array_equal(stacked(posterior_value_blocks(post, x, 3, seed=13)),
                                       draws[:3])
         # the bridge is pinned: draws at 0 and 1 are the prior mean there, 0
         ends = stacked(posterior_value_blocks(post, [1.0, 0.5, 0.0], 5, seed=13))
         assert np.all(ends[:, [0, 2]] == 0.0) and np.all(ends[:, 1] != 0.0)
+
+    def test_a_bridge_draw_takes_a_normal_per_point_and_per_interior_site(self, monkeypatch):
+        # 9 points; sites 0, 0.3 three times, 0.3 + 1e-9, 0.7 and 1: three
+        # distinct sites inside (0, 1), so 12 normals a draw
+        sizes = []
+        normals = sampling._normals
+
+        def count(seed, size, *args):
+            sizes.append(size)
+            return normals(seed, size, *args)
+
+        monkeypatch.setattr(sampling, "_normals", count)
+        x = np.array([0.0, 0.3, 0.3, 0.3, 0.3 + 1e-9, 0.7, 1.0])
+        post = condition(KernelSpec("bridge", order=16), None,
+                         Dataset(x, np.linspace(0.0, 0.2, 7), 1e-3))
+        stacked(posterior_value_blocks(post, np.linspace(0.0, 1.0, 9), 3, seed=1))
+        assert sizes == [9 + 3]
 
     def test_rows_are_the_per_draw_streams_in_2d(self, rng):
         # in 2D row j is Matheron's rule on draw j's first M + n normals, the
@@ -629,10 +676,14 @@ class TestPosteriorDraws:
         assert np.all(np.abs(draws.var(axis=0) - var) <= 5 * np.sqrt(2.0 / n) * var)
 
     def test_blocks_follow_the_value_budget(self, monkeypatch):
+        # 7 points and 3 sites: a draw holds its 7 + 3 normals, filled in
+        # place, 4 draws fit a budget of 40, so 10 draws come in blocks of 4,
+        # 4, 2; points out of ascending order hold a reordered copy too, 17
         post = self.posterior()
         x = np.linspace(0.0, 1.0, 7)
         full = stacked(posterior_value_blocks(post, x, 10, seed=2))
-        monkeypatch.setattr(spectral, "_GRID_BLOCK", 30)
+        monkeypatch.setattr(spectral, "_GRID_BLOCK", 40)
+        assert [len(b) for b in posterior_value_blocks(post, x[::-1], 10, seed=2)] == [2] * 5
         blocks = list(posterior_value_blocks(post, x, 10, seed=2))
         assert [len(b) for b in blocks] == [4, 4, 2]
         np.testing.assert_allclose(np.concatenate(blocks), full, rtol=0, atol=1e-15)
@@ -659,20 +710,24 @@ class TestPosteriorDraws:
         sigma = np.sqrt((np.outer(np.diag(cov), np.diag(cov)) + cov**2) / n)
         assert np.all(np.abs(got - cov) <= 5 * sigma)
 
-    def test_backward_steps_over_budget_raise_before_drawing(self, monkeypatch):
-        # 7 points and 10 draws: one block, one step per point
-        post = self.posterior()
-        x = np.linspace(0.0, 1.0, 7)
-        monkeypatch.setattr(sampling, "_BACKWARD_STEPS", 7)
-        assert stacked(posterior_value_blocks(post, x, 10, seed=2)).shape == (10, 7)
-        monkeypatch.setattr(sampling, "_BACKWARD_STEPS", 6)
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("drew past the step budget")
-
-        monkeypatch.setattr(sampling, "_normals", refuse)
-        with pytest.raises(ResourceLimitError, match="steps"):
-            next(posterior_value_blocks(post, x, 10, seed=2))
+    def test_law_on_a_grid_of_41_points(self):
+        # Sites on grid points (0.1, 0.5, 0.9), one repeated three times, sites
+        # at 0 and 1, and grid points between sites: the Monte Carlo mean and
+        # every entry of the sample covariance against the dense `cov` at a
+        # pinned seed, each within 5 sigma; at 0 and 1 both are exactly 0
+        x = np.array([0.0, 0.1, 0.1, 0.1, 0.33, 0.5, 0.62, 0.9, 1.0])
+        y = np.array([0.05, 0.1, 0.12, 0.08, -0.1, 0.2, 0.0, -0.05, 0.1])
+        post = condition(KernelSpec("bridge", order=32, beta=2.0), basis_field(1, 32, [1]),
+                         Dataset(x, y, 1e-3))
+        axis = np.linspace(0.0, 1.0, 41)
+        n = 20000
+        draws = stacked(posterior_value_blocks(post, axis, n, seed=17))
+        cov = post.cov(axis)
+        var = np.diag(cov)
+        assert np.all(np.abs(draws.mean(axis=0) - post.mean(axis)) <= 5 * np.sqrt(var / n))
+        sigma = np.sqrt((np.outer(var, var) + cov**2) / n)
+        assert np.all(np.abs(np.cov(draws, rowvar=False) - cov) <= 5 * sigma)
+        assert np.all(draws[:, [0, -1]] == 0.0)
 
     def test_seed_validation(self):
         with pytest.raises(ValueError):

@@ -3,11 +3,16 @@ Poisson equation on the unit cube."""
 
 import os
 
-# numpy's OpenBLAS lets idle workers busy-wait 2^28 cycles (~0.1 s) after
-# every threaded call; 2^4, the minimum, lets them sleep.  OpenBLAS reads this
-# once, on load, so it must precede numpy; a set value wins.  Threads and
-# artifacts are unchanged.  2 vCPUs: a 0.3 s sleep after a GEMM and a
-# Cholesky burned 0.24 s, now 0.0001 s.
+# Two OpenBLAS defaults.  OpenBLAS reads its variables once, when numpy loads
+# it, so these do nothing in a process that imported numpy first, and a set
+# variable wins.  One thread unless a count is set in any of the three
+# variables OpenBLAS reads: at desk scale a second thread's hand-offs cost
+# more than it gives (2 vCPUs: an `eigh` at n = 500 took 0.17-0.19 s CPU on
+# two threads, 0.03 s on one).  An idle timeout of 2^4 cycles, not 2^28
+# (~0.1 s of spinning after every threaded call), for runs that opt back into
+# threads; it changes no byte.
+if not os.environ.keys() & {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"}:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
 
 from .errors import (

@@ -6,8 +6,10 @@ a failing criterion fails its test.  At the end of the run the collected
 lines are printed in one block, one line per criterion.
 """
 
-# Imported before numpy, so the OpenBLAS idle timeout that `import
-# bridgegp` sets applies to this process too: OpenBLAS reads it once, on load.
+# Imported before numpy, so the OpenBLAS defaults that `import bridgegp` sets
+# (one thread, the idle timeout) apply to this process too: OpenBLAS reads
+# them once, on load.  Child processes inherit OPENBLAS_NUM_THREADS=1, and
+# with it the artifact bytes of one thread, unless a test sets a count.
 import bridgegp  # noqa: F401
 import numpy as np
 import pytest

@@ -864,12 +864,14 @@ class TestGridLimit:
 
 
 class TestBlasThreads:
-    """The OpenBLAS idle timeout that `import bridgegp` sets changes no byte.
+    """The OpenBLAS idle timeout that `import bridgegp` sets changes no byte
+    of a threaded run.
 
-    The reference run restores OpenBLAS's old idle timeout (2^28 cycles)
-    and names the default thread count explicitly, so a change that pinned
-    BLAS to fewer threads, which moves these numbers at rounding level,
-    would fail here on a machine with more than one core.
+    Both runs name OpenBLAS's own thread count, the cores it may run on, so
+    the one-thread default does not apply; the reference restores OpenBLAS's
+    idle timeout (2^28 cycles), the other leaves it to `import bridgegp`.
+    The fit is too small for OpenBLAS to split, so its bytes do not show
+    the thread count either.
     """
 
     def run_fit(self, tmp_path, name, **env_updates):
@@ -899,7 +901,7 @@ class TestBlasThreads:
                  else os.cpu_count() or 1)
         reference = self.run_fit(tmp_path, "old.csv", OPENBLAS_THREAD_TIMEOUT="28",
                                  OPENBLAS_NUM_THREADS=str(cores))
-        assert self.run_fit(tmp_path, "new.csv") == reference
+        assert self.run_fit(tmp_path, "new.csv", OPENBLAS_NUM_THREADS=str(cores)) == reference
 
 
 class TestOneConditioningCore:

@@ -133,13 +133,29 @@ def test_study_convergence_command_loads_no_scipy_module(tmp_path):
     assert _run_commands(tmp_path, runs) == [[0], []]
 
 
-# `import bridgegp` sets OPENBLAS_THREAD_TIMEOUT before numpy loads, so the
-# idle OpenBLAS workers of numpy and scipy sleep between calls instead of
-# spinning.  This test process has imported bridgegp, so each child starts
-# without the variable unless the test sets it.
+# `import bridgegp` sets two OpenBLAS defaults before numpy loads: one thread
+# unless a thread count is set in any variable OpenBLAS reads, and an idle
+# timeout under which workers sleep between calls instead of spinning.  This
+# test process has imported bridgegp, so each child starts with
+# OPENBLAS_NUM_THREADS=1 and without OPENBLAS_THREAD_TIMEOUT unless the test
+# sets them.
+UNSET_THREADS = dict.fromkeys(("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"))
+
 TIMEOUT_PROBE = (
     "import bridgegp, json, os; "
     "print(json.dumps(os.environ.get('OPENBLAS_THREAD_TIMEOUT')))"
+)
+
+THREADS_PROBE = (
+    "import bridgegp, json, os; "
+    "print(json.dumps(os.environ.get('OPENBLAS_NUM_THREADS')))"
+)
+
+# Threads of the process after one GEMM; OpenBLAS starts its workers on load.
+TASKS_PROBE = (
+    "import bridgegp, json, os; import numpy as np; "
+    "a = np.ones((512, 512)); a @ a; "
+    "print(json.dumps(len(os.listdir('/proc/self/task'))))"
 )
 
 # CPU time a 0.3 s sleep costs after one threaded GEMM (numpy's OpenBLAS)
@@ -161,7 +177,23 @@ def test_preset_blas_idle_timeout_is_kept():
     assert _loaded_in_fresh_interpreter(TIMEOUT_PROBE, OPENBLAS_THREAD_TIMEOUT="20") == "20"
 
 
+@pytest.mark.parametrize("preset, expected", [
+    ({}, "1"),
+    ({"OPENBLAS_NUM_THREADS": "2"}, "2"),
+    ({"OMP_NUM_THREADS": "2"}, None),  # OpenBLAS reads it itself
+], ids=["unset", "openblas-preset", "omp-preset"])
+def test_import_sets_one_blas_thread_unless_a_count_is_set(preset, expected):
+    assert _loaded_in_fresh_interpreter(THREADS_PROBE, **{**UNSET_THREADS, **preset}) == expected
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/task")
+def test_default_runs_blas_on_one_thread():
+    assert _loaded_in_fresh_interpreter(TASKS_PROBE, **UNSET_THREADS) == 1
+
+
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="BLAS runs one thread")
 def test_idle_blas_workers_do_not_spin():
-    cpu_s = _loaded_in_fresh_interpreter(IDLE_PROBE, OPENBLAS_THREAD_TIMEOUT=None)
+    # two threads named, so a worker exists that could spin
+    cpu_s = _loaded_in_fresh_interpreter(IDLE_PROBE, OPENBLAS_THREAD_TIMEOUT=None,
+                                         **{**UNSET_THREADS, "OPENBLAS_NUM_THREADS": "2"})
     assert cpu_s < 0.03, f"a 0.3 s sleep after BLAS calls burned {cpu_s:.3f} s of CPU"

@@ -17,16 +17,17 @@ equivalence is a checkable property rather than a definition.
 Calibration of beta, source inversion and the conditioning of every
 truncated kernel share one exact solver, `_MarginalCovariance`, which
 eigendecomposes the beta = 1 marginal covariance once per dataset (diagonal
-for observed coefficients).  For observation-space columns C and an array
-of betas, its `forms` give C^T V^-1 C and log det V, V = K / beta + sigma2 I,
-with their first two derivatives in log beta, for every beta at once; its
-`whitening` gives a square root of V^-1.  The evidence of a residual
-(C = r), the generalized least squares step and its profile (C = [a r]),
-and the posterior derive from these.  Beta is found by a 121-point scan
-over log beta, one call, refined by safeguarded Newton; theta by
-generalized least squares, which is exact for linear source families and
-is the damped Gauss-Newton step, alternated with the beta search, for
-nonlinear expression families.
+for observed coefficients).  Its `forms` rotate a set of observation-space
+columns C once and return, as a function of an array of betas, C^T V^-1 C
+and log det V, V = K / beta + sigma2 I, with their first two derivatives in
+log beta; its `whitening` gives a square root of V^-1, which the posterior
+uses.  Each beta search builds the forms of its columns once, and `_gls`
+turns them into the generalized least squares step and its profile (C =
+[a r]), which with no design columns is the evidence of the residual
+(C = r).  Beta is found by a 121-point scan over log beta, one call, refined
+by safeguarded Newton; theta by generalized least squares, which is exact
+for linear source families and is the damped Gauss-Newton step, alternated
+with the beta search, for nonlinear expression families.
 """
 
 from __future__ import annotations
@@ -416,12 +417,13 @@ class _MarginalCovariance:
     The one place that knows V for each observation model, and its one
     factorization in production.  The beta = 1 covariance K = U diag(w) U^T
     is decomposed once, so V(beta) = U diag(v) U^T with v = w / beta + sigma2.
-    Callers reach V through two methods: `forms`, its quadratic forms and log
-    determinant with their log-beta derivatives at every beta of an array at
-    once, and `whitening`, a square root of V^-1 at one beta; each applies U
-    itself.  For a `Dataset` K is the Gram of `kernels.kernel_matrix`, which
-    this class does not build itself; coefficient data are diagonal (w the
-    leading kernel eigenvalues, U the identity).  A beta with a variance
+    Callers reach V through two methods: `forms`, which rotates a set of
+    columns by U^T once and returns their quadratic forms and log determinant,
+    with their log-beta derivatives, as a function of an array of betas, and
+    `whitening`, a square root of V^-1 at one beta; each applies U itself.
+    For a `Dataset` K is the Gram of `kernels.kernel_matrix`, which this
+    class does not build itself; coefficient data are diagonal (w the leading
+    kernel eigenvalues, U the identity).  A beta with a variance
     v <= 0 gets one jitter of 1e-12 times the mean of its v, logged; if one
     stays <= 0, SingularSystemError is raised.
     """
@@ -451,23 +453,26 @@ class _MarginalCovariance:
                                           f"positive definite after jitter {jitter:.3e}")
         return v, scaled / v
 
-    def forms(self, betas, cols):
-        """For observation-space columns C, (n, k) or a vector, at each of B
-        betas: the forms Q_j = C^T (d^j V^-1 / dt^j) C, t = log beta, j = 0,
-        1, 2, as an array (3, B, k, k), and log det V with its first two
-        t-derivatives, (3, B).  In the eigenbasis d^j (1 / v) / dt^j is 1 / v,
-        g / v and g (2 g - 1) / v, and the log-det terms are sum log v, -sum g
-        and sum g (1 - g); O(B n k^2) after the rotation of C."""
-        v, g = self._variances(betas)
+    def forms(self, cols):
+        """For observation-space columns C, (n, k) or a vector, the function
+        of B betas that gives the forms Q_j = C^T (d^j V^-1 / dt^j) C, t =
+        log beta, j = 0, 1, 2, as (3, B, k, k), and log det V with its first
+        two t-derivatives, (3, B).  C is rotated to U^T C once, here; in that
+        basis d^j (1 / v) / dt^j is 1 / v, g / v and g (2 g - 1) / v, and the
+        log-det terms sum log v, -g and g (1 - g); a call is O(B n k^2)."""
         cols = np.asarray(cols, dtype=float).reshape(self.n, -1)
         if self._u is not None:  # U^T C; OpenBLAS takes U.T @ C at twice the time
             cols = (cols.T @ self._u).T
         k = cols.shape[1]
-        inv = 1.0 / v
-        weights = np.stack([inv, g * inv, g * (2.0 * g - 1.0) * inv])
-        quad = weights @ (cols[:, :, None] * cols[:, None, :]).reshape(self.n, k * k)
-        logdet = np.stack([np.log(v).sum(axis=1), -g.sum(axis=1), (g * (1.0 - g)).sum(axis=1)])
-        return quad.reshape(3, -1, k, k), logdet
+        products = (cols[:, :, None] * cols[:, None, :]).reshape(self.n, k * k)
+
+        def at(betas):
+            v, g = self._variances(betas)
+            inv = 1.0 / v
+            weights = np.stack([inv, g * inv, g * (2.0 * g - 1.0) * inv])
+            logdet = np.stack([np.log(v), -g, g * (1.0 - g)]).sum(axis=2)
+            return (weights @ products).reshape(3, -1, k, k), logdet
+        return at
 
     def whitening(self, beta: float):
         """W = U diag(v)^-1/2 at one beta, so that W W^T = V^-1 (point data),
@@ -531,21 +536,11 @@ def _residual(obs, field: spectral.SpectralField) -> np.ndarray:
     return observed - _predicted(obs, field)
 
 
-def _log_density(marginal: _MarginalCovariance, betas, r):
-    """Log density of the residual r under N(0, V(beta)) and its first two
-    derivatives in t = log beta, (3, B), at each of B betas."""
-    quad, logdet = marginal.forms(betas, r)
-    out = -0.5 * (quad[:, :, 0, 0] + logdet)
-    out[0] -= 0.5 * r.size * np.log(2.0 * np.pi)
-    return out
-
-
 def _evidence(spec: kernels.KernelSpec, prior, obs):
-    """The log density of the observations' residual from the prior mean,
-    as a function of an array of betas (`_log_density`)."""
-    marginal = _MarginalCovariance(spec, obs)
-    r = _residual(obs, pde.prior_mean(prior, spec))
-    return lambda betas: _log_density(marginal, betas, r)
+    """The log density of the observations' residual from the prior mean, a
+    function of an array of betas: the GLS profile of no parameters."""
+    forms = _MarginalCovariance(spec, obs).forms(_residual(obs, pde.prior_mean(prior, spec)))
+    return lambda betas: _gls(forms, 0, obs.n, betas)[0]
 
 
 def log_marginal(spec: kernels.KernelSpec, prior, obs, beta: float | None = None) -> float:
@@ -684,42 +679,45 @@ class InversionResult(Record):
 
 
 def _gls_design(obs, family: pde.LinearSourceFamily, spec: kernels.KernelSpec):
-    """Affine observation map theta -> A theta + b: returns A, the data
-    minus b, and the marginal covariance of the data.  Column j of A is the
-    prediction of component j's solution, b that of the offset's."""
+    """Affine observation map theta -> A theta + b: the forms of [A r], r the
+    data minus b, as a function of beta, and the number p of columns of A.
+    Column j of A is the prediction of component j's solution, b that of the
+    offset's."""
     lam = kernels.eigenvalues(spec)
     q_cols, q_off = family.coefficient_design(spec.dim, spec.order)
 
     def solution(q):
         return spectral.SpectralField(spec.dim, spec.order, lam * q)
 
-    design = np.column_stack([_predicted(obs, solution(q)) for q in q_cols.T])
-    return design, _residual(obs, solution(q_off)), _MarginalCovariance(spec, obs)
+    design = [_predicted(obs, solution(q)) for q in q_cols.T]
+    cols = np.column_stack(design + [_residual(obs, solution(q_off))])
+    return _MarginalCovariance(spec, obs).forms(cols), len(design)
 
 
-def _gls(a, r, marginal: _MarginalCovariance, betas):
-    """Eigen-based pseudo-solves of the normal equations of design a and
-    residual r at each of B betas, from the forms Q_j of C = [a r].
+def _gls(forms, p: int, n: int, betas):
+    """Eigen-based pseudo-solves of the normal equations at each of B betas,
+    from `forms`, the forms Q_j of n observations' columns C = [a r] (a the
+    design, its first p columns, r the residual), as a function of beta.
 
     The precision is P = Q0[a, a], theta* = P^+ Q0[a, r], and the residual
     e = r - a theta* = C z with z = [-theta*; 1], so its forms are z^T Q_j z.
-    The profile log density is the log density of e.  By the envelope theorem
-    its log-beta derivative is the partial one at theta*; its second
-    derivative adds c^T P^+ c for the motion of theta*, c = Q1[a, :] z.
-    Returns the profile and its two derivatives, (3, B), and per beta theta*,
-    P^+, the eigenvectors of P, which of them are kept, and Q0[a, r].
+    The profile log density is the log density of e; with p = 0 it is that
+    of r, the evidence.  By the envelope theorem its log-beta derivative is
+    the partial one at theta*; its second derivative adds c^T P^+ c for the
+    motion of theta*, c = Q1[a, :] z.  Returns the profile and its two
+    derivatives, (3, B), and per beta theta*, P^+, the eigenvectors of P,
+    which of them are kept, and Q0[a, r].
     """
-    p = a.shape[1]
-    quad, logdet = marginal.forms(betas, np.column_stack([a, r]))
+    quad, logdet = forms(betas)
     prec, rhs = quad[0, :, :p, :p], quad[0, :, :p, p]
     eigvals, eigvecs = np.linalg.eigh(0.5 * (prec + prec.swapaxes(1, 2)))
-    keep = eigvals > np.maximum(eigvals.max(axis=1, keepdims=True), 0.0) * 1e-10
+    keep = eigvals > eigvals.max(axis=1, keepdims=True, initial=0.0) * 1e-10
     inv = np.divide(1.0, eigvals, out=np.zeros_like(eigvals), where=keep)
     cov = (eigvecs * inv[:, None, :]) @ eigvecs.swapaxes(1, 2)
     mean = np.einsum("bij,bj->bi", cov, rhs)
     z = np.column_stack([-mean, np.ones(len(mean))])
     out = -0.5 * (np.einsum("bi,jbik,bk->jb", z, quad, z) + logdet)
-    out[0] -= 0.5 * r.size * np.log(2.0 * np.pi)
+    out[0] -= 0.5 * n * np.log(2.0 * np.pi)
     c = np.einsum("bij,bj->bi", quad[1, :, :p], z)
     out[2] += np.einsum("bi,bij,bj->b", c, cov, c)
     return out, mean, cov, eigvecs, keep, rhs
@@ -734,12 +732,12 @@ def _best_beta(log_density, hyper: HyperPrior):
     return float(np.exp(t)), value, boundary
 
 
-def _gls_at_best_beta(a, r, marginal: _MarginalCovariance, hyper: HyperPrior):
+def _gls_at_best_beta(forms, p: int, n: int, hyper: HyperPrior):
     """The GLS fit at the beta that maximizes its profile plus the hyper
     prior: theta*, its covariance, its flat directions, theta*^T P theta*
     (P the precision), beta, the log posterior and the boundary flag."""
-    beta, value, boundary = _best_beta(lambda betas: _gls(a, r, marginal, betas)[0], hyper)
-    _, (mean,), (cov,), (vecs,), (keep,), (rhs,) = _gls(a, r, marginal, [beta])
+    beta, value, boundary = _best_beta(lambda betas: _gls(forms, p, n, betas)[0], hyper)
+    _, (mean,), (cov,), (vecs,), (keep,), (rhs,) = _gls(forms, p, n, [beta])
     return mean, cov, vecs[:, ~keep].T, float(mean @ rhs), beta, value, boundary
 
 
@@ -775,7 +773,7 @@ def invert_source(obs, family, hyper: HyperPrior, spec: kernels.KernelSpec,
         raise ValueError(f"{family.n_params} parameters but only {obs.n} observations")
     if isinstance(family, pde.LinearSourceFamily):
         mean, cov, flat, _, beta, objective, boundary = _gls_at_best_beta(
-            *_gls_design(obs, family, spec), hyper)
+            *_gls_design(obs, family, spec), obs.n, hyper)
         return InversionResult(mean, cov, flat, beta, objective, boundary, "linear")
     if isinstance(family, pde.ExpressionSourceFamily):
         if init is None:
@@ -796,8 +794,9 @@ def invert_source(obs, family, hyper: HyperPrior, spec: kernels.KernelSpec,
         def log_posterior(r):
             """(beta, log posterior, boundary) at the theta of residual r,
             maximized over beta; -inf when it is nowhere finite."""
+            forms = marginal.forms(r)
             try:
-                return _best_beta(lambda betas: _log_density(marginal, betas, r), hyper)
+                return _best_beta(lambda betas: _gls(forms, 0, obs.n, betas)[0], hyper)
             except NumericalError:
                 return None, -np.inf, None
 
@@ -812,7 +811,8 @@ def invert_source(obs, family, hyper: HyperPrior, spec: kernels.KernelSpec,
                 (resid_at(theta - h * e) - resid_at(theta + h * e)) / (2.0 * h)
                 for h, e in zip(steps, np.eye(theta.size))
             ])
-            step, cov, flat, step2, beta_lin, _, _ = _gls_at_best_beta(jac, r, marginal, hyper)
+            step, cov, flat, step2, beta_lin, _, _ = _gls_at_best_beta(
+                marginal.forms(np.column_stack([jac, r])), theta.size, obs.n, hyper)
             if step2 <= _THETA_STEP2 and abs(np.log(beta_lin / beta)) <= _LOG_BETA_SETTLED:
                 converged = True
                 break

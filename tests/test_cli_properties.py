@@ -180,7 +180,7 @@ def workdir(tmp_path_factory):
 
 
 @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
-@settings(max_examples=100, deadline=None, derandomize=True, database=None,
+@settings(max_examples=200, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
 @given(data=st.data())
 def test_exit_code_contract(command, workdir, data):

@@ -91,13 +91,33 @@ def decompositions(monkeypatch):
 
 @pytest.fixture
 def forms_calls(monkeypatch):
-    """The number of betas of every `_MarginalCovariance.forms` call."""
+    """The number of betas of every call of a function that
+    `_MarginalCovariance.forms` returned."""
     seen = []
     original = _MarginalCovariance.forms
 
-    def forms(self, betas, cols):
-        seen.append(np.size(betas))
-        return original(self, betas, cols)
+    def forms(self, cols):
+        at = original(self, cols)
+
+        def counted(betas):
+            seen.append(np.size(betas))
+            return at(betas)
+        return counted
+
+    monkeypatch.setattr(_MarginalCovariance, "forms", forms)
+    return seen
+
+
+@pytest.fixture
+def forms_built(monkeypatch):
+    """The number of columns of every set whose forms
+    `_MarginalCovariance.forms` built (and rotated)."""
+    seen = []
+    original = _MarginalCovariance.forms
+
+    def forms(self, cols):
+        seen.append(np.reshape(cols, (self.n, -1)).shape[1])
+        return original(self, cols)
 
     monkeypatch.setattr(_MarginalCovariance, "forms", forms)
     return seen
@@ -718,14 +738,14 @@ class TestMarginalForms:
             psi = spectral.basis_matrix(2, 4, data.X)
             obs, k1 = data, (psi * eigenvalues(spec)) @ psi.T
         cols = rng.normal(size=(obs.n, 3))
-        quad, logdet = _MarginalCovariance(spec, obs).forms(self.SCAN, cols)
+        quad, logdet = _MarginalCovariance(spec, obs).forms(cols)(self.SCAN)
         want_quad, want_logdet = dense_forms(k1, sigma2, self.SCAN, cols)
         assert quad.shape == (3, 121, 3, 3) and logdet.shape == (3, 121)
         scale = np.abs(want_quad).max(axis=(2, 3), keepdims=True)
         assert np.all(np.abs(quad - want_quad) <= 1e-12 * scale)
         np.testing.assert_allclose(logdet, want_logdet, rtol=1e-12, atol=0)
         # a vector is one column
-        vec_quad, vec_logdet = _MarginalCovariance(spec, obs).forms(self.SCAN[:3], cols[:, 0])
+        vec_quad, vec_logdet = _MarginalCovariance(spec, obs).forms(cols[:, 0])(self.SCAN[:3])
         np.testing.assert_allclose(vec_quad[..., 0, 0], quad[:, :3, 0, 0], rtol=1e-14)
         np.testing.assert_array_equal(vec_logdet, logdet[:, :3])
 
@@ -752,17 +772,17 @@ class TestMarginalForms:
         spec = KernelSpec("bridge", dim=2, order=3)
         data = make_dataset(rng, n=12, dim=2)
         shift_eigenvalue(12, lambda w: -data.sigma2)
-        marginal = _MarginalCovariance(spec, data)
+        forms = _MarginalCovariance(spec, data).forms(data.y)
         betas = np.concatenate([[1.0], self.SCAN[61:], [1.0]])
         with caplog.at_level(logging.INFO, logger="bridgegp.regression"):
-            quad, logdet = marginal.forms(betas, data.y)
+            quad, logdet = forms(betas)
         assert caplog.text.count("adding jitter") == 2
         assert caplog.text.count("at beta 1.000e+00: adding jitter") == 2
         assert np.isfinite(quad).all() and np.isfinite(logdet).all()
         np.testing.assert_array_equal(logdet[:, 0], logdet[:, -1])
         caplog.clear()
         with caplog.at_level(logging.INFO, logger="bridgegp.regression"):
-            rest = marginal.forms(betas[1:-1], data.y)
+            rest = forms(betas[1:-1])
         assert "jitter" not in caplog.text
         np.testing.assert_allclose(rest[0], quad[:, 1:-1], rtol=1e-14)
         np.testing.assert_allclose(rest[1], logdet[:, 1:-1], rtol=1e-14)
@@ -773,9 +793,9 @@ class TestMarginalForms:
         spec = KernelSpec("bridge", dim=2, order=3)
         data = make_dataset(rng, n=12, dim=2)
         shift_eigenvalue(12, lambda w: -data.sigma2)
-        marginal = _MarginalCovariance(spec, data)
+        forms = _MarginalCovariance(spec, data).forms(data.y)
         with pytest.raises(SingularSystemError, match="after jitter"):
-            marginal.forms(self.SCAN, data.y)
+            forms(self.SCAN)
         with pytest.raises(SingularSystemError, match="after jitter"):
             beta_map(spec, None, data, FLAT)
 
@@ -1075,6 +1095,52 @@ def two_mode_family(order=64):
     )
 
 
+class TestOneFormsPerSearch:
+    """Each beta search rotates its columns once: it builds one function
+    `_MarginalCovariance.forms` and evaluates it at every beta it tries
+    (for a linear inversion, `TestInversion`)."""
+
+    def test_fixed_beta_point_expression_inversion_builds_one_per_search(
+            self, rng, monkeypatch, forms_built):
+        spec = KernelSpec("bridge", order=64)
+        fam = ExpressionSourceFamily("a*exp(-(x-b)^2)", free=("a", "b"))
+        u = solve(fam.source_at([10.0, 0.25]), spec)
+        x = rng.uniform(0.05, 0.95, size=40)
+        obs = Dataset(x, u(x) + 1e-3 * rng.normal(size=40), 1e-5)
+        solves, steps = [], []
+        original_solve, original_step = pde.solve, regression._gls_at_best_beta
+
+        def counting_solve(*args, **kwargs):
+            solves.append(1)
+            return original_solve(*args, **kwargs)
+
+        def counting_step(*args, **kwargs):
+            steps.append(1)
+            return original_step(*args, **kwargs)
+
+        monkeypatch.setattr(pde, "solve", counting_solve)
+        monkeypatch.setattr(regression, "_gls_at_best_beta", counting_step)
+        invert_source(obs, fam, fixed(2.0), spec, init=[8.0, 0.35])
+        # each Gauss-Newton step solves 2p forward problems for its Jacobian;
+        # every other solve is a residual scored by its own search
+        scored = len(solves) - 2 * fam.n_params * len(steps)
+        assert len(steps) >= 2 and scored >= 2
+        assert sorted(forms_built) == [1] * scored + [fam.n_params + 1] * len(steps)
+
+    def test_evidence_builds_one_per_call(self, rng, forms_built, forms_calls):
+        spec = KernelSpec("bridge", order=64)
+        data = make_dataset(rng, n=30)
+        log_marginal(spec, None, data, 2.0)
+        assert forms_built == [1] and forms_calls == [1]
+        forms_built.clear()
+        res = beta_map(spec, None, data, JEFFREYS)
+        assert res.boundary is None
+        assert forms_built == [1] and len(forms_calls) > 2
+        forms_built.clear()
+        beta_gradient(spec, None, data, 2.0, JEFFREYS)
+        assert forms_built == [1]
+
+
 class TestInversion:
     def test_linear_noiseless_recovery(self):
         spec = KernelSpec("bridge", order=64)
@@ -1254,7 +1320,8 @@ class TestInversion:
         assert [s for s in decompositions["eigh"] if s == (40, 40)] == [(40, 40)]
         assert decompositions["spd"] == []
 
-    def test_point_linear_beta_search_factors_once(self, rng, decompositions, forms_calls):
+    def test_point_linear_beta_search_factors_once(self, rng, decompositions, forms_built,
+                                                   forms_calls):
         # every beta the profile tries reuses the one eigendecomposition
         n = 300
         spec = KernelSpec("bridge", order=64)
@@ -1274,6 +1341,8 @@ class TestInversion:
         assert [s for s in decompositions["eigh"] if s[-1] == 2] == (
             [(121, 2, 2)] + [(1, 2, 2)] * (newton + 1))
         assert 1 <= newton <= 10
+        # and all of them evaluate the forms of the one set [A r]
+        assert forms_built == [3]
 
     def test_linear_expression_takes_one_gauss_newton_step(self, rng, monkeypatch):
         # a family linear in theta: the init, two central-difference

@@ -7,19 +7,9 @@ Outputs are CSV (17 significant digits, LF, UTF-8) or canonical JSON,
 streamed in blocks of rows; with --out they go to a temp file renamed into
 place when complete, so a crash never leaves a torn file.  Identical
 config and seed give byte-identical output on one machine with one
-numpy/BLAS build at one BLAS thread count (OpenBLAS splits its
-reductions by thread; `import bridgegp` sets one thread unless a count is
-set, and its idle timeout changes no byte).  Across builds
-or thread counts the reduction order inside LAPACK and BLAS may differ,
-so the numbers agree to rounding: a mean to a few
-eps * max|mean|, a variance to at most about cond(V) eps * max k(x,x)
-(a few eps when the data covariance V is well-conditioned), and hence a
-standard deviation near a data point to about 1e-13 relative.  Posterior
-`sample` draws outside the 1D bridge, whose noise normals are read in the
-eigenbasis of the data covariance, are other draws of the same law (README,
-"Determinism").
-The serialization (headers, grid coordinates, 17 significant digits, LF,
-exact zeros on the boundary) stays byte-identical across builds.
+numpy/BLAS build at one BLAS thread count; across builds and thread counts
+the serialization stays byte-identical and the numbers agree to rounding,
+as README "Determinism" states.
 
 `solve`, `fit` and `sample` evaluate on the grid by one sine synthesis per
 axis, never through a basis matrix of the grid; the 1D bridge posterior

@@ -32,6 +32,7 @@ with the beta search, for nonlinear expression families.
 
 from __future__ import annotations
 
+import functools
 import logging
 import warnings
 
@@ -327,7 +328,8 @@ class PosteriorModel:
         of `mean_field`, the prior variance that of lambda / beta with squared
         tables, and the subtracted term that of the n columns of G, a chunk
         of first-axis coordinates at a time (`spectral.grid_tables` of width
-        n), so a chunk's table and its n columns each stay bounded.
+        n), so a chunk's table and every step of the synthesis of its n
+        columns stay within `spectral._GRID_BLOCK` values.
         """
         axis = spectral.validate_points(axis, 1)[:, 0]
         if self.mean_field is None:
@@ -538,9 +540,10 @@ def _residual(obs, field: spectral.SpectralField) -> np.ndarray:
 
 def _evidence(spec: kernels.KernelSpec, prior, obs):
     """The log density of the observations' residual from the prior mean, a
-    function of an array of betas: the GLS profile of no parameters."""
+    function of an array of betas: the GLS profile of no parameters (`_gls`'s
+    tuple, the density first)."""
     forms = _MarginalCovariance(spec, obs).forms(_residual(obs, pde.prior_mean(prior, spec)))
-    return lambda betas: _gls(forms, 0, obs.n, betas)[0]
+    return functools.partial(_gls, forms, 0, obs.n)
 
 
 def log_marginal(spec: kernels.KernelSpec, prior, obs, beta: float | None = None) -> float:
@@ -554,7 +557,7 @@ def log_marginal(spec: kernels.KernelSpec, prior, obs, beta: float | None = None
     dataset for all the betas they try.
     """
     beta = _check_beta(spec.beta if beta is None else beta)
-    return float(_evidence(spec, prior, obs)([beta])[0, 0])
+    return float(_evidence(spec, prior, obs)([beta])[0][0, 0])
 
 
 def beta_gradient(spec: kernels.KernelSpec, prior, obs, beta: float,
@@ -565,7 +568,7 @@ def beta_gradient(spec: kernels.KernelSpec, prior, obs, beta: float,
     (2 beta) + d log p(beta), t = log beta.
     """
     beta = _check_beta(beta)
-    return float(_evidence(spec, prior, obs)([beta])[1, 0] / beta + hyper.dlog_density(beta))
+    return float(_evidence(spec, prior, obs)([beta])[0][1, 0] / beta + hyper.dlog_density(beta))
 
 
 class BetaMapResult(Record):
@@ -594,43 +597,45 @@ def _maximize_over_log_beta(log_density, hyper: HyperPrior):
     """Maximize log_density(beta) + log p(beta) over log beta in the bracket.
 
     `log_density(betas)` returns, for an array of betas, the values and their
-    first two derivatives in t = log beta, (3, B); log p is linear in t (0
-    flat, -t Jeffreys).  The 121 grid points are evaluated in one call.  The
-    best, if interior, is refined by Newton on the exact derivative between
-    its two neighbours, bisecting when a step leaves the shrinking bracket or
-    the curvature is not negative, one call per step, and the result is kept
-    only if it is no worse.  Returns (t, value, boundary).
+    first two derivatives in t = log beta, (3, B), then the arrays of the fit
+    at each beta (`_gls`), one entry a beta; log p is linear in t (0 flat, -t
+    Jeffreys).  The 121 grid points are evaluated in one call.  The best, if
+    interior, is refined by Newton on the exact derivative between its two
+    neighbours, bisecting when a step leaves the shrinking bracket or the
+    curvature is not negative, one call per step, and the result is kept only
+    if it is no worse.  Returns (t, value, boundary, the fit at t), the fit
+    from the call that evaluated t, so no beta is evaluated twice.
     """
     def objective(t):
         beta = np.exp(t)
-        out = log_density(beta)
+        out, *fit = log_density(beta)
         out[0] += hyper.log_density(beta)
         out[1] += beta * hyper.dlog_density(beta)
         out[0, ~np.isfinite(out[0])] = -np.inf
-        return out
+        return out, fit
 
     grid = np.linspace(*LOG_BETA_RANGE, 121)
-    scan = objective(grid)
+    scan, fit = objective(grid)
     vals = scan[0]
     best = int(np.argmax(vals))
     if vals[best] == -np.inf:
         raise NumericalError("the beta objective is not finite anywhere in the bracket")
-    if best == 0:
-        return grid[0], vals[0], "lower"
-    if best == len(grid) - 1:
-        return grid[-1], vals[-1], "upper"
+    fit = [a[best] for a in fit]
+    if best in (0, len(grid) - 1):
+        return grid[best], vals[best], "lower" if best == 0 else "upper", fit
     left, right, t = float(grid[best - 1]), float(grid[best + 1]), float(grid[best])
     value, d1, d2 = scan[:, best]
     for _ in range(_NEWTON_ITERATIONS):
         left, right = (t, right) if d1 > 0.0 else (left, t)
         new = t - d1 / d2 if d2 < 0.0 else np.nan
         t, last = (new if left <= new <= right else 0.5 * (left + right)), t
-        value, d1, d2 = objective(np.array([t]))[:, 0]
+        out, step_fit = objective(np.array([t]))
+        value, d1, d2 = out[:, 0]
         if abs(t - last) <= _LOG_BETA_STEP:
             break
     if value < vals[best]:
-        return grid[best], vals[best], None
-    return float(t), float(value), None
+        return grid[best], vals[best], None, fit
+    return float(t), float(value), None, [a[0] for a in step_fit]
 
 
 def beta_map(spec: kernels.KernelSpec, prior, obs, hyper: HyperPrior) -> BetaMapResult:
@@ -643,7 +648,7 @@ def beta_map(spec: kernels.KernelSpec, prior, obs, hyper: HyperPrior) -> BetaMap
     """
     if hyper.kind == "fixed":
         raise ValueError("beta_map needs a flat or Jeffreys hyper prior")
-    t_star, value, boundary = _maximize_over_log_beta(_evidence(spec, prior, obs), hyper)
+    t_star, value, boundary, _ = _maximize_over_log_beta(_evidence(spec, prior, obs), hyper)
     if boundary is not None:
         warnings.warn(f"beta search terminated at the {boundary} bracket boundary")
     return BetaMapResult(float(np.exp(t_star)), t_star, value, boundary)
@@ -724,20 +729,22 @@ def _gls(forms, p: int, n: int, betas):
 
 
 def _best_beta(log_density, hyper: HyperPrior):
-    """The beta that maximizes log_density(betas)[0] plus the hyper prior
-    (beta0 for a point mass): (beta, log posterior, boundary flag)."""
+    """The beta that maximizes log_density(betas)[0][0] plus the hyper prior
+    (beta0 for a point mass), `log_density` as in `_maximize_over_log_beta`:
+    (beta, log posterior, boundary flag, the fit at beta)."""
     if hyper.kind == "fixed":
-        return hyper.beta0, float(log_density([hyper.beta0])[0, 0]), None
-    t, value, boundary = _maximize_over_log_beta(log_density, hyper)
-    return float(np.exp(t)), value, boundary
+        out, *fit = log_density([hyper.beta0])
+        return hyper.beta0, float(out[0, 0]), None, [a[0] for a in fit]
+    t, value, boundary, fit = _maximize_over_log_beta(log_density, hyper)
+    return float(np.exp(t)), value, boundary, fit
 
 
 def _gls_at_best_beta(forms, p: int, n: int, hyper: HyperPrior):
     """The GLS fit at the beta that maximizes its profile plus the hyper
     prior: theta*, its covariance, its flat directions, theta*^T P theta*
     (P the precision), beta, the log posterior and the boundary flag."""
-    beta, value, boundary = _best_beta(lambda betas: _gls(forms, p, n, betas)[0], hyper)
-    _, (mean,), (cov,), (vecs,), (keep,), (rhs,) = _gls(forms, p, n, [beta])
+    beta, value, boundary, (mean, cov, vecs, keep, rhs) = _best_beta(
+        functools.partial(_gls, forms, p, n), hyper)
     return mean, cov, vecs[:, ~keep].T, float(mean @ rhs), beta, value, boundary
 
 
@@ -796,7 +803,7 @@ def invert_source(obs, family, hyper: HyperPrior, spec: kernels.KernelSpec,
             maximized over beta; -inf when it is nowhere finite."""
             forms = marginal.forms(r)
             try:
-                return _best_beta(lambda betas: _gls(forms, 0, obs.n, betas)[0], hyper)
+                return _best_beta(functools.partial(_gls, forms, 0, obs.n), hyper)[:3]
             except NumericalError:
                 return None, -np.inf, None
 

@@ -13,11 +13,12 @@ transforms between point samples and coefficients.
 
 The basis is separable, and every transform works axis by axis (sum
 factorization; Orszag, J. Comput. Phys. 37, 1980).  `project` hands its
-integrand the quadrature rule's per-axis coordinates and contracts one
-axis at a time, `synthesize` evaluates on a tensor grid from per-axis
-tables, and a basis at scattered points is produced a few leading
-indices at a time (`basis_blocks`), so products with it never hold the
-whole N x S^d matrix.
+integrand the quadrature rule's per-axis coordinates and `synthesize`
+evaluates on a tensor grid from per-axis tables, both by one contraction
+an axis at a time (`_contract`) over chunks of first-axis coordinates
+(`grid_tables`), and a basis at scattered points is produced a few
+leading indices at a time (`basis_blocks`), so products with it never
+hold the whole N x S^d matrix.
 
 Coefficient vectors are stored dense in the canonical (lexicographic)
 enumeration of {1..S}^d, i.e. C-order raveling of an (S, ..., S)
@@ -28,6 +29,7 @@ enforces hard caps on the axis order per dimension.
 from __future__ import annotations
 
 import functools
+import math
 import operator
 
 import numpy as np
@@ -54,8 +56,9 @@ _EXTRA_NODES = 33
 _NEWTON_STEPS = 5
 
 # Values a block holds where points or draws are taken in blocks: `evaluate`'s
-# points (times S^d), a chunk of a grid's first-axis table and its synthesis
-# (`grid_tables`), and `sampling`'s draws.
+# points (times S^d), a chunk of a grid's first-axis table and each step of its
+# synthesis (`grid_tables`) or of a projection's quadrature, and `sampling`'s
+# draws.
 _GRID_BLOCK = 1 << 21
 
 
@@ -91,27 +94,14 @@ def dirichlet_eigenvalues(dim: int, order: int) -> np.ndarray:
     return np.pi**2 * np.sum(idx.astype(float) ** 2, axis=1)
 
 
-def _as_points(x, dim: int) -> tuple[np.ndarray, bool]:
-    """Coerce `x` to an (N, dim) array; report whether it was a single point."""
-    arr = np.asarray(x, dtype=float)
-    if dim == 1:
-        if arr.ndim == 0:
-            return arr.reshape(1, 1), True
-        if arr.ndim == 1:
-            return arr.reshape(-1, 1), False
-        if arr.ndim == 2 and arr.shape[1] == 1:
-            return arr, False
-    else:
-        if arr.ndim == 1 and arr.shape[0] == dim:
-            return arr.reshape(1, dim), True
-        if arr.ndim == 2 and arr.shape[1] == dim:
-            return arr, False
-    raise ValueError(f"cannot interpret points of shape {arr.shape} in dimension {dim}")
-
-
 def as_point_batch(x, dim: int):
     """Validated (N, dim) batch plus a flag for scalar/single-point input."""
-    pts, single = _as_points(x, dim)
+    pts = np.asarray(x, dtype=float)
+    single = pts.shape == ((dim,) if dim > 1 else ())
+    if single or dim == 1 and pts.ndim == 1:
+        pts = pts.reshape(-1, dim)
+    elif pts.ndim != 2 or pts.shape[1] != dim:
+        raise ValueError(f"cannot interpret points of shape {pts.shape} in dimension {dim}")
     if not np.all(np.isfinite(pts)):
         raise DomainError("points must be finite")
     if np.any(pts < 0.0) or np.any(pts > 1.0):
@@ -124,17 +114,19 @@ def validate_points(x, dim: int) -> np.ndarray:
     return as_point_batch(x, dim)[0]
 
 
-def _sine_table(coords, order: int) -> np.ndarray:
-    """(N, S) table sin(n pi x_i) for n = 1..order, the 1D basis over sqrt(2).
+def _sine_table(coords, order: int, transpose: bool = False) -> np.ndarray:
+    """(N, S) table sin(n pi x_i) for n = 1..order, the 1D basis over sqrt(2),
+    or with `transpose` its (S, N) transpose, built so, not copied.
 
     sin(n pi x) vanishes identically at x = 0 and 1; the table makes that
     exact instead of leaving ~1e-16 residue from rounded pi.
     """
     coords = np.asarray(coords, dtype=float).reshape(-1)
-    table = np.outer(coords, np.arange(1, order + 1))
+    modes = np.arange(1, order + 1)
+    table = np.outer(modes, coords) if transpose else np.outer(coords, modes)
     table *= np.pi
     np.sin(table, out=table)  # in place: the table is the one (N, S) array held
-    table[(coords == 0.0) | (coords == 1.0)] = 0.0
+    (table.T if transpose else table)[(coords == 0.0) | (coords == 1.0)] = 0.0
     return table
 
 
@@ -357,46 +349,43 @@ def default_rule(dim: int, order: int) -> QuadratureRule:
 
 
 def project(f, dim: int, order: int) -> SpectralField:
-    """L2 projection of a callable onto the truncated basis.
+    """L2 projection of a callable onto the truncated basis: coefficients
+    c_alpha = integral of f * psi_alpha by the tensor quadrature rule.
 
-    Parameters
-    ----------
-    f : callable
-        In 1D, maps the (m,) vector of quadrature nodes to (m,) values.
-        Otherwise it gets the tensor rule's coordinates as `dim` axis
-        arrays shaped to broadcast, (m, 1, 1), (1, m, 1) and (1, 1, m) in
-        3D, and returns values that broadcast to the (m,) * dim grid (a
-        `CompiledExpression` evaluates on such axes), so no array of
-        grid points is formed.
-    dim, order : int
-        Target expansion shape.
-
-    Returns
-    -------
-    SpectralField
-        Coefficients c_alpha = integral of f * psi_alpha, computed by
-        axis-separated contraction of the tensor quadrature grid.
+    In 1D `f` maps a vector of quadrature nodes to the values there.
+    Otherwise it gets the rule's coordinates as `dim` axis arrays shaped to
+    broadcast, (k, 1, 1), (1, m, 1) and (1, 1, m) in 3D, and returns values
+    that broadcast to the (k,) + (m,) * (dim - 1) grid (a `CompiledExpression`
+    evaluates on such axes), so no array of grid points is formed.  The first
+    axis comes k nodes at a time, a chunk by the rule of `grid_tables`, whose
+    first axis is contracted against its weighted table sqrt(2) sin(n pi x) w;
+    the chunks are summed, and the other axes contracted once (`_contract`).
+    A chunk's table and values hold at most `_GRID_BLOCK` values, so a long
+    1D rule's (m, S) table is never formed; every 2D and 3D rule, and a 1D
+    one to order 1015, is one chunk.
     """
     check_size(dim, order)
     rule = default_rule(dim, order)
-    m = rule.axis_nodes.size
-    if dim == 1:
-        coords = rule.axis_nodes
-    else:
-        coords = tuple(rule.axis_nodes.reshape((1,) * k + (m,) + (1,) * (dim - 1 - k))
-                       for k in range(dim))
-    vals = np.broadcast_to(np.asarray(f(coords), dtype=float), (m,) * dim)
-    # C order, as the contractions hand it to BLAS, whose summation
-    # order may depend on the operand layout.
-    t = np.multiply(np.sqrt(2.0), _sine_table(rule.axis_nodes, order).T, order="C")
-    t *= rule.axis_weights
-    tensor = vals
-    for _ in range(dim):
-        # Contract the leading grid axis down to coefficient length; after
-        # d passes every axis has been transformed once.
-        tensor = np.tensordot(t, tensor, axes=(1, 0))
-        tensor = np.moveaxis(tensor, 0, dim - 1)
-    return SpectralField(dim, order, tensor.reshape(-1))
+    nodes, m = rule.axis_nodes, rule.axis_nodes.size
+    axes = tuple(nodes.reshape((1,) * k + (m,) + (1,) * (dim - 1 - k)) for k in range(1, dim))
+    rows = _chunk_rows(m, dim, order)
+
+    def table(i, j):  # (S, j - i), C order as BLAS reads it
+        t = _sine_table(nodes[i:j], order, transpose=True)
+        t *= np.sqrt(2.0)
+        t *= rule.axis_weights[i:j]
+        return t
+
+    def chunk(i):
+        first = nodes[i:i + rows]
+        vals = f(first if dim == 1 else (first.reshape((-1,) + (1,) * (dim - 1)),) + axes)
+        vals = np.broadcast_to(np.asarray(vals, dtype=float), first.shape + (m,) * (dim - 1))
+        # written out: a broadcast of stride 0 would reach BLAS by another path
+        return _contract(np.ascontiguousarray(vals), [table(i, i + rows)])
+
+    coeffs = functools.reduce(operator.iadd, (chunk(i) for i in range(0, m, rows)))
+    coeffs = _contract(coeffs, [table(0, m)] * (dim - 1), 1) if dim > 1 else coeffs
+    return SpectralField(dim, order, coeffs.reshape(-1))
 
 
 def evaluate(u: SpectralField, x):
@@ -427,22 +416,40 @@ def synthesis_tables(axes, order: int) -> list[np.ndarray]:
     return tables
 
 
+def _chunk_rows(size: int, dim: int, order: int, width: int = 1) -> int:
+    """First-axis coordinates a chunk of the grid of `size` coordinates an axis
+    (`grid_tables`, `project`)."""
+    return max(1, _GRID_BLOCK // max(order, max(size, order) ** (dim - 1) * width))
+
+
 def grid_tables(axis, dim: int, order: int, width: int = 1):
     """The `synthesis_tables` of the grid axis x ... x axis (dim axes), a chunk
-    of first-axis coordinates at a time: one list of dim tables per chunk, the
-    other axes' tables built once.  This is the one chunk rule of every grid
-    synthesis: a chunk has `_GRID_BLOCK` // max(S, m^(d-1) width) coordinates
-    (at least one), so its first-axis table and the synthesis of `width`
-    expansions on it each hold at most `_GRID_BLOCK` values.  Synthesizing
-    chunk by chunk and concatenating gives the grid in C order.  Each list is
-    emptied before the next chunk's table is built, so one chunk's table of
-    the first axis is held at a time: a 1D grid's table is bounded."""
-    rows = max(1, _GRID_BLOCK // max(order, len(axis) ** (dim - 1) * width))
+    of first-axis coordinates at a time, the other axes' tables built once.
+    This is the one chunk rule of every grid synthesis and of `project`: a
+    chunk has `_GRID_BLOCK` // max(S, max(m, S)^(d-1) width) coordinates (at
+    least one), so its first-axis table and each step of the synthesis of
+    `width` expansions on it (m^j S^(d-1-j) width values a coordinate after j
+    axes) hold at most `_GRID_BLOCK` values.  Concatenating the chunks'
+    syntheses gives the grid in C order.  Each list of tables is emptied
+    before the next chunk's is built."""
+    rows = _chunk_rows(len(axis), dim, order, width)
     rest = synthesis_tables([axis] * (dim - 1), order)
     for i in range(0, len(axis), rows):
         tables = synthesis_tables([axis[i:i + rows]], order) + rest
         yield tables
         tables.clear()
+
+
+def _contract(tensor, mats, start: int = 0) -> np.ndarray:
+    """Apply mats[k], a (p, q) matrix, along axis start + k of the C-order
+    `tensor`: one batched product mat @ (P, q, R) on a reshaped view, P and R
+    the sizes of the axes before and after it.  Each step leaves one C-order
+    array; no axis is moved and no table transposed or copied."""
+    for k, mat in enumerate(mats, start):
+        shape = tensor.shape
+        view = tensor.reshape(math.prod(shape[:k]), shape[k], math.prod(shape[k + 1:]))
+        tensor = np.matmul(mat, view).reshape(shape[:k] + mat.shape[:1] + shape[k + 1:])
+    return tensor
 
 
 def synthesize(tensor, tables) -> np.ndarray:
@@ -453,15 +460,15 @@ def synthesize(tensor, tables) -> np.ndarray:
     index is one expansion.  `tables` are the grid axes' (m_i, S) tables
     from `synthesis_tables`, so a caller that synthesizes many tensors on
     one grid builds them once.  Synthesis runs one axis at a time against
-    its table, so the cost is O(d * m^d * S * batch) and no (m^d, S^d)
-    basis matrix is formed (sum factorization).  Each axis is one product
-    table @ tensor, so a batch held in C order, as `sampling` holds its
-    point-major draws, is read as stored.  Squared tables give
+    its table (`_contract`), so the cost is O(d * m^d * S * batch) and no
+    (m^d, S^d) basis matrix is formed (sum factorization).  The first axis
+    is one product table @ tensor, so a batch held in C order, as `sampling`
+    holds its point-major draws, is read as stored.  Squared tables give
     sum_alpha c_alpha psi_alpha(x)^2: from the eigenvalues, the kernel
     diagonal.
 
-    Returns an array of shape (m_0, ..., m_{d-1}) + batch; zero wherever
-    a coordinate is 0 or 1.
+    Returns an array of shape (m_0, ..., m_{d-1}) + batch in C order; zero
+    wherever a coordinate is 0 or 1.
     """
     tensor = np.asarray(tensor, dtype=float)
     dim = len(tables)
@@ -471,10 +478,4 @@ def synthesize(tensor, tables) -> np.ndarray:
     if tensor.shape[:dim] != (order,) * dim or any(t.shape[1] != order for t in tables):
         raise OrderMismatchError(f"expected {dim} coefficient axes of length "
                                  f"{tables[0].shape[1]}, got shape {tensor.shape}")
-    for table in tables:
-        rest = tensor.shape[1:]
-        product = table @ (tensor.reshape(order, -1) if rest else tensor)
-        tensor = product.reshape((table.shape[0],) + rest)
-        # the new grid axis goes behind the coefficient axes still to do
-        tensor = np.moveaxis(tensor, 0, dim - 1)
-    return tensor
+    return _contract(tensor, tables)

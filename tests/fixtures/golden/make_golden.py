@@ -1,6 +1,7 @@
-"""Write the golden corpus of the calibration commands: for each case a small
-config with its data inline (`<name>.json`, so no file path enters the
-artifact's header) and the artifact it gives (`<name>.expected.<format>`).
+"""Write the golden corpus of the calibration commands and of `solve` and `fit`
+on 1D to 3D grids: for each case a small config with its data inline
+(`<name>.json`, so no file path enters the artifact's header) and the
+artifact it gives (`<name>.expected.<format>`).
 
     python tests/fixtures/golden/make_golden.py
 
@@ -28,7 +29,14 @@ CASES = {
     "invert_linear_coefficients": (["invert"], "json"),
     "invert_linear_points": (["invert"], "json"),
     "invert_expression_points": (["invert"], "json"),
+    "solve_1d": (["solve"], "csv"),
+    "solve_2d": (["solve"], "csv"),
+    "solve_3d": (["solve"], "csv"),
+    "fit_3d": (["fit"], "csv"),
 }
+
+# the cases whose artifact is a field on a grid
+GRID_CASES = ("solve_1d", "solve_2d", "solve_3d", "fit_3d")
 
 
 def argv(name: str, out) -> list[str]:
@@ -97,6 +105,22 @@ def configs() -> dict:
         "family": {"expression": "a*exp(-(x-c)^2/0.02)", "free": ["a", "c"]},
         "data": {"x": x.tolist(), "y": y.tolist()}, "sigma2": 1e-4,
         "hyper": {"kind": "flat"}, "init": [8.0, 0.45]}
+
+    # the grid routes: a projection and a synthesis an axis, and in 3D a
+    # posterior's mean and variance by synthesis in coefficient space
+    out["solve_1d"] = {"kernel": kernel, "source": {"expression": "sin(3*pi*x)*exp(x)"},
+                       "grid": 11}
+    out["solve_2d"] = {
+        "kernel": {"family": "bridge", "dim": 2, "order": 16},
+        "source": {"expression": "exp(-((x1-0.3)^2+(x2-0.6)^2)/0.02)"}, "grid": 6}
+    kernel = {"family": "bridge", "dim": 3, "order": 8}
+    out["solve_3d"] = {"kernel": kernel, "source": {"expression": "x1*sin(pi*x2)*exp(x3)"},
+                       "grid": 4}
+    x = rng.uniform(0.05, 0.95, (12, 3))
+    y = np.prod(np.sin(np.pi * x), axis=1) + 0.01 * rng.standard_normal(12)
+    out["fit_3d"] = {
+        "kernel": kernel, "source": {"expression": "3*pi^2*sin(pi*x1)*sin(pi*x2)*sin(pi*x3)"},
+        "data": {"x": x.tolist(), "y": y.tolist()}, "sigma2": 1e-4, "grid": 4}
     return out
 
 

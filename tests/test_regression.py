@@ -604,12 +604,13 @@ class TestOneConditioningCore:
         assert decompositions["basis"] == []
         assert decompositions["spd"] == []
         # one n x n decomposition; then one stacked 2 x 2 eigh for the whole
-        # scan, one per Newton step (none here: the search stops at the upper
-        # edge) and one for the fit at the best beta, not one per scan beta
+        # scan and one per Newton step (none here: the search stops at the
+        # upper edge), not one per scan beta; the fit at the best beta is the
+        # scan's own, not evaluated again
         assert res.boundary == "upper"
         assert [s for s in decompositions["eigh"] if s[-1] == n] == [(n, n)]
-        assert forms_calls == [121, 1]
-        assert [s for s in decompositions["eigh"] if s[-1] == 2] == [(121, 2, 2), (1, 2, 2)]
+        assert forms_calls == [121]
+        assert [s for s in decompositions["eigh"] if s[-1] == 2] == [(121, 2, 2)]
 
     @pytest.mark.parametrize("spec", [
         KernelSpec("bridge", order=64), KernelSpec("helmholtz", order=64, omega=2.0),
@@ -1101,7 +1102,7 @@ class TestOneFormsPerSearch:
     (for a linear inversion, `TestInversion`)."""
 
     def test_fixed_beta_point_expression_inversion_builds_one_per_search(
-            self, rng, monkeypatch, forms_built):
+            self, rng, monkeypatch, forms_built, forms_calls):
         spec = KernelSpec("bridge", order=64)
         fam = ExpressionSourceFamily("a*exp(-(x-b)^2)", free=("a", "b"))
         u = solve(fam.source_at([10.0, 0.25]), spec)
@@ -1126,6 +1127,8 @@ class TestOneFormsPerSearch:
         scored = len(solves) - 2 * fam.n_params * len(steps)
         assert len(steps) >= 2 and scored >= 2
         assert sorted(forms_built) == [1] * scored + [fam.n_params + 1] * len(steps)
+        # at a fixed beta each search evaluates its forms once, its fit included
+        assert forms_calls == [1] * len(forms_built)
 
     def test_evidence_builds_one_per_call(self, rng, forms_built, forms_calls):
         spec = KernelSpec("bridge", order=64)
@@ -1320,8 +1323,8 @@ class TestInversion:
         assert [s for s in decompositions["eigh"] if s == (40, 40)] == [(40, 40)]
         assert decompositions["spd"] == []
 
-    def test_point_linear_beta_search_factors_once(self, rng, decompositions, forms_built,
-                                                   forms_calls):
+    def test_point_linear_beta_search_factors_once(self, rng, monkeypatch, decompositions,
+                                                   forms_built, forms_calls):
         # every beta the profile tries reuses the one eigendecomposition
         n = 300
         spec = KernelSpec("bridge", order=64)
@@ -1329,17 +1332,22 @@ class TestInversion:
         x = rng.uniform(0.05, 0.95, size=n)
         u = solve(fam.source_at([2.0, 0.5], 1, 64), spec)
         y = u(x) + 0.01 * np.sin(5 * np.pi * x) + 0.01 * rng.normal(size=n)
+        tried, gls = [], regression._gls
+        monkeypatch.setattr(regression, "_gls", lambda forms, p, n, betas: (
+            tried.extend(np.ravel(betas)) or gls(forms, p, n, betas)))
         res = invert_source(Dataset(x, y, 1e-4), fam, FLAT, spec)
+        # no beta is evaluated twice: the fit at the best is the search's own
+        assert len(set(tried)) == len(tried) and res.beta in tried
         assert res.boundary is None
         assert [s for s in decompositions["eigh"] if s == (n, n)] == [(n, n)]
         assert decompositions["spd"] == []
-        # the p x p precisions: one stacked eigh for the 121-point scan, one
-        # per Newton step, one for the fit at the best beta (a scan of one
-        # call per beta would make 121 + steps + 2)
-        newton = len(forms_calls) - 2
-        assert forms_calls == [121] + [1] * (newton + 1)
+        # the p x p precisions: one stacked eigh for the 121-point scan and one
+        # per Newton step; the fit at the best beta is the last step's (a scan
+        # of one call per beta would make 121 + steps + 1)
+        newton = len(forms_calls) - 1
+        assert forms_calls == [121] + [1] * newton
         assert [s for s in decompositions["eigh"] if s[-1] == 2] == (
-            [(121, 2, 2)] + [(1, 2, 2)] * (newton + 1))
+            [(121, 2, 2)] + [(1, 2, 2)] * newton)
         assert 1 <= newton <= 10
         # and all of them evaluate the forms of the one set [A r]
         assert forms_built == [3]

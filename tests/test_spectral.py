@@ -51,6 +51,16 @@ def synth(coeffs, axes):
     """Synthesis of `coeffs` on the grid of `axes`, tables built at the tensor's order."""
     return synthesize(coeffs, synthesis_tables(axes, np.shape(coeffs)[0]))
 
+
+def recording(sizes, fn):
+    """`fn`, appending the size of each value it returns to `sizes`."""
+    def call(*args, **kwargs):
+        out = fn(*args, **kwargs)
+        sizes.append(np.size(out))
+        return out
+    return call
+
+
 # 4*sqrt(2)/(n^3 pi^3), computed once with mpmath-free numpy and frozen.
 PARABOLA_COEFFS = {
     1: 0.18244222961109438,
@@ -347,6 +357,43 @@ class TestProjection:
             on_points = project(lambda axes: source.evaluate(rule.nodes).reshape((m,) * 3), 3, 32)
             assert np.array_equal(coeffs, on_points.coeffs), text
 
+    @pytest.mark.parametrize("dim, order, budget, chunks", [
+        (1, 64, 64 * 40, 5), (2, 8, 49 * 10, 5), (3, 4, 41**2 * 10, 5)])
+    def test_chunked_projection_agrees_and_stays_bounded(self, monkeypatch, dim, order,
+                                                         budget, chunks):
+        # the rule has m = 2S + 33 nodes an axis; the grid_tables rule takes
+        # budget // max(S, m^(d-1)) first-axis nodes at a time, 40, 10 and 10 here
+        text = {1: "sin(3*pi*x)*exp(x)", 2: "exp(-((x1-0.3)^2+(x2-0.6)^2)/0.02)",
+                3: "sin(pi*x1)*cos(2*pi*x2)*exp(x3)"}[dim]
+        compiled = ClosedFormSource(text).compiled(dim)
+        whole = project(lambda axes: compiled(axes, {}), dim, order).coeffs
+        firsts, values, tables, products = [], [], [], []
+
+        def f(axes):
+            firsts.append(np.size(axes if dim == 1 else axes[0]))
+            return compiled(axes, {})
+
+        monkeypatch.setattr(spectral, "_GRID_BLOCK", budget)
+        monkeypatch.setattr(spectral, "_sine_table", recording(tables, spectral._sine_table))
+        monkeypatch.setattr(np, "matmul", recording(products, np.matmul))
+        chunked = project(recording(values, f), dim, order).coeffs
+        assert len(firsts) == chunks and sum(firsts) == 2 * order + 33
+        assert max(values + tables + products) <= budget
+        assert np.abs(chunked - whole).max() <= 4 * np.finfo(float).eps * np.abs(whole).max()
+
+    @pytest.mark.parametrize("order", [64, 1015])
+    def test_one_chunk_1d_projection_is_one_product(self, order):
+        # the bytes of one product of the weighted (S, m) table, held in C order,
+        # with the values: order 1015 is the last whose rule is one chunk
+        rule = default_rule(1, order)
+        x = rule.axis_nodes
+        assert spectral._chunk_rows(x.size, 1, order) >= x.size
+        table = np.multiply(np.sqrt(2.0), spectral._sine_table(x, order).T, order="C")
+        table *= rule.axis_weights
+        want = np.tensordot(table, np.sin(3 * np.pi * x) * np.exp(x), axes=(1, 0))
+        got = project(lambda x: np.sin(3 * np.pi * x) * np.exp(x), 1, order).coeffs
+        assert got.tobytes() == want.tobytes()
+
     def test_inner_product_via_parseval(self):
         # the L2 inner product by quadrature is the coefficients' dot product
         u = SpectralField(1, 3, [1.0, 0.0, 2.0])
@@ -408,9 +455,11 @@ class TestSynthesis:
 
     @pytest.mark.parametrize("dim, order, m, width, chunks", [
         (1, 8, 300, 1, [125, 125, 50]), (2, 8, 30, 4, [8, 8, 8, 6]),
-        (3, 4, 10, 3, [3, 3, 3, 1]), (2, 8, 30, 10**6, [1] * 30)])
+        (3, 4, 10, 3, [3, 3, 3, 1]), (2, 8, 30, 10**6, [1] * 30),
+        (2, 32, 20, 5, [6, 6, 6, 2])])
     def test_grid_tables_chunk_rule(self, monkeypatch, rng, dim, order, m, width, chunks):
-        # _GRID_BLOCK // max(S, m^(d-1) width) first-axis coordinates a chunk, at least one
+        # _GRID_BLOCK // max(S, max(m, S)^(d-1) width) first-axis coordinates a
+        # chunk, at least one
         axis = np.linspace(0.0, 1.0, m)
         coeffs = rng.normal(size=(order,) * dim)
         whole = synth(coeffs, [axis] * dim)
@@ -419,6 +468,25 @@ class TestSynthesis:
                  for tables in spectral.grid_tables(axis, dim, order, width)]
         assert [len(part) for part in parts] == chunks
         np.testing.assert_allclose(np.concatenate(parts), whole, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("dim, order, m, width", [
+        (1, 8, 300, 3), (2, 32, 20, 5), (2, 8, 30, 4), (3, 8, 12, 2), (3, 16, 4, 3)])
+    def test_grid_tables_bound_every_product(self, monkeypatch, rng, dim, order, m, width):
+        # a step of the synthesis holds up to max(m, S)^(d-1) width values a
+        # first-axis coordinate: S^(d-1) width after the first axis when S > m,
+        # which a rule of m^(d-1) width would let pass the budget
+        axis = np.linspace(0.0, 1.0, m)
+        coeffs = rng.normal(size=(order,) * dim + (width,))
+        whole = synth(coeffs, [axis] * dim)
+        monkeypatch.setattr(spectral, "_GRID_BLOCK", 1000)
+        sizes = []
+        monkeypatch.setattr(spectral, "_sine_table", recording(sizes, spectral._sine_table))
+        monkeypatch.setattr(np, "matmul", recording(sizes, np.matmul))
+        parts = [synthesize(coeffs, tables)
+                 for tables in spectral.grid_tables(axis, dim, order, width)]
+        assert len(parts) > 1 and max(sizes) <= 1000
+        np.testing.assert_allclose(np.concatenate(parts), whole, rtol=0,
+                                   atol=1e-14 * np.abs(whole).max())
 
     def test_3d_default_grid_memory(self, rng):
         # S = 32 on the 101^3 grid: a dense basis would be 1030301 x 32768
